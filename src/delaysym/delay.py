@@ -8,6 +8,7 @@ steps.
 
 from __future__ import annotations
 
+import functools
 import math
 import re
 from dataclasses import dataclass, field
@@ -209,8 +210,18 @@ class GeneralDelay(DelayRelation):
         if extra:
             raise ParameterDomainError(f"delay function may only use x, found {sorted(extra)}")
 
+    __getstate__ = ex.fields_state
+
+    @functools.cached_property
+    def _g(self):
+        return ex.compile(self.g, ("x",))
+
+    @functools.cached_property
+    def _g_prime(self):
+        return ex.compile(ex.differentiate(self.g, "x"), ("x",))
+
     def delayed_point(self, x: float) -> float:
-        xm = ex.evaluate(self.g, {"x": x})
+        xm = self._g(x)
         if not xm < x:
             raise DomainError(f"supplied relation is not a delay at x = {x!r}: g(x) = {xm!r}")
         return xm
@@ -218,7 +229,7 @@ class GeneralDelay(DelayRelation):
     def advance(self, x: float) -> float:
         if not self.increasing:
             raise NotMonotone("cannot advance a relation not declared increasing")
-        gval = lambda t: ex.evaluate(self.g, {"x": t})
+        gval = self._g
         lo = x
         width = 1.0
         prev_g = gval(lo)
@@ -258,7 +269,7 @@ class GeneralDelay(DelayRelation):
         return self.g
 
     def derivative(self, x: float) -> float:
-        return ex.evaluate(ex.differentiate(self.g, "x"), {"x": x})
+        return self._g_prime(x)
 
     def spec_string(self) -> str:
         return f'general("{ex.to_text(self.g)}")'
@@ -374,7 +385,9 @@ def closed_form_point(relation: DelayRelation, x0: float, x_minus1: float, n: in
             f"x_minus1 = {x_minus1!r} does not match the relation at x0 = {x0!r}")
     if q == 1.0:
         return x0 + n * tau
-    return x0 * q ** (-n) + tau / (1.0 - q) * (q ** (-n) - 1.0)
+    # q**-n - 1 through expm1: subtracting 1 cancels nearly every digit when
+    # q is close to 1, and tau/(1 - q) then magnifies what is left
+    return x0 * q ** (-n) + tau / (1.0 - q) * math.expm1(-n * math.log(q))
 
 
 # ---------------------------------------------------------------------------

@@ -12,9 +12,10 @@ delay term disappears and the system degenerates to an ODE.
 
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass
-from typing import Mapping, Optional, Union
+from typing import Callable, Mapping, Optional, Union
 
 from . import expr as ex
 from .delay import (ConstantDelay, DelayRelation, MoebiusDelay,
@@ -40,6 +41,7 @@ __all__ = [
 
 _Y = ex.Var("y")
 _YM = ex.Var("ym")
+_MANIFOLD_VARS = ("x", "y", "xm", "ym")
 
 
 @dataclass(frozen=True)
@@ -107,13 +109,43 @@ class Dods:
                 raise ParameterDomainError(
                     f"manifold form may only use x, y, xm, ym, found {sorted(extra)}")
 
+    __getstate__ = ex.fields_state
+
+    # Compiled forms of the trees, built on first use and kept with the
+    # system; nothing compiles while a system is only built or printed.
+
+    @functools.cached_property
+    def rhs_fn(self) -> Callable[[float, float, float], float]:
+        """f(x, y, ym) compiled; for a linear right hand side the order of
+        operations is alpha*y + beta*ym + gamma."""
+        r = self.rhs
+        if isinstance(r, LinearRhs):
+            tree = ex.Binary("+", ex.Binary("+", ex.Binary("*", r.alpha, _Y),
+                                            ex.Binary("*", r.beta, _YM)), r.gamma)
+        else:
+            tree = r.f
+        return ex.compile(tree, ("x", "y", "ym"))
+
+    @functools.cached_property
+    def coefficient_fns(self) -> tuple[Callable[[float], float], ...]:
+        """alpha, beta and gamma of a linear right hand side, compiled."""
+        if not isinstance(self.rhs, LinearRhs):
+            raise SchemeMismatch("only a linear right hand side has coefficients")
+        r = self.rhs
+        return tuple(ex.compile(c, ("x",)) for c in (r.alpha, r.beta, r.gamma))
+
+    @functools.cached_property
+    def manifold_partial_fns(self) -> tuple[Callable[[float, float, float, float], float], ...]:
+        """Partial derivatives of the manifold form with respect to x, y, xm
+        and ym, each compiled as a function of (x, y, xm, ym).  Without a
+        manifold form the substituted right hand side stands in, with no xm
+        dependence left."""
+        m = self.rhs_manifold if self.rhs_manifold is not None else self.rhs.as_expr()
+        return tuple(ex.compile(ex.fold(ex.differentiate(m, v)), _MANIFOLD_VARS)
+                     for v in _MANIFOLD_VARS)
+
     def rhs_value(self, x: float, y: float, ym: float) -> float:
-        if isinstance(self.rhs, LinearRhs):
-            b = {"x": x}
-            return (ex.evaluate(self.rhs.alpha, b) * y
-                    + ex.evaluate(self.rhs.beta, b) * ym
-                    + ex.evaluate(self.rhs.gamma, b))
-        return ex.evaluate(self.rhs.f, {"x": x, "y": y, "ym": ym})
+        return self.rhs_fn(x, y, ym)
 
     def residual(self, x: float, y: float, xm: float, ym: float, ydot: float
                  ) -> tuple[float, float]:

@@ -21,9 +21,13 @@ an equal tree, and to_text(parse(to_text(t))) == to_text(t).
 
 from __future__ import annotations
 
+import builtins
+import dataclasses
+import functools
 import math
 from dataclasses import dataclass
-from typing import Iterable, Mapping, Union
+from types import CodeType
+from typing import Callable, Iterable, Mapping, Sequence, Union
 
 from .errors import DomainError, ParseError, UnboundVariable
 
@@ -35,6 +39,7 @@ __all__ = [
     "Binary",
     "parse",
     "evaluate",
+    "compile",
     "differentiate",
     "to_text",
     "substitute",
@@ -245,6 +250,26 @@ def _pow_checked(base: float, exponent: float) -> float:
     return math.pow(base, exponent)
 
 
+def _unbound(name: str) -> UnboundVariable:
+    return UnboundVariable(f"variable {name!r} has no bound value")
+
+
+def _ln_domain(v: float) -> DomainError:
+    return DomainError(f"ln of non-positive value {v!r}")
+
+
+def _sqrt_domain(v: float) -> DomainError:
+    return DomainError(f"sqrt of negative value {v!r}")
+
+
+def _division_by_zero() -> DomainError:
+    return DomainError("division by zero")
+
+
+def _overflow(exc: OverflowError) -> DomainError:
+    return DomainError(f"overflow during evaluation: {exc}")
+
+
 def evaluate(e: Expr, bindings: Mapping[str, float]) -> float:
     """Evaluate in IEEE double precision.
 
@@ -255,7 +280,7 @@ def evaluate(e: Expr, bindings: Mapping[str, float]) -> float:
     try:
         return _eval(e, bindings)
     except OverflowError as exc:
-        raise DomainError(f"overflow during evaluation: {exc}") from exc
+        raise _overflow(exc) from exc
 
 
 def _eval(e: Expr, b: Mapping[str, float]) -> float:
@@ -265,7 +290,7 @@ def _eval(e: Expr, b: Mapping[str, float]) -> float:
         try:
             return float(b[e.name])
         except KeyError:
-            raise UnboundVariable(f"variable {e.name!r} has no bound value") from None
+            raise _unbound(e.name) from None
     if isinstance(e, Unary):
         v = _eval(e.child, b)
         op = e.op
@@ -275,7 +300,7 @@ def _eval(e: Expr, b: Mapping[str, float]) -> float:
             return math.exp(v)
         if op == "ln":
             if v <= 0.0:
-                raise DomainError(f"ln of non-positive value {v!r}")
+                raise _ln_domain(v)
             return math.log(v)
         if op == "sin":
             return math.sin(v)
@@ -287,7 +312,7 @@ def _eval(e: Expr, b: Mapping[str, float]) -> float:
             return math.atan(v)
         if op == "sqrt":
             if v < 0.0:
-                raise DomainError(f"sqrt of negative value {v!r}")
+                raise _sqrt_domain(v)
             return math.sqrt(v)
         if op == "abs":
             return abs(v)
@@ -305,11 +330,157 @@ def _eval(e: Expr, b: Mapping[str, float]) -> float:
         return l * r
     if op == "/":
         if r == 0.0:
-            raise DomainError("division by zero")
+            raise _division_by_zero()
         return l / r
     if op == "^":
         return _pow_checked(l, r)
     raise ValueError(f"bad binary op {op!r}")
+
+
+# ---------------------------------------------------------------------------
+# compilation
+#
+# compile() turns a tree into one Python function of positional arguments.
+# It walks the tree in the order _eval visits it (child before parent, left
+# before right) and emits one statement per operator node, t<k> = <op>, with
+# a node's domain guard on the line before it; the first use of an argument
+# coerces it with float() on a line of its own, as _eval does at every use.
+# The generated code therefore does the same IEEE operations in the same
+# order and raises the same errors at the same point, and a deep tree gives a
+# long function, never deeply nested source.
+#
+# The source is assembled only from the fixed templates below and generated
+# names: arguments a0, a1, ..., temporaries t0, t1, ..., and closure values
+# k0, k1, ... bound to each Num's own value, so no number or variable name
+# is ever spliced in as text.
+
+_UNARY_TEMPLATES = {
+    "neg": "-{0}",
+    "exp": "_exp({0})",
+    "sin": "_sin({0})",
+    "cos": "_cos({0})",
+    "tan": "_tan({0})",
+    "atan": "_atan({0})",
+    "abs": "abs({0})",
+    "ln": "_log({0})",
+    "sqrt": "_sqrt({0})",
+    "sign": "1.0 if {0} > 0.0 else -1.0 if {0} < 0.0 else 0.0",
+}
+_BINARY_TEMPLATES = {
+    "+": "{0} + {1}",
+    "-": "{0} - {1}",
+    "*": "{0} * {1}",
+    "/": "{0} / {1}",
+    "^": "_mpow({0}, {1}) if {0} > 0.0 else _pow_checked({0}, {1})",
+}
+# statements that run once the operands are known, before the operation
+_GUARDS = {
+    "ln": "if {0} <= 0.0: raise _ln_domain({0})",
+    "sqrt": "if {0} < 0.0: raise _sqrt_domain({0})",
+    "/": "if {1} == 0.0: raise _division_by_zero()",
+}
+
+_COMPILE_GLOBALS = {
+    "_exp": math.exp, "_sin": math.sin, "_cos": math.cos, "_tan": math.tan,
+    "_atan": math.atan, "_log": math.log, "_sqrt": math.sqrt, "_mpow": math.pow,
+    "_pow_checked": _pow_checked, "_ln_domain": _ln_domain,
+    "_sqrt_domain": _sqrt_domain, "_division_by_zero": _division_by_zero,
+    "_unbound": _unbound, "_overflow": _overflow, "__builtins__": builtins,
+}
+
+
+def compile(e: Expr, args: Sequence[str]) -> Callable[..., float]:
+    """A function of len(args) positional values that returns
+    evaluate(e, dict(zip(args, values))) bit for bit and raises the same
+    DomainError or UnboundVariable with the same message.
+
+    A variable of e missing from args raises UnboundVariable when the
+    evaluation reaches it, as in evaluate.
+    """
+    args = tuple(args)
+    if len(set(args)) != len(args):
+        raise ValueError(f"duplicate argument names in {args!r}")
+    position = {name: i for i, name in enumerate(args)}
+    consts: list[object] = []
+    lines: list[str] = []
+    coerced: set[int] = set()
+    names: list[str] = []  # the name holding each evaluated operand
+
+    def const(value: object) -> str:
+        consts.append(value)
+        return f"k{len(consts) - 1}"
+
+    todo: list[tuple[Expr, bool]] = [(e, False)]
+    while todo:
+        node, expanded = todo.pop()
+        if isinstance(node, Num):
+            names.append(const(node.value))
+        elif isinstance(node, Var):
+            i = position.get(node.name)
+            if i is None:
+                lines.append(f"raise _unbound({const(node.name)})")
+                names.append("None")
+            else:
+                if i not in coerced:
+                    coerced.add(i)
+                    lines.append(f"a{i} = float(a{i})")
+                names.append(f"a{i}")
+        elif not expanded:
+            todo.append((node, True))
+            if isinstance(node, Unary):
+                todo.append((node.child, False))
+            elif isinstance(node, Binary):
+                todo.append((node.right, False))
+                todo.append((node.left, False))
+            else:
+                raise TypeError(f"not an expression node: {node!r}")
+        else:
+            if isinstance(node, Unary):
+                template, arity = _UNARY_TEMPLATES.get(node.op), 1
+            else:
+                template, arity = _BINARY_TEMPLATES.get(node.op), 2
+            if template is None:
+                kind = "unary" if arity == 1 else "binary"
+                raise ValueError(f"bad {kind} op {node.op!r}")
+            operands = names[-arity:]
+            del names[-arity:]
+            guard = _GUARDS.get(node.op)
+            if guard is not None:
+                lines.append(guard.format(*operands))
+            target = f"t{len(lines)}"
+            lines.append(f"{target} = {template.format(*operands)}")
+            names.append(target)
+    params = ", ".join(f"a{i}" for i in range(len(args)))
+    cells = ", ".join(f"k{i}" for i in range(len(consts)))
+    body = "".join(f"            {line}\n" for line in lines)
+    source = (
+        f"def _make({cells}):\n"
+        f"    def compiled({params}):\n"
+        f"        try:\n"
+        f"{body}"
+        f"            return {names[0]}\n"
+        f"        except OverflowError as exc:\n"
+        f"            raise _overflow(exc) from exc\n"
+        f"    return compiled\n"
+    )
+    namespace: dict = {}
+    exec(_bytecode(source), _COMPILE_GLOBALS, namespace)
+    return namespace["_make"](*consts)
+
+
+@functools.lru_cache(maxsize=1024)
+def _bytecode(source: str) -> CodeType:
+    # numbers are closure values, so the source depends on the tree's shape
+    # only: systems rebuilt with new constants (a parameter sweep, a catalog
+    # case at other parameters) reuse the bytecode
+    return builtins.compile(source, "<delaysym.expr.compile>", "exec")
+
+
+def fields_state(obj: object) -> dict:
+    """__getstate__ for a frozen dataclass that keeps compiled callables in
+    its __dict__: those cannot be pickled, so only the fields are, and the
+    callables compile again on first use after unpickling."""
+    return {f.name: getattr(obj, f.name) for f in dataclasses.fields(obj)}
 
 
 # ---------------------------------------------------------------------------

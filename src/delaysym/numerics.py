@@ -73,8 +73,10 @@ def hybrid_root(f: Callable[[float], float], lo: float, hi: float,
     """Root of f inside a bracketing interval.
 
     Bisection narrows the bracket; once it is small a guarded secant step
-    takes over.  Steps that would leave the bracket fall back to bisection,
-    so the search cannot escape [lo, hi].
+    takes over and runs until the bracket cannot shrink any further (or
+    max_iter evaluations are spent).  Steps that would leave the bracket fall
+    back to bisection, so the search cannot escape [lo, hi].  The point with
+    the smallest |f| is returned when that is within residual_tol.
     """
     flo, fhi = f(lo), f(hi)
     if flo == 0.0:
@@ -99,10 +101,11 @@ def hybrid_root(f: Callable[[float], float], lo: float, hi: float,
             b, fb = m, fm
         else:
             a, fa = m, fm
-    # phase two: guarded secant inside the bracket, where f is near linear
+    # phase two: guarded secant inside the bracket, where f is near linear,
+    # until the bracket is exhausted at machine precision.  Stopping at
+    # residual_tol instead would leave an absolute error that callers
+    # multiply by large factors
     while used < max_iter:
-        if abs(best_f) <= residual_tol:
-            return best_x
         if fb != fa:
             x = b - fb * (b - a) / (fb - fa)
         else:

@@ -124,15 +124,16 @@ def verify(y: "ex.Expr | str", d: Dods,
     if samples < 1:
         raise ParameterDomainError("need at least one sample")
     e = ex.as_expr(y, ("x",))
-    de = ex.fold(ex.differentiate(e, "x"))
+    f = ex.compile(e, ("x",))
+    df = ex.compile(ex.fold(ex.differentiate(e, "x")), ("x",))
     lo, hi = window if window is not None else _window_for(d.domain)
     worst = 0.0
     for i in range(samples):
         x = lo + (hi - lo) * ((i + 0.6180339887498949) / samples)
         xm = d.delay.delayed_point(x)
-        yv = ex.evaluate(e, {"x": x})
-        ymv = ex.evaluate(e, {"x": xm})
-        dv = ex.evaluate(de, {"x": x})
+        yv = f(x)
+        ymv = f(xm)
+        dv = df(x)
         r1, r2 = d.residual(x, yv, xm, ymv, dv)
         worst = max(worst, abs(r1), abs(r2))
     return worst

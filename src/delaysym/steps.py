@@ -88,25 +88,36 @@ class Segment:
     def hi(self) -> float:
         return self.nodes[-1]
 
-    def evaluate(self, x: float) -> tuple[float, float]:
-        """(value, slope) at x; endpoints of the span clamp the node index."""
+    def _span(self, x: float) -> tuple[int, float, float]:
+        """(j, h, t): x lies at t*h past node j, with h = nodes[j+1] - nodes[j];
+        endpoints of the span clamp j."""
         j = bisect.bisect_right(self.nodes, x) - 1
-        j = min(max(j, 0), len(self.nodes) - 2)
-        x0, x1 = self.nodes[j], self.nodes[j + 1]
-        y0, y1 = self.values[j], self.values[j + 1]
-        d0, d1 = self.derivs[j], self.derivs[j + 1]
-        h = x1 - x0
-        t = (x - x0) / h
+        last = len(self.nodes) - 2
+        j = 0 if j < 0 else last if j > last else j  # a tenth of min(max())
+        x0 = self.nodes[j]
+        h = self.nodes[j + 1] - x0
+        return j, h, (x - x0) / h
+
+    def value(self, x: float) -> float:
+        """The interpolated value at x."""
+        j, h, t = self._span(x)
         t2 = t * t
         t3 = t2 * t
-        y = ((2.0 * t3 - 3.0 * t2 + 1.0) * y0
-             + (t3 - 2.0 * t2 + t) * h * d0
-             + (-2.0 * t3 + 3.0 * t2) * y1
-             + (t3 - t2) * h * d1)
+        return ((2.0 * t3 - 3.0 * t2 + 1.0) * self.values[j]
+                + (t3 - 2.0 * t2 + t) * h * self.derivs[j]
+                + (-2.0 * t3 + 3.0 * t2) * self.values[j + 1]
+                + (t3 - t2) * h * self.derivs[j + 1])
+
+    def evaluate(self, x: float) -> tuple[float, float]:
+        """(value, slope) at x."""
+        j, h, t = self._span(x)
+        y0, y1 = self.values[j], self.values[j + 1]
+        d0, d1 = self.derivs[j], self.derivs[j + 1]
+        t2 = t * t
         dy = ((6.0 * t2 - 6.0 * t) * (y0 - y1) / h
               + (3.0 * t2 - 4.0 * t + 1.0) * d0
               + (3.0 * t2 - 2.0 * t) * d1)
-        return y, dy
+        return self.value(x), dy
 
 
 @dataclass(frozen=True)
@@ -157,13 +168,16 @@ class PiecewiseSolution:
         return min(max(j, 0), len(self.segments) - 1)
 
     def _node_index(self, x: float) -> Optional[int]:
-        for i, p in enumerate(self.mesh.points):
-            if abs(x - p) <= _TOL * (1.0 + abs(p)):
+        pts = self.mesh.points
+        j = bisect.bisect_left(pts, x)
+        # x lies in (pts[j - 1], pts[j]]; only those two can be within _TOL
+        for i in (j - 1, j):
+            if 0 <= i < len(pts) and abs(x - pts[i]) <= _TOL * (1.0 + abs(pts[i])):
                 return i
         return None
 
     def value(self, x: float) -> float:
-        return self.segments[self._segment_index(x)].evaluate(x)[0]
+        return self.segments[self._segment_index(x)].value(x)
 
     def eval(self, x: float) -> tuple[float, float, float]:
         """(y, ydot from the left, ydot from the right); the one-sided slopes
@@ -204,14 +218,11 @@ class PiecewiseSolution:
 
     def mapped(self, scale: float, offset: "ex.Expr | str | float") -> "PiecewiseSolution":
         """Pointwise map y(x) -> scale*y(x) + offset(x)."""
-        off = ex.as_expr(offset, ("x",))
-        doff = ex.differentiate(off, "x")
+        off, doff = _with_slope(ex.as_expr(offset, ("x",)))
         segs = []
         for s in self.segments:
-            vals = tuple(scale * y + ex.evaluate(off, {"x": u})
-                         for u, y in zip(s.nodes, s.values))
-            ders = tuple(scale * d + ex.evaluate(doff, {"x": u})
-                         for u, d in zip(s.nodes, s.derivs))
+            vals = tuple(scale * y + off(u) for u, y in zip(s.nodes, s.values))
+            ders = tuple(scale * d + doff(u) for u, d in zip(s.nodes, s.derivs))
             segs.append(Segment(s.nodes, vals, ders))
         return PiecewiseSolution(self.mesh, tuple(segs))
 
@@ -266,12 +277,16 @@ def solution_from_json(text: str) -> PiecewiseSolution:
     return PiecewiseSolution(mesh, tuple(segments))
 
 
-def _sample_segment(e: ex.Expr, lo: float, hi: float, m: int) -> Segment:
-    de = ex.differentiate(e, "x")
+def _with_slope(e: ex.Expr) -> tuple[Callable[[float], float], Callable[[float], float]]:
+    """e and its x-derivative compiled as functions of x."""
+    return ex.compile(e, ("x",)), ex.compile(ex.differentiate(e, "x"), ("x",))
+
+
+def _sample_segment(fns: tuple[Callable[[float], float], Callable[[float], float]],
+                    lo: float, hi: float, m: int) -> Segment:
+    f, df = fns
     nodes = tuple(lo + (hi - lo) * j / m for j in range(m + 1))
-    values = tuple(ex.evaluate(e, {"x": u}) for u in nodes)
-    derivs = tuple(ex.evaluate(de, {"x": u}) for u in nodes)
-    return Segment(nodes, values, derivs)
+    return Segment(nodes, tuple(f(u) for u in nodes), tuple(df(u) for u in nodes))
 
 
 def from_exprs(relation: DelayRelation, pieces: Sequence["ex.Expr | str"], x0: float,
@@ -283,7 +298,7 @@ def from_exprs(relation: DelayRelation, pieces: Sequence["ex.Expr | str"], x0: f
     exprs = [ex.as_expr(p, ("x",)) for p in pieces]
     mesh = build_mesh(relation, x0, len(pieces) - 1)
     segments = tuple(
-        _sample_segment(e, mesh.points[i], mesh.points[i + 1], step_count)
+        _sample_segment(_with_slope(e), mesh.points[i], mesh.points[i + 1], step_count)
         for i, e in enumerate(exprs))
     return PiecewiseSolution(mesh, segments)
 
@@ -361,30 +376,26 @@ def solve(d: Dods, init: InitialCondition, intervals: int,
                 f"mesh point {p!r} leaves the domain ({lo!r}, {hi!r})")
 
     m = config.step_count
-    phi_d = ex.differentiate(init.phi, "x")
-    a, b = mesh.points[0], mesh.points[1]
-    nodes = tuple(a + (b - a) * j / m for j in range(m + 1))
-    segments = [Segment(
-        nodes,
-        tuple(ex.evaluate(init.phi, {"x": u}) for u in nodes),
-        tuple(ex.evaluate(phi_d, {"x": u}) for u in nodes),
-    )]
+    segments = [_sample_segment(_with_slope(init.phi), mesh.points[0], mesh.points[1], m)]
 
     if config.scheme is Scheme.EXACT_LINEAR and not isinstance(d.rhs, LinearRhs):
         raise SchemeMismatch("the ExactLinear scheme requires a linear right hand side")
+    if config.scheme is Scheme.RK4:
+        rhs_fn = d.rhs_fn
+    else:
+        alpha_f, beta_f, gamma_f = d.coefficient_fns
+    delayed_point = d.delay.delayed_point
 
     for n in range(1, intervals + 1):
         a, b = mesh.points[n], mesh.points[n + 1]
         prev = segments[-1]
         nodes = tuple(a + (b - a) * j / m for j in range(m + 1))
 
-        def ym_at(x: float, prev: Segment = prev) -> float:
-            return prev.evaluate(d.delay.delayed_point(x))[0]
-
         y = segments[-1].values[-1]
         if config.scheme is Scheme.RK4:
-            def rhs(x: float, yv: float) -> float:
-                return d.rhs_value(x, yv, ym_at(x))
+            # y(g(x)) lies in the previous interval
+            def rhs(x: float, yv: float, prev: Segment = prev) -> float:
+                return rhs_fn(x, yv, prev.value(delayed_point(x)))
 
             values = [y]
             h = (b - a) / m
@@ -398,13 +409,8 @@ def solve(d: Dods, init: InitialCondition, intervals: int,
                 values.append(y)
             derivs = [rhs(u, yv) for u, yv in zip(nodes, values)]
         else:
-            rhs_lin = d.rhs
-            alpha_f = lambda u: ex.evaluate(rhs_lin.alpha, {"x": u})
-            beta_f = lambda u: ex.evaluate(rhs_lin.beta, {"x": u})
-            gamma_f = lambda u: ex.evaluate(rhs_lin.gamma, {"x": u})
-
-            def c_f(u: float) -> float:
-                return beta_f(u) * ym_at(u) + gamma_f(u)
+            def c_f(u: float, prev: Segment = prev) -> float:
+                return beta_f(u) * prev.value(delayed_point(u)) + gamma_f(u)
 
             anti = None
             if not config.force_generic_quadrature:

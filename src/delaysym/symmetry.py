@@ -23,7 +23,7 @@ import random
 import warnings
 from dataclasses import dataclass, field
 from fractions import Fraction
-from typing import Optional, Union
+from typing import Callable, Optional, Union
 
 from . import expr as ex
 from .dods import Dods, LinearRhs, homogenized, _window_for
@@ -82,47 +82,53 @@ class VectorField:
                 raise ParameterDomainError(
                     f"eta may only depend on x and y, found {sorted(extra)}")
 
+    __getstate__ = ex.fields_state
+
     # -- pointwise evaluation -------------------------------------------
 
+    @functools.cached_property
+    def _compiled(self) -> tuple[Callable[..., float], ...]:
+        """(xi(x), xi'(x), eta(x, y), eta_x(x, y), eta_y(x, y)), compiled on
+        first use."""
+        x = ("x",)
+        xi = ex.compile(self.xi, x)
+        xi_prime = ex.compile(_deriv(self.xi, "x"), x)
+        if not isinstance(self.eta, AffineEta):
+            xy = ("x", "y")
+            return (xi, xi_prime, ex.compile(self.eta, xy),
+                    ex.compile(_deriv(self.eta, "x"), xy),
+                    ex.compile(_deriv(self.eta, "y"), xy))
+        p = ex.compile(self.eta.p, x)
+        p_x = ex.compile(_deriv(self.eta.p, "x"), x)
+        r = self.eta.r
+        if isinstance(r, PiecewiseSolution):
+            r_value, r_slope = r.value, lambda u: r.eval(u)[2]
+        else:
+            r = ex.as_expr(r, x)
+            r_value, r_slope = ex.compile(r, x), ex.compile(_deriv(r, "x"), x)
+        return (xi, xi_prime,
+                lambda u, y: p(u) * y + r_value(u),
+                lambda u, y: p_x(u) * y + r_slope(u),
+                lambda u, y: p(u))
+
     def xi_at(self, x: float) -> float:
-        return ex.evaluate(self.xi, {"x": x})
+        return self._compiled[0](x)
 
     def xi_prime_at(self, x: float) -> float:
-        return ex.evaluate(_deriv(self.xi, "x"), {"x": x})
+        return self._compiled[1](x)
 
     def eta_at(self, x: float, y: float) -> float:
-        if isinstance(self.eta, AffineEta):
-            return (ex.evaluate(self.eta.p, {"x": x}) * y
-                    + _r_value(self.eta.r, x))
-        return ex.evaluate(self.eta, {"x": x, "y": y})
+        return self._compiled[2](x, y)
 
     def eta_x_at(self, x: float, y: float) -> float:
-        if isinstance(self.eta, AffineEta):
-            return (ex.evaluate(_deriv(self.eta.p, "x"), {"x": x}) * y
-                    + _r_slope(self.eta.r, x))
-        return ex.evaluate(_deriv(self.eta, "x"), {"x": x, "y": y})
+        return self._compiled[3](x, y)
 
     def eta_y_at(self, x: float, y: float) -> float:
-        if isinstance(self.eta, AffineEta):
-            return ex.evaluate(self.eta.p, {"x": x})
-        return ex.evaluate(_deriv(self.eta, "y"), {"x": x, "y": y})
+        return self._compiled[4](x, y)
 
 
-@functools.lru_cache(maxsize=512)
 def _deriv(e: ex.Expr, name: str) -> ex.Expr:
     return ex.fold(ex.differentiate(e, name))
-
-
-def _r_value(r: Union[ex.Expr, PiecewiseSolution], x: float) -> float:
-    if isinstance(r, PiecewiseSolution):
-        return r.value(x)
-    return ex.evaluate(r, {"x": x})
-
-
-def _r_slope(r: Union[ex.Expr, PiecewiseSolution], x: float) -> float:
-    if isinstance(r, PiecewiseSolution):
-        return r.eval(x)[2]
-    return ex.evaluate(_deriv(r, "x"), {"x": x})
 
 
 class Invariance(enum.Enum):
@@ -131,28 +137,11 @@ class Invariance(enum.Enum):
     NOT_INVARIANT = "not-invariant"
 
 
-_MANIFOLD_VARS = ("x", "y", "xm", "ym")
-
-
-@functools.lru_cache(maxsize=256)
-def _manifold_partials(m: ex.Expr) -> tuple[ex.Expr, ex.Expr, ex.Expr, ex.Expr]:
-    return tuple(_deriv(m, v) for v in _MANIFOLD_VARS)  # type: ignore[return-value]
-
-
-def _manifold_of(d: Dods) -> ex.Expr:
-    if d.rhs_manifold is not None:
-        return d.rhs_manifold
-    # fallback: substituted form, with no xm dependence left
-    return d.rhs.as_expr()
-
-
 def _prolong_terms(v: VectorField, d: Dods,
                    point: tuple[float, float, float, float, float]
                    ) -> tuple[float, float, float]:
     x, y, xm, ym, ydot = point
-    env = {"x": x, "y": y, "xm": xm, "ym": ym}
-    m = _manifold_of(d)
-    m_x, m_y, m_xm, m_ym = (ex.evaluate(p, env) for p in _manifold_partials(m))
+    m_x, m_y, m_xm, m_ym = [p(x, y, xm, ym) for p in d.manifold_partial_fns]
 
     xi = v.xi_at(x)
     xi_m = v.xi_at(xm)

@@ -115,6 +115,25 @@ class TestSolve:
         assert "Error" in err
 
 
+def test_listing_and_meshing_compile_nothing(capsys, monkeypatch):
+    # trees compile on first evaluation in a hot path, never while a
+    # system is only built, validated or printed; a mesh of a closed-form
+    # relation evaluates no tree at all (a general one compiles g)
+    import delaysym.expr as ex
+    from delaysym.dods import CASE_IDS
+
+    def refuse(*args):
+        raise AssertionError("compiled an expression")
+
+    monkeypatch.setattr(ex, "compile", refuse)
+    assert run(capsys, "catalog", "list")[0] == 0
+    for cid in CASE_IDS:
+        if cid != "A3_11":
+            assert run(capsys, "catalog", "show", cid)[0] == 0, cid
+    for spec in ("constant(1)", "affine(0.7, 1)", "qscale(0.5)", "moebius(0.2)"):
+        assert run(capsys, "mesh", "--delay", spec, "--x0", "0.5", "--n", "3")[0] == 0, spec
+
+
 class TestMesh:
     def test_constant_mesh(self, capsys):
         code, out, _ = run(capsys, "mesh", "--delay", "constant(1)",
@@ -164,6 +183,16 @@ class TestReduce:
         assert obj["params"]["a"] == pytest.approx(1.5936243, abs=1e-6)
         assert obj["max_residual"] <= 1e-10
         assert obj["free"] == ["A"]
+
+    def test_existence_rate_refined_to_machine_precision(self, capsys):
+        # verify multiplies the rate's error by A exp(a x); a rate stopped at
+        # an absolute 1e-13 residual left 1.6e-10 here
+        code, out, _ = run(capsys, "reduce", "--case", "A3_13", "--subalgebra", "X1+aX3",
+                           "--params", "C1=2.4991285391625793,C2=0.8837590527555651")
+        assert code == 0
+        obj = json.loads(out)
+        assert obj["status"] == "solved"
+        assert obj["max_residual"] <= 1e-10
 
     def test_ascii_label_spelling(self, capsys):
         code, out, _ = run(capsys, "reduce", "--case", "A4_21",

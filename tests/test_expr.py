@@ -4,6 +4,8 @@ import math
 import random
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import delaysym.expr as ex
 from delaysym.errors import DomainError, ParseError, UnboundVariable
@@ -267,6 +269,122 @@ class TestFoldSubstitute:
     def test_is_constant(self):
         assert ex.is_constant(ex.parse("2 * pi"))
         assert not ex.is_constant(ex.parse("2 * x"))
+
+
+_ARGS = ("x", "y", "xm", "ym")
+_UNARY_OPS = ("neg", "exp", "ln", "sin", "cos", "tan", "atan", "sqrt", "abs", "sign")
+
+# values that reach every guard: zero and negative operands of ln, sqrt and
+# division, zero and negative bases of powers, non-integer exponents, and
+# arguments large enough to overflow exp and pow; bindings may also be
+# integers, which evaluate coerces with float()
+_values = st.one_of(
+    st.sampled_from((0.0, -0.0, 1.0, -1.0, 2.0, -2.0, 0.5, -0.5, 3.0, 710.0, -710.0, 1e300)),
+    st.floats(min_value=-50.0, max_value=50.0, allow_nan=False),
+)
+_trees = st.recursive(
+    st.one_of(_values.map(ex.Num), st.sampled_from(_ARGS).map(ex.Var)),
+    lambda sub: st.one_of(
+        st.builds(ex.Unary, st.sampled_from(_UNARY_OPS), sub),
+        st.builds(ex.Binary, st.sampled_from(ex.BINARY_OPS), sub, sub),
+    ),
+    max_leaves=24,
+)
+
+
+def _outcome(fn, *a):
+    try:
+        return "value", fn(*a)
+    except Exception as exc:  # the class and message are what must agree
+        return type(exc), str(exc)
+
+
+def _same(want, got):
+    if want[0] != got[0]:
+        return False
+    if want[0] != "value":
+        return want[1] == got[1]
+    a, b = want[1], got[1]
+    if isinstance(a, float) and math.isnan(a):
+        return isinstance(b, float) and math.isnan(b)
+    return type(a) is type(b) and a == b and math.copysign(1.0, a) == math.copysign(1.0, b)
+
+
+def _agrees(tree, args, values):
+    want = _outcome(ex.evaluate, tree, dict(zip(args, values)))
+    got = _outcome(ex.compile(tree, args), *values)
+    return _same(want, got), (want, got)
+
+
+class TestCompile:
+    @settings(max_examples=400, deadline=None)
+    @given(_trees, st.tuples(*[_values | st.integers(-3, 3)] * 4))
+    def test_matches_tree_walk_bit_for_bit(self, tree, values):
+        ok, detail = _agrees(tree, _ARGS, values)
+        assert ok, (ex.to_text(tree), values, detail)
+
+    @pytest.mark.parametrize("text, x, message", [
+        ("ln(x)", 0.0, "ln of non-positive value 0.0"),
+        ("sqrt(x)", -1.0, "sqrt of negative value -1.0"),
+        ("1 / x", 0.0, "division by zero"),
+        ("x^(-1)", 0.0, "zero raised to a negative power"),
+        ("x^0.5", -2.0, "negative base -2.0 with non-integer exponent 0.5"),
+        ("exp(x)", 1000.0, "overflow during evaluation: math range error"),
+    ])
+    def test_domain_errors(self, text, x, message):
+        f = ex.compile(ex.parse(text), ("x",))
+        with pytest.raises(DomainError) as caught:
+            f(x)
+        assert str(caught.value) == message
+        assert _agrees(ex.parse(text), ("x",), (x,))[0]
+
+    def test_infinite_literal(self):
+        # 1e999 parses to Num(inf), whose repr is not a Python literal
+        tree = ex.parse("1e999 * x")
+        assert ex.compile(tree, ("x",))(2.0) == math.inf
+        assert _agrees(tree, ("x",), (-2.0,))[0]
+
+    def test_negative_zero_leaf(self):
+        got = ex.compile(ex.Num(-0.0), ())()
+        assert got == 0.0 and math.copysign(1.0, got) == -1.0
+        assert _agrees(ex.Binary("+", ex.Num(-0.0), ex.Var("x")), ("x",), (-0.0,))[0]
+
+    def test_integer_bindings_are_coerced(self):
+        tree = ex.parse("-x + y / x", ("x", "y"))
+        f = ex.compile(tree, ("x", "y"))
+        got = f(2, 3)
+        assert type(got) is float and got == ex.evaluate(tree, {"x": 2, "y": 3})
+        neg = ex.compile(ex.parse("-x"), ("x",))(0)
+        assert type(neg) is float and math.copysign(1.0, neg) == -1.0
+
+    def test_deep_chain(self):
+        # far past the parser's nesting limit if emitted as one expression
+        tree = ex.Var("x")
+        for i in range(400):
+            tree = (ex.Binary("+", tree, ex.Num(0.5)) if i % 3 == 0 else
+                    ex.Unary("sin", tree) if i % 3 == 1 else ex.Unary("neg", tree))
+        assert _agrees(tree, ("x",), (0.3,))[0]
+        right = ex.Var("x")
+        for _ in range(350):
+            right = ex.Binary("*", ex.Num(1.001), right)
+        assert _agrees(right, ("x",), (0.7,))[0]
+
+    def test_unbound_variable_raises_in_evaluation_order(self):
+        tree = ex.parse("ln(x) + y", ("x", "y"))
+        f = ex.compile(tree, ("x",))
+        with pytest.raises(DomainError):
+            f(0.0)
+        with pytest.raises(UnboundVariable, match="'y' has no bound value"):
+            f(1.0)
+
+    def test_names_are_positional_not_spliced(self):
+        name = "x) or __import__('os') or (x"
+        tree = ex.Binary("*", ex.Var(name), ex.Num(2.0))
+        assert ex.compile(tree, (name,))(1.5) == 3.0
+
+    def test_duplicate_arguments_rejected(self):
+        with pytest.raises(ValueError):
+            ex.compile(ex.parse("x"), ("x", "x"))
 
 
 def _random_tree(rng, depth):

@@ -116,6 +116,22 @@ class TestPiecewiseSolution:
         s = sample_expr(ConstantDelay(1.0), "x^2", 0.0, 1)
         y, _, _ = s.eval(1.0 + 5e-14)
         assert y == pytest.approx(1.0, abs=1e-12)
+        # at, just inside and just outside the tolerance 1e-12 * (1 + |p|) of
+        # every mesh point.  The smoothing example has a slope jump at x0 = 0:
+        # a point that snaps to a node keeps the node's one-sided slopes, a
+        # point off the node gets the segment's single slope
+        d, init = smoothing_instance()
+        s = solve(d, init, 3, SolverConfig(Scheme.EXACT_LINEAR, step_count=16))
+        pts = s.mesh.points
+        assert s.eval(0.0)[1:] == pytest.approx((2.0, 1.0), abs=1e-10)
+        for offset in (5e-2, -5e-2, 0.5, -0.5, 4.0, -4.0, 1e3, -1e3):
+            for p in pts:
+                x = p + offset * 1e-12 * (1.0 + abs(p))
+                if abs(offset) <= 1.0:
+                    assert s.eval(x) == s.eval(p), (offset, p)
+                elif pts[0] <= x <= pts[-1]:
+                    y, dl, dr = s.eval(x)
+                    assert dl == dr and y == s.value(x), (offset, p)
 
     def test_derivative_sides(self):
         d, init = smoothing_instance()

@@ -2,6 +2,7 @@
 
 import cmath
 import math
+import pickle
 import warnings
 
 import pytest
@@ -77,6 +78,17 @@ class TestVectorField:
         assert v.eta_at(2.0, 3.0) == 2 * 3 + 4
         assert v.eta_y_at(2.0, 3.0) == 2.0
         assert v.eta_x_at(2.0, 3.0) == 3 + 4.0
+
+    def test_pickles_after_compiling(self):
+        # compiled callables are dropped from the pickled state and compile
+        # again on first use
+        e = catalog(CatalogCase("A4_5", delay='general("x - 1 - 0.1*sin(x)")'))
+        v = e.algebra[1]
+        point = (1.3, 0.4, e.dods.delay.delayed_point(1.3), -0.2, 0.7)
+        before = prolong_apply(v, e.dods, point)
+        d2, v2 = pickle.loads(pickle.dumps((e.dods, v)))
+        assert (d2, v2) == (e.dods, v)
+        assert prolong_apply(v2, d2, point) == before
 
     def test_affine_eta_r_from_solution(self):
         s = sample_expr(ConstantDelay(1.0), "x^2", 0.0, 2)
