@@ -55,6 +55,10 @@ class DelayRelation:
         """x - g(x) as an expression in x."""
         return ex.fold(ex.Binary("-", _X, self.as_expr()))
 
+    def affine_parameters(self) -> Optional[tuple[float, float]]:
+        """(q, tau) when g(x) = q*x - tau, else None."""
+        return None
+
     def spec_string(self) -> str:
         raise NotImplementedError
 
@@ -81,6 +85,9 @@ class ConstantDelay(DelayRelation):
 
     def gap_expr(self) -> ex.Expr:
         return ex.Num(self.tau)
+
+    def affine_parameters(self) -> tuple[float, float]:
+        return 1.0, self.tau
 
     def spec_string(self) -> str:
         return f"constant({self.tau!r})"
@@ -115,6 +122,9 @@ class AffineDelay(DelayRelation):
     def derivative(self, x: float) -> float:
         return self.q
 
+    def affine_parameters(self) -> tuple[float, float]:
+        return self.q, self.tau
+
     def spec_string(self) -> str:
         return f"affine({self.q!r}, {self.tau!r})"
 
@@ -144,6 +154,9 @@ class QScaleDelay(DelayRelation):
 
     def derivative(self, x: float) -> float:
         return self.q
+
+    def affine_parameters(self) -> tuple[float, float]:
+        return self.q, 0.0
 
     def spec_string(self) -> str:
         return f"qscale({self.q!r})"
@@ -356,16 +369,6 @@ def build_mesh(relation: DelayRelation, x0: float, intervals: int) -> Mesh:
     return Mesh(tuple(points), relation)
 
 
-def _affine_parameters(relation: DelayRelation) -> Optional[tuple[float, float]]:
-    if isinstance(relation, ConstantDelay):
-        return 1.0, relation.tau
-    if isinstance(relation, AffineDelay):
-        return relation.q, relation.tau
-    if isinstance(relation, QScaleDelay):
-        return relation.q, 0.0
-    return None
-
-
 def closed_form_point(relation: DelayRelation, x0: float, x_minus1: float, n: int) -> float:
     """n-th mesh point of an affine family relation without iterating.
 
@@ -373,7 +376,7 @@ def closed_form_point(relation: DelayRelation, x0: float, x_minus1: float, n: in
     when q != 1 and x_n = x0 + n*tau when q = 1.  For q > 1 the points
     accumulate at tau/(q - 1).
     """
-    qt = _affine_parameters(relation)
+    qt = relation.affine_parameters()
     if qt is None:
         raise ParameterDomainError(
             f"closed form mesh points exist only for affine family relations, "

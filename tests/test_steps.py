@@ -315,6 +315,19 @@ class TestSolve:
             x = i / 4
             assert s.value(x) == pytest.approx(((x - 1) ** 3 + 1) / 3, abs=1e-12)
 
+    @pytest.mark.parametrize("case", [CatalogCase("A3_5"), CatalogCase("A3_7"),
+                                      CatalogCase("A4_5")])
+    def test_rk4_node_slopes_are_rhs_values(self, case):
+        # the stored slope of every solved node is f(x, y, y(g(x))) read from
+        # the previous segment, bit for bit
+        e = catalog(case)
+        lo, hi = e.window
+        init = initial_condition("x + 4", e.dods.delay, lo + 0.08 * (hi - lo))
+        s = solve(e.dods, init, 2, SolverConfig(Scheme.RK4, step_count=32))
+        for prev, seg in zip(s.segments, s.segments[1:]):
+            for x, y, dy in zip(seg.nodes, seg.values, seg.derivs):
+                assert dy == e.dods.rhs_fn(x, y, prev.value(e.dods.delay.delayed_point(x)))
+
     def test_step_count_validation(self):
         with pytest.raises(ParameterDomainError):
             SolverConfig(Scheme.RK4, step_count=0)
@@ -330,20 +343,44 @@ class TestExactLinearQuadrature:
             CatalogCase("A2_1", delay="affine(0.5, 1.0)"),  # affine alpha
         ],
     )
-    def test_closed_antiderivative_matches_generic(self, case):
+    def test_matches_fine_step_rk4(self, case):
         e = catalog(case)
         lo, hi = e.window
         # early enough in the window that two forward intervals exist even
         # for the moebius relation, whose advance map has a pole
         x0 = lo + 0.08 * (hi - lo)
         init = initial_condition("x + 4", e.dods.delay, x0)
-        fast = solve(e.dods, init, 2, SolverConfig(Scheme.EXACT_LINEAR, step_count=48))
-        slow = solve(e.dods, init, 2,
-                     SolverConfig(Scheme.EXACT_LINEAR, step_count=48,
-                                  force_generic_quadrature=True))
-        worst = max(abs(a - b) for sa, sb in zip(fast.segments, slow.segments)
-                    for a, b in zip(sa.values, sb.values))
+        # m = 256: at m = 48 the cubic Hermite storage alone leaves 1.6e-9
+        exact = solve(e.dods, init, 2, SolverConfig(Scheme.EXACT_LINEAR, step_count=256))
+        fine = solve(e.dods, init, 2, SolverConfig(Scheme.RK4, step_count=4096))
+        worst = 0.0
+        for sa, sb in zip(exact.segments, fine.segments):
+            assert sa.nodes == sb.nodes[::16]
+            worst = max(worst, max(abs(a - b) for a, b in zip(sa.values, sb.values[::16])))
         assert worst <= 1e-10
+
+    def test_rapidly_varying_alpha_matches_rk4(self):
+        # alpha = 1 + sin(18 pi x) equals 1 at evenly spaced points of each
+        # interval; the integrating factor must still see its oscillation
+        d = Dods(LinearRhs(ex.parse("1 + sin(18*pi*x)"), ex.Num(-1.0), ex.Num(0.0)),
+                 ConstantDelay(1.0))
+        init = initial_condition("1", d.delay, 0.0)
+        exact = solve(d, init, 2, SolverConfig(Scheme.EXACT_LINEAR, step_count=256))
+        fine = solve(d, init, 2, SolverConfig(Scheme.RK4, step_count=1024))
+        for sa, sb in zip(exact.segments, fine.segments):
+            for a, b in zip(sa.values, sb.values[::4]):
+                assert a == pytest.approx(b, abs=1e-6)
+        assert exact.value(2.0) == pytest.approx(1.0640597, abs=1e-7)
+
+    def test_large_solution_finishes_with_relative_residual(self):
+        # y grows to ~3e13 by x = 30; a fixed cost per step keeps the march
+        # finite, and the residual stays small against the solution's size
+        e = catalog("A3_5")
+        init = initial_condition("exp(x)", e.dods.delay, 0.0)
+        s = solve(e.dods, init, 30, SolverConfig(Scheme.EXACT_LINEAR, step_count=64))
+        top = max(abs(v) for seg in s.segments for v in seg.values)
+        assert top > 1e13
+        assert residual_scan(s, e.dods) / top <= 1e-6
 
     def test_catalog_solution_reproduced(self):
         # feed the invariant solution of the exponential case as history and

@@ -293,6 +293,16 @@ class TestCharRoots:
             assert abs(cmath.exp(z) - 1.0 - z) <= 1e-12
             assert abs(lam - (1.0 - cmath.exp(-lam * C)) / C) <= 1e-12
 
+    @pytest.mark.parametrize("C", [0.5, 1.0, 2.0])
+    def test_matches_lambert_w(self, C):
+        # e^z = 1 + z has the roots z_k = -1 - W_{-(k+1)}(-1/e) (Corless et
+        # al., "On the Lambert W function", 1996); scipy is a test-only oracle
+        special = pytest.importorskip("scipy.special")
+        for root in char_roots(C, kmax=12)[1:]:
+            z = -1.0 - complex(special.lambertw(-1.0 / math.e, -(root.k + 1)))
+            assert abs(root.z - z) <= 1e-14
+            assert abs(root.lam + z / C) <= 1e-14
+
     def test_branch_windows(self):
         for root in char_roots(1.0, kmax=5)[1:]:
             k = root.k
