@@ -8,7 +8,7 @@ everything against plain residual evaluation.
 
 from .delay import (AffineDelay, ConstantDelay, GeneralDelay, Mesh,
                     MoebiusDelay, QScaleDelay, build_mesh, closed_form_point,
-                    default_domain, parse_delay_spec, scale_delay)
+                    parse_delay_spec, scale_delay)
 from .dods import (CatalogCase, CatalogEntry, CaseInfo, CASE_IDS, Dods,
                    GeneralRhs, InitialCondition, LinearRhs, catalog,
                    homogenized, initial_condition, list_cases, load_spec,

@@ -59,6 +59,12 @@ class DelayRelation:
         """(q, tau) when g(x) = q*x - tau, else None."""
         return None
 
+    def default_domain(self) -> tuple[float, float]:
+        """Largest open interval on which the relation actually delays,
+        i.e. where the gap x - g(x) stays positive.  A general relation
+        cannot tell, so it claims the whole line."""
+        return (-math.inf, math.inf)
+
     def spec_string(self) -> str:
         raise NotImplementedError
 
@@ -125,6 +131,14 @@ class AffineDelay(DelayRelation):
     def affine_parameters(self) -> tuple[float, float]:
         return self.q, self.tau
 
+    def default_domain(self) -> tuple[float, float]:
+        q, tau = self.q, self.tau
+        if q == 1.0:
+            return (-math.inf, math.inf)
+        if q < 1.0:
+            return (-tau / (1.0 - q), math.inf)
+        return (-math.inf, tau / (q - 1.0))
+
     def spec_string(self) -> str:
         return f"affine({self.q!r}, {self.tau!r})"
 
@@ -157,6 +171,9 @@ class QScaleDelay(DelayRelation):
 
     def affine_parameters(self) -> tuple[float, float]:
         return self.q, 0.0
+
+    def default_domain(self) -> tuple[float, float]:
+        return (0.0, math.inf)
 
     def spec_string(self) -> str:
         return f"qscale({self.q!r})"
@@ -201,6 +218,9 @@ class MoebiusDelay(DelayRelation):
     def derivative(self, x: float) -> float:
         den = 1.0 + self.c * x
         return (1.0 + self.c * self.c) / (den * den)
+
+    def default_domain(self) -> tuple[float, float]:
+        return (-1.0 / self.c, math.inf)
 
     def spec_string(self) -> str:
         return f"moebius({self.c!r})"
@@ -300,25 +320,6 @@ def scale_delay(c: float) -> DelayRelation:
     if c > 0.0:
         return QScaleDelay(c)
     return GeneralDelay(ex.Binary("*", ex.Num(c), _X), increasing=False)
-
-
-def default_domain(relation: DelayRelation) -> tuple[float, float]:
-    """Largest open interval on which the relation actually delays,
-    i.e. where the gap x - g(x) stays positive."""
-    if isinstance(relation, ConstantDelay):
-        return (-math.inf, math.inf)
-    if isinstance(relation, AffineDelay):
-        q, tau = relation.q, relation.tau
-        if q == 1.0:
-            return (-math.inf, math.inf)
-        if q < 1.0:
-            return (-tau / (1.0 - q), math.inf)
-        return (-math.inf, tau / (q - 1.0))
-    if isinstance(relation, QScaleDelay):
-        return (0.0, math.inf)
-    if isinstance(relation, MoebiusDelay):
-        return (-1.0 / relation.c, math.inf)
-    return (-math.inf, math.inf)
 
 
 # ---------------------------------------------------------------------------

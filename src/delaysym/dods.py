@@ -12,15 +12,18 @@ delay term disappears and the system degenerates to an ODE.
 
 from __future__ import annotations
 
+import enum
 import functools
 import math
 from dataclasses import dataclass
-from typing import Callable, Mapping, Optional, Union
+from typing import Callable, Mapping, NamedTuple, Optional, Union
 
 from . import expr as ex
-from .delay import (ConstantDelay, DelayRelation, MoebiusDelay,
-                    default_domain, parse_delay_spec, scale_delay)
-from .errors import NoDodsError, ParameterDomainError, SchemeMismatch
+from .delay import (ConstantDelay, DelayRelation, MoebiusDelay, parse_delay_spec,
+                    scale_delay)
+from .errors import (BracketNotFound, NoDodsError, NonConvergence,
+                     ParameterDomainError, SchemeMismatch)
+from .numerics import hybrid_root, scan_bracket
 
 __all__ = [
     "LinearRhs",
@@ -195,22 +198,49 @@ def initial_condition(phi: "ex.Expr | str", relation: DelayRelation, x0: float) 
     return InitialCondition(ex.as_expr(phi, ("x",)), relation.delayed_point(x0), x0)
 
 
+def _sampled_max(e: ex.Expr, window: tuple[float, float], samples: int = 20,
+                 skip: "type[Exception] | tuple" = ()) -> float:
+    """Largest |e(x)| over the midpoints of `samples` equal cells of the
+    window; a point whose evaluation raises one of `skip` is passed over.
+    The reference evaluator is used, so nothing is compiled."""
+    lo, hi = window
+    seen = 0.0
+    for i in range(samples):
+        try:
+            seen = max(seen, abs(ex.evaluate(e, {"x": lo + (hi - lo) * (i + 0.5) / samples})))
+        except skip:
+            continue
+    return seen
+
+
 def validate_beta(d: Dods, window: tuple[float, float], samples: int = 20) -> None:
     """Reject a linear system whose delay coefficient vanishes identically
     on the sampling window."""
     if not isinstance(d.rhs, LinearRhs):
         return
-    lo, hi = window
-    seen = 0.0
-    for i in range(samples):
-        x = lo + (hi - lo) * (i + 0.5) / samples
-        try:
-            seen = max(seen, abs(ex.evaluate(d.rhs.beta, {"x": x})))
-        except Exception:
-            continue
-    if seen <= 1e-12:
+    if _sampled_max(d.rhs.beta, window, samples, Exception) <= 1e-12:
         raise ParameterDomainError(
             "delay coefficient beta vanishes identically; the system is an ODE")
+
+
+_GOLDEN = 0.6180339887498949
+
+
+def _max_residual(d: Dods, lo: float, hi: float, samples: int,
+                  value_slope: Callable[[float], tuple[float, float]],
+                  value: Callable[[float], float]) -> float:
+    """Largest |y'(x) - f(x, y(x), y(g(x)))| of a candidate that gives its
+    value and slope at x (value_slope) and its value at g(x) (value).  The
+    sample points lo + (hi - lo)(i + golden)/samples, i < samples, all lie
+    strictly inside (lo, hi)."""
+    rhs, g = d.rhs_fn, d.delay.delayed_point
+    worst = 0.0
+    for i in range(samples):
+        x = lo + (hi - lo) * ((i + _GOLDEN) / samples)
+        xm = g(x)
+        y, dy = value_slope(x)
+        worst = max(worst, abs(dy - rhs(x, y, value(xm))))
+    return worst
 
 
 # ---------------------------------------------------------------------------
@@ -289,32 +319,41 @@ def load_spec(text: str) -> tuple[Dods, Optional[InitialCondition]]:
 _SLOPE = ex.parse("(y - ym)/(x - xm)", ("x", "y", "xm", "ym"))
 _ZERO = ex.Num(0.0)
 _ONE = ex.Num(1.0)
+_X = ex.Var("x")
+
+
+@functools.lru_cache(maxsize=None)
+def _parsed(text: str, variables: tuple[str, ...] = ("x",)) -> ex.Expr:
+    """A tree of the catalog's own text, parsed once per process."""
+    return ex.parse(text, variables)
 
 
 def _expr_with(text: str, values: Mapping[str, float],
                variables: tuple[str, ...] = ("x",)) -> ex.Expr:
-    e = ex.parse(text, tuple(variables) + tuple(values))
+    e = _parsed(text, tuple(variables) + tuple(values))
     return ex.fold(ex.substitute(e, {k: ex.Num(float(v)) for k, v in values.items()}))
 
 
-def _neg(e: ex.Expr) -> ex.Expr:
-    return ex.fold(ex.Unary("neg", e))
-
-
-def _slope_coeffs(relation: DelayRelation,
-                  factor: Optional[ex.Expr] = None) -> tuple[ex.Expr, ex.Expr]:
-    """(alpha, beta) for factor(x) * (y - ym)/(x - g(x))."""
+def _slope_system(relation: DelayRelation, gamma: Optional[ex.Expr] = None,
+                  factor: Optional[ex.Expr] = None,
+                  domain: Optional[tuple[float, float]] = None) -> Dods:
+    """y' = factor(x) (y - ym)/(x - g(x)) + gamma(x) on the domain, by
+    default the one the relation delays on."""
     inv = ex.fold(ex.Binary("/", factor if factor is not None else _ONE,
                             relation.gap_expr()))
-    return inv, _neg(inv)
-
-
-def _manifold(gamma: Optional[ex.Expr] = None,
-              factor: Optional[ex.Expr] = None) -> ex.Expr:
-    m = _SLOPE if factor is None else ex.Binary("*", factor, _SLOPE)
+    manifold = _SLOPE if factor is None else ex.Binary("*", factor, _SLOPE)
     if gamma is not None:
-        m = ex.Binary("+", m, gamma)
-    return ex.fold(m)
+        manifold = ex.Binary("+", manifold, gamma)
+    return Dods(LinearRhs(inv, ex.fold(ex.Unary("neg", inv)),
+                          gamma if gamma is not None else _ZERO),
+                relation, domain or relation.default_domain(), ex.fold(manifold))
+
+
+def _nonzero_forcing(d: Dods) -> Dods:
+    if not _sampled_max(d.rhs.gamma, _window_for(d.domain)) > 1e-12:
+        raise ParameterDomainError(
+            "A2_3 needs f not identically zero; A2_1 covers the homogeneous equation")
+    return d
 
 
 def _window_for(domain: tuple[float, float]) -> tuple[float, float]:
@@ -339,59 +378,6 @@ class CaseInfo:
     admits_system: bool = True
 
 
-_CASE_INFOS = (
-    CaseInfo("A2_1", "y' = f(x) (y - y-)/(x - x-)",
-             "x- = g(x), user supplied",
-             "f(x); defaults f = sin(x) + 2, delay constant(1)"),
-    CaseInfo("A2_3", "y' = (y - y-)/(x - x-) + f(x)",
-             "x- = g(x), user supplied",
-             "f(x) not identically zero; defaults f = 1, delay constant(1)"),
-    CaseInfo("A3_1", "y' = (y - y-)/(x - x-) + C1",
-             "x - x- = C2 > 0",
-             "C1 (default 1), C2 (default 1)"),
-    CaseInfo("A3_3", "y' = (y - y-)/(x - x-) + C1 x^(a/(1-a)); for a = 1 the "
-             "forcing drops and the delay is free",
-             "x- = C2 x on x > 0 (a != 1); user supplied (a = 1)",
-             "a with 0 < |a| <= 1 (default 0.5), C1 (default 1), "
-             "C2 in (0, 1) (default 0.5)"),
-    CaseInfo("A3_5", "y' = (y - y-)/(x - x-) + C1 exp(x)",
-             "x - x- = C2 > 0",
-             "C1 (default 1), C2 (default 1)"),
-    CaseInfo("A3_7", "y' = (y - y-)/(x - x-) + C1 exp(b atan(x))/sqrt(1 + x^2)",
-             "x- = (x - C2)/(1 + C2 x) on x > -1/C2",
-             "b >= 0 (default 1), C1 (default 1), C2 > 0 (default 1)"),
-    CaseInfo("A3_11", "none: every equation admitting this algebra reduces to "
-             "an ordinary differential equation", "-", "-", admits_system=False),
-    CaseInfo("A3_13", "y' = C1 (y - y-)/(x - x-)",
-             "x - x- = C2 > 0",
-             "C1 != 0 (default 1), C2 (default 1)"),
-    CaseInfo("A3_14", "y' = (y - y-)/(x - x-) + C1",
-             "x- = C2 x on x > 0",
-             "C1 (default 1), C2 in (0, 1) (default 0.5)"),
-    CaseInfo("A3_15", "y' = (y - y-)/(x - x-) + f(x)",
-             "x- = g(x), user supplied",
-             "f(x); defaults f = x, delay constant(1)"),
-    CaseInfo("A4_5", "y' = (y - y-)/(x - x-)",
-             "x- = g(x), user supplied",
-             "defaults delay constant(1)"),
-    CaseInfo("A4_12", "y' = (y - y-)/(x - x-)",
-             "x - x- = C > 0",
-             "C (default 1)"),
-    CaseInfo("A4_14", "y' = (y - y-)/(x - x-)",
-             "x- = (x - C)/(1 + C x) on x > -1/C",
-             "C > 0 (default 1)"),
-    CaseInfo("A4_21", "y' = (y - y-)/(x - x-)",
-             "x- = C x on x > 0",
-             "C with 0 < |C| < 1 (default 0.5)"),
-)
-
-CASE_IDS = tuple(info.id for info in _CASE_INFOS)
-
-
-def list_cases() -> tuple[CaseInfo, ...]:
-    return _CASE_INFOS
-
-
 @dataclass(frozen=True)
 class CatalogCase:
     """A catalog id plus whatever the case leaves free: numeric parameters,
@@ -412,31 +398,411 @@ class CatalogEntry:
     window: tuple[float, float]
 
 
-_NUMERIC_DEFAULTS: dict[str, dict[str, float]] = {
-    "A2_1": {},
-    "A2_3": {},
-    "A3_1": {"C1": 1.0, "C2": 1.0},
-    "A3_3": {"a": 0.5, "C1": 1.0, "C2": 0.5},
-    "A3_5": {"C1": 1.0, "C2": 1.0},
-    "A3_7": {"b": 1.0, "C1": 1.0, "C2": 1.0},
-    "A3_13": {"C1": 1.0, "C2": 1.0},
-    "A3_14": {"C1": 1.0, "C2": 0.5},
-    "A3_15": {},
-    "A4_5": {},
-    "A4_12": {"C": 1.0},
-    "A4_14": {"C": 1.0},
-    "A4_21": {"C": 0.5},
-}
-
-_FN_DEFAULTS = {"A2_1": "sin(x) + 2", "A2_3": "1", "A3_15": "x"}
-
-# cases whose delay relation is not pinned down by the algebra
-_FREE_DELAY = {"A2_1", "A2_3", "A3_15", "A4_5"}
+# ---------------------------------------------------------------------------
+# constraint solvers of the invariant families
 
 
-def _require(cond: bool, message: str) -> None:
-    if not cond:
-        raise ParameterDomainError(message)
+class Status(enum.Enum):
+    SOLVED = "solved"
+    TRIVIAL_ONLY = "trivial-only"
+    NO_SOLUTION = "no-solution"
+
+
+@dataclass(frozen=True)
+class ConstraintSolution:
+    status: Status
+    params: Mapping[str, float]
+    free: tuple[str, ...] = ()
+    residuals: tuple[float, ...] = ()
+    note: str = ""
+
+
+def _sol(status: Status, params: Mapping[str, float], free: tuple[str, ...] = (),
+         residuals: tuple[float, ...] = (), note: str = "") -> ConstraintSolution:
+    return ConstraintSolution(status, dict(params), free, residuals, note)
+
+
+def _root_in(f: Callable[[float], float], lo: float, hi: float) -> Optional[float]:
+    try:
+        a, b = scan_bracket(f, lo, hi)
+    except BracketNotFound:
+        return None
+    return hybrid_root(f, a, b)
+
+
+def _cpow(c: float, pw: float) -> float:
+    """c^pw, extended to negative c for integer exponents."""
+    if c > 0.0:
+        return c ** pw
+    if abs(pw - round(pw)) <= 1e-9:
+        return (-1.0) ** int(round(pw)) * abs(c) ** pw
+    return abs(c) ** pw
+
+
+# The three transcendental equations of the catalog: what an exponential,
+# a power and a projective spiral leave over after one delay step.
+
+def _exp_gap(rate: float, c: float, gain: float = 1.0) -> float:
+    """rate - gain (1 - exp(-rate c))/c, for x- = x - c."""
+    return rate - gain * (1.0 - math.exp(-rate * c)) / c
+
+
+def _power_gap(pw: float, c: float) -> float:
+    """pw - (1 - c^pw)/(1 - c), for x- = c x."""
+    return pw - (1.0 - _cpow(c, pw)) / (1.0 - c)
+
+
+def _spiral_gap(a: float, c: float) -> float:
+    """a - 1/c + sqrt(1 + c^2)/c exp(-a atan c), for the Moebius delay c."""
+    return a - 1.0 / c + math.sqrt(1.0 + c * c) / c * math.exp(-a * math.atan(c))
+
+
+def _slope_rate(p: dict, denom: float, rule: str) -> Callable[[dict], ConstraintSolution]:
+    """The rate a with a*denom = C1, or a pinned a checked against it."""
+    def solve(pins: dict) -> ConstraintSolution:
+        a = pins.get("a", p["C1"] / denom)
+        res = abs(a * denom - p["C1"])
+        if res > 1e-12 * (1.0 + abs(p["C1"])):
+            return _sol(Status.NO_SOLUTION, {**p, "a": a}, residuals=(res,),
+                        note=f"a = {a!r} violates {rule}")
+        return _sol(Status.SOLVED, {**p, "a": a, "B": p["C2"]}, ("A",), (res,))
+    return solve
+
+
+def _amplitude(p: dict, b: float, denom: float, target: float,
+               shape: Optional[str] = None) -> Callable[[dict], ConstraintSolution]:
+    """The amplitude A with A*denom = target.  A family whose denom can
+    vanish names its ansatz shape: there the amplitude stays free when the
+    target vanishes too, and no member exists otherwise."""
+    def solve(pins: dict) -> ConstraintSolution:
+        if shape is not None and abs(denom) <= 1e-12:
+            if abs(target) <= 1e-12:
+                return _sol(Status.SOLVED, {**p, "B": b}, ("A",),
+                            note="degenerate: the amplitude stays free")
+            return _sol(Status.NO_SOLUTION, p,
+                        note=f"the {shape} ansatz cannot carry the forcing")
+        amp = target / denom
+        return _sol(Status.SOLVED, {**p, "A": amp, "B": b},
+                    residuals=(abs(amp * denom - target),))
+    return solve
+
+
+def _existence_rate(p: dict, b: float, gap: Callable[[float], float],
+                    brackets: tuple[tuple[float, float], ...],
+                    otherwise: Callable[[Callable[[float], float]], ConstraintSolution],
+                    invert: bool = False, word: str = "rate"
+                    ) -> Callable[[dict], ConstraintSolution]:
+    """The rate a from its existence equation gap(r) = 0, with r = a, or
+    r = 1/a when invert: the root in the first bracket that holds one, else
+    otherwise(gap).  A pinned a is checked, not solved for."""
+    def solve(pins: dict) -> ConstraintSolution:
+        if "a" in pins:
+            a = pins["a"]
+            if invert and a == 0.0:
+                raise ParameterDomainError(f"the {word} 1/a requires a != 0")
+            r = 1.0 / a if invert else a
+            res = abs(gap(r))
+            if res > 1e-12 * (1.0 + abs(r)):
+                return _sol(Status.TRIVIAL_ONLY, {**p, "a": a}, residuals=(res,),
+                            note=f"the pinned {word} fails the existence "
+                                 "equation; only y = 0 remains")
+            return _sol(Status.SOLVED, {**p, "a": a, "B": b}, ("A",), (res,))
+        for lo, hi in brackets:
+            r = _root_in(gap, lo, hi)
+            if r is not None:
+                return _sol(Status.SOLVED, {**p, "a": 1.0 / r if invert else r, "B": b},
+                            ("A",), (abs(gap(r)),))
+        return otherwise(gap)
+    return solve
+
+
+def _unit_gain(p: dict) -> ConstraintSolution:
+    res = abs(p["C1"] - 1.0)
+    if res > 1e-12:
+        return _sol(Status.NO_SOLUTION, p, residuals=(res,),
+                    note="straight lines exist only for C1 = 1")
+    return _sol(Status.SOLVED, {**p, "B": p["C2"]}, ("A",), (res,))
+
+
+def _log_ratio(p: dict) -> ConstraintSolution:
+    """Logarithms need ln|C| = C - 1, so they pin the delay ratio itself."""
+    def q(cc: float) -> float:
+        return math.log(abs(cc)) - cc + 1.0
+
+    c = p["C"]
+    if abs(q(c)) <= 1e-12:
+        return _sol(Status.SOLVED, {**p, "B": c}, ("A",), (abs(q(c)),))
+    try:
+        star = hybrid_root(q, -1.0 / math.e + 1e-9, -1e-9)
+    except (BracketNotFound, NonConvergence):
+        return _sol(Status.NO_SOLUTION, p, note="no delay ratio satisfies ln|C| = C - 1")
+    return _sol(Status.SOLVED, {"C": star, "B": star}, ("A",), (abs(q(star)),),
+                note=(f"the case ratio C = {c!r} fails ln|C| = C - 1; "
+                      f"the family exists at C = {star!r}"))
+
+
+# ---------------------------------------------------------------------------
+# the table: one record per catalog id
+
+
+class _Family(NamedTuple):
+    """One subalgebra with an invariant ansatz y = h(x; params).  roles reads
+    "name:role ..."; solve maps the pinned parameters to the constraint
+    solution; field gives the generator (xi, eta) at solved parameters."""
+
+    label: str
+    h: ex.Expr
+    roles: str
+    solve: Callable[[dict], ConstraintSolution]
+    field: Callable[[Mapping[str, float]], tuple[ex.Expr, ex.Expr]]
+    notes: str
+
+
+class _Case(NamedTuple):
+    """One catalog id.
+
+    defaults lists the case constants; each check is (requirement, test,
+    constant shown or None).  A case with a default f takes a function f,
+    and free_delay says when the caller supplies the delay.  system builds
+    the Dods from (constants, f, delay); generators gives the algebra's
+    (xi, eta) pairs, named X1, X2, ... in order; k is the delay x- = k(x; B)
+    of every family.
+    """
+
+    info: CaseInfo
+    defaults: Mapping[str, float] = {}
+    checks: tuple = ()
+    fn: Optional[str] = None
+    free_delay: Callable[[dict], bool] = lambda p: False
+    system: Optional[Callable[[dict, Optional[ex.Expr], Optional[DelayRelation]], Dods]] = None
+    generators: Callable[[dict], tuple] = lambda p: ()
+    k: Optional[ex.Expr] = None
+    families: Callable[[dict], tuple[_Family, ...]] = lambda p: ()
+
+
+# (xi, eta) of d_x, d_y, x d_y and y d_y
+_DX, _DY, _XDY, _YDY = (_ONE, _ZERO), (_ZERO, _ONE), (_ZERO, _X), (_ZERO, _Y)
+_K_CONST = ex.parse("x - B", ("x", "B"))
+_K_SCALE = ex.parse("B*x", ("x", "B"))
+_K_MOEBIUS = ex.parse("(x - B)/(1 + B*x)", ("x", "B"))
+_C2_POSITIVE = ("C2 > 0", lambda p: p["C2"] > 0.0, "C2")
+_C_POSITIVE = ("C > 0", lambda p: p["C"] > 0.0, "C")
+_BOTH_SIGNS = ((1e-6, 10.0), (-10.0, -1e-6))
+
+_CASES = {c.info.id: c for c in (
+    _Case(CaseInfo("A2_1", "y' = f(x) (y - y-)/(x - x-)",
+                   "x- = g(x), user supplied",
+                   "f(x); defaults f = sin(x) + 2, delay constant(1)"),
+          fn="sin(x) + 2", free_delay=lambda p: True,
+          system=lambda p, f, g: _slope_system(g, factor=f),
+          generators=lambda p: (_DY, _YDY)),
+    _Case(CaseInfo("A2_3", "y' = (y - y-)/(x - x-) + f(x)",
+                   "x- = g(x), user supplied",
+                   "f(x) not identically zero; defaults f = 1, delay constant(1)"),
+          fn="1", free_delay=lambda p: True,
+          system=lambda p, f, g: _nonzero_forcing(_slope_system(g, f)),
+          generators=lambda p: (_DY, _XDY)),
+    _Case(CaseInfo("A3_1", "y' = (y - y-)/(x - x-) + C1",
+                   "x - x- = C2 > 0",
+                   "C1 (default 1), C2 (default 1)"),
+          {"C1": 1.0, "C2": 1.0}, (_C2_POSITIVE,),
+          system=lambda p, f, g: _slope_system(ConstantDelay(p["C2"]), ex.Num(p["C1"])),
+          generators=lambda p: (_DY, _XDY, _DX), k=_K_CONST,
+          families=lambda p: (_Family(
+              "aX2+X3", _parsed("(a/2)*x^2 + A", ("x", "a", "A")),
+              "a:determined A:free B:determined",
+              _slope_rate(p, p["C2"] / 2.0, "a*C2/2 = C1"),
+              lambda m: (_ONE, _expr_with("a*x", {"a": m["a"]}, ("x", "y"))),
+              "parabolas drifting at the forcing rate"),)),
+    _Case(CaseInfo("A3_3", "y' = (y - y-)/(x - x-) + C1 x^(a/(1-a)); for a = 1 the "
+                   "forcing drops and the delay is free",
+                   "x- = C2 x on x > 0 (a != 1); user supplied (a = 1)",
+                   "a with 0 < |a| <= 1 (default 0.5), C1 (default 1), "
+                   "C2 in (0, 1) (default 0.5)"),
+          {"a": 0.5, "C1": 1.0, "C2": 0.5},
+          (("0 < |a| <= 1", lambda p: 0.0 < abs(p["a"]) <= 1.0, "a"),
+           ("C2 in (0, 1)", lambda p: p["a"] == 1.0 or 0.0 < p["C2"] < 1.0, "C2")),
+          free_delay=lambda p: p["a"] == 1.0,
+          system=lambda p, f, g: _slope_system(g) if p["a"] == 1.0 else _slope_system(
+              scale_delay(p["C2"]),
+              _expr_with("C1 * x^(a/(1 - a))", {"C1": p["C1"], "a": p["a"]})),
+          generators=lambda p: (_DY, _XDY, _YDY if p["a"] == 1.0 else
+                                (_expr_with("(1 - a)*x", {"a": p["a"]}), _Y)),
+          k=_K_SCALE,
+          families=lambda p: () if p["a"] == 1.0 else (_Family(
+              "X3", _expr_with("A * x^p", {"p": 1.0 / (1.0 - p["a"])}, ("x", "A")),
+              "A:determined B:determined",
+              _amplitude(p, p["C2"], _power_gap(1.0 / (1.0 - p["a"]), p["C2"]),
+                         p["C1"], "power"),
+              lambda m: (_expr_with("(1 - a)*x", {"a": p["a"]}), _Y),
+              "pure powers matched to the power law forcing"),)),
+    _Case(CaseInfo("A3_5", "y' = (y - y-)/(x - x-) + C1 exp(x)",
+                   "x - x- = C2 > 0",
+                   "C1 (default 1), C2 (default 1)"),
+          {"C1": 1.0, "C2": 1.0}, (_C2_POSITIVE,),
+          system=lambda p, f, g: _slope_system(
+              ConstantDelay(p["C2"]), _expr_with("C1 * exp(x)", {"C1": p["C1"]})),
+          generators=lambda p: (_DY, _XDY, (_ONE, _Y)), k=_K_CONST,
+          families=lambda p: (_Family(
+              "X3", _parsed("A*exp(x)", ("x", "A")), "A:determined B:determined",
+              _amplitude(p, p["C2"], p["C2"] - 1.0 + math.exp(-p["C2"]),
+                         p["C1"] * p["C2"]),
+              lambda m: (_ONE, _Y),
+              "exponentials matched to the exponential forcing"),)),
+    _Case(CaseInfo("A3_7", "y' = (y - y-)/(x - x-) + C1 exp(b atan(x))/sqrt(1 + x^2)",
+                   "x- = (x - C2)/(1 + C2 x) on x > -1/C2",
+                   "b >= 0 (default 1), C1 (default 1), C2 > 0 (default 1)"),
+          {"b": 1.0, "C1": 1.0, "C2": 1.0},
+          (("b >= 0", lambda p: p["b"] >= 0.0, "b"), _C2_POSITIVE),
+          system=lambda p, f, g: _slope_system(MoebiusDelay(p["C2"]), _expr_with(
+              "C1 * exp(b*atan(x)) / sqrt(1 + x^2)", {"C1": p["C1"], "b": p["b"]})),
+          generators=lambda p: (_DY, _XDY, (
+              _parsed("1 + x^2"), _expr_with("(x + b)*y", {"b": p["b"]}, ("x", "y")))),
+          k=_K_MOEBIUS,
+          families=lambda p: (_Family(
+              "X3", _expr_with("A*sqrt(1 + x^2)*exp(b*atan(x))", {"b": p["b"]},
+                               ("x", "A")),
+              "A:determined B:determined",
+              _amplitude(p, p["C2"], _spiral_gap(p["b"], p["C2"]), p["C1"], "spiral"),
+              lambda m: (_parsed("1 + x^2"),
+                         _expr_with("(x + b)*y", {"b": p["b"]}, ("x", "y"))),
+              "the projective orbit curves"),)),
+    _Case(CaseInfo("A3_11", "none: every equation admitting this algebra reduces to "
+                   "an ordinary differential equation", "-", "-", admits_system=False)),
+    _Case(CaseInfo("A3_13", "y' = C1 (y - y-)/(x - x-)",
+                   "x - x- = C2 > 0",
+                   "C1 != 0 (default 1), C2 (default 1)"),
+          {"C1": 1.0, "C2": 1.0},
+          (("C1 != 0", lambda p: p["C1"] != 0.0, None), _C2_POSITIVE),
+          system=lambda p, f, g: _slope_system(ConstantDelay(p["C2"]),
+                                               factor=ex.Num(p["C1"])),
+          generators=lambda p: (_DX, _DY, _YDY), k=_K_CONST,
+          families=lambda p: (
+              _Family("X1±X2", _parsed("x + A", ("x", "A")),
+                      "A:free B:determined C1:existence",
+                      lambda pins: _unit_gain(p), lambda m: (_ONE, _ONE),
+                      "unit slope lines; the mirrored sign works identically"),
+              _Family("X1+aX3", _parsed("A*exp(a*x)", ("x", "A", "a")),
+                      "a:existence A:free B:determined",
+                      _existence_rate(
+                          p, p["C2"], lambda a: _exp_gap(a, p["C2"], p["C1"]), _BOTH_SIGNS,
+                          lambda gap: _sol(
+                              Status.SOLVED, {**p, "a": 0.0, "B": p["C2"]}, ("A",),
+                              (abs(gap(0.0)),),
+                              "no nonzero rate satisfies the existence equation; "
+                              "the family degenerates to constants")),
+                      lambda m: (_ONE, _expr_with("a*y", {"a": m["a"]}, ("x", "y"))),
+                      "exponentials whose rate solves a transcendental equation"))),
+    _Case(CaseInfo("A3_14", "y' = (y - y-)/(x - x-) + C1",
+                   "x- = C2 x on x > 0",
+                   "C1 (default 1), C2 in (0, 1) (default 0.5)"),
+          {"C1": 1.0, "C2": 0.5},
+          (("C2 in (0, 1)", lambda p: 0.0 < p["C2"] < 1.0, "C2"),),
+          system=lambda p, f, g: _slope_system(scale_delay(p["C2"]), ex.Num(p["C1"])),
+          generators=lambda p: (_XDY, _DY, (_X, _Y)), k=_K_SCALE,
+          families=lambda p: (_Family(
+              "aX1+X3", _parsed("a*x*ln(x) + A*x", ("x", "a", "A")),
+              "a:determined A:free B:determined",
+              _slope_rate(p, 1.0 + p["C2"] * math.log(p["C2"]) / (1.0 - p["C2"]),
+                          "the slope constraint"),
+              lambda m: (_X, _expr_with("a*x + y", {"a": m["a"]}, ("x", "y"))),
+              "logarithmic spirals of the scaling group"),)),
+    _Case(CaseInfo("A3_15", "y' = (y - y-)/(x - x-) + f(x)",
+                   "x- = g(x), user supplied",
+                   "f(x); defaults f = x, delay constant(1)"),
+          fn="x", free_delay=lambda p: True,
+          system=lambda p, f, g: _slope_system(g, f),
+          generators=lambda p: (_DY, _XDY)),
+    _Case(CaseInfo("A4_5", "y' = (y - y-)/(x - x-)",
+                   "x- = g(x), user supplied",
+                   "defaults delay constant(1)"),
+          free_delay=lambda p: True,
+          system=lambda p, f, g: _slope_system(g),
+          generators=lambda p: (_DY, _XDY, _YDY)),
+    _Case(CaseInfo("A4_12", "y' = (y - y-)/(x - x-)",
+                   "x - x- = C > 0",
+                   "C (default 1)"),
+          {"C": 1.0}, (_C_POSITIVE,),
+          system=lambda p, f, g: _slope_system(ConstantDelay(p["C"])),
+          generators=lambda p: (_DX, _XDY, _DY, _YDY), k=_K_CONST,
+          families=lambda p: (
+              _Family("X1", _parsed("A", ("x", "A")), "A:free B:determined",
+                      lambda pins: _sol(Status.SOLVED, {**p, "B": p["C"]}, ("A",)),
+                      lambda m: _DX, "constants"),
+              _Family("X1±X2", _parsed("x^2/2 + A", ("x", "A")), "A:free B:determined",
+                      lambda pins: _sol(Status.NO_SOLUTION, p, residuals=(p["C"],), note=(
+                          "the parabola ansatz needs a vanishing delay spacing, but "
+                          f"the delay fixes B = {p['C']!r}")),
+                      lambda m: (_ONE, _X),
+                      "incompatible: two constraints pin B to different values"),
+              _Family("aX1+X4", _parsed("A*exp(x/a)", ("x", "A", "a")),
+                      "a:existence A:free B:determined",
+                      _existence_rate(
+                          p, p["C"], lambda lam: _exp_gap(lam, p["C"]), _BOTH_SIGNS,
+                          lambda gap: _sol(Status.TRIVIAL_ONLY, p, note=(
+                              "the existence equation 1/a = (1 - exp(-C/a))/C has no "
+                              "nonzero real solution; only y = 0 remains")),
+                          invert=True),
+                      lambda m: (_expr_with("a", {"a": m["a"]}), _Y),
+                      "the exponential rate equation has no real nonzero root"))),
+    _Case(CaseInfo("A4_14", "y' = (y - y-)/(x - x-)",
+                   "x- = (x - C)/(1 + C x) on x > -1/C",
+                   "C > 0 (default 1)"),
+          {"C": 1.0}, (_C_POSITIVE,),
+          system=lambda p, f, g: _slope_system(MoebiusDelay(p["C"])),
+          generators=lambda p: (_DY, _XDY, _YDY,
+                                (_parsed("1 + x^2"), _parsed("x*y", ("x", "y")))),
+          k=_K_MOEBIUS,
+          families=lambda p: (_Family(
+              "aX3+X4", _parsed("A*sqrt(1 + x^2)*exp(a*atan(x))", ("x", "A", "a")),
+              "a:existence A:free B:determined",
+              _existence_rate(
+                  p, p["C"], lambda a: _spiral_gap(a, p["C"]), ((-10.0, 10.0),),
+                  lambda gap: _sol(Status.TRIVIAL_ONLY, p, note=(
+                      "the spiral rate equation has no real solution; "
+                      "only y = 0 remains"))),
+              lambda m: (_parsed("1 + x^2"),
+                         _expr_with("(a + x)*y", {"a": m["a"]}, ("x", "y"))),
+              "the projective spiral rate equation has no real root"),)),
+    _Case(CaseInfo("A4_21", "y' = (y - y-)/(x - x-)",
+                   "x- = C x on x > 0",
+                   "C with 0 < |C| < 1 (default 0.5)"),
+          {"C": 0.5}, (("0 < |C| < 1", lambda p: 0.0 < abs(p["C"]) < 1.0, "C"),),
+          system=lambda p, f, g: _slope_system(scale_delay(p["C"]),
+                                               domain=(0.0, math.inf)),
+          generators=lambda p: (_DY, (_X, _Y), _XDY, (_X, _ZERO)), k=_K_SCALE,
+          families=lambda p: (
+              _Family("Y1", _parsed("A", ("x", "A")), "A:free B:determined",
+                      lambda pins: _sol(Status.SOLVED, {**p, "B": p["C"]}, ("A",)),
+                      lambda m: (_X, _ZERO), "constants"),
+              _Family("Y1±Y2", _parsed("ln(abs(x)) + A", ("x", "A")),
+                      "A:free C:existence B:determined",
+                      lambda pins: _log_ratio(p), lambda m: (_X, _ONE),
+                      "logarithms; they pin the delay ratio itself"),
+              _Family("aY1+Y4", _parsed("A*x^(1/a)", ("x", "A", "a")),
+                      "a:existence A:free B:determined",
+                      _existence_rate(
+                          p, p["C"], lambda pw: _power_gap(pw, p["C"]),
+                          ((1e-6, 10.0),) if p["C"] > 0.0 else (),
+                          # for C < 0 only integer exponents stay real valued
+                          # at xm = C x < 0; pw = 1 satisfies the equation
+                          # identically
+                          lambda gap: (
+                              _sol(Status.TRIVIAL_ONLY, p, note=(
+                                  "no positive exponent satisfies the existence equation"))
+                              if p["C"] > 0.0 else
+                              _sol(Status.SOLVED, {**p, "a": 1.0, "B": p["C"]}, ("A",),
+                                   (abs(gap(1.0)),), note="linear branch")),
+                          invert=True, word="exponent"),
+                      lambda m: (_expr_with("a*x", {"a": m["a"]}), _Y),
+                      "power laws of the scaling group"))),
+)}
+
+CASE_IDS = tuple(_CASES)
+
+
+def list_cases() -> tuple[CaseInfo, ...]:
+    return tuple(c.info for c in _CASES.values())
 
 
 def resolve_case(case: Union[CatalogCase, str]) -> CatalogCase:
@@ -447,50 +813,31 @@ def resolve_case(case: Union[CatalogCase, str]) -> CatalogCase:
     if cid not in CASE_IDS:
         raise ParameterDomainError(
             f"unknown case {cid!r}; known cases: {', '.join(CASE_IDS)}")
-    if cid == "A3_11":
+    spec = _CASES[cid]
+    if not spec.info.admits_system:
         raise NoDodsError(
-            "A3_11 admits no delay system: the algebra forces the equation "
+            f"{cid} admits no delay system: the algebra forces the equation "
             "to collapse to an ordinary differential equation")
 
-    params = dict(_NUMERIC_DEFAULTS[cid])
+    params = dict(spec.defaults)
     for key, value in dict(case.params or {}).items():
         if key not in params:
             raise ParameterDomainError(
                 f"{cid} takes parameters {sorted(params)}, not {key!r}")
         params[key] = float(value)
-
-    if cid == "A3_1" or cid == "A3_5":
-        _require(params["C2"] > 0.0, f"{cid} needs C2 > 0, got {params['C2']!r}")
-    elif cid == "A3_3":
-        a = params["a"]
-        _require(0.0 < abs(a) <= 1.0, f"A3_3 needs 0 < |a| <= 1, got {a!r}")
-        if a != 1.0:
-            _require(0.0 < params["C2"] < 1.0,
-                     f"A3_3 needs C2 in (0, 1), got {params['C2']!r}")
-    elif cid == "A3_7":
-        _require(params["b"] >= 0.0, f"A3_7 needs b >= 0, got {params['b']!r}")
-        _require(params["C2"] > 0.0, f"A3_7 needs C2 > 0, got {params['C2']!r}")
-    elif cid == "A3_13":
-        _require(params["C1"] != 0.0, "A3_13 needs C1 != 0")
-        _require(params["C2"] > 0.0, f"A3_13 needs C2 > 0, got {params['C2']!r}")
-    elif cid == "A3_14":
-        _require(0.0 < params["C2"] < 1.0,
-                 f"A3_14 needs C2 in (0, 1), got {params['C2']!r}")
-    elif cid == "A4_12" or cid == "A4_14":
-        _require(params["C"] > 0.0, f"{cid} needs C > 0, got {params['C']!r}")
-    elif cid == "A4_21":
-        _require(0.0 < abs(params["C"]) < 1.0,
-                 f"A4_21 needs 0 < |C| < 1, got {params['C']!r}")
+    for requirement, holds, shown in spec.checks:
+        if not holds(params):
+            got = f", got {params[shown]!r}" if shown else ""
+            raise ParameterDomainError(f"{cid} needs {requirement}{got}")
 
     f: Optional[ex.Expr] = None
-    if cid in _FN_DEFAULTS:
-        f = ex.as_expr(case.f if case.f is not None else _FN_DEFAULTS[cid], ("x",))
+    if spec.fn is not None:
+        f = ex.as_expr(case.f, ("x",)) if case.f is not None else _parsed(spec.fn)
     elif case.f is not None:
         raise ParameterDomainError(f"{cid} does not take a function f")
 
     relation: Optional[DelayRelation] = None
-    free_delay = cid in _FREE_DELAY or (cid == "A3_3" and params["a"] == 1.0)
-    if free_delay:
+    if spec.free_delay(params):
         raw = case.delay if case.delay is not None else ConstantDelay(1.0)
         relation = parse_delay_spec(raw) if isinstance(raw, str) else raw
     elif case.delay is not None:
@@ -500,131 +847,6 @@ def resolve_case(case: Union[CatalogCase, str]) -> CatalogCase:
     return CatalogCase(cid, params, f, relation)
 
 
-def _build_system(case: CatalogCase) -> tuple[
-        Dods, tuple[tuple[ex.Expr, ex.Expr, str], ...], tuple[float, float]]:
-    cid = case.id
-    p = dict(case.params or {})
-    x_var = ex.Var("x")
-    y_var = ex.Var("y")
-
-    def d_y(name: str) -> tuple[ex.Expr, ex.Expr, str]:
-        return (_ZERO, _ONE, name)
-
-    def xd_y(name: str) -> tuple[ex.Expr, ex.Expr, str]:
-        return (_ZERO, x_var, name)
-
-    def yd_y(name: str) -> tuple[ex.Expr, ex.Expr, str]:
-        return (_ZERO, y_var, name)
-
-    if cid == "A2_1":
-        alpha, beta = _slope_coeffs(case.delay, case.f)
-        d = Dods(LinearRhs(alpha, beta, _ZERO), case.delay,
-                 default_domain(case.delay), _manifold(factor=case.f))
-        return d, (d_y("X1"), yd_y("X2")), _window_for(d.domain)
-
-    if cid == "A2_3" or cid == "A3_15":
-        alpha, beta = _slope_coeffs(case.delay)
-        d = Dods(LinearRhs(alpha, beta, case.f), case.delay,
-                 default_domain(case.delay), _manifold(case.f))
-        window = _window_for(d.domain)
-        if cid == "A2_3":
-            top = max(abs(ex.evaluate(case.f, {"x": window[0] + (window[1] - window[0])
-                                               * (i + 0.5) / 20})) for i in range(20))
-            _require(top > 1e-12,
-                     "A2_3 needs f not identically zero; A2_1 covers the "
-                     "homogeneous equation")
-        return d, (d_y("X1"), xd_y("X2")), window
-
-    if cid == "A3_1":
-        relation = ConstantDelay(p["C2"])
-        alpha, beta = _slope_coeffs(relation)
-        gamma = ex.Num(p["C1"])
-        d = Dods(LinearRhs(alpha, beta, gamma), relation,
-                 default_domain(relation), _manifold(gamma))
-        return d, (d_y("X1"), xd_y("X2"), (_ONE, _ZERO, "X3")), _window_for(d.domain)
-
-    if cid == "A3_3":
-        if p["a"] == 1.0:
-            alpha, beta = _slope_coeffs(case.delay)
-            d = Dods(LinearRhs(alpha, beta, _ZERO), case.delay,
-                     default_domain(case.delay), _manifold())
-            return d, (d_y("X1"), xd_y("X2"), yd_y("X3")), _window_for(d.domain)
-        relation = scale_delay(p["C2"])
-        alpha, beta = _slope_coeffs(relation)
-        gamma = _expr_with("C1 * x^(a/(1 - a))", {"C1": p["C1"], "a": p["a"]})
-        d = Dods(LinearRhs(alpha, beta, gamma), relation, (0.0, math.inf),
-                 _manifold(gamma))
-        x3 = (_expr_with("(1 - a)*x", {"a": p["a"]}), y_var, "X3")
-        return d, (d_y("X1"), xd_y("X2"), x3), _window_for(d.domain)
-
-    if cid == "A3_5":
-        relation = ConstantDelay(p["C2"])
-        alpha, beta = _slope_coeffs(relation)
-        gamma = _expr_with("C1 * exp(x)", {"C1": p["C1"]})
-        d = Dods(LinearRhs(alpha, beta, gamma), relation,
-                 default_domain(relation), _manifold(gamma))
-        return d, (d_y("X1"), xd_y("X2"), (_ONE, y_var, "X3")), _window_for(d.domain)
-
-    if cid == "A3_7":
-        relation = MoebiusDelay(p["C2"])
-        alpha, beta = _slope_coeffs(relation)
-        gamma = _expr_with("C1 * exp(b*atan(x)) / sqrt(1 + x^2)",
-                           {"C1": p["C1"], "b": p["b"]})
-        d = Dods(LinearRhs(alpha, beta, gamma), relation,
-                 default_domain(relation), _manifold(gamma))
-        x3 = (ex.parse("1 + x^2", ("x",)),
-              _expr_with("(x + b)*y", {"b": p["b"]}, ("x", "y")), "X3")
-        return d, (d_y("X1"), xd_y("X2"), x3), _window_for(d.domain)
-
-    if cid == "A3_13":
-        relation = ConstantDelay(p["C2"])
-        factor = ex.Num(p["C1"])
-        alpha, beta = _slope_coeffs(relation, factor)
-        d = Dods(LinearRhs(alpha, beta, _ZERO), relation,
-                 default_domain(relation), _manifold(factor=factor))
-        return d, ((_ONE, _ZERO, "X1"), d_y("X2"), yd_y("X3")), _window_for(d.domain)
-
-    if cid == "A3_14":
-        relation = scale_delay(p["C2"])
-        alpha, beta = _slope_coeffs(relation)
-        gamma = ex.Num(p["C1"])
-        d = Dods(LinearRhs(alpha, beta, gamma), relation, (0.0, math.inf),
-                 _manifold(gamma))
-        return d, (xd_y("X1"), d_y("X2"), (x_var, y_var, "X3")), _window_for(d.domain)
-
-    if cid == "A4_5":
-        alpha, beta = _slope_coeffs(case.delay)
-        d = Dods(LinearRhs(alpha, beta, _ZERO), case.delay,
-                 default_domain(case.delay), _manifold())
-        return d, (d_y("X1"), xd_y("X2"), yd_y("X3")), _window_for(d.domain)
-
-    if cid == "A4_12":
-        relation = ConstantDelay(p["C"])
-        alpha, beta = _slope_coeffs(relation)
-        d = Dods(LinearRhs(alpha, beta, _ZERO), relation,
-                 default_domain(relation), _manifold())
-        return d, ((_ONE, _ZERO, "X1"), xd_y("X2"), d_y("X3"), yd_y("X4")), \
-            _window_for(d.domain)
-
-    if cid == "A4_14":
-        relation = MoebiusDelay(p["C"])
-        alpha, beta = _slope_coeffs(relation)
-        d = Dods(LinearRhs(alpha, beta, _ZERO), relation,
-                 default_domain(relation), _manifold())
-        x4 = (ex.parse("1 + x^2", ("x",)), ex.parse("x*y", ("x", "y")), "X4")
-        return d, (d_y("X1"), xd_y("X2"), yd_y("X3"), x4), _window_for(d.domain)
-
-    if cid == "A4_21":
-        relation = scale_delay(p["C"])
-        alpha, beta = _slope_coeffs(relation)
-        d = Dods(LinearRhs(alpha, beta, _ZERO), relation, (0.0, math.inf),
-                 _manifold())
-        return d, (d_y("X1"), (x_var, y_var, "X2"), xd_y("X3"),
-                   (x_var, _ZERO, "X4")), _window_for(d.domain)
-
-    raise ParameterDomainError(f"unknown case {cid!r}")
-
-
 def catalog(case: Union[CatalogCase, str]) -> CatalogEntry:
     """Instantiate a catalog case: the system, its symmetry generators, and
     its invariant solution families."""
@@ -632,9 +854,11 @@ def catalog(case: Union[CatalogCase, str]) -> CatalogEntry:
     from . import symmetry as _symmetry
 
     rcase = resolve_case(case)
-    d, fields, window = _build_system(rcase)
+    spec = _CASES[rcase.id]
+    p = dict(rcase.params or {})
+    d = spec.system(p, rcase.f, rcase.delay)
+    window = _window_for(d.domain)
     validate_beta(d, window)
-    algebra = tuple(_symmetry.VectorField(xi, eta, name=name)
-                    for xi, eta, name in fields)
-    families = tuple(_reduction.families(rcase))
-    return CatalogEntry(rcase, d, algebra, families, window)
+    algebra = tuple(_symmetry.VectorField(xi, eta, name=f"X{i}")
+                    for i, (xi, eta) in enumerate(spec.generators(p), start=1))
+    return CatalogEntry(rcase, d, algebra, _reduction.families(rcase), window)

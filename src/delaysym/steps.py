@@ -21,7 +21,7 @@ from typing import Callable, Optional, Sequence, Union
 
 from . import expr as ex
 from .delay import DelayRelation, Mesh, build_mesh, parse_delay_spec
-from .dods import Dods, InitialCondition, LinearRhs
+from .dods import Dods, InitialCondition, LinearRhs, _max_residual
 from .errors import (MeshRangeError, OutOfRange, ParameterDomainError,
                      SchemeMismatch)
 
@@ -426,26 +426,15 @@ def _exact_linear_interval(d: Dods, prev: Segment, nodes: tuple[float, ...],
     return Segment(nodes, tuple(values), derivs)
 
 
-_GOLDEN = 0.6180339887498949
-
-
 def residual_scan(s: PiecewiseSolution, d: Dods, samples_per_segment: int = 48) -> float:
     """Max |ydot - f(x, y, y(g(x)))| over off-node samples of every solved
     segment.  This is the project-wide correctness oracle: it only uses the
     stored solution and the system definition."""
     if samples_per_segment < 1:
         raise ParameterDomainError("need at least one sample per segment")
-    worst = 0.0
-    for n in range(1, len(s.segments)):
-        a, b = s.mesh.points[n], s.mesh.points[n + 1]
-        seg = s.segments[n]
-        for i in range(samples_per_segment):
-            # (i + golden)/samples lies inside (0, 1): segment n holds x,
-            # and x is no mesh point
-            x = a + (b - a) * ((i + _GOLDEN) / samples_per_segment)
-            y, dl = seg.evaluate(x)
-            xm = d.delay.delayed_point(x)
-            ym = s.value(xm)
-            r1, _ = d.residual(x, y, xm, ym, dl)
-            worst = max(worst, abs(r1))
-    return worst
+    pts = s.mesh.points
+    # every sample lies strictly inside its segment, so segment n holds it
+    # and it is no mesh point
+    return max((_max_residual(d, pts[n], pts[n + 1], samples_per_segment,
+                              s.segments[n].evaluate, s.value)
+                for n in range(1, len(s.segments))), default=0.0)

@@ -277,7 +277,8 @@ def flow(v: VectorField, eps: float, s: PiecewiseSolution, d: Dods
 
     Supported: vertical fields affine in y with constant p, which act
     segment by segment, and constant x-translations of autonomous systems
-    with a constant delay.  Anything else raises UnsupportedFlow.
+    whose delay is x - tau, in whichever relation class it is written.
+    Anything else raises UnsupportedFlow.
     """
     if not ex.is_constant(v.xi):
         raise UnsupportedFlow("xi must be constant to move the mesh rigidly")
@@ -286,8 +287,8 @@ def flow(v: VectorField, eps: float, s: PiecewiseSolution, d: Dods
     if xi0 != 0.0:
         if not _is_zero(v.eta):
             raise UnsupportedFlow("mixed xi and eta flows are not available")
-        from .delay import ConstantDelay
-        if not isinstance(d.delay, ConstantDelay):
+        qt = d.delay.affine_parameters()
+        if qt is None or qt[0] != 1.0:
             raise UnsupportedFlow("x translation needs a constant delay")
         if not isinstance(d.rhs, LinearRhs):
             raise UnsupportedFlow("x translation needs a linear right hand side")

@@ -17,7 +17,6 @@ from delaysym.delay import (
     QScaleDelay,
     build_mesh,
     closed_form_point,
-    default_domain,
     parse_delay_spec,
     scale_delay,
 )
@@ -203,13 +202,13 @@ class TestScaleDelayFactory:
 
 class TestDefaultDomain:
     def test_each_family(self):
-        assert default_domain(ConstantDelay(1.0)) == (-INF, INF)
-        assert default_domain(AffineDelay(1.0, 2.0)) == (-INF, INF)
-        assert default_domain(AffineDelay(0.5, 1.0)) == (-2.0, INF)
-        assert default_domain(AffineDelay(2.0, 1.0)) == (-INF, 1.0)
-        assert default_domain(QScaleDelay(0.3)) == (0.0, INF)
-        assert default_domain(MoebiusDelay(2.0)) == (-0.5, INF)
-        assert default_domain(GeneralDelay(ex.parse("x - 1"))) == (-INF, INF)
+        assert ConstantDelay(1.0).default_domain() == (-INF, INF)
+        assert AffineDelay(1.0, 2.0).default_domain() == (-INF, INF)
+        assert AffineDelay(0.5, 1.0).default_domain() == (-2.0, INF)
+        assert AffineDelay(2.0, 1.0).default_domain() == (-INF, 1.0)
+        assert QScaleDelay(0.3).default_domain() == (0.0, INF)
+        assert MoebiusDelay(2.0).default_domain() == (-0.5, INF)
+        assert GeneralDelay(ex.parse("x - 1")).default_domain() == (-INF, INF)
 
 
 class TestMesh:

@@ -317,3 +317,18 @@ class TestCatalog:
         a = catalog("A3_5")
         b = catalog(CatalogCase("A3_5"))
         assert a.dods == b.dods
+
+    def test_catalog_parses_its_own_texts_once(self, monkeypatch):
+        # a repeated catalog() rebuilds only the trees that depend on the
+        # case constants, from trees parsed on first use
+        cases = [CatalogCase(cid) for cid in SYSTEM_CASES]
+        cases += [CatalogCase("A3_3", {"a": -1.0}), CatalogCase("A3_7", {"b": 0.25}),
+                  CatalogCase("A4_21", {"C": -0.5})]
+        for case in cases:
+            catalog(case)
+        parsed = []
+        real_parse = ex.parse
+        monkeypatch.setattr(ex, "parse", lambda *a, **k: parsed.append(a) or real_parse(*a, **k))
+        for case in cases:
+            catalog(case)
+        assert parsed == []

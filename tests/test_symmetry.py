@@ -8,7 +8,7 @@ import warnings
 import pytest
 
 import delaysym.expr as ex
-from delaysym.delay import ConstantDelay, QScaleDelay
+from delaysym.delay import AffineDelay, ConstantDelay, QScaleDelay
 from delaysym.dods import (
     CatalogCase,
     Dods,
@@ -245,6 +245,20 @@ class TestFlow:
         moved = flow(v, 0.25, self.s1, self.d)
         assert moved.x_start == pytest.approx(-0.75)
         assert residual_scan(moved, self.d) <= 1e-9
+
+    def test_translation_on_unit_affine_delay_matches_constant(self):
+        # AffineDelay(1, tau) is the constant delay tau written in another class
+        v = VectorField(ex.Num(1.0), ex.Num(0.0), name="d_x")
+        cfg = SolverConfig(Scheme.EXACT_LINEAR, step_count=64)
+        moved = []
+        for relation in (ConstantDelay(0.75), AffineDelay(1.0, 0.75)):
+            d = Dods(self.d.rhs, relation)
+            s = solve(d, initial_condition("(x + 1)^2", relation, 0.0), 3, cfg)
+            moved.append(flow(v, 0.25, s, d))
+        const, affine = (repr((m.mesh.points, [(g.nodes, g.values, g.derivs)
+                                               for g in m.segments]))
+                         for m in moved)
+        assert affine == const
 
     def test_translation_needs_constant_delay(self):
         dq = Dods(LinearRhs(ex.Num(0.0), ex.parse("1/x"), ex.Num(0.0)),
