@@ -21,7 +21,7 @@ from typing import Callable, Mapping, NamedTuple, Optional, Union
 from . import expr as ex
 from .delay import (ConstantDelay, DelayRelation, MoebiusDelay, parse_delay_spec,
                     scale_delay)
-from .errors import (BracketNotFound, NoDodsError, NonConvergence,
+from .errors import (BracketNotFound, DomainError, NoDodsError, NonConvergence,
                      ParameterDomainError, SchemeMismatch)
 from .numerics import hybrid_root, scan_bracket
 
@@ -232,14 +232,18 @@ def _max_residual(d: Dods, lo: float, hi: float, samples: int,
     """Largest |y'(x) - f(x, y(x), y(g(x)))| of a candidate that gives its
     value and slope at x (value_slope) and its value at g(x) (value).  The
     sample points lo + (hi - lo)(i + golden)/samples, i < samples, all lie
-    strictly inside (lo, hi)."""
+    strictly inside (lo, hi).  A residual that is not finite raises
+    DomainError: max() would drop a NaN and read it as zero."""
     rhs, g = d.rhs_fn, d.delay.delayed_point
     worst = 0.0
     for i in range(samples):
         x = lo + (hi - lo) * ((i + _GOLDEN) / samples)
         xm = g(x)
         y, dy = value_slope(x)
-        worst = max(worst, abs(dy - rhs(x, y, value(xm))))
+        r = abs(dy - rhs(x, y, value(xm)))
+        if not math.isfinite(r):
+            raise DomainError(f"the residual at x = {x!r} is {r!r}, not finite")
+        worst = max(worst, r)
     return worst
 
 
@@ -825,6 +829,8 @@ def resolve_case(case: Union[CatalogCase, str]) -> CatalogCase:
             raise ParameterDomainError(
                 f"{cid} takes parameters {sorted(params)}, not {key!r}")
         params[key] = float(value)
+        if not math.isfinite(params[key]):
+            raise ParameterDomainError(f"{cid} needs a finite {key}, got {params[key]!r}")
     for requirement, holds, shown in spec.checks:
         if not holds(params):
             got = f", got {params[shown]!r}" if shown else ""

@@ -26,7 +26,7 @@ from fractions import Fraction
 from typing import Callable, Optional, Union
 
 from . import expr as ex
-from .dods import Dods, LinearRhs, homogenized, _window_for
+from .dods import Dods, homogenized, _window_for
 from .errors import (DegenerateRoot, DivergenceWarning, DomainError,
                      MeshRangeError, NonConvergence, NotASolution, OutOfRange,
                      ParameterDomainError, UnsupportedFlow)
@@ -170,6 +170,22 @@ def _r_breakpoints(v: VectorField) -> tuple[float, ...]:
     return ()
 
 
+def _judge(v: VectorField, d: Dods,
+           point: tuple[float, float, float, float, float]
+           ) -> Optional[tuple[float, bool]]:
+    """(largest applied value, whether it is within 1e-7 (1 + scale)) at a
+    point, or None when the point cannot be evaluated or a term overflows:
+    max() drops NaN, so a non-finite sample would otherwise read as zero."""
+    try:
+        pr1, pr2, scale = _prolong_terms(v, d, point)
+    except (DomainError, OutOfRange, MeshRangeError):
+        return None
+    if not (math.isfinite(pr1) and math.isfinite(pr2) and math.isfinite(scale)):
+        return None
+    worst = max(abs(pr1), abs(pr2))
+    return worst, worst <= 1e-7 * (1.0 + scale)
+
+
 def check_invariance(v: VectorField, d: Dods, samples: int = 200,
                      window: Optional[tuple[float, float]] = None,
                      seed: int = 7) -> tuple[float, Invariance]:
@@ -180,7 +196,8 @@ def check_invariance(v: VectorField, d: Dods, samples: int = 200,
     one unit and xm by half a gap to separate identities that hold
     everywhere from those relying on the manifold equations.  Tolerances
     scale with the largest term entering each evaluation, so cancellation
-    is measured relative to what was cancelled.
+    is measured relative to what was cancelled.  A point that cannot be
+    evaluated, or whose terms are not finite, is not counted.
     """
     if samples < 1:
         raise ParameterDomainError("need at least one sample")
@@ -203,50 +220,32 @@ def check_invariance(v: VectorField, d: Dods, samples: int = 200,
 
     max_on = 0.0
     on_ok = True
-    collected = 0
-    attempts = 0
     on_points = []
-    while collected < samples and attempts < 80 * samples:
-        attempts += 1
+    for _ in range(80 * samples):
+        if len(on_points) == samples:
+            break
         pt = fresh_point()
-        if pt is None:
+        judged = None if pt is None else _judge(v, d, pt)
+        if judged is None:
             continue
-        try:
-            pr1, pr2, scale = _prolong_terms(v, d, pt)
-        except (DomainError, OutOfRange, MeshRangeError):
-            continue
-        collected += 1
         on_points.append(pt)
-        worst = max(abs(pr1), abs(pr2))
-        max_on = max(max_on, worst)
-        if worst > 1e-7 * (1.0 + scale):
-            on_ok = False
-    if collected == 0:
+        max_on = max(max_on, judged[0])
+        on_ok = on_ok and judged[1]
+    if not on_points:
         raise DomainError("no valid sample points in the window")
     if not on_ok:
         return max_on, Invariance.NOT_INVARIANT
 
-    strong = True
     for i, (x, y, xm, ym, ydot) in enumerate(on_points):
-        gap = x - xm
         sign = 1.0 if i % 2 == 0 else -1.0
-        probes = (
-            (x, y + sign, xm, ym, ydot),
-            (x, y, xm, ym + sign, ydot),
-            (x, y, xm, ym, ydot + sign),
-            (x, y, xm + sign * gap / 2.0, ym, ydot),
-        )
-        for pt in probes:
-            try:
-                pr1, pr2, scale = _prolong_terms(v, d, pt)
-            except (DomainError, OutOfRange, MeshRangeError):
-                continue
-            if max(abs(pr1), abs(pr2)) > 1e-7 * (1.0 + scale):
-                strong = False
-                break
-        if not strong:
-            break
-    return max_on, Invariance.STRONG if strong else Invariance.WEAK
+        for pt in ((x, y + sign, xm, ym, ydot),
+                   (x, y, xm, ym + sign, ydot),
+                   (x, y, xm, ym, ydot + sign),
+                   (x, y, xm + sign * (x - xm) / 2.0, ym, ydot)):
+            judged = _judge(v, d, pt)
+            if judged is not None and not judged[1]:
+                return max_on, Invariance.WEAK
+    return max_on, Invariance.STRONG
 
 
 def vertical_from_solution(s: PiecewiseSolution, d: Dods) -> VectorField:
@@ -276,8 +275,9 @@ def flow(v: VectorField, eps: float, s: PiecewiseSolution, d: Dods
     """Transport a solution along the one parameter group of v.
 
     Supported: vertical fields affine in y with constant p, which act
-    segment by segment, and constant x-translations of autonomous systems
-    whose delay is x - tau, in whichever relation class it is written.
+    segment by segment, and constant x-translations of systems whose right
+    hand side does not depend on x and whose delay is x - tau, in whichever
+    relation class it is written.
     Anything else raises UnsupportedFlow.
     """
     if not ex.is_constant(v.xi):
@@ -290,12 +290,9 @@ def flow(v: VectorField, eps: float, s: PiecewiseSolution, d: Dods
         qt = d.delay.affine_parameters()
         if qt is None or qt[0] != 1.0:
             raise UnsupportedFlow("x translation needs a constant delay")
-        if not isinstance(d.rhs, LinearRhs):
-            raise UnsupportedFlow("x translation needs a linear right hand side")
-        for c in (d.rhs.alpha, d.rhs.beta, d.rhs.gamma):
-            if not ex.is_constant(c):
-                raise UnsupportedFlow(
-                    "x translation needs x independent coefficients")
+        if "x" in ex.variables_of(d.rhs.as_expr()):
+            raise UnsupportedFlow(
+                "x translation needs a right hand side independent of x")
         return s.shifted(eps * xi0)
 
     p, r = _affine_parts(v.eta)
@@ -347,65 +344,36 @@ class CharacteristicRoot:
     k: int
 
 
-def _char_residual(z: complex) -> complex:
-    return cmath.exp(z) - 1.0 - z
-
-
-def _newton_char(z: complex, low: float, high: float) -> Optional[complex]:
-    for _ in range(100):
-        f = _char_residual(z)
-        if abs(f) <= 1e-14:
-            return z
-        df = cmath.exp(z) - 1.0
-        if df == 0.0:
-            return None
-        step = f / df
-        z = z - step
-        if not low < z.imag < high:
-            return None
-        if abs(step) <= 1e-16 * (1.0 + abs(z)):
-            break
-    return z if abs(_char_residual(z)) <= 1e-12 else None
-
-
-def _bisect_char(k: int) -> complex:
-    # along x = ln(y/sin y) the imaginary part of the residual vanishes;
-    # the real part changes sign across the branch
-    def re_residual(y: float) -> float:
-        x = math.log(y / math.sin(y - 2.0 * math.pi * k))
-        return math.exp(x) * math.cos(y) - 1.0 - x
-
-    lo = 2.0 * math.pi * k + 1e-9
-    hi = 2.0 * math.pi * k + math.pi - 1e-9
-    for _ in range(80):
-        mid = 0.5 * (lo + hi)
-        if re_residual(mid) > 0.0:
-            lo = mid
-        else:
-            hi = mid
-    y = 0.5 * (lo + hi)
-    return complex(math.log(y / math.sin(y - 2.0 * math.pi * k)), y)
-
-
 def char_roots(C: float, kmax: int) -> tuple[CharacteristicRoot, ...]:
     """Branches k = 0..kmax of the characteristic equation, upper half
-    plane; the k = 0 branch is the double root z = 0."""
+    plane; the k = 0 branch is the double root z = 0.
+
+    Branch k is found by Newton's method on exp(z) - 1 - z from
+    ln(2 pi k) + 2 pi i k, stopped once a step is at most 1e-15 |z|; the
+    root must lie in the strip |Im z - 2 pi k| < pi that names its branch.
+    """
     if not C > 0.0:
         raise ParameterDomainError(f"delay spacing must be positive, got {C!r}")
     if kmax < 0:
         raise ParameterDomainError(f"kmax must be >= 0, got {kmax!r}")
     roots = [CharacteristicRoot(C, 0j, 0j, 0)]
     for k in range(1, kmax + 1):
-        low = 2.0 * math.pi * k - math.pi
-        high = 2.0 * math.pi * k + math.pi
-        seed = complex(math.log(2.0 * math.pi * k), 2.0 * math.pi * k)
-        z = _newton_char(seed, low, high)
-        if z is None:
-            z = _newton_char(_bisect_char(k), low, high)
-        if z is None:
+        centre = 2.0 * math.pi * k
+        z = complex(math.log(centre), centre)
+        for _ in range(100):
+            ez = cmath.exp(z)
+            step = (ez - 1.0 - z) / (ez - 1.0)
+            z -= step
+            if abs(step) <= 1e-15 * abs(z):
+                break
+        else:
             raise NonConvergence(
                 f"characteristic root for branch k = {k} did not converge "
                 "after 100 iterations")
+        if not abs(z.imag - centre) < math.pi:
+            raise NonConvergence(
+                f"Newton's method left the strip of branch k = {k}: "
+                f"Im z = {z.imag!r}")
         roots.append(CharacteristicRoot(C, z, -z / C, k))
     return tuple(roots)
 

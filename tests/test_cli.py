@@ -167,6 +167,13 @@ class TestRoots:
         first = obj["roots"][1]
         assert 2 * math.pi < first["im_z"] < 3 * math.pi
 
+    def test_far_branch(self, capsys):
+        code, out, _ = run(capsys, "roots", "--C", "1", "--k", "21")
+        assert code == 0
+        last = json.loads(out)["roots"][-1]
+        assert last["k"] == 21
+        assert abs(last["im_z"] - 42 * math.pi) < math.pi
+
     def test_negative_spacing(self, capsys):
         code, _, err = run(capsys, "roots", "--C", "-1", "--k", "1")
         assert code == 1
@@ -218,6 +225,12 @@ class TestReduce:
         assert obj["status"] == "trivial-only"
         assert obj["params"]["a"] == 5.0
 
+    def test_non_finite_constant(self, capsys):
+        code, out, err = run(capsys, "reduce", "--case", "A3_5",
+                             "--subalgebra", "X3", "--params", "C1=nan")
+        assert (code, out) == (1, "")
+        assert err.startswith("ParameterDomainError: A3_5 needs a finite C1")
+
     def test_unknown_subalgebra(self, capsys):
         code, _, err = run(capsys, "reduce", "--case", "A3_5",
                            "--subalgebra", "X9")
@@ -239,6 +252,12 @@ class TestVerify:
                            "--solution", "exp(2*x)")
         assert code == 0
         assert json.loads(out)["max_residual"] > 0.01
+
+    def test_non_finite_residual(self, capsys):
+        code, out, err = run(capsys, "verify", "--case", "A3_5",
+                             "--solution", "1e999*x")
+        assert (code, out) == (1, "")
+        assert err.startswith("DomainError:")
 
     def test_solution_file_round_trip(self, capsys, spec_file, tmp_path):
         sol = tmp_path / "sol.json"

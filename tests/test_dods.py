@@ -191,6 +191,13 @@ class TestResolveCase:
         with pytest.raises(ParameterDomainError):
             resolve_case(CatalogCase(cid, params))
 
+    @pytest.mark.parametrize("value", [math.nan, math.inf, -math.inf])
+    @pytest.mark.parametrize(
+        "cid,key", [(cid, key) for cid in SYSTEM_CASES for key in resolve_case(cid).params])
+    def test_non_finite_constants_rejected(self, cid, key, value):
+        with pytest.raises(ParameterDomainError, match=f"needs a finite {key}, got"):
+            resolve_case(CatalogCase(cid, {key: value}))
+
     def test_a3_3_boundary_values_allowed(self):
         assert resolve_case(CatalogCase("A3_3", {"a": -1.0})).params["a"] == -1.0
         assert resolve_case(CatalogCase("A3_3", {"a": 1.0})).params["a"] == 1.0

@@ -6,7 +6,7 @@ import pytest
 
 import delaysym.expr as ex
 from delaysym.dods import CatalogCase, catalog
-from delaysym.errors import ParameterDomainError, StatusError
+from delaysym.errors import DomainError, ParameterDomainError, StatusError
 from delaysym.reduction import (
     Role,
     Status,
@@ -274,6 +274,11 @@ class TestVerification:
     def test_verify_rejects_wrong_candidate(self):
         e = catalog("A3_5")
         assert verify("2*exp(2*x)", e.dods, e.window) > 0.1
+
+    def test_non_finite_residual_raises(self):
+        e = catalog("A3_5")
+        with pytest.raises(DomainError, match="residual at x = .* is nan"):
+            verify("1e999*x", e.dods, e.window)
 
     def test_sign_convention_matters(self):
         # flipping the sign inside the log slope constraint leaves a visible

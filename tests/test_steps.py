@@ -16,6 +16,7 @@ from delaysym.dods import (
     initial_condition,
 )
 from delaysym.errors import (
+    DomainError,
     MeshRangeError,
     OutOfRange,
     ParameterDomainError,
@@ -401,6 +402,12 @@ class TestResidualScan:
         d, init = smoothing_instance()
         s = solve(d, init, 1, SolverConfig(Scheme.EXACT_LINEAR, step_count=512))
         assert residual_scan(s, d) <= 1e-9
+
+    def test_non_finite_residual_raises(self):
+        d, _ = smoothing_instance()
+        s = sample_expr(d.delay, "1e999*x", 0.0, 2)
+        with pytest.raises(DomainError, match="residual at x = .* not finite"):
+            residual_scan(s, d)
 
     def test_flags_non_solution(self):
         # note x + 2 would NOT do here: every affine function solves

@@ -12,6 +12,7 @@ from delaysym.delay import AffineDelay, ConstantDelay, QScaleDelay
 from delaysym.dods import (
     CatalogCase,
     Dods,
+    GeneralRhs,
     LinearRhs,
     catalog,
     initial_condition,
@@ -19,6 +20,7 @@ from delaysym.dods import (
 from delaysym.errors import (
     DegenerateRoot,
     DivergenceWarning,
+    DomainError,
     NotASolution,
     ParameterDomainError,
     UnsupportedFlow,
@@ -183,6 +185,14 @@ class TestCheckInvariance:
         with pytest.raises(ParameterDomainError):
             check_invariance(e.algebra[0], e.dods, samples=0, window=e.window)
 
+    def test_overflowing_samples_are_not_counted(self):
+        # inf * x^2 is NaN at x = 0 and inf elsewhere; x^2 d_y is no symmetry,
+        # so a NaN that max() dropped would have read as a strong one
+        e = catalog("A4_12")
+        bad = VectorField(ex.Num(0.0), ex.parse("1e999*x^2", ("x", "y")))
+        with pytest.raises(DomainError, match="no valid sample points"):
+            check_invariance(bad, e.dods, window=e.window)
+
 
 class TestVerticalFromSolution:
     def test_accepts_homogeneous_solution(self):
@@ -270,8 +280,17 @@ class TestFlow:
     def test_translation_needs_autonomous_coefficients(self):
         dx = Dods(LinearRhs(ex.parse("x"), ex.Num(1.0), ex.Num(0.0)),
                   ConstantDelay(1.0))
-        with pytest.raises(UnsupportedFlow):
+        with pytest.raises(UnsupportedFlow, match="independent of x"):
             flow(VectorField(ex.Num(1.0), ex.Num(0.0)), 1.0, self.s1, dx)
+
+    def test_translation_of_autonomous_general_rhs(self):
+        d = Dods(GeneralRhs(ex.parse("y*ym", ("x", "y", "ym"))), ConstantDelay(1.0))
+        s = solve(d, initial_condition("0.5", d.delay, 0.0), 2,
+                  SolverConfig(Scheme.RK4, step_count=512))
+        moved = flow(VectorField(ex.Num(1.0), ex.Num(0.0), name="d_x"), 0.25, s, d)
+        assert moved.x_start == pytest.approx(-0.75)
+        assert moved.value(1.25) == pytest.approx(s.value(1.0), rel=1e-12)
+        assert residual_scan(moved, d) <= 1e-9
 
     def test_nonconstant_xi_unsupported(self):
         with pytest.raises(UnsupportedFlow):
@@ -316,6 +335,21 @@ class TestCharRoots:
             z = -1.0 - complex(special.lambertw(-1.0 / math.e, -(root.k + 1)))
             assert abs(root.z - z) <= 1e-14
             assert abs(root.lam + z / C) <= 1e-14
+
+    @pytest.mark.parametrize("C", [0.5, 1.0, 2.0])
+    def test_far_branches(self, C):
+        # an absolute residual gate fails from k = 21 on: |exp(z)| ~ 2 pi k
+        for root in char_roots(C, kmax=60)[1:]:
+            z = root.z
+            assert abs(z.imag - 2 * math.pi * root.k) < math.pi
+            assert abs(cmath.exp(z) - 1.0 - z) <= 1e-12 * abs(z)
+
+    @pytest.mark.parametrize("C", [0.5, 1.0, 2.0])
+    def test_far_branches_match_lambert_w(self, C):
+        special = pytest.importorskip("scipy.special")
+        for root in char_roots(C, kmax=60)[1:]:
+            z = -1.0 - complex(special.lambertw(-1.0 / math.e, -(root.k + 1)))
+            assert abs(root.z - z) <= 1e-15 * abs(root.z)
 
     def test_branch_windows(self):
         for root in char_roots(1.0, kmax=5)[1:]:
