@@ -11,7 +11,6 @@ from __future__ import annotations
 import functools
 import math
 import re
-from dataclasses import dataclass, field
 from typing import Optional
 
 from . import expr as ex
@@ -35,8 +34,7 @@ _X = ex.Var("x")
 _GUARD = 1e-12
 
 
-@dataclass(frozen=True)
-class DelayRelation:
+class DelayRelation(ex.Record):
     def delayed_point(self, x: float) -> float:
         raise NotImplementedError
 
@@ -69,7 +67,6 @@ class DelayRelation:
         raise NotImplementedError
 
 
-@dataclass(frozen=True)
 class ConstantDelay(DelayRelation):
     tau: float
 
@@ -99,7 +96,6 @@ class ConstantDelay(DelayRelation):
         return f"constant({self.tau!r})"
 
 
-@dataclass(frozen=True)
 class AffineDelay(DelayRelation):
     """x- = q*x - tau with q > 0.  Valid where (q - 1)*x < tau."""
 
@@ -143,7 +139,6 @@ class AffineDelay(DelayRelation):
         return f"affine({self.q!r}, {self.tau!r})"
 
 
-@dataclass(frozen=True)
 class QScaleDelay(DelayRelation):
     """x- = q*x with 0 < q < 1, valid on x > 0."""
 
@@ -179,7 +174,6 @@ class QScaleDelay(DelayRelation):
         return f"qscale({self.q!r})"
 
 
-@dataclass(frozen=True)
 class MoebiusDelay(DelayRelation):
     """x- = (x - C)/(1 + C*x), valid where C/(1 + C*x) > 0.
 
@@ -226,7 +220,6 @@ class MoebiusDelay(DelayRelation):
         return f"moebius({self.c!r})"
 
 
-@dataclass(frozen=True)
 class GeneralDelay(DelayRelation):
     """x- = g(x) for user supplied g, declared strictly increasing.
 
@@ -239,11 +232,7 @@ class GeneralDelay(DelayRelation):
     increasing: bool = True
 
     def __post_init__(self) -> None:
-        extra = ex.variables_of(self.g) - {"x"}
-        if extra:
-            raise ParameterDomainError(f"delay function may only use x, found {sorted(extra)}")
-
-    __getstate__ = ex.fields_state
+        ex.check_variables(self.g, {"x"}, "delay function may only use x")
 
     @functools.cached_property
     def _g(self):
@@ -326,8 +315,7 @@ def scale_delay(c: float) -> DelayRelation:
 # meshes
 
 
-@dataclass(frozen=True)
-class Mesh:
+class Mesh(ex.Record):
     """Strictly increasing points x_-1, x_0, ..., x_N with g(x_{n+1}) = x_n."""
 
     points: tuple[float, ...]

@@ -15,7 +15,6 @@ from __future__ import annotations
 import enum
 import functools
 import math
-from dataclasses import dataclass
 from typing import Callable, Mapping, NamedTuple, Optional, Union
 
 from . import expr as ex
@@ -47,8 +46,7 @@ _YM = ex.Var("ym")
 _MANIFOLD_VARS = ("x", "y", "xm", "ym")
 
 
-@dataclass(frozen=True)
-class LinearRhs:
+class LinearRhs(ex.Record):
     """dy/dx = alpha(x)*y + beta(x)*y- + gamma(x)."""
 
     alpha: ex.Expr
@@ -57,10 +55,7 @@ class LinearRhs:
 
     def __post_init__(self) -> None:
         for name, e in (("alpha", self.alpha), ("beta", self.beta), ("gamma", self.gamma)):
-            extra = ex.variables_of(e) - {"x"}
-            if extra:
-                raise ParameterDomainError(
-                    f"{name} may only depend on x, found {sorted(extra)}")
+            ex.check_variables(e, {"x"}, f"{name} may only depend on x")
 
     def as_expr(self) -> ex.Expr:
         return ex.fold(ex.Binary(
@@ -70,24 +65,19 @@ class LinearRhs:
         ))
 
 
-@dataclass(frozen=True)
-class GeneralRhs:
+class GeneralRhs(ex.Record):
     """dy/dx = f(x, y, y-)."""
 
     f: ex.Expr
 
     def __post_init__(self) -> None:
-        extra = ex.variables_of(self.f) - {"x", "y", "ym"}
-        if extra:
-            raise ParameterDomainError(
-                f"right hand side may only use x, y, ym, found {sorted(extra)}")
+        ex.check_variables(self.f, {"x", "y", "ym"}, "right hand side may only use x, y, ym")
 
     def as_expr(self) -> ex.Expr:
         return self.f
 
 
-@dataclass(frozen=True)
-class Dods:
+class Dods(ex.Record):
     """A delay equation together with its delay relation.
 
     rhs_manifold, when present, writes the right hand side as a function of
@@ -107,12 +97,8 @@ class Dods:
         if not lo < hi:
             raise ParameterDomainError(f"empty domain ({lo!r}, {hi!r})")
         if self.rhs_manifold is not None:
-            extra = ex.variables_of(self.rhs_manifold) - {"x", "y", "xm", "ym"}
-            if extra:
-                raise ParameterDomainError(
-                    f"manifold form may only use x, y, xm, ym, found {sorted(extra)}")
-
-    __getstate__ = ex.fields_state
+            ex.check_variables(self.rhs_manifold, {"x", "y", "xm", "ym"},
+                               "manifold form may only use x, y, xm, ym")
 
     # Compiled forms of the trees, built on first use and kept with the
     # system; nothing compiles while a system is only built or printed.
@@ -176,8 +162,7 @@ def homogenized(d: Dods) -> Dods:
                 manifold)
 
 
-@dataclass(frozen=True)
-class InitialCondition:
+class InitialCondition(ex.Record):
     """History function phi on the primer interval [x_minus1, x0]."""
 
     phi: ex.Expr
@@ -188,9 +173,7 @@ class InitialCondition:
         if not self.x_minus1 < self.x0:
             raise ParameterDomainError(
                 f"history interval is empty: [{self.x_minus1!r}, {self.x0!r}]")
-        extra = ex.variables_of(self.phi) - {"x"}
-        if extra:
-            raise ParameterDomainError(f"phi may only depend on x, found {sorted(extra)}")
+        ex.check_variables(self.phi, {"x"}, "phi may only depend on x")
 
 
 def initial_condition(phi: "ex.Expr | str", relation: DelayRelation, x0: float) -> InitialCondition:
@@ -371,8 +354,7 @@ def _window_for(domain: tuple[float, float]) -> tuple[float, float]:
     return (lo + 0.1 * (hi - lo), hi - 0.1 * (hi - lo))
 
 
-@dataclass(frozen=True)
-class CaseInfo:
+class CaseInfo(ex.Record):
     """One line of the catalog listing."""
 
     id: str
@@ -382,8 +364,7 @@ class CaseInfo:
     admits_system: bool = True
 
 
-@dataclass(frozen=True)
-class CatalogCase:
+class CatalogCase(ex.Record):
     """A catalog id plus whatever the case leaves free: numeric parameters,
     an arbitrary function f, an arbitrary delay relation."""
 
@@ -393,8 +374,7 @@ class CatalogCase:
     delay: Union[DelayRelation, str, None] = None
 
 
-@dataclass(frozen=True)
-class CatalogEntry:
+class CatalogEntry(ex.Record):
     case: CatalogCase
     dods: Dods
     algebra: tuple
@@ -412,8 +392,7 @@ class Status(enum.Enum):
     NO_SOLUTION = "no-solution"
 
 
-@dataclass(frozen=True)
-class ConstraintSolution:
+class ConstraintSolution(ex.Record):
     status: Status
     params: Mapping[str, float]
     free: tuple[str, ...] = ()

@@ -86,6 +86,10 @@ class StatusError(DelaySymError):
     """An operation was applied to a constraint solution in the wrong state."""
 
 
+class FrozenInstanceError(AttributeError):
+    """A field of an immutable record was assigned or deleted (a bug)."""
+
+
 class DivergenceWarning(UserWarning):
     """The Bernoulli generating function series is outside its disk of
     convergence; partial sums are still returned."""

@@ -14,22 +14,21 @@ The reserved identifiers pi and e fold to their double precision values at
 parse time.  Everything else must be one of the nine function names or a
 declared variable.
 
-Trees are immutable dataclasses and compare structurally, which is what the
-round trip guarantee is stated against: to_text of a parsed tree reparses to
-an equal tree, and to_text(parse(to_text(t))) == to_text(t).
+Trees are immutable records (Record, below) and compare structurally, which
+is what the round trip guarantee is stated against: to_text of a parsed tree
+reparses to an equal tree, and to_text(parse(to_text(t))) == to_text(t).
 """
 
 from __future__ import annotations
 
 import builtins
-import dataclasses
 import functools
 import math
-from dataclasses import dataclass
 from types import CodeType
-from typing import Callable, Iterable, Mapping, Sequence, Union
+from typing import Callable, Iterable, Mapping, Sequence
 
-from .errors import DomainError, ParseError, UnboundVariable
+from .errors import (DomainError, FrozenInstanceError, ParameterDomainError, ParseError,
+                     UnboundVariable)
 
 __all__ = [
     "Expr",
@@ -54,30 +53,125 @@ CONSTANTS = {"pi": math.pi, "e": math.e}
 BINARY_OPS = ("+", "-", "*", "/", "^")
 
 
-@dataclass(frozen=True)
-class Num:
+class Record:
+    """Immutable value whose fields, its annotations in MRO order, are set by
+    position or keyword before __post_init__ runs.  It equals, hashes, prints
+    (but for the names in _hidden) and pickles as the tuple of its fields."""
+
+    __slots__ = ()
+    _fields = __match_args__ = _hidden = ()
+
+    def __init_subclass__(cls) -> None:
+        names = (n for k in reversed(cls.__mro__) for n in vars(k).get("__annotations__", ()))
+        cls._fields = cls.__match_args__ = tuple(dict.fromkeys(names))
+
+    def __init__(self, *args, **kwargs) -> None:
+        names = self._fields
+        if kwargs or len(args) != len(names):  # defaults are the class attributes
+            cls = type(self)
+            given = {**dict(zip(names, args)), **kwargs}
+            if (len(args) > len(names) or not kwargs.keys() <= set(names[len(args):])
+                    or not all(name in given or hasattr(cls, name) for name in names)):
+                raise TypeError(f"{cls.__name__}() takes the fields {names} once each")
+            args = [given[name] if name in given else getattr(cls, name) for name in names]
+        for name, value in zip(names, args):
+            object.__setattr__(self, name, value)
+        self.__post_init__()
+
+    def __post_init__(self) -> None:
+        pass
+
+    def _values(self) -> tuple:
+        return tuple([getattr(self, name) for name in self._fields])
+
+    def __eq__(self, other: object):
+        return self._values() == other._values() if type(other) is type(self) else NotImplemented
+
+    def __hash__(self) -> int:
+        return hash(self._values())
+
+    def __repr__(self) -> str:
+        shown = (f"{n}={getattr(self, n)!r}" for n in self._fields if n not in self._hidden)
+        return f"{type(self).__qualname__}({', '.join(shown)})"
+
+    def __setattr__(self, name: str, *value: object) -> None:
+        raise FrozenInstanceError(f"cannot {'assign to' if value else 'delete'} field {name!r}")
+
+    __delattr__ = __setattr__
+
+    def __reduce__(self) -> tuple:
+        return type(self), self._values()
+
+
+class Expr(Record):
+    """Expression tree node.  Parsing, folding and differentiating build nodes
+    by the thousand, so the node types keep slots and spell out their methods."""
+
+    __slots__ = ()
+
+
+class Num(Expr):
+    __slots__ = ("value",)
     value: float
 
+    def __init__(self, value: float) -> None:
+        object.__setattr__(self, "value", value)
 
-@dataclass(frozen=True)
-class Var:
+    def __eq__(self, other: object):
+        return (self.value,) == (other.value,) if type(other) is type(self) else NotImplemented
+
+    def __hash__(self) -> int:
+        return hash((self.value,))
+
+
+class Var(Expr):
+    __slots__ = ("name",)
     name: str
 
+    def __init__(self, name: str) -> None:
+        object.__setattr__(self, "name", name)
 
-@dataclass(frozen=True)
-class Unary:
+    def __eq__(self, other: object):
+        return self.name == other.name if type(other) is type(self) else NotImplemented
+
+    def __hash__(self) -> int:
+        return hash((self.name,))
+
+
+class Unary(Expr):
+    __slots__ = ("op", "child")
     op: str  # 'neg' or a function name
-    child: "Expr"
+    child: Expr
+
+    def __init__(self, op: str, child: Expr) -> None:
+        object.__setattr__(self, "op", op)
+        object.__setattr__(self, "child", child)
+
+    def __eq__(self, other: object):
+        return ((self.op, self.child) == (other.op, other.child)
+                if type(other) is type(self) else NotImplemented)
+
+    def __hash__(self) -> int:
+        return hash((self.op, self.child))
 
 
-@dataclass(frozen=True)
-class Binary:
+class Binary(Expr):
+    __slots__ = ("op", "left", "right")
     op: str  # one of + - * / ^
-    left: "Expr"
-    right: "Expr"
+    left: Expr
+    right: Expr
 
+    def __init__(self, op: str, left: Expr, right: Expr) -> None:
+        object.__setattr__(self, "op", op)
+        object.__setattr__(self, "left", left)
+        object.__setattr__(self, "right", right)
 
-Expr = Union[Num, Var, Unary, Binary]
+    def __eq__(self, other: object):
+        return ((self.op, self.left, self.right) == (other.op, other.left, other.right)
+                if type(other) is type(self) else NotImplemented)
+
+    def __hash__(self) -> int:
+        return hash((self.op, self.left, self.right))
 
 
 # ---------------------------------------------------------------------------
@@ -214,7 +308,7 @@ def parse(text: str, variables: Iterable[str] = ("x",)) -> Expr:
 
 def as_expr(value: "Expr | str | float | int", variables: Iterable[str] = ("x",)) -> Expr:
     """Coerce text or a number to an expression tree."""
-    if isinstance(value, (Num, Var, Unary, Binary)):
+    if isinstance(value, Expr):
         return value
     if isinstance(value, str):
         return parse(value, variables)
@@ -476,13 +570,6 @@ def _bytecode(source: str) -> CodeType:
     return builtins.compile(source, "<delaysym.expr.compile>", "exec")
 
 
-def fields_state(obj: object) -> dict:
-    """__getstate__ for a frozen dataclass that keeps compiled callables in
-    its __dict__: those cannot be pickled, so only the fields are, and the
-    callables compile again on first use after unpickling."""
-    return {f.name: getattr(obj, f.name) for f in dataclasses.fields(obj)}
-
-
 # ---------------------------------------------------------------------------
 # structural helpers
 
@@ -495,6 +582,13 @@ def variables_of(e: Expr) -> frozenset[str]:
     if isinstance(e, Unary):
         return variables_of(e.child)
     return variables_of(e.left) | variables_of(e.right)
+
+
+def check_variables(e: Expr, allowed: set[str], message: str) -> None:
+    """Raise ParameterDomainError("<message>, found [...]") if e uses others."""
+    extra = variables_of(e) - allowed
+    if extra:
+        raise ParameterDomainError(f"{message}, found {sorted(extra)}")
 
 
 def is_constant(e: Expr) -> bool:

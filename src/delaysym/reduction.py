@@ -14,7 +14,6 @@ dods.
 from __future__ import annotations
 
 import enum
-from dataclasses import dataclass, field
 from typing import Callable, Mapping, Optional, Union
 
 from . import dods as dodsmod
@@ -42,10 +41,10 @@ class Role(enum.Enum):
     EXISTENCE = "existence"
 
 
-@dataclass(frozen=True)
-class InvariantFamily:
+class InvariantFamily(ex.Record):
     """One subalgebra of the optimal system with its reduction ansatz."""
 
+    _hidden = ("solver", "generator_fn")  # not a field: the fields left out of repr
     case_id: str
     label: str
     case_params: Mapping[str, float]
@@ -53,8 +52,8 @@ class InvariantFamily:
     reduction_k: ex.Expr
     roles: Mapping[str, Role]
     solver: Callable[["InvariantFamily", Optional[Mapping[str, float]]],
-                     ConstraintSolution] = field(repr=False)
-    generator_fn: Callable[[Mapping[str, float]], VectorField] = field(repr=False)
+                     ConstraintSolution]
+    generator_fn: Callable[[Mapping[str, float]], VectorField]
     notes: str = ""
 
     def generator(self, params: Mapping[str, float]) -> VectorField:

@@ -16,7 +16,6 @@ import bisect
 import enum
 import json
 import math
-from dataclasses import dataclass
 from typing import Callable, Optional, Sequence, Union
 
 from . import expr as ex
@@ -45,8 +44,7 @@ class Scheme(enum.Enum):
     RK4 = "rk4"
 
 
-@dataclass(frozen=True)
-class SolverConfig:
+class SolverConfig(ex.Record):
     scheme: Scheme = Scheme.EXACT_LINEAR
     step_count: int = 64
 
@@ -55,8 +53,7 @@ class SolverConfig:
             raise ParameterDomainError(f"step_count must be >= 1, got {self.step_count!r}")
 
 
-@dataclass(frozen=True)
-class Segment:
+class Segment(ex.Record):
     """Nodes of one interval with values and derivatives, cubic Hermite
     interpolated in between."""
 
@@ -112,8 +109,7 @@ class Segment:
         return self.value(x), dy
 
 
-@dataclass(frozen=True)
-class PiecewiseSolution:
+class PiecewiseSolution(ex.Record):
     """Segment 0 carries the history function on [x_-1, x_0]; segment n >= 1
     carries the solution of interval n."""
 

@@ -21,8 +21,6 @@ import functools
 import math
 import random
 import warnings
-from dataclasses import dataclass, field
-from fractions import Fraction
 from typing import Callable, Optional, Union
 
 from . import expr as ex
@@ -47,8 +45,7 @@ __all__ = [
 ]
 
 
-@dataclass(frozen=True)
-class AffineEta:
+class AffineEta(ex.Record):
     """eta = p(x) y + r(x) with r given in closed form or as a computed
     piecewise solution."""
 
@@ -56,33 +53,20 @@ class AffineEta:
     r: Union[ex.Expr, PiecewiseSolution]
 
     def __post_init__(self) -> None:
-        extra = ex.variables_of(self.p) - {"x"}
-        if extra:
-            raise ParameterDomainError(f"p may only depend on x, found {sorted(extra)}")
+        ex.check_variables(self.p, {"x"}, "p may only depend on x")
         if not isinstance(self.r, PiecewiseSolution):
-            extra = ex.variables_of(ex.as_expr(self.r, ("x",))) - {"x"}
-            if extra:
-                raise ParameterDomainError(
-                    f"r may only depend on x, found {sorted(extra)}")
+            ex.check_variables(ex.as_expr(self.r, ("x",)), {"x"}, "r may only depend on x")
 
 
-@dataclass(frozen=True)
-class VectorField:
+class VectorField(ex.Record):
     xi: ex.Expr
     eta: Union[ex.Expr, AffineEta]
     name: str = ""
 
     def __post_init__(self) -> None:
-        extra = ex.variables_of(self.xi) - {"x"}
-        if extra:
-            raise ParameterDomainError(f"xi may only depend on x, found {sorted(extra)}")
+        ex.check_variables(self.xi, {"x"}, "xi may only depend on x")
         if not isinstance(self.eta, AffineEta):
-            extra = ex.variables_of(self.eta) - {"x", "y"}
-            if extra:
-                raise ParameterDomainError(
-                    f"eta may only depend on x and y, found {sorted(extra)}")
-
-    __getstate__ = ex.fields_state
+            ex.check_variables(self.eta, {"x", "y"}, "eta may only depend on x and y")
 
     # -- pointwise evaluation -------------------------------------------
 
@@ -333,8 +317,7 @@ def _is_zero(eta: Union[ex.Expr, AffineEta]) -> bool:
 # exponential solutions of y' = (y - y(x - C))/C
 
 
-@dataclass(frozen=True)
-class CharacteristicRoot:
+class CharacteristicRoot(ex.Record):
     """Root of lambda = (1 - exp(-lambda C))/C, stored through
     z = -lambda C, which satisfies exp(z) = 1 + z."""
 
@@ -352,8 +335,8 @@ def char_roots(C: float, kmax: int) -> tuple[CharacteristicRoot, ...]:
     ln(2 pi k) + 2 pi i k, stopped once a step is at most 1e-15 |z|; the
     root must lie in the strip |Im z - 2 pi k| < pi that names its branch.
     """
-    if not C > 0.0:
-        raise ParameterDomainError(f"delay spacing must be positive, got {C!r}")
+    if not 0.0 < C < math.inf:
+        raise ParameterDomainError(f"delay spacing must be positive and finite, got {C!r}")
     if kmax < 0:
         raise ParameterDomainError(f"kmax must be >= 0, got {kmax!r}")
     roots = [CharacteristicRoot(C, 0j, 0j, 0)]
@@ -375,6 +358,8 @@ def char_roots(C: float, kmax: int) -> tuple[CharacteristicRoot, ...]:
                 f"Newton's method left the strip of branch k = {k}: "
                 f"Im z = {z.imag!r}")
         roots.append(CharacteristicRoot(C, z, -z / C, k))
+    if not cmath.isfinite(roots[-1].lam):  # |z| grows with k: the last is the largest
+        raise DomainError(f"lambda = -z/C overflows at C = {C!r} for k <= {kmax}")
     return tuple(roots)
 
 
@@ -403,6 +388,7 @@ def _expr_pair(text: str, a: float, b: float) -> ex.Expr:
 @functools.lru_cache(maxsize=1)
 def _bernoulli_numbers(n: int = 40) -> tuple[Fraction, ...]:
     # recurrence sum_{j<=m} C(m+1, j) B_j = 0, exact in rationals
+    from fractions import Fraction  # here, not at start-up: it loads decimal
     out = [Fraction(1)]
     for m in range(1, n + 1):
         acc = Fraction(0)

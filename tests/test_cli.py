@@ -179,6 +179,16 @@ class TestRoots:
         assert code == 1
         assert "ParameterDomainError" in err
 
+    @pytest.mark.parametrize("spacing, error", [
+        ("inf", "ParameterDomainError"),   # printed "C": Infinity, not JSON
+        ("nan", "ParameterDomainError"),
+        ("1e-320", "DomainError"),         # lambda = -z/C overflowed to -inf
+    ])
+    def test_spacing_without_finite_roots(self, capsys, spacing, error):
+        code, out, err = run(capsys, "roots", "--C", spacing, "--k", "1")
+        assert code == 1 and out == ""
+        assert err.startswith(f"{error}:")
+
 
 class TestReduce:
     def test_solved_family(self, capsys):

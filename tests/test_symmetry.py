@@ -378,6 +378,12 @@ class TestCharRoots:
             char_roots(-1.0, 1)
         with pytest.raises(ParameterDomainError):
             char_roots(1.0, -1)
+        for spacing in (math.inf, math.nan):
+            with pytest.raises(ParameterDomainError):
+                char_roots(spacing, 1)
+        with pytest.raises(DomainError):
+            char_roots(1e-320, 1)
+        assert char_roots(1e-320, 0)[0].lam == 0j  # branch 0 needs no division
 
 
 class TestExpSymmetryFields:
