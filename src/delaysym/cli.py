@@ -11,7 +11,7 @@ from __future__ import annotations
 import argparse
 import json
 import sys
-from typing import Optional, Sequence
+from collections.abc import Sequence
 
 from . import expr as ex
 from .delay import build_mesh, parse_delay_spec
@@ -24,7 +24,7 @@ from .steps import (Scheme, SolverConfig, residual_scan, solution_from_json,
 from .symmetry import AffineEta, char_roots
 
 
-def _parse_params(raw: Optional[str]) -> dict[str, float]:
+def _parse_params(raw: str | None) -> dict[str, float]:
     out: dict[str, float] = {}
     if not raw:
         return out
@@ -66,7 +66,7 @@ def _system_from_args(args: argparse.Namespace):
     raise ParameterDomainError("pass either --case or --spec")
 
 
-def _emit(text: str, out: Optional[str]) -> None:
+def _emit(text: str, out: str | None) -> None:
     if out:
         with open(out, "w", encoding="utf-8", newline="") as fh:
             fh.write(text)
@@ -135,7 +135,8 @@ def _cmd_roots(args: argparse.Namespace) -> int:
     for root in char_roots(args.C, args.k):
         lam = root.lam
         res_z = abs(cmath.exp(root.z) - 1.0 - root.z)
-        res_l = abs(lam - (1.0 - cmath.exp(-lam * root.C)) / root.C)
+        # lambda = -z/C, so its equation is checked relative to |lambda|
+        res_l = abs(lam - (1.0 - cmath.exp(-lam * root.C)) / root.C) / max(1.0, abs(lam))
         entries.append({
             "k": root.k,
             "re_z": root.z.real, "im_z": root.z.imag,
@@ -266,7 +267,7 @@ def _build_parser() -> argparse.ArgumentParser:
     return top
 
 
-def main(argv: Optional[Sequence[str]] = None) -> int:
+def main(argv: Sequence[str] | None = None) -> int:
     parser = _build_parser()
     args = parser.parse_args(argv)
     if args.command == "catalog" and args.action == "show" and not args.case:

@@ -11,7 +11,6 @@ from __future__ import annotations
 import functools
 import math
 import re
-from typing import Optional
 
 from . import expr as ex
 from .errors import DomainError, NoForwardPoint, NotMonotone, ParameterDomainError
@@ -53,7 +52,7 @@ class DelayRelation(ex.Record):
         """x - g(x) as an expression in x."""
         return ex.fold(ex.Binary("-", _X, self.as_expr()))
 
-    def affine_parameters(self) -> Optional[tuple[float, float]]:
+    def affine_parameters(self) -> tuple[float, float] | None:
         """(q, tau) when g(x) = q*x - tau, else None."""
         return None
 

@@ -15,7 +15,7 @@ from __future__ import annotations
 import enum
 import functools
 import math
-from typing import Callable, Mapping, NamedTuple, Optional, Union
+from collections.abc import Callable, Mapping
 
 from . import expr as ex
 from .delay import (ConstantDelay, DelayRelation, MoebiusDelay, parse_delay_spec,
@@ -87,10 +87,10 @@ class Dods(ex.Record):
     coefficients.
     """
 
-    rhs: Union[LinearRhs, GeneralRhs]
+    rhs: LinearRhs | GeneralRhs
     delay: DelayRelation
     domain: tuple[float, float] = (-math.inf, math.inf)
-    rhs_manifold: Optional[ex.Expr] = None
+    rhs_manifold: ex.Expr | None = None
 
     def __post_init__(self) -> None:
         lo, hi = self.domain
@@ -251,7 +251,7 @@ def _parse_domain(raw: str) -> tuple[float, float]:
     return float(parts[0]), float(parts[1])
 
 
-def load_spec(text: str) -> tuple[Dods, Optional[InitialCondition]]:
+def load_spec(text: str) -> tuple[Dods, InitialCondition | None]:
     """Parse a key = value system file.
 
     Recognized keys: rhs.kind (linear or general), alpha, beta, gamma, f,
@@ -274,7 +274,7 @@ def load_spec(text: str) -> tuple[Dods, Optional[InitialCondition]]:
         raise ParameterDomainError("system file is missing the delay key")
     relation = parse_delay_spec(_unquote(fields["delay"]))
 
-    rhs: Union[LinearRhs, GeneralRhs]
+    rhs: LinearRhs | GeneralRhs
     if kind == "linear":
         def coeff(name: str, default: str) -> ex.Expr:
             return ex.parse(_unquote(fields.get(name, default)), ("x",))
@@ -289,7 +289,7 @@ def load_spec(text: str) -> tuple[Dods, Optional[InitialCondition]]:
     domain = _parse_domain(fields["domain"]) if "domain" in fields else (-math.inf, math.inf)
     d = Dods(rhs, relation, domain)
 
-    init: Optional[InitialCondition] = None
+    init: InitialCondition | None = None
     if "phi" in fields and "x0" in fields:
         init = initial_condition(_unquote(fields["phi"]), relation, float(fields["x0"]))
     return d, init
@@ -321,9 +321,9 @@ def _expr_with(text: str, values: Mapping[str, float],
     return ex.fold(ex.substitute(e, {k: ex.Num(float(v)) for k, v in values.items()}))
 
 
-def _slope_system(relation: DelayRelation, gamma: Optional[ex.Expr] = None,
-                  factor: Optional[ex.Expr] = None,
-                  domain: Optional[tuple[float, float]] = None) -> Dods:
+def _slope_system(relation: DelayRelation, gamma: ex.Expr | None = None,
+                  factor: ex.Expr | None = None,
+                  domain: tuple[float, float] | None = None) -> Dods:
     """y' = factor(x) (y - ym)/(x - g(x)) + gamma(x) on the domain, by
     default the one the relation delays on."""
     inv = ex.fold(ex.Binary("/", factor if factor is not None else _ONE,
@@ -369,9 +369,9 @@ class CatalogCase(ex.Record):
     an arbitrary function f, an arbitrary delay relation."""
 
     id: str
-    params: Optional[Mapping[str, float]] = None
-    f: Union[ex.Expr, str, None] = None
-    delay: Union[DelayRelation, str, None] = None
+    params: Mapping[str, float] | None = None
+    f: ex.Expr | str | None = None
+    delay: DelayRelation | str | None = None
 
 
 class CatalogEntry(ex.Record):
@@ -405,7 +405,7 @@ def _sol(status: Status, params: Mapping[str, float], free: tuple[str, ...] = ()
     return ConstraintSolution(status, dict(params), free, residuals, note)
 
 
-def _root_in(f: Callable[[float], float], lo: float, hi: float) -> Optional[float]:
+def _root_in(f: Callable[[float], float], lo: float, hi: float) -> float | None:
     try:
         a, b = scan_bracket(f, lo, hi)
     except BracketNotFound:
@@ -453,7 +453,7 @@ def _slope_rate(p: dict, denom: float, rule: str) -> Callable[[dict], Constraint
 
 
 def _amplitude(p: dict, b: float, denom: float, target: float,
-               shape: Optional[str] = None) -> Callable[[dict], ConstraintSolution]:
+               shape: str | None = None) -> Callable[[dict], ConstraintSolution]:
     """The amplitude A with A*denom = target.  A family whose denom can
     vanish names its ansatz shape: there the amplitude stays free when the
     target vanishes too, and no member exists otherwise."""
@@ -528,7 +528,7 @@ def _log_ratio(p: dict) -> ConstraintSolution:
 # the table: one record per catalog id
 
 
-class _Family(NamedTuple):
+class _Family(ex.Record):
     """One subalgebra with an invariant ansatz y = h(x; params).  roles reads
     "name:role ..."; solve maps the pinned parameters to the constraint
     solution; field gives the generator (xi, eta) at solved parameters."""
@@ -541,7 +541,7 @@ class _Family(NamedTuple):
     notes: str
 
 
-class _Case(NamedTuple):
+class _Case(ex.Record):
     """One catalog id.
 
     defaults lists the case constants; each check is (requirement, test,
@@ -555,11 +555,11 @@ class _Case(NamedTuple):
     info: CaseInfo
     defaults: Mapping[str, float] = {}
     checks: tuple = ()
-    fn: Optional[str] = None
+    fn: str | None = None
     free_delay: Callable[[dict], bool] = lambda p: False
-    system: Optional[Callable[[dict, Optional[ex.Expr], Optional[DelayRelation]], Dods]] = None
+    system: Callable[[dict, ex.Expr | None, DelayRelation | None], Dods] | None = None
     generators: Callable[[dict], tuple] = lambda p: ()
-    k: Optional[ex.Expr] = None
+    k: ex.Expr | None = None
     families: Callable[[dict], tuple[_Family, ...]] = lambda p: ()
 
 
@@ -788,7 +788,7 @@ def list_cases() -> tuple[CaseInfo, ...]:
     return tuple(c.info for c in _CASES.values())
 
 
-def resolve_case(case: Union[CatalogCase, str]) -> CatalogCase:
+def resolve_case(case: CatalogCase | str) -> CatalogCase:
     """Fill defaults and validate parameter domains."""
     if isinstance(case, str):
         case = CatalogCase(case)
@@ -815,13 +815,13 @@ def resolve_case(case: Union[CatalogCase, str]) -> CatalogCase:
             got = f", got {params[shown]!r}" if shown else ""
             raise ParameterDomainError(f"{cid} needs {requirement}{got}")
 
-    f: Optional[ex.Expr] = None
+    f: ex.Expr | None = None
     if spec.fn is not None:
         f = ex.as_expr(case.f, ("x",)) if case.f is not None else _parsed(spec.fn)
     elif case.f is not None:
         raise ParameterDomainError(f"{cid} does not take a function f")
 
-    relation: Optional[DelayRelation] = None
+    relation: DelayRelation | None = None
     if spec.free_delay(params):
         raw = case.delay if case.delay is not None else ConstantDelay(1.0)
         relation = parse_delay_spec(raw) if isinstance(raw, str) else raw
@@ -832,7 +832,7 @@ def resolve_case(case: Union[CatalogCase, str]) -> CatalogCase:
     return CatalogCase(cid, params, f, relation)
 
 
-def catalog(case: Union[CatalogCase, str]) -> CatalogEntry:
+def catalog(case: CatalogCase | str) -> CatalogEntry:
     """Instantiate a catalog case: the system, its symmetry generators, and
     its invariant solution families."""
     from . import reduction as _reduction

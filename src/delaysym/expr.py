@@ -24,8 +24,8 @@ from __future__ import annotations
 import builtins
 import functools
 import math
+from collections.abc import Callable, Iterable, Mapping, Sequence
 from types import CodeType
-from typing import Callable, Iterable, Mapping, Sequence
 
 from .errors import (DomainError, FrozenInstanceError, ParameterDomainError, ParseError,
                      UnboundVariable)

@@ -7,7 +7,7 @@ results.
 
 from __future__ import annotations
 
-from typing import Callable
+from collections.abc import Callable
 
 from .errors import BracketNotFound, NonConvergence
 

@@ -14,7 +14,7 @@ dods.
 from __future__ import annotations
 
 import enum
-from typing import Callable, Mapping, Optional, Union
+from collections.abc import Callable, Mapping
 
 from . import dods as dodsmod
 from . import expr as ex
@@ -51,7 +51,7 @@ class InvariantFamily(ex.Record):
     reduction_h: ex.Expr
     reduction_k: ex.Expr
     roles: Mapping[str, Role]
-    solver: Callable[["InvariantFamily", Optional[Mapping[str, float]]],
+    solver: Callable[["InvariantFamily", Mapping[str, float] | None],
                      ConstraintSolution]
     generator_fn: Callable[[Mapping[str, float]], VectorField]
     notes: str = ""
@@ -61,7 +61,7 @@ class InvariantFamily(ex.Record):
 
 
 def solve_constraints(fam: InvariantFamily,
-                      fixed: Optional[Mapping[str, float]] = None
+                      fixed: Mapping[str, float] | None = None
                       ) -> ConstraintSolution:
     """Solve the family's constraints; `fixed` pins parameters that would
     otherwise come from an existence equation."""
@@ -69,7 +69,7 @@ def solve_constraints(fam: InvariantFamily,
 
 
 def build_solution(fam: InvariantFamily, sol: ConstraintSolution,
-                   free: Optional[Mapping[str, float]] = None
+                   free: Mapping[str, float] | None = None
                    ) -> tuple[ex.Expr, float]:
     """Closed form y(x) and the delay constant B for a solved family.
     Unassigned free parameters default to 1."""
@@ -101,7 +101,7 @@ def build_solution(fam: InvariantFamily, sol: ConstraintSolution,
 
 
 def verify(y: "ex.Expr | str", d: Dods,
-           window: Optional[tuple[float, float]] = None,
+           window: tuple[float, float] | None = None,
            samples: int = 240) -> float:
     """Independent oracle: largest |y' - f(x, y, ym)| of the candidate over
     the window, with ym evaluated through the delay relation."""
@@ -114,7 +114,7 @@ def verify(y: "ex.Expr | str", d: Dods,
     return _max_residual(d, lo, hi, samples, lambda x: (f(x), df(x)), f)
 
 
-def _check_fixed(fixed: Optional[Mapping[str, float]], allowed: tuple[str, ...]
+def _check_fixed(fixed: Mapping[str, float] | None, allowed: tuple[str, ...]
                  ) -> dict[str, float]:
     out = dict(fixed or {})
     for key in out:
@@ -124,7 +124,7 @@ def _check_fixed(fixed: Optional[Mapping[str, float]], allowed: tuple[str, ...]
     return out
 
 
-def families(case: Union[CatalogCase, str]) -> tuple[InvariantFamily, ...]:
+def families(case: CatalogCase | str) -> tuple[InvariantFamily, ...]:
     """The case's one dimensional subalgebras that admit an invariant
     ansatz, in catalog order.  Cases whose symmetries all act vertically
     (or trivially on x) have no reduction and return an empty tuple."""

@@ -8,6 +8,10 @@ and may have derivative jumps there, which smooth out as n grows.
 
 Solved segments store (x, y, ydot) nodes and interpolate with cubic Hermite
 polynomials, so interpolation error is O(h^4) in value and O(h^3) in slope.
+
+The delayed points of an interval do not depend on its solution, so each
+interval reads y(g(x)) at all of them from the previous segment in one sweep
+(Segment.values_at) before it steps.
 """
 
 from __future__ import annotations
@@ -16,7 +20,7 @@ import bisect
 import enum
 import json
 import math
-from typing import Callable, Optional, Sequence, Union
+from collections.abc import Callable, Iterable, Sequence
 
 from . import expr as ex
 from .delay import DelayRelation, Mesh, build_mesh, parse_delay_spec
@@ -89,13 +93,29 @@ class Segment(ex.Record):
 
     def value(self, x: float) -> float:
         """The interpolated value at x."""
-        j, h, t = self._span(x)
-        t2 = t * t
-        t3 = t2 * t
-        return ((2.0 * t3 - 3.0 * t2 + 1.0) * self.values[j]
-                + (t3 - 2.0 * t2 + t) * h * self.derivs[j]
-                + (-2.0 * t3 + 3.0 * t2) * self.values[j + 1]
-                + (t3 - t2) * h * self.derivs[j + 1])
+        return self.values_at((x,))[0]
+
+    def values_at(self, xs: Iterable[float]) -> list[float]:
+        """The interpolated value at each of xs, in order, with the span
+        choice and arithmetic of evaluate; xs need not be sorted, and points
+        past either end extrapolate the end span."""
+        nodes, values, derivs = self.nodes, self.values, self.derivs
+        last = len(nodes) - 2
+        right = bisect.bisect_right
+        out = []
+        for x in xs:
+            j = right(nodes, x) - 1
+            j = 0 if j < 0 else last if j > last else j
+            x0 = nodes[j]
+            h = nodes[j + 1] - x0
+            t = (x - x0) / h
+            t2 = t * t
+            t3 = t2 * t
+            out.append((2.0 * t3 - 3.0 * t2 + 1.0) * values[j]
+                       + (t3 - 2.0 * t2 + t) * h * derivs[j]
+                       + (-2.0 * t3 + 3.0 * t2) * values[j + 1]
+                       + (t3 - t2) * h * derivs[j + 1])
+        return out
 
     def evaluate(self, x: float) -> tuple[float, float]:
         """(value, slope) at x."""
@@ -103,10 +123,13 @@ class Segment(ex.Record):
         y0, y1 = self.values[j], self.values[j + 1]
         d0, d1 = self.derivs[j], self.derivs[j + 1]
         t2 = t * t
+        t3 = t2 * t
+        y = ((2.0 * t3 - 3.0 * t2 + 1.0) * y0 + (t3 - 2.0 * t2 + t) * h * d0
+             + (-2.0 * t3 + 3.0 * t2) * y1 + (t3 - t2) * h * d1)
         dy = ((6.0 * t2 - 6.0 * t) * (y0 - y1) / h
               + (3.0 * t2 - 4.0 * t + 1.0) * d0
               + (3.0 * t2 - 2.0 * t) * d1)
-        return self.value(x), dy
+        return y, dy
 
 
 class PiecewiseSolution(ex.Record):
@@ -155,7 +178,7 @@ class PiecewiseSolution(ex.Record):
         j = bisect.bisect_right(self.mesh.points, x) - 1
         return min(max(j, 0), len(self.segments) - 1)
 
-    def _node_index(self, x: float) -> Optional[int]:
+    def _node_index(self, x: float) -> int | None:
         pts = self.mesh.points
         j = bisect.bisect_left(pts, x)
         # x lies in (pts[j - 1], pts[j]]; only those two can be within _TOL
@@ -326,7 +349,12 @@ def solve(d: Dods, init: InitialCondition, intervals: int,
     ExactLinear advances each step [t0, t1] with the integrating factor,
     y(t1) = e^(A(t1)-A(t0)) y(t0) + int e^(A(t1)-A(s)) (beta(s) y(g(s)) +
     gamma(s)) ds with A' = alpha, on fixed Gauss-Legendre points, so a step
-    costs the same whatever the solution's size.  RK4 uses fixed steps.
+    costs the same whatever the solution's size.  RK4 uses fixed steps; on
+    a linear right hand side it evaluates alpha, beta and gamma once per
+    node and step midpoint, not four times per step, with rhs_fn's bits.
+    Either scheme reads an interval's delayed values in one sweep before
+    stepping it, so when both the delay and a coefficient fail inside one
+    interval, the delay's DomainError is the one raised.
     """
     mesh = build_mesh(d.delay, init.x0, intervals)
     if abs(init.x_minus1 - mesh.points[0]) > _TOL * (1.0 + abs(mesh.points[0])):
@@ -344,9 +372,13 @@ def solve(d: Dods, init: InitialCondition, intervals: int,
     m = config.step_count
     segments = [_sample_segment(_with_slope(init.phi), mesh.points[0], mesh.points[1], m)]
 
-    if config.scheme is Scheme.EXACT_LINEAR and not isinstance(d.rhs, LinearRhs):
+    linear = isinstance(d.rhs, LinearRhs)
+    if config.scheme is Scheme.RK4:
+        step = _rk4_linear_interval if linear else _rk4_interval
+    elif linear:
+        step = _exact_linear_interval
+    else:
         raise SchemeMismatch("the ExactLinear scheme requires a linear right hand side")
-    step = _rk4_interval if config.scheme is Scheme.RK4 else _exact_linear_interval
     for n in range(1, intervals + 1):
         a, b = mesh.points[n], mesh.points[n + 1]
         nodes = tuple(a + (b - a) * j / m for j in range(m + 1))
@@ -355,27 +387,64 @@ def solve(d: Dods, init: InitialCondition, intervals: int,
     return PiecewiseSolution(mesh, tuple(segments))
 
 
+def _delayed_abscissae(d: Dods, prev: Segment, nodes: tuple[float, ...],
+                       h: float) -> tuple[list[float], list[float]]:
+    """RK4's abscissae, the nodes with each step's midpoint between them,
+    and y(g(x)) at each, read from the previous interval in one sweep and in
+    marching order, so the first x the delay rejects is the one a
+    point-by-point march meets first."""
+    xs = [0.0] * (2 * len(nodes) - 1)
+    xs[::2] = nodes
+    xs[1::2] = [x + 0.5 * h for x in nodes[:-1]]
+    return xs, prev.values_at(map(d.delay.delayed_point, xs))
+
+
 def _rk4_interval(d: Dods, prev: Segment, nodes: tuple[float, ...], h: float) -> Segment:
-    """Classical RK4 with step h; y(g(x)) is read from the previous interval.
-    k2 and k3 share that read, k4's is the next k1's, and k1 is the node slope."""
-    rhs_fn, delayed_point, lookup = d.rhs_fn, d.delay.delayed_point, prev.value
+    """Classical RK4 with step h for any right hand side.  k2 and k3 share
+    the midpoint read, k4's abscissa is the next k1's, and k1 is the node
+    slope."""
+    rhs_fn = d.rhs_fn
+    xs, yms = _delayed_abscissae(d, prev, nodes, h)
     y = prev.values[-1]
-    ym = lookup(delayed_point(nodes[0]))
     values = [y]
     derivs = []
-    for j in range(len(nodes) - 1):
-        x = nodes[j]
-        k1 = rhs_fn(x, y, ym)
-        xh = x + 0.5 * h
-        ymh = lookup(delayed_point(xh))
-        k2 = rhs_fn(xh, y + 0.5 * h * k1, ymh)
-        k3 = rhs_fn(xh, y + 0.5 * h * k2, ymh)
-        ym = lookup(delayed_point(nodes[j + 1]))
-        k4 = rhs_fn(nodes[j + 1], y + h * k3, ym)
+    for j in range(0, len(xs) - 1, 2):
+        x, xh, x1 = xs[j], xs[j + 1], xs[j + 2]
+        k1 = rhs_fn(x, y, yms[j])
+        k2 = rhs_fn(xh, y + 0.5 * h * k1, yms[j + 1])
+        k3 = rhs_fn(xh, y + 0.5 * h * k2, yms[j + 1])
+        k4 = rhs_fn(x1, y + h * k3, yms[j + 2])
         y = y + h / 6.0 * (k1 + 2.0 * k2 + 2.0 * k3 + k4)
         values.append(y)
         derivs.append(k1)
-    derivs.append(rhs_fn(nodes[-1], y, ym))
+    derivs.append(rhs_fn(xs[-1], y, yms[-1]))
+    return Segment(nodes, tuple(values), tuple(derivs))
+
+
+def _rk4_linear_interval(d: Dods, prev: Segment, nodes: tuple[float, ...],
+                         h: float) -> Segment:
+    """_rk4_interval for alpha*y + beta*ym + gamma, bit for bit: alpha,
+    beta*ym and gamma are taken once per abscissa, in rhs_fn's order, and
+    each slope is rhs_fn's (alpha*y + beta*ym) + gamma."""
+    alpha_f, beta_f, gamma_f = d.coefficient_fns
+    xs, yms = _delayed_abscissae(d, prev, nodes, h)
+    terms = [(alpha_f(x), beta_f(x) * ym, gamma_f(x)) for x, ym in zip(xs, yms)]
+    half, sixth = 0.5 * h, h / 6.0
+    y = prev.values[-1]
+    values = [y]
+    derivs = []
+    a, bym, c = terms[0]
+    for j in range(1, len(terms), 2):
+        ah, bymh, ch = terms[j]
+        k1 = (a * y + bym) + c
+        k2 = (ah * (y + half * k1) + bymh) + ch
+        k3 = (ah * (y + half * k2) + bymh) + ch
+        a, bym, c = terms[j + 1]
+        k4 = (a * (y + h * k3) + bym) + c
+        y = y + sixth * (k1 + 2.0 * k2 + 2.0 * k3 + k4)
+        values.append(y)
+        derivs.append(k1)
+    derivs.append((a * y + bym) + c)
     return Segment(nodes, tuple(values), tuple(derivs))
 
 
@@ -385,7 +454,7 @@ def _exact_linear_interval(d: Dods, prev: Segment, nodes: tuple[float, ...],
     pts, delayed, alphas and forcing hold one list per Gauss point, over
     every step."""
     alpha_f, beta_f, gamma_f = d.coefficient_fns
-    delayed_point, lookup = d.delay.delayed_point, prev.value
+    delayed_point, lookup = d.delay.delayed_point, prev.values_at
     pts = [[t0 + h * c for t0 in nodes[:-1]] for c in _GL_C]
     pn, pv, pd = prev.nodes, prev.values, prev.derivs
     if d.delay.affine_parameters() is not None:
@@ -396,8 +465,8 @@ def _exact_linear_interval(d: Dods, prev: Segment, nodes: tuple[float, ...],
                     for v0, v1, d0, d1, hp in spans] for w0, w1, w2, w3 in _GL_HERMITE]
         at_nodes = pv
     else:
-        delayed = [[lookup(delayed_point(u)) for u in col] for col in pts]
-        at_nodes = [lookup(delayed_point(u)) for u in nodes]
+        delayed = [lookup(map(delayed_point, col)) for col in pts]
+        at_nodes = lookup(map(delayed_point, nodes))
     alphas = [list(map(alpha_f, col)) for col in pts]
     forcing = [[beta_f(u) * ym + gamma_f(u) for u, ym in zip(col, ycol)]
                for col, ycol in zip(pts, delayed)]

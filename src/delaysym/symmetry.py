@@ -21,7 +21,7 @@ import functools
 import math
 import random
 import warnings
-from typing import Callable, Optional, Union
+from collections.abc import Callable
 
 from . import expr as ex
 from .dods import Dods, homogenized, _window_for
@@ -50,7 +50,7 @@ class AffineEta(ex.Record):
     piecewise solution."""
 
     p: ex.Expr
-    r: Union[ex.Expr, PiecewiseSolution]
+    r: ex.Expr | PiecewiseSolution
 
     def __post_init__(self) -> None:
         ex.check_variables(self.p, {"x"}, "p may only depend on x")
@@ -60,7 +60,7 @@ class AffineEta(ex.Record):
 
 class VectorField(ex.Record):
     xi: ex.Expr
-    eta: Union[ex.Expr, AffineEta]
+    eta: ex.Expr | AffineEta
     name: str = ""
 
     def __post_init__(self) -> None:
@@ -156,7 +156,7 @@ def _r_breakpoints(v: VectorField) -> tuple[float, ...]:
 
 def _judge(v: VectorField, d: Dods,
            point: tuple[float, float, float, float, float]
-           ) -> Optional[tuple[float, bool]]:
+           ) -> tuple[float, bool] | None:
     """(largest applied value, whether it is within 1e-7 (1 + scale)) at a
     point, or None when the point cannot be evaluated or a term overflows:
     max() drops NaN, so a non-finite sample would otherwise read as zero."""
@@ -171,7 +171,7 @@ def _judge(v: VectorField, d: Dods,
 
 
 def check_invariance(v: VectorField, d: Dods, samples: int = 200,
-                     window: Optional[tuple[float, float]] = None,
+                     window: tuple[float, float] | None = None,
                      seed: int = 7) -> tuple[float, Invariance]:
     """Monte Carlo invariance test.
 
@@ -189,7 +189,7 @@ def check_invariance(v: VectorField, d: Dods, samples: int = 200,
     rng = random.Random(seed)
     breaks = _r_breakpoints(v)
 
-    def fresh_point() -> Optional[tuple[float, float, float, float, float]]:
+    def fresh_point() -> tuple[float, float, float, float, float] | None:
         x = rng.uniform(lo, hi)
         if any(abs(x - b) <= 1e-6 for b in breaks):
             return None
@@ -243,8 +243,8 @@ def vertical_from_solution(s: PiecewiseSolution, d: Dods) -> VectorField:
     return VectorField(ex.Num(0.0), AffineEta(ex.Num(0.0), s), name="chi d_y")
 
 
-def _affine_parts(eta: Union[ex.Expr, AffineEta]
-                  ) -> tuple[ex.Expr, Union[ex.Expr, PiecewiseSolution]]:
+def _affine_parts(eta: ex.Expr | AffineEta
+                  ) -> tuple[ex.Expr, ex.Expr | PiecewiseSolution]:
     if isinstance(eta, AffineEta):
         return eta.p, eta.r
     p = _deriv(eta, "y")
@@ -304,7 +304,7 @@ def flow(v: VectorField, eps: float, s: PiecewiseSolution, d: Dods
     return PiecewiseSolution(s.mesh, tuple(segs))
 
 
-def _is_zero(eta: Union[ex.Expr, AffineEta]) -> bool:
+def _is_zero(eta: ex.Expr | AffineEta) -> bool:
     if isinstance(eta, AffineEta):
         return (_is_zero(eta.p)
                 and not isinstance(eta.r, PiecewiseSolution)

@@ -167,6 +167,15 @@ class TestRoots:
         first = obj["roots"][1]
         assert 2 * math.pi < first["im_z"] < 3 * math.pi
 
+    def test_residual_is_relative_to_lambda(self, capsys):
+        # lambda = -z/C reaches 1e301 here; z itself solves e^z = 1 + z to
+        # rounding, and the lambda equation is read relative to |lambda|
+        code, out, _ = run(capsys, "roots", "--C", "1e-300", "--k", "2")
+        assert code == 0
+        roots = json.loads(out)["roots"]
+        assert abs(roots[2]["re_lambda"]) > 1e299
+        assert all(r["residual"] <= 1e-12 for r in roots)
+
     def test_far_branch(self, capsys):
         code, out, _ = run(capsys, "roots", "--C", "1", "--k", "21")
         assert code == 0

@@ -4,7 +4,11 @@ Each record holds the argument list, the exit status, and the exact stdout
 and stderr of one ``delaysym`` command run in-process.  The file was made
 before the catalog cases were folded into one table, so every case's
 listing, system, generators and families is pinned to the bytes it printed
-then.  Regenerate it only in a change that states which CLI bytes it alters:
+then.  The ``solve`` records pin both schemes' output on every delay kind
+and on a general right hand side; they were recorded before the stepper read
+its history in batches.  Commands run from the data directory, so a
+``--spec`` file there is named by its bare file name.  Regenerate the file
+only in a change that states which CLI bytes it alters:
 
     PYTHONPATH=src python tests/test_cli_golden.py
 """
@@ -13,6 +17,7 @@ import contextlib
 import functools
 import io
 import json
+import os
 import pathlib
 
 import pytest
@@ -27,6 +32,16 @@ _FAMILIES = {
     "A4_12": ("X1", "X1±X2", "aX1+X4"), "A4_14": ("aX3+X4",),
     "A4_21": ("Y1", "Y1±Y2", "aY1+Y4"),
 }
+# (system options and history, x0, intervals) of the recorded solves: constant,
+# q-scale, Moebius and general delays, and a nonlinear system file
+_SOLVES = (
+    (["--case", "A3_5", "--phi", "exp(x)"], "0", "2"),
+    (["--case", "A4_21", "--phi", "x"], "1", "3"),
+    (["--case", "A3_7", "--params", "C2=0.5", "--phi", "1"], "0", "2"),
+    (["--case", "A4_5", "--delay", 'general("x - 1 - 0.1*sin(x)")', "--phi", "cos(x)"],
+     "0", "2"),
+    (["--spec", "general_rhs.txt", "--phi", "1 + x"], "0", "2"),
+)
 _IDS = ("A2_1", "A2_3", "A3_1", "A3_3", "A3_5", "A3_7", "A3_11", "A3_13",
         "A3_14", "A3_15", "A4_5", "A4_12", "A4_14", "A4_21")
 
@@ -110,6 +125,9 @@ def commands() -> list[list[str]]:
         ["reduce", "--case", "A3_11", "--subalgebra", "X1"],
         ["reduce", "--case", "A3_5", "--subalgebra", "X9"],
     ]
+    for scheme in ("exact-linear", "rk4"):
+        out += [["solve", *system, "--x0", x0, "--intervals", n, "--scheme", scheme,
+                 "--format", "json"] for system, x0, n in _SOLVES]
     return out
 
 
@@ -120,7 +138,8 @@ def _golden() -> dict[tuple[str, ...], dict]:
 
 
 @pytest.mark.parametrize("argv", commands(), ids=" ".join)
-def test_matches_golden_bytes(capsys, argv):
+def test_matches_golden_bytes(capsys, monkeypatch, argv):
+    monkeypatch.chdir(GOLDEN.parent)
     record = _golden()[tuple(argv)]
     status = main(argv)
     captured = capsys.readouterr()
@@ -133,6 +152,7 @@ def test_golden_file_holds_only_these_commands():
 
 
 if __name__ == "__main__":
+    os.chdir(GOLDEN.parent)
     records = []
     for argv in commands():
         out, err = io.StringIO(), io.StringIO()

@@ -173,9 +173,11 @@ def test_post_init_checks_still_run(build):
 
 
 def test_cli_import_loads_no_dataclasses_inspect_or_fractions():
+    # nor typing: annotations are strings, so no module imports typing names.
     # -S keeps site-packages .pth hooks, which may import anything, out of it
     code = ("import sys; sys.path.insert(0, sys.argv[1]); import delaysym.cli; "
-            "print(sorted({'dataclasses', 'inspect', 'fractions'} & set(sys.modules)))")
+            "print(sorted({'dataclasses', 'inspect', 'fractions', 'typing'}"
+            " & set(sys.modules)))")
     out = subprocess.run([sys.executable, "-S", "-c", code, SRC], capture_output=True,
                          text=True, check=True, timeout=60).stdout
     assert out.strip() == "[]"

@@ -1,16 +1,21 @@
 """Method of steps solver and the piecewise solution container."""
 
+import bisect
 import json
 import math
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import delaysym.expr as ex
-from delaysym.delay import ConstantDelay, Mesh, MoebiusDelay, QScaleDelay, build_mesh
+from delaysym.delay import (ConstantDelay, GeneralDelay, Mesh, MoebiusDelay, QScaleDelay,
+                            build_mesh)
 from delaysym.dods import (
     CatalogCase,
     Dods,
     GeneralRhs,
+    InitialCondition,
     LinearRhs,
     catalog,
     initial_condition,
@@ -50,6 +55,47 @@ def continuation(x):
     return -math.exp(x) + (x + 1) ** 2 + 1
 
 
+def hermite_value(seg, x):
+    """The cubic Hermite value at x, point by point: the span holding x,
+    the end spans extended past either end."""
+    n = seg.nodes
+    j = min(max(bisect.bisect_right(n, x) - 1, 0), len(n) - 2)
+    h = n[j + 1] - n[j]
+    t = (x - n[j]) / h
+    t2 = t * t
+    t3 = t2 * t
+    return ((2.0 * t3 - 3.0 * t2 + 1.0) * seg.values[j]
+            + (t3 - 2.0 * t2 + t) * h * seg.derivs[j]
+            + (-2.0 * t3 + 3.0 * t2) * seg.values[j + 1]
+            + (t3 - t2) * h * seg.derivs[j + 1])
+
+
+def bits(sol):
+    """Every stored float of a solution, as exact hex strings."""
+    return [[tuple(v.hex() for v in seq) for seq in (seg.nodes, seg.values, seg.derivs)]
+            for seg in sol.segments]
+
+
+_finite = st.floats(-1e3, 1e3, allow_nan=False)
+
+
+@st.composite
+def segments_and_points(draw):
+    gaps = draw(st.lists(st.floats(1e-3, 2.0), min_size=1, max_size=12))
+    nodes = [draw(st.floats(-5.0, 5.0))]
+    for g in gaps:
+        nodes.append(nodes[-1] + g)
+    n = len(nodes)
+    seg = Segment(tuple(nodes), tuple(draw(st.lists(_finite, min_size=n, max_size=n))),
+                  tuple(draw(st.lists(_finite, min_size=n, max_size=n))))
+    lo, hi = nodes[0], nodes[-1]
+    near = st.sampled_from([lo, hi, math.nextafter(lo, -math.inf),
+                            math.nextafter(hi, math.inf), lo - 0.5, hi + 0.5])
+    points = st.one_of(st.sampled_from(nodes), st.floats(lo - 1.0, hi + 1.0), near)
+    xs = draw(st.lists(points, max_size=30))
+    return seg, xs + xs[:3]  # unsorted, with repeats
+
+
 class TestSegment:
     def test_hermite_reproduces_cubics(self):
         # 2 point cubic Hermite data of a cubic is exact everywhere
@@ -86,6 +132,17 @@ class TestSegment:
 
         ratio = err(sampled(16)) / err(sampled(32))
         assert 12.0 < ratio < 20.0
+
+
+    @settings(max_examples=300, deadline=None)
+    @given(segments_and_points())
+    def test_batched_and_single_reads_are_the_hermite_value(self, case):
+        seg, xs = case
+        want = [hermite_value(seg, x).hex() for x in xs]
+        assert [v.hex() for v in seg.values_at(xs)] == want
+        assert [v.hex() for v in seg.values_at(iter(xs))] == want
+        assert [seg.value(x).hex() for x in xs] == want
+        assert [seg.evaluate(x)[0].hex() for x in xs] == want
 
 
 class TestPiecewiseSolution:
@@ -328,6 +385,73 @@ class TestSolve:
         for prev, seg in zip(s.segments, s.segments[1:]):
             for x, y, dy in zip(seg.nodes, seg.values, seg.derivs):
                 assert dy == e.dods.rhs_fn(x, y, prev.value(e.dods.delay.delayed_point(x)))
+
+    @pytest.mark.parametrize("case", ["A3_5", "A3_14", "A3_7"])
+    def test_rk4_linear_rhs_matches_the_generic_loop(self, case):
+        # RK4 takes alpha, beta*ym and gamma once per abscissa for a linear
+        # right hand side; the same system written as a general f gives the
+        # same bits
+        e = catalog(case)
+        r = e.dods.rhs
+        f = ex.Binary("+", ex.Binary("+", ex.Binary("*", r.alpha, ex.Var("y")),
+                                     ex.Binary("*", r.beta, ex.Var("ym"))), r.gamma)
+        general = Dods(GeneralRhs(f), e.dods.delay, e.dods.domain)
+        lo, hi = e.window
+        init = initial_condition("x + 4", e.dods.delay, lo + 0.08 * (hi - lo))
+        config = SolverConfig(Scheme.RK4, step_count=32)
+        assert bits(solve(e.dods, init, 2, config)) == bits(solve(general, init, 2, config))
+
+    @pytest.mark.parametrize("scheme", list(Scheme))
+    def test_moebius_pole_raises(self, scheme):
+        # x0 = -1 is the pole of A3_7's x- = (x - 1)/(1 + x); every forward
+        # point lies right of x0, so the pole can only meet the history start
+        e = catalog("A3_7")
+        init = InitialCondition(ex.Num(1.0), -3.0, -1.0)
+        with pytest.raises(DomainError, match="pole at x = -1.0"):
+            solve(e.dods, init, 1, SolverConfig(scheme))
+
+    # g(x) >= x on |x - 0.6| < 0.059, inside the first interval [0, ~1]
+    _BUMP = GeneralDelay(ex.parse("x - 1 + 2*exp(-200*(x - 0.6)^2)"))
+
+    @staticmethod
+    def _rk4_abscissae(a, b, m):
+        """RK4's nodes on [a, b] with each step's midpoint, in marching order."""
+        nodes = [a + (b - a) * j / m for j in range(m + 1)]
+        out = []
+        for x in nodes[:-1]:
+            out += [x, x + 0.5 * ((b - a) / m)]
+        return out + nodes[-1:]
+
+    @pytest.mark.parametrize("rhs", [LinearRhs(ex.Num(-1.0), ex.Num(0.5), ex.Num(0.0)),
+                                     GeneralRhs(ex.parse("-y + 0.5*ym", ("y", "ym")))])
+    def test_delay_failing_mid_interval_names_the_first_abscissa(self, rhs):
+        d = Dods(rhs, self._BUMP)
+        init = initial_condition("1", d.delay, 0.0)
+        a, b = build_mesh(d.delay, 0.0, 1).points[1:]
+        m = 64
+        first = next(x for x in self._rk4_abscissae(a, b, m) if not d.delay._g(x) < x)
+        with pytest.raises(DomainError, match=f"not a delay at x = {first!r}:"):
+            solve(d, init, 1, SolverConfig(Scheme.RK4, step_count=m))
+        if isinstance(rhs, LinearRhs):
+            with pytest.raises(DomainError, match="not a delay"):
+                solve(d, init, 1, SolverConfig(Scheme.EXACT_LINEAR, step_count=m))
+
+    @pytest.mark.parametrize("general", [False, True])
+    def test_coefficient_leaving_its_domain_names_the_first_abscissa(self, general):
+        # sqrt(0.6 - x) is real on the first interval [0, 1] only up to 0.6
+        alpha = ex.parse("sqrt(0.6 - x)")
+        if general:
+            rhs = GeneralRhs(ex.Binary("*", alpha, ex.Var("y")))
+        else:
+            rhs = LinearRhs(alpha, ex.Num(0.5), ex.Num(0.0))
+        d = Dods(rhs, ConstantDelay(1.0))
+        first = next(x for x in self._rk4_abscissae(0.0, 1.0, 64) if 0.6 - x < 0.0)
+        with pytest.raises(DomainError) as raised:
+            solve(d, initial_condition("1", d.delay, 0.0), 1,
+                  SolverConfig(Scheme.RK4, step_count=64))
+        with pytest.raises(DomainError) as expected:
+            ex.compile(alpha, ("x",))(first)
+        assert str(raised.value) == str(expected.value)
 
     def test_step_count_validation(self):
         with pytest.raises(ParameterDomainError):
