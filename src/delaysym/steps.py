@@ -81,55 +81,45 @@ class Segment(ex.Record):
     def hi(self) -> float:
         return self.nodes[-1]
 
-    def _span(self, x: float) -> tuple[int, float, float]:
-        """(j, h, t): x lies at t*h past node j, with h = nodes[j+1] - nodes[j];
-        endpoints of the span clamp j."""
-        j = bisect.bisect_right(self.nodes, x) - 1
-        last = len(self.nodes) - 2
-        j = 0 if j < 0 else last if j > last else j  # a tenth of min(max())
-        x0 = self.nodes[j]
-        h = self.nodes[j + 1] - x0
-        return j, h, (x - x0) / h
-
     def value(self, x: float) -> float:
         """The interpolated value at x."""
-        return self.values_at((x,))[0]
+        return self._read((x,), False)[0]
 
     def values_at(self, xs: Iterable[float]) -> list[float]:
-        """The interpolated value at each of xs, in order, with the span
-        choice and arithmetic of evaluate; xs need not be sorted, and points
-        past either end extrapolate the end span."""
+        """The interpolated value at each of xs, in order; bit for bit
+        [value(x) for x in xs]."""
+        return self._read(xs, False)
+
+    def evaluate(self, x: float) -> tuple[float, float]:
+        """(value, slope) at x."""
+        return self._read((x,), True)[0]
+
+    def _read(self, xs: Iterable[float], slopes: bool) -> list:
+        """The value, or with slopes the (value, slope) pair, at each of xs.
+        x lies t*h past node j, with h = nodes[j+1] - nodes[j]; the end spans
+        extend past either end, so xs need not be sorted or inside [lo, hi]."""
         nodes, values, derivs = self.nodes, self.values, self.derivs
         last = len(nodes) - 2
         right = bisect.bisect_right
         out = []
         for x in xs:
             j = right(nodes, x) - 1
-            j = 0 if j < 0 else last if j > last else j
+            j = 0 if j < 0 else last if j > last else j  # a tenth of min(max())
             x0 = nodes[j]
             h = nodes[j + 1] - x0
             t = (x - x0) / h
             t2 = t * t
             t3 = t2 * t
-            out.append((2.0 * t3 - 3.0 * t2 + 1.0) * values[j]
-                       + (t3 - 2.0 * t2 + t) * h * derivs[j]
-                       + (-2.0 * t3 + 3.0 * t2) * values[j + 1]
-                       + (t3 - t2) * h * derivs[j + 1])
+            y = ((2.0 * t3 - 3.0 * t2 + 1.0) * values[j]
+                 + (t3 - 2.0 * t2 + t) * h * derivs[j]
+                 + (-2.0 * t3 + 3.0 * t2) * values[j + 1]
+                 + (t3 - t2) * h * derivs[j + 1])
+            if slopes:
+                y = y, ((6.0 * t2 - 6.0 * t) * (values[j] - values[j + 1]) / h
+                        + (3.0 * t2 - 4.0 * t + 1.0) * derivs[j]
+                        + (3.0 * t2 - 2.0 * t) * derivs[j + 1])
+            out.append(y)
         return out
-
-    def evaluate(self, x: float) -> tuple[float, float]:
-        """(value, slope) at x."""
-        j, h, t = self._span(x)
-        y0, y1 = self.values[j], self.values[j + 1]
-        d0, d1 = self.derivs[j], self.derivs[j + 1]
-        t2 = t * t
-        t3 = t2 * t
-        y = ((2.0 * t3 - 3.0 * t2 + 1.0) * y0 + (t3 - 2.0 * t2 + t) * h * d0
-             + (-2.0 * t3 + 3.0 * t2) * y1 + (t3 - t2) * h * d1)
-        dy = ((6.0 * t2 - 6.0 * t) * (y0 - y1) / h
-              + (3.0 * t2 - 4.0 * t + 1.0) * d0
-              + (3.0 * t2 - 2.0 * t) * d1)
-        return y, dy
 
 
 class PiecewiseSolution(ex.Record):
@@ -425,7 +415,9 @@ def _rk4_linear_interval(d: Dods, prev: Segment, nodes: tuple[float, ...],
                          h: float) -> Segment:
     """_rk4_interval for alpha*y + beta*ym + gamma, bit for bit: alpha,
     beta*ym and gamma are taken once per abscissa, in rhs_fn's order, and
-    each slope is rhs_fn's (alpha*y + beta*ym) + gamma."""
+    each slope is rhs_fn's (alpha*y + beta*ym) + gamma.  Kept apart from
+    _rk4_interval because that loop's four rhs_fn calls per step make the
+    benchmark's march round ~5 % slower."""
     alpha_f, beta_f, gamma_f = d.coefficient_fns
     xs, yms = _delayed_abscissae(d, prev, nodes, h)
     terms = [(alpha_f(x), beta_f(x) * ym, gamma_f(x)) for x, ym in zip(xs, yms)]
