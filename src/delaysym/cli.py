@@ -55,14 +55,15 @@ def _case_from_args(args: argparse.Namespace) -> CatalogCase:
 
 
 def _system_from_args(args: argparse.Namespace):
-    """(dods, window) from either --case or --spec."""
+    """(dods, window, history) from either --case or --spec; the history is
+    the system file's initial condition, or None."""
     if getattr(args, "case", None):
         entry = catalog(_case_from_args(args))
-        return entry.dods, entry.window
+        return entry.dods, entry.window, None
     if getattr(args, "spec", None):
         with open(args.spec, "r", encoding="utf-8") as fh:
-            d, _ = load_spec(fh.read())
-        return d, _window_for(d.domain)
+            d, history = load_spec(fh.read())
+        return d, _window_for(d.domain), history
     raise ParameterDomainError("pass either --case or --spec")
 
 
@@ -112,8 +113,15 @@ def _cmd_catalog(args: argparse.Namespace) -> int:
 
 
 def _cmd_solve(args: argparse.Namespace) -> int:
-    d, _ = _system_from_args(args)
-    init = initial_condition(args.phi, d.delay, args.x0)
+    d, _, history = _system_from_args(args)
+    phi, x0 = args.phi, args.x0  # --phi and --x0 override the system file's
+    if history is not None:
+        phi = history.phi if phi is None else phi
+        x0 = history.x0 if x0 is None else x0
+    if phi is None or x0 is None:
+        raise ParameterDomainError(
+            "solve needs a history: pass --phi and --x0, or set phi and x0 in the system file")
+    init = initial_condition(phi, d.delay, x0)
     scheme = Scheme(args.scheme)
     s = solve(d, init, args.intervals, SolverConfig(scheme=scheme))
     text = s.to_json() + "\n" if args.format == "json" else s.to_csv()
@@ -189,7 +197,7 @@ def _norm_label(label: str) -> str:
 
 
 def _cmd_verify(args: argparse.Namespace) -> int:
-    d, window = _system_from_args(args)
+    d, window, _ = _system_from_args(args)
     if args.solution_file:
         with open(args.solution_file, "r", encoding="utf-8") as fh:
             s = solution_from_json(fh.read())
@@ -229,8 +237,8 @@ def _build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("solve", help="march a system by the method of steps")
     add_case_opts(p, with_spec=True)
-    p.add_argument("--phi", required=True, help="history function of x")
-    p.add_argument("--x0", type=float, required=True)
+    p.add_argument("--phi", help="history function of x; a --spec file may set it")
+    p.add_argument("--x0", type=float, help="start of the solution; a --spec file may set it")
     p.add_argument("--intervals", type=int, default=3)
     p.add_argument("--scheme", choices=[s.value for s in Scheme],
                    default=Scheme.EXACT_LINEAR.value)
@@ -272,6 +280,8 @@ def main(argv: Sequence[str] | None = None) -> int:
     args = parser.parse_args(argv)
     if args.command == "catalog" and args.action == "show" and not args.case:
         parser.error("catalog show needs a case id")
+    if args.command == "solve" and not args.spec and (args.phi is None or args.x0 is None):
+        parser.error("solve needs --phi and --x0 unless a --spec file sets them")
     try:
         return args.run(args)
     except DelaySymError as e:

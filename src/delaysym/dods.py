@@ -43,7 +43,6 @@ __all__ = [
 
 _Y = ex.Var("y")
 _YM = ex.Var("ym")
-_MANIFOLD_VARS = ("x", "y", "xm", "ym")
 
 
 class LinearRhs(ex.Record):
@@ -100,8 +99,9 @@ class Dods(ex.Record):
             ex.check_variables(self.rhs_manifold, {"x", "y", "xm", "ym"},
                                "manifold form may only use x, y, xm, ym")
 
-    # Compiled forms of the trees, built on first use and kept with the
-    # system; nothing compiles while a system is only built or printed.
+    # Compiled forms of the trees, and the derivative trees a prolongation
+    # compiles, built on first use and kept with the system; nothing is
+    # differentiated or compiled while a system is only built or printed.
 
     @functools.cached_property
     def rhs_fn(self) -> Callable[[float, float, float], float]:
@@ -124,14 +124,12 @@ class Dods(ex.Record):
         return tuple(ex.compile(c, ("x",)) for c in (r.alpha, r.beta, r.gamma))
 
     @functools.cached_property
-    def manifold_partial_fns(self) -> tuple[Callable[[float, float, float, float], float], ...]:
+    def manifold_partials(self) -> tuple[ex.Expr, ...]:
         """Partial derivatives of the manifold form with respect to x, y, xm
-        and ym, each compiled as a function of (x, y, xm, ym).  Without a
-        manifold form the substituted right hand side stands in, with no xm
-        dependence left."""
+        and ym, as trees over (x, y, xm, ym).  Without a manifold form the
+        substituted right hand side stands in, with no xm dependence left."""
         m = self.rhs_manifold if self.rhs_manifold is not None else self.rhs.as_expr()
-        return tuple(ex.compile(ex.fold(ex.differentiate(m, v)), _MANIFOLD_VARS)
-                     for v in _MANIFOLD_VARS)
+        return tuple(ex.fold(ex.differentiate(m, v)) for v in ("x", "y", "xm", "ym"))
 
     def rhs_value(self, x: float, y: float, ym: float) -> float:
         return self.rhs_fn(x, y, ym)

@@ -39,6 +39,7 @@ __all__ = [
     "parse",
     "evaluate",
     "compile",
+    "compile_many",
     "differentiate",
     "to_text",
     "substitute",
@@ -434,19 +435,29 @@ def _eval(e: Expr, b: Mapping[str, float]) -> float:
 # ---------------------------------------------------------------------------
 # compilation
 #
-# compile() turns a tree into one Python function of positional arguments.
-# It walks the tree in the order _eval visits it (child before parent, left
-# before right) and emits one statement per operator node, t<k> = <op>, with
-# a node's domain guard on the line before it; the first use of an argument
-# coerces it with float() on a line of its own, as _eval does at every use.
-# The generated code therefore does the same IEEE operations in the same
-# order and raises the same errors at the same point, and a deep tree gives a
-# long function, never deeply nested source.
+# compile_many() turns trees into one Python function of positional
+# arguments that returns the tuple of their values; compile() is its one-tree
+# case and returns the value itself.  The emitter walks each tree in the
+# order _eval visits it (child before parent, left before right) and emits
+# one statement per operator node, t<k> = <op>, with a node's domain guard on
+# the line before it; the first use of an argument coerces it with float()
+# on a line of its own, as _eval does at every use.
 #
-# The source is assembled only from the fixed templates below and generated
-# names: arguments a0, a1, ..., temporaries t0, t1, ..., and closure values
-# k0, k1, ... bound to each Num's own value, so no number or variable name
-# is ever spliced in as text.
+# Nodes are value numbered: an operator node's key is its op plus the names
+# of its operands, and a constant's key is float.hex of its value (never ==,
+# so 0.0 and -0.0 stay apart).  A node whose key is already named reuses that
+# name, so a subtree shared within or across the trees, guard included, runs
+# once, at its first use.  Keys are flat tuples of names built bottom-up,
+# never hashes of subtrees, so a deep tree is keyed without recursion; a node
+# object met again is looked up by identity and not walked twice.
+#
+# The operations are pure, so the generated code gives every value bit for
+# bit as evaluate does tree by tree and raises the same first error at the
+# same point, and a deep tree gives a long function, never deeply nested
+# source.  The source is assembled only from the fixed templates below and
+# generated names: arguments a0, a1, ..., temporaries t0, t1, ..., and
+# closure values k0, k1, ... bound to the constants, so no number or variable
+# name is ever spliced in as text.
 
 _UNARY_TEMPLATES = {
     "neg": "-{0}",
@@ -491,6 +502,18 @@ def compile(e: Expr, args: Sequence[str]) -> Callable[..., float]:
     A variable of e missing from args raises UnboundVariable when the
     evaluation reaches it, as in evaluate.
     """
+    return _generate((e,), args, single=True)
+
+
+def compile_many(trees: Iterable[Expr], args: Sequence[str]) -> Callable[..., tuple]:
+    """A function of len(args) positional values that returns the tuple of
+    every tree's value, each bit for bit what compile(tree, args) gives, and
+    raises the error that calling those functions in order raises first.
+    A subtree the trees share is evaluated once."""
+    return _generate(tuple(trees), args, single=False)
+
+
+def _generate(trees: tuple[Expr, ...], args: Sequence[str], single: bool) -> Callable:
     args = tuple(args)
     if len(set(args)) != len(args):
         raise ValueError(f"duplicate argument names in {args!r}")
@@ -498,61 +521,75 @@ def compile(e: Expr, args: Sequence[str]) -> Callable[..., float]:
     consts: list[object] = []
     lines: list[str] = []
     coerced: set[int] = set()
+    numbered: dict = {}  # value number key -> the name holding that value
+    seen: dict[int, str] = {}  # id of an operator node already named -> its name
     names: list[str] = []  # the name holding each evaluated operand
+    outputs: list[str] = []
 
     def const(value: object) -> str:
         consts.append(value)
         return f"k{len(consts) - 1}"
 
-    todo: list[tuple[Expr, bool]] = [(e, False)]
-    while todo:
-        node, expanded = todo.pop()
-        if isinstance(node, Num):
-            names.append(const(node.value))
-        elif isinstance(node, Var):
-            i = position.get(node.name)
-            if i is None:
-                lines.append(f"raise _unbound({const(node.name)})")
-                names.append("None")
+    for tree in trees:
+        todo: list[tuple[Expr, bool]] = [(tree, False)]
+        while todo:
+            node, expanded = todo.pop()
+            if expanded:
+                arity = 1 if isinstance(node, Unary) else 2
+                key = (node.op, *names[-arity:])
+                del names[-arity:]
+                name = numbered.get(key)
+                if name is None:
+                    template = (_UNARY_TEMPLATES if arity == 1 else _BINARY_TEMPLATES).get(node.op)
+                    if template is None:
+                        kind = "unary" if arity == 1 else "binary"
+                        raise ValueError(f"bad {kind} op {node.op!r}")
+                    guard = _GUARDS.get(node.op)
+                    if guard is not None:
+                        lines.append(guard.format(*key[1:]))
+                    name = numbered[key] = f"t{len(lines)}"
+                    lines.append(f"{name} = {template.format(*key[1:])}")
+                seen[id(node)] = name
+            elif (name := seen.get(id(node))) is not None:
+                pass
+            elif isinstance(node, Num):
+                v = node.value
+                key = v.hex() if type(v) is float else (type(v), v)
+                name = numbered.get(key)
+                if name is None:
+                    name = numbered[key] = const(v)
+            elif isinstance(node, Var):
+                i = position.get(node.name)
+                if i is None:
+                    lines.append(f"raise _unbound({const(node.name)})")
+                    name = "None"
+                else:
+                    if i not in coerced:
+                        coerced.add(i)
+                        lines.append(f"a{i} = float(a{i})")
+                    name = f"a{i}"
             else:
-                if i not in coerced:
-                    coerced.add(i)
-                    lines.append(f"a{i} = float(a{i})")
-                names.append(f"a{i}")
-        elif not expanded:
-            todo.append((node, True))
-            if isinstance(node, Unary):
-                todo.append((node.child, False))
-            elif isinstance(node, Binary):
-                todo.append((node.right, False))
-                todo.append((node.left, False))
-            else:
-                raise TypeError(f"not an expression node: {node!r}")
-        else:
-            if isinstance(node, Unary):
-                template, arity = _UNARY_TEMPLATES.get(node.op), 1
-            else:
-                template, arity = _BINARY_TEMPLATES.get(node.op), 2
-            if template is None:
-                kind = "unary" if arity == 1 else "binary"
-                raise ValueError(f"bad {kind} op {node.op!r}")
-            operands = names[-arity:]
-            del names[-arity:]
-            guard = _GUARDS.get(node.op)
-            if guard is not None:
-                lines.append(guard.format(*operands))
-            target = f"t{len(lines)}"
-            lines.append(f"{target} = {template.format(*operands)}")
-            names.append(target)
+                todo.append((node, True))
+                if isinstance(node, Unary):
+                    todo.append((node.child, False))
+                elif isinstance(node, Binary):
+                    todo.append((node.right, False))
+                    todo.append((node.left, False))
+                else:
+                    raise TypeError(f"not an expression node: {node!r}")
+                continue
+            names.append(name)
+        outputs.append(names.pop())
     params = ", ".join(f"a{i}" for i in range(len(args)))
     cells = ", ".join(f"k{i}" for i in range(len(consts)))
     body = "".join(f"            {line}\n" for line in lines)
+    returned = outputs[0] if single else f"({''.join(f'{name}, ' for name in outputs)})"
     source = (
         f"def _make({cells}):\n"
         f"    def compiled({params}):\n"
         f"        try:\n"
         f"{body}"
-        f"            return {names[0]}\n"
+        f"            return {returned}\n"
         f"        except OverflowError as exc:\n"
         f"            raise _overflow(exc) from exc\n"
         f"    return compiled\n"
@@ -564,9 +601,10 @@ def compile(e: Expr, args: Sequence[str]) -> Callable[..., float]:
 
 @functools.lru_cache(maxsize=1024)
 def _bytecode(source: str) -> CodeType:
-    # numbers are closure values, so the source depends on the tree's shape
-    # only: systems rebuilt with new constants (a parameter sweep, a catalog
-    # case at other parameters) reuse the bytecode
+    # numbers are closure values, so the source depends only on the trees'
+    # shapes and on which of their constants are equal: systems rebuilt with
+    # new constants (a parameter sweep, a catalog case at other parameters)
+    # reuse the bytecode
     return builtins.compile(source, "<delaysym.expr.compile>", "exec")
 
 

@@ -71,28 +71,40 @@ class VectorField(ex.Record):
     # -- pointwise evaluation -------------------------------------------
 
     @functools.cached_property
+    def _trees(self) -> tuple[ex.Expr, ...]:
+        """xi(x), xi(xm), eta(x, y), eta(xm, ym), eta_x, eta_y and xi'(x) as
+        trees over x, y, xm and ym.  An eta whose r is a computed solution
+        has no tree: its four values are the variables _OUTSIDE_ARGS."""
+        eta = self.eta
+        if _computed_r(self) is not None:
+            etas = tuple(ex.Var(name) for name in _OUTSIDE_ARGS)
+        else:
+            if isinstance(eta, AffineEta):
+                # p y + r in the order of operations of the point methods
+                p, r, y = eta.p, ex.as_expr(eta.r, ("x",)), ex.Var("y")
+                eta = ex.Binary("+", ex.Binary("*", p, y), r)
+                eta_x = ex.Binary("+", ex.Binary("*", _deriv(p, "x"), y), _deriv(r, "x"))
+                eta_y = p
+            else:
+                eta_x, eta_y = _deriv(eta, "x"), _deriv(eta, "y")
+            etas = (eta, ex.substitute(eta, _AT_DELAYED), eta_x, eta_y)
+        return (self.xi, ex.substitute(self.xi, _AT_DELAYED)) + etas + (_deriv(self.xi, "x"),)
+
+    @functools.cached_property
     def _compiled(self) -> tuple[Callable[..., float], ...]:
         """(xi(x), xi'(x), eta(x, y), eta_x(x, y), eta_y(x, y)), compiled on
         first use."""
-        x = ("x",)
-        xi = ex.compile(self.xi, x)
-        xi_prime = ex.compile(_deriv(self.xi, "x"), x)
-        if not isinstance(self.eta, AffineEta):
-            xy = ("x", "y")
-            return (xi, xi_prime, ex.compile(self.eta, xy),
-                    ex.compile(_deriv(self.eta, "x"), xy),
-                    ex.compile(_deriv(self.eta, "y"), xy))
+        xi, _, eta, _, eta_x, eta_y, xi_prime = self._trees
+        x, xy = ("x",), ("x", "y")
+        r = _computed_r(self)
+        if r is None:
+            return (ex.compile(xi, x), ex.compile(xi_prime, x), ex.compile(eta, xy),
+                    ex.compile(eta_x, xy), ex.compile(eta_y, xy))
         p = ex.compile(self.eta.p, x)
         p_x = ex.compile(_deriv(self.eta.p, "x"), x)
-        r = self.eta.r
-        if isinstance(r, PiecewiseSolution):
-            r_value, r_slope = r.value, lambda u: r.eval(u)[2]
-        else:
-            r = ex.as_expr(r, x)
-            r_value, r_slope = ex.compile(r, x), ex.compile(_deriv(r, "x"), x)
-        return (xi, xi_prime,
-                lambda u, y: p(u) * y + r_value(u),
-                lambda u, y: p_x(u) * y + r_slope(u),
+        return (ex.compile(xi, x), ex.compile(xi_prime, x),
+                lambda u, y: p(u) * y + r.value(u),
+                lambda u, y: p_x(u) * y + r.eval(u)[2],
                 lambda u, y: p(u))
 
     def xi_at(self, x: float) -> float:
@@ -111,6 +123,12 @@ class VectorField(ex.Record):
         return self._compiled[4](x, y)
 
 
+def _computed_r(v: VectorField) -> PiecewiseSolution | None:
+    if isinstance(v.eta, AffineEta) and isinstance(v.eta.r, PiecewiseSolution):
+        return v.eta.r
+    return None
+
+
 def _deriv(e: ex.Expr, name: str) -> ex.Expr:
     return ex.fold(ex.differentiate(e, name))
 
@@ -121,47 +139,79 @@ class Invariance(enum.Enum):
     NOT_INVARIANT = "not-invariant"
 
 
-def _prolong_terms(v: VectorField, d: Dods,
-                   point: tuple[float, float, float, float, float]
-                   ) -> tuple[float, float, float]:
-    x, y, xm, ym, ydot = point
-    m_x, m_y, m_xm, m_ym = [p(x, y, xm, ym) for p in d.manifold_partial_fns]
+# The prolongation at a point is one compiled call: the kernel of a field on
+# a system takes (x, y, xm, ym, ydot, g'(x)) and returns m_x, m_y, m_xm,
+# m_ym, xi(x), xi(xm), eta(x, y), eta(xm, ym), eta_x, eta_y, xi'(x), pr1, pr2
+# and the seven magnitudes whose largest is the scale, evaluated in that
+# order from shared subexpressions.  An eta whose r is a computed solution
+# has no tree: its four values come from the field's point methods and are
+# passed in after the six point arguments.
 
-    xi = v.xi_at(x)
-    xi_m = v.xi_at(xm)
-    eta = v.eta_at(x, y)
-    eta_m = v.eta_at(xm, ym)
-    zeta = v.eta_x_at(x, y) + v.eta_y_at(x, y) * ydot - ydot * v.xi_prime_at(x)
+_KERNEL_ARGS = ("x", "y", "xm", "ym", "ydot", "gp")
+_OUTSIDE_ARGS = ("eta", "eta_m", "eta_x", "eta_y")
+_AT_DELAYED = {"x": ex.Var("xm"), "y": ex.Var("ym")}
 
-    terms = (zeta, xi * m_x, eta * m_y, xi_m * m_xm, eta_m * m_ym)
-    pr1 = terms[0] - (terms[1] + terms[2] + terms[3] + terms[4])
-    pr2 = xi_m - xi * d.delay.derivative(x)
-    scale = max(abs(t) for t in terms + (xi_m, xi * d.delay.derivative(x)))
-    return pr1, pr2, scale
+
+def _kernel(v: VectorField, d: Dods) -> Callable[..., tuple[float, ...]]:
+    """The prolongation kernel of v on d, kept on v for the last system it
+    was built for; like every compiled form it is left out of pickles."""
+    hit = v.__dict__.get("_kernel")
+    if hit is not None and hit[0] is d:
+        return hit[1]
+    partials, trees = d.manifold_partials, v._trees
+    xi, xi_m, eta, eta_m, eta_x, eta_y, xi_prime = trees
+    B, ydot = ex.Binary, ex.Var("ydot")
+    # the arithmetic of the per-term formulas, in their order of operations
+    zeta = B("-", B("+", eta_x, B("*", eta_y, ydot)), B("*", ydot, xi_prime))
+    terms = (zeta, B("*", xi, partials[0]), B("*", eta, partials[1]),
+             B("*", xi_m, partials[2]), B("*", eta_m, partials[3]))
+    xi_g = B("*", xi, ex.Var("gp"))
+    pr1 = B("-", zeta, B("+", B("+", B("+", terms[1], terms[2]), terms[3]), terms[4]))
+    pr2 = B("-", xi_m, xi_g)
+    outside = _computed_r(v) is not None
+    fn = ex.compile_many(
+        partials + trees + (pr1, pr2) + tuple(ex.Unary("abs", t) for t in terms + (xi_m, xi_g)),
+        _KERNEL_ARGS + _OUTSIDE_ARGS if outside else _KERNEL_ARGS)
+    if outside:
+        _, _, eta_at, eta_x_at, eta_y_at = v._compiled
+        kernel = fn
+
+        def fn(x, y, xm, ym, ydot, gp):
+            return kernel(x, y, xm, ym, ydot, gp, eta_at(x, y), eta_at(xm, ym),
+                          eta_x_at(x, y), eta_y_at(x, y))
+    v.__dict__["_kernel"] = (d, fn)
+    return fn
+
+
+def _prolongation(v: VectorField, d: Dods
+                  ) -> Callable[[tuple[float, ...]], tuple[float, float, float]]:
+    """(pr1, pr2, scale) at a point (x, y, xm, ym, ydot): the two applied
+    values and the largest magnitude that entered them."""
+    kernel, derivative = _kernel(v, d), d.delay.derivative
+
+    def terms(point: tuple[float, ...]) -> tuple[float, float, float]:
+        x, y, xm, ym, ydot = point
+        out = kernel(x, y, xm, ym, ydot, derivative(x))
+        return out[11], out[12], max(out[13:])
+    return terms
 
 
 def prolong_apply(v: VectorField, d: Dods,
                   point: tuple[float, float, float, float, float]
                   ) -> tuple[float, float]:
     """Apply the prolonged field to (F1, F2) at (x, y, xm, ym, ydot)."""
-    pr1, pr2, _ = _prolong_terms(v, d, point)
+    pr1, pr2, _ = _prolongation(v, d)(point)
     return pr1, pr2
 
 
-def _r_breakpoints(v: VectorField) -> tuple[float, ...]:
-    if isinstance(v.eta, AffineEta) and isinstance(v.eta.r, PiecewiseSolution):
-        return v.eta.r.mesh.points
-    return ()
-
-
-def _judge(v: VectorField, d: Dods,
+def _judge(terms: Callable[[tuple[float, ...]], tuple[float, float, float]],
            point: tuple[float, float, float, float, float]
            ) -> tuple[float, bool] | None:
     """(largest applied value, whether it is within 1e-7 (1 + scale)) at a
     point, or None when the point cannot be evaluated or a term overflows:
     max() drops NaN, so a non-finite sample would otherwise read as zero."""
     try:
-        pr1, pr2, scale = _prolong_terms(v, d, point)
+        pr1, pr2, scale = terms(point)
     except (DomainError, OutOfRange, MeshRangeError):
         return None
     if not (math.isfinite(pr1) and math.isfinite(pr2) and math.isfinite(scale)):
@@ -187,7 +237,9 @@ def check_invariance(v: VectorField, d: Dods, samples: int = 200,
         raise ParameterDomainError("need at least one sample")
     lo, hi = window if window is not None else _window_for(d.domain)
     rng = random.Random(seed)
-    breaks = _r_breakpoints(v)
+    r = _computed_r(v)
+    breaks = r.mesh.points if r is not None else ()
+    terms = _prolongation(v, d)
 
     def fresh_point() -> tuple[float, float, float, float, float] | None:
         x = rng.uniform(lo, hi)
@@ -209,7 +261,7 @@ def check_invariance(v: VectorField, d: Dods, samples: int = 200,
         if len(on_points) == samples:
             break
         pt = fresh_point()
-        judged = None if pt is None else _judge(v, d, pt)
+        judged = None if pt is None else _judge(terms, pt)
         if judged is None:
             continue
         on_points.append(pt)
@@ -226,7 +278,7 @@ def check_invariance(v: VectorField, d: Dods, samples: int = 200,
                    (x, y, xm, ym + sign, ydot),
                    (x, y, xm, ym, ydot + sign),
                    (x, y, xm + sign * (x - xm) / 2.0, ym, ydot)):
-            judged = _judge(v, d, pt)
+            judged = _judge(terms, pt)
             if judged is not None and not judged[1]:
                 return max_on, Invariance.WEAK
     return max_on, Invariance.STRONG

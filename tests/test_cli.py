@@ -106,6 +106,36 @@ class TestSolve:
             main(["solve", "--phi", "x"])
         assert info.value.code == 2
 
+    def test_history_from_the_system_file(self, capsys, spec_file, tmp_path):
+        with_history = tmp_path / "history.dods"
+        with_history.write_text(SPEC + "phi = (x + 1)^2\nx0 = 0\n")
+        from_file = run(capsys, "solve", "--spec", str(with_history), "--intervals", "2")
+        from_flags = run(capsys, "solve", "--spec", spec_file, "--phi", "(x + 1)^2",
+                         "--x0", "0", "--intervals", "2")
+        assert from_file == from_flags and from_file[0] == 0
+
+    def test_flags_override_the_system_file(self, capsys, spec_file, tmp_path):
+        with_history = tmp_path / "history.dods"
+        with_history.write_text(SPEC + "phi = 7\nx0 = 3\n")
+        overridden = run(capsys, "solve", "--spec", str(with_history), "--phi", "(x + 1)^2",
+                         "--x0", "0", "--intervals", "2")
+        from_flags = run(capsys, "solve", "--spec", spec_file, "--phi", "(x + 1)^2",
+                         "--x0", "0", "--intervals", "2")
+        assert overridden == from_flags
+        code, out, _ = run(capsys, "solve", "--spec", str(with_history), "--x0", "1",
+                           "--intervals", "1")
+        assert code == 0 and out.splitlines()[1] == "0,7,0,0"  # x = g(1), phi = 7
+
+    def test_system_file_without_history_needs_the_flags(self, capsys, spec_file):
+        code, out, err = run(capsys, "solve", "--spec", spec_file, "--phi", "x")
+        assert code == 1 and out == ""
+        assert err.startswith("ParameterDomainError: solve needs a history")
+
+    def test_catalog_case_needs_both_flags(self):
+        with pytest.raises(SystemExit) as info:
+            main(["solve", "--case", "A3_5", "--phi", "x"])
+        assert info.value.code == 2
+
     def test_solver_error_is_reported(self, capsys, spec_file):
         # phi(x0) mismatch cannot happen (phi defines the value), but a
         # domain violation can: qscale case started at negative x0

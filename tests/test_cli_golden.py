@@ -6,7 +6,9 @@ before the catalog cases were folded into one table, so every case's
 listing, system, generators and families is pinned to the bytes it printed
 then.  The ``solve`` records pin both schemes' output on every delay kind
 and on a general right hand side; they were recorded before the stepper read
-its history in batches.  Commands run from the data directory, so a
+its history in batches; the last record, a system file that sets its own
+phi and x0, was added when solve began to read them.  Commands run from the
+data directory, so a
 ``--spec`` file there is named by its bare file name.  Regenerate the file
 only in a change that states which CLI bytes it alters:
 
@@ -128,6 +130,8 @@ def commands() -> list[list[str]]:
     for scheme in ("exact-linear", "rk4"):
         out += [["solve", *system, "--x0", x0, "--intervals", n, "--scheme", scheme,
                  "--format", "json"] for system, x0, n in _SOLVES]
+    # a system file that sets phi and x0 itself
+    out += [["solve", "--spec", "history_spec.txt", "--intervals", "2", "--format", "json"]]
     return out
 
 

@@ -387,6 +387,112 @@ class TestCompile:
             ex.compile(ex.parse("x"), ("x", "x"))
 
 
+def _hex_outcome(fn, *a):
+    """("value", float.hex of each value) or (exception class, message)."""
+    try:
+        got = fn(*a)
+    except Exception as exc:
+        return type(exc), str(exc)
+    return "value", tuple(float.hex(v) for v in (got if isinstance(got, tuple) else (got,)))
+
+
+def _one_by_one(trees, args, values):
+    """What compile gives tree by tree: every value, or the first error."""
+    out = ()
+    for tree in trees:
+        got = _hex_outcome(ex.compile(tree, args), *values)
+        if got[0] != "value":
+            return got
+        out += got[1]
+    return "value", out
+
+
+def _chain(depth):
+    tree = ex.Var("x")
+    for i in range(depth):
+        tree = (ex.Binary("+", tree, ex.Num(0.5)) if i % 3 == 0 else
+                ex.Unary("sin", tree) if i % 3 == 1 else ex.Unary("neg", tree))
+    return tree
+
+
+def _right_chain(depth):
+    tree = ex.Var("x")
+    for _ in range(depth):
+        tree = ex.Binary("*", ex.Num(1.001), tree)
+    return tree
+
+
+# several trees over one shared subtree: the same object in some, an equal
+# copy (substitute rebuilds every operator node) in others
+_forests = st.tuples(
+    _trees,
+    st.lists(st.tuples(st.sampled_from(ex.BINARY_OPS), _trees, st.booleans()),
+             min_size=1, max_size=4),
+).map(lambda p: [p[0]] + [ex.Binary(op, p[0] if same else ex.substitute(p[0], {}), t)
+                          for op, t, same in p[1]])
+
+
+class TestCompileMany:
+    @settings(max_examples=400, deadline=None)
+    @given(_forests, st.tuples(*[_values | st.integers(-3, 3)] * 4))
+    def test_matches_compile_tree_by_tree(self, trees, values):
+        want = _one_by_one(trees, _ARGS, values)
+        got = _hex_outcome(ex.compile_many(trees, _ARGS), *values)
+        assert got == want, ([ex.to_text(t) for t in trees], values)
+
+    def test_signed_zero_constants_stay_apart(self):
+        trees = [ex.Num(0.0), ex.Num(-0.0), ex.Binary("*", ex.Num(-0.0), ex.Var("x")),
+                 ex.Binary("*", ex.Num(0.0), ex.Var("x"))]
+        got = ex.compile_many(trees, ("x",))(2.0)
+        assert [float.hex(v) for v in got] == ["0x0.0p+0", "-0x0.0p+0", "-0x0.0p+0",
+                                              "0x0.0p+0"]
+        assert _hex_outcome(ex.compile_many(trees, ("x",)), 2.0) == _one_by_one(
+            trees, ("x",), (2.0,))
+
+    def test_deep_chains(self):
+        # 400 and 350 levels, shared whole and rebuilt, key without recursion
+        left, right = _chain(400), _right_chain(350)
+        trees = [left, right, ex.Binary("-", left, ex.substitute(right, {})),
+                 ex.substitute(left, {})]
+        for x in (0.3, -2.0):
+            assert _hex_outcome(ex.compile_many(trees, ("x",)), x) == _one_by_one(
+                trees, ("x",), (x,))
+
+    @pytest.mark.parametrize("shared, x, message", [
+        ("ln(x)", 0.0, "ln of non-positive value 0.0"),
+        ("sqrt(x)", -1.0, "sqrt of negative value -1.0"),
+        ("1 / x", 0.0, "division by zero"),
+    ])
+    def test_shared_guarded_subtree_runs_once(self, monkeypatch, shared, x, message):
+        calls = []
+        for name in ("_log", "_sqrt"):
+            inner = ex._COMPILE_GLOBALS[name]
+            monkeypatch.setitem(ex._COMPILE_GLOBALS, name,
+                                lambda v, inner=inner: calls.append(v) or inner(v))
+        trees = [ex.parse(f"{shared} + 1"), ex.parse(f"2 * ({shared})"), ex.parse(shared)]
+        f = ex.compile_many(trees, ("x",))
+        with pytest.raises(DomainError) as caught:
+            f(x)
+        assert str(caught.value) == message
+        assert _hex_outcome(f, x) == _one_by_one(trees, ("x",), (x,))
+        calls.clear()
+        got = _hex_outcome(f, 4.0)
+        assert len(calls) == (0 if shared == "1 / x" else 1)
+        assert got == _one_by_one(trees, ("x",), (4.0,))
+
+    def test_one_tree_is_compile(self):
+        tree = ex.parse("x * exp(x) - exp(x)")
+        assert ex.compile_many([tree], ("x",))(1.5) == (ex.compile(tree, ("x",))(1.5),)
+        assert ex.compile_many([], ("x",))(1.5) == ()
+
+    def test_unbound_variable_after_earlier_trees(self):
+        f = ex.compile_many([ex.parse("ln(x)"), ex.parse("x + y", ("x", "y"))], ("x",))
+        with pytest.raises(DomainError):
+            f(0.0)
+        with pytest.raises(UnboundVariable, match="'y' has no bound value"):
+            f(1.0)
+
+
 def _random_tree(rng, depth):
     """Random expression over x, y with all node kinds reachable."""
     if depth == 0 or rng.random() < 0.3:

@@ -2,7 +2,12 @@
 
 import cmath
 import math
+import os
+import pathlib
 import pickle
+import random
+import subprocess
+import sys
 import warnings
 
 import pytest
@@ -17,8 +22,10 @@ from delaysym.dods import (
     catalog,
     initial_condition,
 )
+from delaysym import symmetry
 from delaysym.errors import (
     DegenerateRoot,
+    DelaySymError,
     DivergenceWarning,
     DomainError,
     NotASolution,
@@ -192,6 +199,181 @@ class TestCheckInvariance:
         bad = VectorField(ex.Num(0.0), ex.parse("1e999*x^2", ("x", "y")))
         with pytest.raises(DomainError, match="no valid sample points"):
             check_invariance(bad, e.dods, window=e.window)
+
+
+def _per_term(v, d):
+    """The prolongation as it was computed before the kernel, one compiled
+    call per term: (pr1, pr2, scale) at a point."""
+    def deriv(e, name):
+        return ex.fold(ex.differentiate(e, name))
+
+    coords = ("x", "y", "xm", "ym")
+    m = d.rhs_manifold if d.rhs_manifold is not None else d.rhs.as_expr()
+    partials = [ex.compile(deriv(m, name), coords) for name in coords]
+    x1, xy = ("x",), ("x", "y")
+    xi_at, xi_prime_at = ex.compile(v.xi, x1), ex.compile(deriv(v.xi, "x"), x1)
+    if not isinstance(v.eta, AffineEta):
+        eta_at = ex.compile(v.eta, xy)
+        eta_x_at = ex.compile(deriv(v.eta, "x"), xy)
+        eta_y_at = ex.compile(deriv(v.eta, "y"), xy)
+    else:
+        p = ex.compile(v.eta.p, x1)
+        p_x = ex.compile(deriv(v.eta.p, "x"), x1)
+        r = v.eta.r
+        if isinstance(r, ex.Expr):
+            r_value, r_slope = ex.compile(r, x1), ex.compile(deriv(r, "x"), x1)
+        else:
+            r_value, r_slope = r.value, lambda u: r.eval(u)[2]
+        eta_at = lambda u, y: p(u) * y + r_value(u)  # noqa: E731
+        eta_x_at = lambda u, y: p_x(u) * y + r_slope(u)  # noqa: E731
+        eta_y_at = lambda u, y: p(u)  # noqa: E731
+
+    def terms(point):
+        x, y, xm, ym, ydot = point
+        m_x, m_y, m_xm, m_ym = [f(x, y, xm, ym) for f in partials]
+        xi = xi_at(x)
+        xi_m = xi_at(xm)
+        eta = eta_at(x, y)
+        eta_m = eta_at(xm, ym)
+        zeta = eta_x_at(x, y) + eta_y_at(x, y) * ydot - ydot * xi_prime_at(x)
+        terms = (zeta, xi * m_x, eta * m_y, xi_m * m_xm, eta_m * m_ym)
+        pr1 = terms[0] - (terms[1] + terms[2] + terms[3] + terms[4])
+        pr2 = xi_m - xi * d.delay.derivative(x)
+        scale = max(abs(t) for t in terms + (xi_m, xi * d.delay.derivative(x)))
+        return pr1, pr2, scale
+    return terms
+
+
+def _outcome(fn, *a):
+    try:
+        return tuple(float.hex(t) for t in fn(*a))
+    except DelaySymError as exc:
+        return type(exc), str(exc)
+
+
+def _fields_and_systems():
+    """Every catalog generator on its system, the wrong generator x^2 d_y,
+    X5 and X6 on A4_12, and a closed form AffineEta on the smoothing
+    example: (label, field, system, window)."""
+    out = []
+    cases = [CatalogCase(cid) for cid in sorted(EXPECTED)] + [
+        CatalogCase("A3_3", {"a": 1.0}), CatalogCase("A3_3", {"a": -1.0}),
+        CatalogCase("A3_7", {"b": 0.0}),
+        CatalogCase("A4_5", delay='general("x - 1 - 0.1*sin(x)")')]
+    wrong = VectorField(ex.Num(0.0), ex.parse("x^2"), name="x^2 d_y")
+    for case in cases:
+        e = catalog(case)
+        for v in e.algebra + (wrong,):
+            out.append((f"{case.id} {case.params or case.delay or ''} {v.name}", v, e.dods,
+                        e.window))
+    e = catalog("A4_12")
+    for v in exp_symmetry_fields(char_roots(1.0, 2)[2]):
+        out.append((f"A4_12 {v.name}", v, e.dods, e.window))
+    d, _ = smoothing_instance()
+    affine = VectorField(ex.Num(0.0), AffineEta(ex.parse("sin(x)"), ex.parse("x^2 + 1")))
+    out.append(("smoothing affine eta", affine, d, (-0.5, 2.5)))
+    return out
+
+
+_FIELDS = _fields_and_systems()
+
+
+def _points(d, window, seed, count=40):
+    """Points on the manifold and off it: xm = g(x) moved by 0 or half a gap,
+    y, ym and ydot anywhere in [-2, 2] or [-3, 3]."""
+    rng = random.Random(seed)
+    lo, hi = window
+    out = []
+    while len(out) < count:
+        x = rng.uniform(lo, hi)
+        try:
+            xm = d.delay.delayed_point(x)
+        except DelaySymError:
+            continue
+        xm += rng.choice((0.0, 0.5, -0.5)) * (x - xm)
+        out.append((x, rng.uniform(-2, 2), xm, rng.uniform(-2, 2), rng.uniform(-3, 3)))
+    return out
+
+
+class TestKernel:
+    @pytest.mark.parametrize("label, v, d, window", _FIELDS, ids=[f[0] for f in _FIELDS])
+    def test_prolong_apply_matches_per_term(self, label, v, d, window):
+        reference = _per_term(v, d)
+        for point in _points(d, window, seed=len(label)):
+            want = _outcome(reference, point)
+            assert _outcome(symmetry._prolongation(v, d), point) == want, (label, point)
+            assert _outcome(prolong_apply, v, d, point) == want[:2], (label, point)
+
+    @pytest.mark.parametrize("label, v, d, window", _FIELDS, ids=[f[0] for f in _FIELDS])
+    def test_check_invariance_matches_per_term(self, monkeypatch, label, v, d, window):
+        got = check_invariance(v, d, samples=40, window=window)
+        monkeypatch.setattr(symmetry, "_prolongation", _per_term)
+        assert got == check_invariance(v, d, samples=40, window=window)
+
+    def test_errors_match_per_term(self):
+        # xm = x divides by zero in the slope's partials; ln of a negative x
+        # fails in eta before the product that uses it; with both, the
+        # partials come first
+        e = catalog("A4_12")
+        v = VectorField(ex.Num(0.0), ex.parse("ln(x)*y", ("x", "y")))
+        for point in ((0.5, 1.0, 0.5, 2.0, 0.3), (-0.5, 1.0, -1.5, 2.0, 0.3),
+                      (-0.5, 1.0, -0.5, 2.0, 0.3)):
+            want = _outcome(lambda p: _per_term(v, e.dods)(p)[:2], point)
+            assert want[0] is DomainError
+            assert _outcome(prolong_apply, v, e.dods, point) == want
+
+    def test_computed_r_matches_per_term(self):
+        d, init = smoothing_instance()
+        s = solve(d, init, 2, SolverConfig(Scheme.EXACT_LINEAR, step_count=512))
+        v = vertical_from_solution(s, d)
+        reference = _per_term(v, d)
+        # x from inside the solution's range to past its end, where r fails
+        for i in range(41):
+            x = -0.9 + 3.2 * i / 40
+            for point in ((x, 0.3, x - 1.0, -0.4, 0.7), (x, 1.3, x - 0.5, 0.4, -0.7)):
+                want = _outcome(lambda p: reference(p)[:2], point)
+                assert _outcome(prolong_apply, v, d, point) == want, point
+        got = check_invariance(v, d, samples=60, window=(-0.9, 1.9))
+        with pytest.MonkeyPatch.context() as mp:
+            mp.setattr(symmetry, "_prolongation", _per_term)
+            assert got == check_invariance(v, d, samples=60, window=(-0.9, 1.9))
+
+    def test_one_kernel_per_field_and_system(self):
+        a, b = catalog("A3_5"), catalog("A4_12")
+        v = a.algebra[2]
+        kernel = symmetry._kernel(v, a.dods)
+        assert symmetry._kernel(v, a.dods) is kernel
+        other = symmetry._kernel(v, b.dods)
+        assert other is not kernel and symmetry._kernel(v, b.dods) is other
+        assert v.__dict__["_kernel"][0] is b.dods  # one entry: the last system
+
+    def test_generated_source_does_not_depend_on_hash_order(self):
+        # the source is the bytecode cache key: record every source the
+        # kernels of three systems generate, under two hash seeds
+        code = ("import sys, hashlib; sys.path.insert(0, sys.argv[1]); "
+                "import delaysym.expr as ex; from delaysym import dods, symmetry; "
+                "seen = []; inner = ex._bytecode; "
+                "ex._bytecode = lambda s: (seen.append(s), inner(s))[1]; "
+                "[symmetry.check_invariance(v, e.dods, 5, e.window) "
+                " for e in map(dods.catalog, ('A2_1', 'A3_7', 'A4_21')) for v in e.algebra]; "
+                "print(len(seen), hashlib.sha256('\\n'.join(seen).encode()).hexdigest())")
+        src = str(pathlib.Path(symmetry.__file__).parents[1])
+        outs = {subprocess.run([sys.executable, "-S", "-c", code, src], capture_output=True,
+                               text=True, check=True, timeout=60,
+                               env={**os.environ, "PYTHONHASHSEED": seed}).stdout
+                for seed in ("0", "12345")}
+        assert len(outs) == 1 and int(outs.pop().split()[0]) >= 10
+
+    def test_pickle_after_a_check_drops_the_kernel(self):
+        e = catalog("A3_7")
+        v = e.algebra[2]
+        before = check_invariance(v, e.dods, samples=40, window=e.window)
+        assert "_kernel" in v.__dict__
+        data = pickle.dumps(v)
+        assert data == pickle.dumps(VectorField(v.xi, v.eta, v.name))
+        v2 = pickle.loads(data)
+        assert v2 == v and "_kernel" not in v2.__dict__
+        assert check_invariance(v2, e.dods, samples=40, window=e.window) == before
 
 
 class TestVerticalFromSolution:
