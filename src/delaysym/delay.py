@@ -210,6 +210,8 @@ class MoebiusDelay(DelayRelation):
 
     def derivative(self, x: float) -> float:
         den = 1.0 + self.c * x
+        if abs(den) <= _GUARD * (1.0 + abs(self.c * x)):  # delayed_point's pole guard
+            raise DomainError(f"moebius relation has a pole at x = {x!r}")
         return (1.0 + self.c * self.c) / (den * den)
 
     def default_domain(self) -> tuple[float, float]:

@@ -116,12 +116,20 @@ class Dods(ex.Record):
         return ex.compile(tree, ("x", "y", "ym"))
 
     @functools.cached_property
-    def coefficient_fns(self) -> tuple[Callable[[float], float], ...]:
-        """alpha, beta and gamma of a linear right hand side, compiled."""
-        if not isinstance(self.rhs, LinearRhs):
-            raise SchemeMismatch("only a linear right hand side has coefficients")
+    def _rk4_columns(self) -> Callable[..., tuple[list[float], ...]]:
+        """rhs_fn's terms alpha, beta*ym and gamma over columns of x and ym."""
         r = self.rhs
-        return tuple(ex.compile(c, ("x",)) for c in (r.alpha, r.beta, r.gamma))
+        return ex.compile_columns((r.alpha, ex.Binary("*", r.beta, _YM), r.gamma), ("x", "ym"))
+
+    @functools.cached_property
+    def _exact_columns(self) -> tuple[Callable[..., tuple[list[float], ...]], ...]:
+        """Column kernels of alpha over x, the forcing beta*ym + gamma over
+        (x, ym) and the slope alpha*y + (beta*ym + gamma) over (x, y, ym)."""
+        r = self.rhs
+        forcing = ex.Binary("+", ex.Binary("*", r.beta, _YM), r.gamma)
+        slope = ex.Binary("+", ex.Binary("*", r.alpha, _Y), forcing)
+        return tuple(ex.compile_columns((tree,), args) for tree, args in (
+            (r.alpha, ("x",)), (forcing, ("x", "ym")), (slope, ("x", "y", "ym"))))
 
     @functools.cached_property
     def manifold_partials(self) -> tuple[ex.Expr, ...]:

@@ -40,6 +40,7 @@ __all__ = [
     "evaluate",
     "compile",
     "compile_many",
+    "compile_columns",
     "differentiate",
     "to_text",
     "substitute",
@@ -437,7 +438,8 @@ def _eval(e: Expr, b: Mapping[str, float]) -> float:
 #
 # compile_many() turns trees into one Python function of positional
 # arguments that returns the tuple of their values; compile() is its one-tree
-# case and returns the value itself.  The emitter walks each tree in the
+# case and returns the value itself; compile_columns() runs the same statements
+# once per point of its argument columns.  The emitter walks each tree in the
 # order _eval visits it (child before parent, left before right) and emits
 # one statement per operator node, t<k> = <op>, with a node's domain guard on
 # the line before it; the first use of an argument coerces it with float()
@@ -502,7 +504,7 @@ def compile(e: Expr, args: Sequence[str]) -> Callable[..., float]:
     A variable of e missing from args raises UnboundVariable when the
     evaluation reaches it, as in evaluate.
     """
-    return _generate((e,), args, single=True)
+    return _generate((e,), args, "value")
 
 
 def compile_many(trees: Iterable[Expr], args: Sequence[str]) -> Callable[..., tuple]:
@@ -510,10 +512,18 @@ def compile_many(trees: Iterable[Expr], args: Sequence[str]) -> Callable[..., tu
     every tree's value, each bit for bit what compile(tree, args) gives, and
     raises the error that calling those functions in order raises first.
     A subtree the trees share is evaluated once."""
-    return _generate(tuple(trees), args, single=False)
+    return _generate(tuple(trees), args, "tuple")
 
 
-def _generate(trees: tuple[Expr, ...], args: Sequence[str], single: bool) -> Callable:
+def compile_columns(trees: Iterable[Expr], args: Sequence[str]
+                    ) -> Callable[..., tuple[list[float], ...]]:
+    """A function of len(args) equally long columns that returns one list per
+    tree: at every index, compile_many(trees, args) of the columns' entries
+    there, bit for bit, or at the first index where it raises, its error."""
+    return _generate(tuple(trees), args, "columns")
+
+
+def _generate(trees: tuple[Expr, ...], args: Sequence[str], form: str) -> Callable:
     args = tuple(args)
     if len(set(args)) != len(args):
         raise ValueError(f"duplicate argument names in {args!r}")
@@ -582,8 +592,15 @@ def _generate(trees: tuple[Expr, ...], args: Sequence[str], single: bool) -> Cal
         outputs.append(names.pop())
     params = ", ".join(f"a{i}" for i in range(len(args)))
     cells = ", ".join(f"k{i}" for i in range(len(consts)))
+    if form == "columns":  # the statements once per point; list o<i> gathers output i
+        columns = ", ".join(f"c{i}" for i in range(len(args)))
+        points = {0: "()", 1: columns}.get(len(args), f"zip({columns}, strict=True)")
+        loop = [*lines, *(f"p{i}({name})" for i, name in enumerate(outputs))] or ["pass"]
+        lines = [*(f"o{i} = []; p{i} = o{i}.append" for i in range(len(outputs))),
+                 f"for {params or '()'} in {points}:", *(f"    {line}" for line in loop)]
+        params, outputs = columns, [f"o{i}" for i in range(len(outputs))]
     body = "".join(f"            {line}\n" for line in lines)
-    returned = outputs[0] if single else f"({''.join(f'{name}, ' for name in outputs)})"
+    returned = outputs[0] if form == "value" else f"({''.join(f'{name}, ' for name in outputs)})"
     source = (
         f"def _make({cells}):\n"
         f"    def compiled({params}):\n"

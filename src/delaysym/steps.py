@@ -11,7 +11,8 @@ polynomials, so interpolation error is O(h^4) in value and O(h^3) in slope.
 
 The delayed points of an interval do not depend on its solution, so each
 interval reads y(g(x)) at all of them from the previous segment in one sweep
-(Segment.values_at) before it steps.
+(Segment.values_at) before it steps.  A linear right hand side then takes its
+coefficients there from column kernels (expr.compile_columns, see solve).
 """
 
 from __future__ import annotations
@@ -339,9 +340,10 @@ def solve(d: Dods, init: InitialCondition, intervals: int,
     ExactLinear advances each step [t0, t1] with the integrating factor,
     y(t1) = e^(A(t1)-A(t0)) y(t0) + int e^(A(t1)-A(s)) (beta(s) y(g(s)) +
     gamma(s)) ds with A' = alpha, on fixed Gauss-Legendre points, so a step
-    costs the same whatever the solution's size.  RK4 uses fixed steps; on
-    a linear right hand side it evaluates alpha, beta and gamma once per
-    node and step midpoint, not four times per step, with rhs_fn's bits.
+    costs the same whatever the solution's size; column kernel calls take
+    alpha, then the forcing, at every Gauss point, and one pass steps.  RK4
+    uses fixed steps; on a linear right hand side one column kernel call
+    gives alpha, beta*ym and gamma at every node and midpoint (rhs_fn's bits).
     Either scheme reads an interval's delayed values in one sweep before
     stepping it, so when both the delay and a coefficient fail inside one
     interval, the delay's DomainError is the one raised.
@@ -413,26 +415,25 @@ def _rk4_interval(d: Dods, prev: Segment, nodes: tuple[float, ...], h: float) ->
 
 def _rk4_linear_interval(d: Dods, prev: Segment, nodes: tuple[float, ...],
                          h: float) -> Segment:
-    """_rk4_interval for alpha*y + beta*ym + gamma, bit for bit: alpha,
-    beta*ym and gamma are taken once per abscissa, in rhs_fn's order, and
-    each slope is rhs_fn's (alpha*y + beta*ym) + gamma.  Kept apart from
-    _rk4_interval because that loop's four rhs_fn calls per step make the
-    benchmark's march round ~5 % slower."""
-    alpha_f, beta_f, gamma_f = d.coefficient_fns
+    """_rk4_interval for alpha*y + beta*ym + gamma, bit for bit: one column
+    kernel call gives alpha, beta*ym and gamma at every abscissa, in rhs_fn's
+    order, and each slope is rhs_fn's (alpha*y + beta*ym) + gamma.  Kept
+    apart from _rk4_interval because that loop's four rhs_fn calls per step
+    make the benchmark's march round ~5 % slower."""
     xs, yms = _delayed_abscissae(d, prev, nodes, h)
-    terms = [(alpha_f(x), beta_f(x) * ym, gamma_f(x)) for x, ym in zip(xs, yms)]
+    alphas, byms, gammas = d._rk4_columns(xs, yms)
     half, sixth = 0.5 * h, h / 6.0
     y = prev.values[-1]
     values = [y]
     derivs = []
-    a, bym, c = terms[0]
-    for j in range(1, len(terms), 2):
-        ah, bymh, ch = terms[j]
+    a, bym, c = alphas[0], byms[0], gammas[0]
+    for ah, bymh, ch, a1, bym1, c1 in zip(alphas[1::2], byms[1::2], gammas[1::2],
+                                          alphas[2::2], byms[2::2], gammas[2::2]):
         k1 = (a * y + bym) + c
         k2 = (ah * (y + half * k1) + bymh) + ch
         k3 = (ah * (y + half * k2) + bymh) + ch
-        a, bym, c = terms[j + 1]
-        k4 = (a * (y + h * k3) + bym) + c
+        k4 = (a1 * (y + h * k3) + bym1) + c1
+        a, bym, c = a1, bym1, c1
         y = y + sixth * (k1 + 2.0 * k2 + 2.0 * k3 + k4)
         values.append(y)
         derivs.append(k1)
@@ -443,44 +444,41 @@ def _rk4_linear_interval(d: Dods, prev: Segment, nodes: tuple[float, ...],
 def _exact_linear_interval(d: Dods, prev: Segment, nodes: tuple[float, ...],
                            h: float) -> Segment:
     """Integrating-factor steps on the Gauss-Legendre points (see solve).
-    pts, delayed, alphas and forcing hold one list per Gauss point, over
-    every step."""
-    alpha_f, beta_f, gamma_f = d.coefficient_fns
+    pts, delayed, alphas and forcing run over every step's first Gauss
+    point, then second, then third; alpha is taken before the forcing."""
+    alpha_col, forcing_col, slope_col = d._exact_columns
     delayed_point, lookup = d.delay.delayed_point, prev.values_at
-    pts = [[t0 + h * c for t0 in nodes[:-1]] for c in _GL_C]
+    n = len(nodes) - 1
+    pts = [t0 + h * c for c in _GL_C for t0 in nodes[:-1]]
     pn, pv, pd = prev.nodes, prev.values, prev.derivs
     if d.delay.affine_parameters() is not None:
         # an affine g maps step j onto step j of the previous segment, with
         # each Gauss point at the same fraction c_i of it
         spans = list(zip(pv, pv[1:], pd, pd[1:], [t1 - t0 for t0, t1 in zip(pn, pn[1:])]))
-        delayed = [[w0 * v0 + w1 * hp * d0 + w2 * v1 + w3 * hp * d1
-                    for v0, v1, d0, d1, hp in spans] for w0, w1, w2, w3 in _GL_HERMITE]
+        delayed = [w0 * v0 + w1 * hp * d0 + w2 * v1 + w3 * hp * d1
+                   for w0, w1, w2, w3 in _GL_HERMITE for v0, v1, d0, d1, hp in spans]
         at_nodes = pv
     else:
-        delayed = [lookup(map(delayed_point, col)) for col in pts]
+        delayed = lookup(map(delayed_point, pts))
         at_nodes = lookup(map(delayed_point, nodes))
-    alphas = [list(map(alpha_f, col)) for col in pts]
-    forcing = [[beta_f(u) * ym + gamma_f(u) for u, ym in zip(col, ycol)]
-               for col, ycol in zip(pts, delayed)]
-
-    def factors(weights: tuple[float, ...]) -> list[float]:
-        """e^(h sum_i w_i alpha(s_i)) of every step."""
-        rise = [0.0] * (len(nodes) - 1)
-        for w, col in zip(weights, alphas):
-            rise = [r + w * a for r, a in zip(rise, col)]
-        return [math.exp(h * r) for r in rise]
-
-    duhamel = [0.0] * (len(nodes) - 1)
-    for weight, tail, col in zip(_GL_B, _GL_TAIL, forcing):
-        duhamel = [s + weight * e * f for s, e, f in zip(duhamel, factors(tail), col)]
+    (alphas,) = alpha_col(pts)
+    (forcing,) = forcing_col(pts, delayed)
+    # e_i = e^(A(t1) - A(s_i)); every sum starts from 0.0, which sets a zero's sign
+    (t00, t01, t02), (t10, t11, t12), (t20, t21, t22) = _GL_TAIL
+    b0, b1, b2 = _GL_B
+    exp = math.exp
     y = pv[-1]
     values = [y]
-    for growth, s in zip(factors(_GL_B), duhamel):
-        y = growth * y + h * s
+    for a0, a1, a2, f0, f1, f2 in zip(alphas[:n], alphas[n:2 * n], alphas[2 * n:],
+                                      forcing[:n], forcing[n:2 * n], forcing[2 * n:]):
+        e0 = exp(h * (((0.0 + t00 * a0) + t01 * a1) + t02 * a2))
+        e1 = exp(h * (((0.0 + t10 * a0) + t11 * a1) + t12 * a2))
+        e2 = exp(h * (((0.0 + t20 * a0) + t21 * a1) + t22 * a2))
+        s = ((0.0 + b0 * e0 * f0) + b1 * e1 * f1) + b2 * e2 * f2
+        y = exp(h * (((0.0 + b0 * a0) + b1 * a1) + b2 * a2)) * y + h * s
         values.append(y)
-    derivs = tuple(alpha_f(u) * yv + (beta_f(u) * ym + gamma_f(u))
-                   for u, yv, ym in zip(nodes, values, at_nodes))
-    return Segment(nodes, tuple(values), derivs)
+    (derivs,) = slope_col(nodes, values, at_nodes)
+    return Segment(nodes, tuple(values), tuple(derivs))
 
 
 def residual_scan(s: PiecewiseSolution, d: Dods, samples_per_segment: int = 48) -> float:

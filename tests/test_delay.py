@@ -123,6 +123,8 @@ class TestMoebius:
         r = MoebiusDelay(1.0)
         with pytest.raises(DomainError):
             r.delayed_point(-1.0)
+        with pytest.raises(DomainError, match=r"^moebius relation has a pole at x = -1\.0$"):
+            r.derivative(-1.0)
 
     def test_no_forward_point_past_pole(self):
         # advancing fails once 1 - C*x <= 0

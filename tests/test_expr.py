@@ -493,6 +493,95 @@ class TestCompileMany:
             f(1.0)
 
 
+def _point_by_point(trees, args, columns):
+    """What compile_many gives at each point of the columns: every tree's
+    values as float.hex, or the error of the first point that raises."""
+    f = ex.compile_many(trees, args)
+    out = [[] for _ in trees]
+    for point in zip(*columns):
+        got = _hex_outcome(f, *point)
+        if got[0] != "value":
+            return got
+        for values, v in zip(out, got[1]):
+            values.append(v)
+    return "value", tuple(map(tuple, out))
+
+
+def _columns_outcome(trees, args, columns):
+    try:
+        got = ex.compile_columns(trees, args)(*columns)
+    except Exception as exc:
+        return type(exc), str(exc)
+    return "value", tuple(tuple(float.hex(v) for v in values) for values in got)
+
+
+class TestCompileColumns:
+    @settings(max_examples=300, deadline=None)
+    @given(_forests, st.lists(st.tuples(*[_values | st.integers(-3, 3)] * 4), max_size=6))
+    def test_matches_compile_many_point_by_point(self, trees, points):
+        columns = [list(c) for c in zip(*points)] or [[] for _ in _ARGS]
+        want = _point_by_point(trees, _ARGS, columns)
+        assert _columns_outcome(trees, _ARGS, columns) == want, (
+            [ex.to_text(t) for t in trees], points)
+
+    def test_empty_columns_and_empty_forest(self):
+        trees = [ex.parse("ln(x) / y", ("x", "y")), ex.Num(1.0)]
+        assert ex.compile_columns(trees, ("x", "y"))([], []) == ([], [])
+        assert ex.compile_columns([], ("x",))([1.0, 2.0]) == ()
+        assert ex.compile_columns(trees[1:], ())() == ([],)
+
+    def test_single_argument_constant_and_bare_variable(self):
+        trees = [ex.parse("x * exp(x) - 1"), ex.Num(2.5), ex.Var("x")]
+        got = ex.compile_columns(trees, ("x",))((0.5, -1, 3))
+        assert got == ([ex.compile(trees[0], ("x",))(v) for v in (0.5, -1, 3)],
+                       [2.5, 2.5, 2.5], [0.5, -1.0, 3.0])
+        assert [type(v) for v in got[2]] == [float] * 3  # coerced as compile does
+        assert isinstance(got, tuple) and all(type(c) is list for c in got)
+
+    def test_signed_zeros_stay_apart(self):
+        trees = [ex.Num(0.0), ex.Num(-0.0), ex.Binary("*", ex.Num(-0.0), ex.Var("x")),
+                 ex.Binary("+", ex.Var("x"), ex.Num(0.0))]
+        columns = [[2.0, -0.0, 0.0]]
+        got = _columns_outcome(trees, ("x",), columns)
+        assert got == _point_by_point(trees, ("x",), columns)
+        assert got[1][:2] == (("0x0.0p+0",) * 3, ("-0x0.0p+0",) * 3)
+        assert got[1][3] == ("0x1.0000000000000p+1", "0x0.0p+0", "0x0.0p+0")
+
+    def test_deep_chains(self):
+        left, right = _chain(400), _right_chain(350)
+        trees = [left, right, ex.Binary("-", left, ex.substitute(right, {}))]
+        columns = [[0.3, -2.0, 7.5, 0]]
+        assert _columns_outcome(trees, ("x",), columns) == _point_by_point(
+            trees, ("x",), columns)
+
+    @pytest.mark.parametrize("shared, column, message", [
+        ("ln(x)", [2.0, 0.5, 0.0, -1.0], "ln of non-positive value 0.0"),
+        ("sqrt(x)", [4.0, 0.0, -1.0, -2.0], "sqrt of negative value -1.0"),
+        ("1 / x", [1.0, 2.0, 0.0, 0.0], "division by zero"),
+    ])
+    def test_guarded_subtree_failing_mid_column(self, shared, column, message):
+        trees = [ex.parse(f"{shared} + 1"), ex.parse(f"2 * ({shared})")]
+        with pytest.raises(DomainError) as caught:
+            ex.compile_columns(trees, ("x",))(column)
+        assert str(caught.value) == message
+        assert _columns_outcome(trees, ("x",), [column]) == _point_by_point(
+            trees, ("x",), [column])
+        assert _columns_outcome(trees, ("x",), [column[:2]])[0] == "value"
+
+    def test_overflow_and_unbound_variable_at_the_first_point(self):
+        assert _columns_outcome([ex.parse("exp(x)")], ("x",), [[1.0, 1e3]]) == (
+            DomainError, "overflow during evaluation: math range error")
+        f = ex.compile_columns([ex.parse("x + y", ("x", "y"))], ("x",))
+        assert f([]) == ([],)
+        with pytest.raises(UnboundVariable, match="'y' has no bound value"):
+            f([1.0])
+
+    def test_columns_of_unequal_length_rejected(self):
+        f = ex.compile_columns([ex.parse("x * y", ("x", "y"))], ("x", "y"))
+        with pytest.raises(ValueError):
+            f([1.0, 2.0], [3.0])
+
+
 def _random_tree(rng, depth):
     """Random expression over x, y with all node kinds reachable."""
     if depth == 0 or rng.random() < 0.3:

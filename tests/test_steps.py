@@ -3,12 +3,17 @@
 import bisect
 import json
 import math
+import os
+import pathlib
+import subprocess
+import sys
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import delaysym.expr as ex
+from delaysym import steps
 from delaysym.delay import (ConstantDelay, GeneralDelay, Mesh, MoebiusDelay, QScaleDelay,
                             build_mesh)
 from delaysym.dods import (
@@ -517,6 +522,224 @@ class TestExactLinearQuadrature:
         for i in range(9):
             x = 2.0 * i / 8
             assert s.value(x) == pytest.approx(A * math.exp(x), rel=1e-9)
+
+
+# The linear steppers as they were before the column kernels: alpha, beta and
+# gamma compiled one by one and called point by point, the integrating
+# factors summed in list passes.  They are the bit-for-bit reference.
+
+
+def _coefficient_fns(d):
+    r = d.rhs
+    return tuple(ex.compile(c, ("x",)) for c in (r.alpha, r.beta, r.gamma))
+
+
+def _rk4_linear_per_point(d, prev, nodes, h):
+    alpha_f, beta_f, gamma_f = _coefficient_fns(d)
+    xs, yms = steps._delayed_abscissae(d, prev, nodes, h)
+    terms = [(alpha_f(x), beta_f(x) * ym, gamma_f(x)) for x, ym in zip(xs, yms)]
+    half, sixth = 0.5 * h, h / 6.0
+    y = prev.values[-1]
+    values = [y]
+    derivs = []
+    a, bym, c = terms[0]
+    for j in range(1, len(terms), 2):
+        ah, bymh, ch = terms[j]
+        k1 = (a * y + bym) + c
+        k2 = (ah * (y + half * k1) + bymh) + ch
+        k3 = (ah * (y + half * k2) + bymh) + ch
+        a, bym, c = terms[j + 1]
+        k4 = (a * (y + h * k3) + bym) + c
+        y = y + sixth * (k1 + 2.0 * k2 + 2.0 * k3 + k4)
+        values.append(y)
+        derivs.append(k1)
+    derivs.append((a * y + bym) + c)
+    return Segment(nodes, tuple(values), tuple(derivs))
+
+
+def _exact_linear_per_point(d, prev, nodes, h):
+    alpha_f, beta_f, gamma_f = _coefficient_fns(d)
+    delayed_point, lookup = d.delay.delayed_point, prev.values_at
+    pts = [[t0 + h * c for t0 in nodes[:-1]] for c in steps._GL_C]
+    pn, pv, pd = prev.nodes, prev.values, prev.derivs
+    if d.delay.affine_parameters() is not None:
+        spans = list(zip(pv, pv[1:], pd, pd[1:], [t1 - t0 for t0, t1 in zip(pn, pn[1:])]))
+        delayed = [[w0 * v0 + w1 * hp * d0 + w2 * v1 + w3 * hp * d1
+                    for v0, v1, d0, d1, hp in spans] for w0, w1, w2, w3 in steps._GL_HERMITE]
+        at_nodes = pv
+    else:
+        delayed = [lookup(map(delayed_point, col)) for col in pts]
+        at_nodes = lookup(map(delayed_point, nodes))
+    alphas = [list(map(alpha_f, col)) for col in pts]
+    forcing = [[beta_f(u) * ym + gamma_f(u) for u, ym in zip(col, ycol)]
+               for col, ycol in zip(pts, delayed)]
+
+    def factors(weights):
+        rise = [0.0] * (len(nodes) - 1)
+        for w, col in zip(weights, alphas):
+            rise = [r + w * a for r, a in zip(rise, col)]
+        return [math.exp(h * r) for r in rise]
+
+    duhamel = [0.0] * (len(nodes) - 1)
+    for weight, tail, col in zip(steps._GL_B, steps._GL_TAIL, forcing):
+        duhamel = [s + weight * e * f for s, e, f in zip(duhamel, factors(tail), col)]
+    y = pv[-1]
+    values = [y]
+    for growth, s in zip(factors(steps._GL_B), duhamel):
+        y = growth * y + h * s
+        values.append(y)
+    derivs = tuple(alpha_f(u) * yv + (beta_f(u) * ym + gamma_f(u))
+                   for u, yv, ym in zip(nodes, values, at_nodes))
+    return Segment(nodes, tuple(values), derivs)
+
+
+def _per_point_outcome(d, init, n, config):
+    """solve's to_json, or its error, with the per-point steppers."""
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(steps, "_rk4_linear_interval", _rk4_linear_per_point)
+        mp.setattr(steps, "_exact_linear_interval", _exact_linear_per_point)
+        return _solve_outcome(d, init, n, config)
+
+
+def _solve_outcome(d, init, n, config):
+    try:
+        return "value", solve(d, init, n, config).to_json()
+    except Exception as exc:
+        return type(exc), str(exc)
+
+
+class TestColumnKernels:
+    @pytest.mark.parametrize("case", [
+        CatalogCase("A3_5"), CatalogCase("A3_7", {"C2": 0.2}), CatalogCase("A3_14"),
+        CatalogCase("A4_21"), CatalogCase("A4_5")])
+    @pytest.mark.parametrize("scheme", list(Scheme))
+    @pytest.mark.parametrize("phi", ["x + 4", "sin(3*x) + 2"])
+    def test_solves_equal_the_per_point_steppers(self, case, scheme, phi):
+        e = catalog(case)
+        lo, hi = e.window
+        init = initial_condition(phi, e.dods.delay, lo + 0.08 * (hi - lo))
+        config = SolverConfig(scheme, step_count=64)
+        want = _per_point_outcome(e.dods, init, 3, config)
+        assert want[0] == "value"
+        assert _solve_outcome(e.dods, init, 3, config) == want
+
+    @settings(max_examples=150, deadline=None)
+    @given(st.tuples(*[st.floats(-6.0, 6.0)] * 3), st.integers(1, 8), st.integers(1, 5),
+           st.sampled_from(list(Scheme)))
+    def test_coarse_steps_equal_the_per_point_steppers(self, coefficients, m, n, scheme):
+        # h*alpha up to order ten, so the rounding of every exponent sum can
+        # show through exp; a general delay takes the read without the
+        # affine map
+        wave = ex.parse("a*sin(5*x) + b + c*x", ("a", "b", "c", "x"))
+        alpha = ex.substitute(wave, dict(zip("abc", map(ex.Num, coefficients))))
+        d = Dods(LinearRhs(alpha, ex.parse("0.5 + x/4"), ex.parse("cos(3*x)")),
+                 GeneralDelay(ex.parse("x - 1 - sin(x)/10")))
+        init = initial_condition("sin(2*x) + 1", d.delay, 0.3)
+        config = SolverConfig(scheme, step_count=m)
+        assert _solve_outcome(d, init, n, config) == _per_point_outcome(d, init, n, config)
+
+    @pytest.mark.parametrize("rhs", [
+        LinearRhs(ex.parse("sqrt(0.6 - x)"), ex.Num(0.5), ex.Num(0.0)),
+        LinearRhs(ex.Num(0.5), ex.parse("-1/(x - 0.4)"), ex.parse("ln(0.7 - x)")),
+        LinearRhs(ex.parse("exp(1000*x)"), ex.Num(0.5), ex.Num(0.0)),
+    ])
+    @pytest.mark.parametrize("scheme", list(Scheme))
+    def test_errors_equal_the_per_point_steppers(self, rhs, scheme):
+        d = Dods(rhs, ConstantDelay(1.0))
+        init = initial_condition("1", d.delay, 0.0)
+        config = SolverConfig(scheme, step_count=64)
+        want = _per_point_outcome(d, init, 1, config)
+        assert want[0] is DomainError
+        assert _solve_outcome(d, init, 1, config) == want
+
+    @pytest.mark.parametrize("scheme", list(Scheme))
+    def test_signed_zeros_equal_the_per_point_steppers(self, scheme):
+        # a -0.0 history and forcing: the sums start from 0.0, which decides
+        # the sign of every stored zero
+        d = Dods(LinearRhs(ex.Num(1.0), ex.Num(-1.0), ex.Num(-0.0)), ConstantDelay(1.0))
+        init = initial_condition(ex.Num(-0.0), d.delay, 0.0)
+        config = SolverConfig(scheme, step_count=8)
+        want = _per_point_outcome(d, init, 2, config)
+        assert want[0] == "value"
+        assert _solve_outcome(d, init, 2, config) == want
+
+    def test_integrating_factor_overflow_as_before(self):
+        # h*alpha = 1e5/64 overflows exp in the step, as a bare OverflowError
+        d = Dods(LinearRhs(ex.Num(1e5), ex.Num(0.5), ex.Num(1.0)), ConstantDelay(1.0))
+        init = initial_condition("1", d.delay, 0.0)
+        config = SolverConfig(Scheme.EXACT_LINEAR, step_count=64)
+        want = _per_point_outcome(d, init, 1, config)
+        assert want == (OverflowError, "math range error")
+        assert _solve_outcome(d, init, 1, config) == want
+
+    def test_exact_linear_coefficient_leaving_its_domain_names_the_first_gauss_point(self):
+        # sqrt(0.6 - x) is real on the first interval [0, 1] only up to 0.6;
+        # exact-linear takes alpha at the first Gauss point of every step,
+        # then at the second and the third
+        alpha = ex.parse("sqrt(0.6 - x)")
+        d = Dods(LinearRhs(alpha, ex.Num(0.5), ex.Num(0.0)), ConstantDelay(1.0))
+        h = 1.0 / 64
+        gauss = [j / 64 + h * c for c in steps._GL_C for j in range(64)]
+        first = next(x for x in gauss if 0.6 - x < 0.0)
+        with pytest.raises(DomainError) as raised:
+            solve(d, initial_condition("1", d.delay, 0.0), 1,
+                  SolverConfig(Scheme.EXACT_LINEAR, step_count=64))
+        with pytest.raises(DomainError) as expected:
+            ex.compile(alpha, ("x",))(first)
+        assert str(raised.value) == str(expected.value)
+
+    def test_alpha_fails_before_an_earlier_beta_failure(self):
+        # beta leaves its domain past x = 0.3, alpha only past 0.8: alpha is
+        # taken at every Gauss point before beta is, so alpha's error names
+        # the first Gauss point past 0.8
+        alpha, beta = ex.parse("sqrt(0.8 - x)"), ex.parse("sqrt(0.3 - x)")
+        d = Dods(LinearRhs(alpha, beta, ex.Num(0.0)), ConstantDelay(1.0))
+        h = 1.0 / 64
+        first = next(j / 64 + h * steps._GL_C[0] for j in range(64)
+                     if 0.8 - (j / 64 + h * steps._GL_C[0]) < 0.0)
+        with pytest.raises(DomainError) as raised:
+            solve(d, initial_condition("1", d.delay, 0.0), 1,
+                  SolverConfig(Scheme.EXACT_LINEAR, step_count=64))
+        with pytest.raises(DomainError) as expected:
+            ex.compile(alpha, ("x",))(first)
+        assert str(raised.value) == str(expected.value)
+
+    def test_one_kernel_set_per_scheme(self):
+        e = catalog("A3_14")
+        init = initial_condition("x + 4", e.dods.delay, 1.0)
+        seen = []
+        inner = ex._bytecode
+        with pytest.MonkeyPatch.context() as mp:
+            mp.setattr(ex, "_bytecode", lambda s: (seen.append(s), inner(s))[1])
+            for scheme in (Scheme.RK4, Scheme.RK4, Scheme.EXACT_LINEAR, Scheme.EXACT_LINEAR):
+                solve(e.dods, init, 2, SolverConfig(scheme, step_count=16))
+        # two for the history and its slope per solve, then one rk4 kernel
+        # and three exact-linear kernels, each built once
+        assert len(seen) == 2 * 4 + 1 + 3
+        assert sum(" in zip(" in s or " in c0:" in s for s in seen) == 4
+
+    def test_generated_source_does_not_depend_on_hash_order(self):
+        # the source is the bytecode cache key: record every source that
+        # solves of three systems generate under both schemes, under two
+        # hash seeds
+        code = ("import sys, hashlib; sys.path.insert(0, sys.argv[1]); "
+                "import delaysym.expr as ex; from delaysym import dods, steps; "
+                "seen = []; inner = ex._bytecode; "
+                "ex._bytecode = lambda s: (seen.append(s), inner(s))[1]; "
+                "[steps.solve(e.dods, dods.initial_condition('x + 4', e.dods.delay, "
+                " e.window[0] + 0.08 * (e.window[1] - e.window[0])), 2, "
+                " steps.SolverConfig(scheme, step_count=8)) "
+                " for e in map(dods.catalog, ('A3_7', 'A3_14', 'A4_21')) for scheme in steps.Scheme]; "
+                "print(len(seen), sum(' in zip(' in s for s in seen), "
+                "hashlib.sha256('\\n'.join(seen).encode()).hexdigest())")
+        src = str(pathlib.Path(steps.__file__).parents[1])
+        outs = {subprocess.run([sys.executable, "-S", "-c", code, src], capture_output=True,
+                               text=True, check=True, timeout=60,
+                               env={**os.environ, "PYTHONHASHSEED": seed}).stdout
+                for seed in ("0", "12345")}
+        assert len(outs) == 1
+        count, columns, _ = outs.pop().split()
+        assert int(count) == 3 * (4 + 4) and int(columns) == 3 * 3
 
 
 class TestResidualScan:

@@ -141,6 +141,16 @@ class TestProlongation:
         pr1_off, _ = prolong_apply(v, e.dods, (x, y, xm, ym, on + 1.0))
         assert pr1_off == pytest.approx(1.0, abs=1e-12)
 
+    def test_moebius_pole_raises_domain_error(self):
+        # g'(x) = (1 + C^2)/(1 + Cx)^2 has A4_14's pole at x = -1, where
+        # delayed_point raises the same error
+        e = catalog("A4_14")
+        with pytest.raises(DomainError) as raised:
+            prolong_apply(e.algebra[3], e.dods, (-1.0, 0.5, -2.0, 0.2, 0.3))
+        with pytest.raises(DomainError) as expected:
+            e.dods.delay.delayed_point(-1.0)
+        assert str(raised.value) == str(expected.value) == "moebius relation has a pole at x = -1.0"
+
 
 class TestCheckInvariance:
     @pytest.mark.parametrize("cid", sorted(EXPECTED))
