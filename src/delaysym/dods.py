@@ -39,6 +39,11 @@ __all__ = [
     "list_cases",
     "resolve_case",
     "catalog",
+    "Role",
+    "Status",
+    "InvariantFamily",
+    "ConstraintSolution",
+    "families",
 ]
 
 _Y = ex.Var("y")
@@ -406,6 +411,33 @@ class ConstraintSolution(ex.Record):
     note: str = ""
 
 
+class Role(enum.Enum):
+    FREE = "free"
+    DETERMINED = "determined"
+    EXISTENCE = "existence"
+
+
+class InvariantFamily(ex.Record):
+    """One subalgebra of the optimal system with its ansatz y = h(x; params)
+    and delay x- = k(x; B).  solver maps the pinned parameters to the
+    constraint solution; generator_fn gives (xi, eta) at solved parameters."""
+
+    _hidden = ("solver", "generator_fn")  # not a field: the fields left out of repr
+    case_id: str
+    label: str
+    case_params: Mapping[str, float]
+    reduction_h: ex.Expr
+    reduction_k: ex.Expr
+    roles: Mapping[str, Role]
+    solver: Callable[[dict], ConstraintSolution]
+    generator_fn: Callable[[Mapping[str, float]], tuple[ex.Expr, ex.Expr]]
+    notes: str = ""
+
+    def generator(self, params: Mapping[str, float]) -> "VectorField":
+        from .symmetry import VectorField
+        return VectorField(*self.generator_fn(params), name=self.label)
+
+
 def _sol(status: Status, params: Mapping[str, float], free: tuple[str, ...] = (),
          residuals: tuple[float, ...] = (), note: str = "") -> ConstraintSolution:
     return ConstraintSolution(status, dict(params), free, residuals, note)
@@ -534,19 +566,6 @@ def _log_ratio(p: dict) -> ConstraintSolution:
 # the table: one record per catalog id
 
 
-class _Family(ex.Record):
-    """One subalgebra with an invariant ansatz y = h(x; params).  roles reads
-    "name:role ..."; solve maps the pinned parameters to the constraint
-    solution; field gives the generator (xi, eta) at solved parameters."""
-
-    label: str
-    h: ex.Expr
-    roles: str
-    solve: Callable[[dict], ConstraintSolution]
-    field: Callable[[Mapping[str, float]], tuple[ex.Expr, ex.Expr]]
-    notes: str
-
-
 class _Case(ex.Record):
     """One catalog id.
 
@@ -555,7 +574,9 @@ class _Case(ex.Record):
     and free_delay says when the caller supplies the delay.  system builds
     the Dods from (constants, f, delay); generators gives the algebra's
     (xi, eta) pairs, named X1, X2, ... in order; k is the delay x- = k(x; B)
-    of every family.
+    of every family.  families(constants, fam) gives the InvariantFamily
+    rows; fam(label, h, roles, solver, generator_fn, notes) fills in the
+    case id, the constants and k.
     """
 
     info: CaseInfo
@@ -566,7 +587,7 @@ class _Case(ex.Record):
     system: Callable[[dict, ex.Expr | None, DelayRelation | None], Dods] | None = None
     generators: Callable[[dict], tuple] = lambda p: ()
     k: ex.Expr | None = None
-    families: Callable[[dict], tuple[_Family, ...]] = lambda p: ()
+    families: Callable[..., tuple[InvariantFamily, ...]] = lambda p, fam: ()
 
 
 # (xi, eta) of d_x, d_y, x d_y and y d_y
@@ -597,9 +618,9 @@ _CASES = {c.info.id: c for c in (
           {"C1": 1.0, "C2": 1.0}, (_C2_POSITIVE,),
           system=lambda p, f, g: _slope_system(ConstantDelay(p["C2"]), ex.Num(p["C1"])),
           generators=lambda p: (_DY, _XDY, _DX), k=_K_CONST,
-          families=lambda p: (_Family(
+          families=lambda p, fam: (fam(
               "aX2+X3", _parsed("(a/2)*x^2 + A", ("x", "a", "A")),
-              "a:determined A:free B:determined",
+              {"a": Role.DETERMINED, "A": Role.FREE, "B": Role.DETERMINED},
               _slope_rate(p, p["C2"] / 2.0, "a*C2/2 = C1"),
               lambda m: (_ONE, _expr_with("a*x", {"a": m["a"]}, ("x", "y"))),
               "parabolas drifting at the forcing rate"),)),
@@ -618,9 +639,9 @@ _CASES = {c.info.id: c for c in (
           generators=lambda p: (_DY, _XDY, _YDY if p["a"] == 1.0 else
                                 (_expr_with("(1 - a)*x", {"a": p["a"]}), _Y)),
           k=_K_SCALE,
-          families=lambda p: () if p["a"] == 1.0 else (_Family(
+          families=lambda p, fam: () if p["a"] == 1.0 else (fam(
               "X3", _expr_with("A * x^p", {"p": 1.0 / (1.0 - p["a"])}, ("x", "A")),
-              "A:determined B:determined",
+              {"A": Role.DETERMINED, "B": Role.DETERMINED},
               _amplitude(p, p["C2"], _power_gap(1.0 / (1.0 - p["a"]), p["C2"]),
                          p["C1"], "power"),
               lambda m: (_expr_with("(1 - a)*x", {"a": p["a"]}), _Y),
@@ -632,8 +653,9 @@ _CASES = {c.info.id: c for c in (
           system=lambda p, f, g: _slope_system(
               ConstantDelay(p["C2"]), _expr_with("C1 * exp(x)", {"C1": p["C1"]})),
           generators=lambda p: (_DY, _XDY, (_ONE, _Y)), k=_K_CONST,
-          families=lambda p: (_Family(
-              "X3", _parsed("A*exp(x)", ("x", "A")), "A:determined B:determined",
+          families=lambda p, fam: (fam(
+              "X3", _parsed("A*exp(x)", ("x", "A")),
+              {"A": Role.DETERMINED, "B": Role.DETERMINED},
               _amplitude(p, p["C2"], p["C2"] - 1.0 + math.exp(-p["C2"]),
                          p["C1"] * p["C2"]),
               lambda m: (_ONE, _Y),
@@ -648,10 +670,10 @@ _CASES = {c.info.id: c for c in (
           generators=lambda p: (_DY, _XDY, (
               _parsed("1 + x^2"), _expr_with("(x + b)*y", {"b": p["b"]}, ("x", "y")))),
           k=_K_MOEBIUS,
-          families=lambda p: (_Family(
+          families=lambda p, fam: (fam(
               "X3", _expr_with("A*sqrt(1 + x^2)*exp(b*atan(x))", {"b": p["b"]},
                                ("x", "A")),
-              "A:determined B:determined",
+              {"A": Role.DETERMINED, "B": Role.DETERMINED},
               _amplitude(p, p["C2"], _spiral_gap(p["b"], p["C2"]), p["C1"], "spiral"),
               lambda m: (_parsed("1 + x^2"),
                          _expr_with("(x + b)*y", {"b": p["b"]}, ("x", "y"))),
@@ -666,22 +688,22 @@ _CASES = {c.info.id: c for c in (
           system=lambda p, f, g: _slope_system(ConstantDelay(p["C2"]),
                                                factor=ex.Num(p["C1"])),
           generators=lambda p: (_DX, _DY, _YDY), k=_K_CONST,
-          families=lambda p: (
-              _Family("X1±X2", _parsed("x + A", ("x", "A")),
-                      "A:free B:determined C1:existence",
-                      lambda pins: _unit_gain(p), lambda m: (_ONE, _ONE),
-                      "unit slope lines; the mirrored sign works identically"),
-              _Family("X1+aX3", _parsed("A*exp(a*x)", ("x", "A", "a")),
-                      "a:existence A:free B:determined",
-                      _existence_rate(
-                          p, p["C2"], lambda a: _exp_gap(a, p["C2"], p["C1"]), _BOTH_SIGNS,
-                          lambda gap: _sol(
-                              Status.SOLVED, {**p, "a": 0.0, "B": p["C2"]}, ("A",),
-                              (abs(gap(0.0)),),
-                              "no nonzero rate satisfies the existence equation; "
-                              "the family degenerates to constants")),
-                      lambda m: (_ONE, _expr_with("a*y", {"a": m["a"]}, ("x", "y"))),
-                      "exponentials whose rate solves a transcendental equation"))),
+          families=lambda p, fam: (
+              fam("X1±X2", _parsed("x + A", ("x", "A")),
+                  {"A": Role.FREE, "B": Role.DETERMINED, "C1": Role.EXISTENCE},
+                  lambda pins: _unit_gain(p), lambda m: (_ONE, _ONE),
+                  "unit slope lines; the mirrored sign works identically"),
+              fam("X1+aX3", _parsed("A*exp(a*x)", ("x", "A", "a")),
+                  {"a": Role.EXISTENCE, "A": Role.FREE, "B": Role.DETERMINED},
+                  _existence_rate(
+                      p, p["C2"], lambda a: _exp_gap(a, p["C2"], p["C1"]), _BOTH_SIGNS,
+                      lambda gap: _sol(
+                          Status.SOLVED, {**p, "a": 0.0, "B": p["C2"]}, ("A",),
+                          (abs(gap(0.0)),),
+                          "no nonzero rate satisfies the existence equation; "
+                          "the family degenerates to constants")),
+                  lambda m: (_ONE, _expr_with("a*y", {"a": m["a"]}, ("x", "y"))),
+                  "exponentials whose rate solves a transcendental equation"))),
     _Case(CaseInfo("A3_14", "y' = (y - y-)/(x - x-) + C1",
                    "x- = C2 x on x > 0",
                    "C1 (default 1), C2 in (0, 1) (default 0.5)"),
@@ -689,9 +711,9 @@ _CASES = {c.info.id: c for c in (
           (("C2 in (0, 1)", lambda p: 0.0 < p["C2"] < 1.0, "C2"),),
           system=lambda p, f, g: _slope_system(scale_delay(p["C2"]), ex.Num(p["C1"])),
           generators=lambda p: (_XDY, _DY, (_X, _Y)), k=_K_SCALE,
-          families=lambda p: (_Family(
+          families=lambda p, fam: (fam(
               "aX1+X3", _parsed("a*x*ln(x) + A*x", ("x", "a", "A")),
-              "a:determined A:free B:determined",
+              {"a": Role.DETERMINED, "A": Role.FREE, "B": Role.DETERMINED},
               _slope_rate(p, 1.0 + p["C2"] * math.log(p["C2"]) / (1.0 - p["C2"]),
                           "the slope constraint"),
               lambda m: (_X, _expr_with("a*x + y", {"a": m["a"]}, ("x", "y"))),
@@ -714,26 +736,27 @@ _CASES = {c.info.id: c for c in (
           {"C": 1.0}, (_C_POSITIVE,),
           system=lambda p, f, g: _slope_system(ConstantDelay(p["C"])),
           generators=lambda p: (_DX, _XDY, _DY, _YDY), k=_K_CONST,
-          families=lambda p: (
-              _Family("X1", _parsed("A", ("x", "A")), "A:free B:determined",
-                      lambda pins: _sol(Status.SOLVED, {**p, "B": p["C"]}, ("A",)),
-                      lambda m: _DX, "constants"),
-              _Family("X1±X2", _parsed("x^2/2 + A", ("x", "A")), "A:free B:determined",
-                      lambda pins: _sol(Status.NO_SOLUTION, p, residuals=(p["C"],), note=(
-                          "the parabola ansatz needs a vanishing delay spacing, but "
-                          f"the delay fixes B = {p['C']!r}")),
-                      lambda m: (_ONE, _X),
-                      "incompatible: two constraints pin B to different values"),
-              _Family("aX1+X4", _parsed("A*exp(x/a)", ("x", "A", "a")),
-                      "a:existence A:free B:determined",
-                      _existence_rate(
-                          p, p["C"], lambda lam: _exp_gap(lam, p["C"]), _BOTH_SIGNS,
-                          lambda gap: _sol(Status.TRIVIAL_ONLY, p, note=(
-                              "the existence equation 1/a = (1 - exp(-C/a))/C has no "
-                              "nonzero real solution; only y = 0 remains")),
-                          invert=True),
-                      lambda m: (_expr_with("a", {"a": m["a"]}), _Y),
-                      "the exponential rate equation has no real nonzero root"))),
+          families=lambda p, fam: (
+              fam("X1", _parsed("A", ("x", "A")), {"A": Role.FREE, "B": Role.DETERMINED},
+                  lambda pins: _sol(Status.SOLVED, {**p, "B": p["C"]}, ("A",)),
+                  lambda m: _DX, "constants"),
+              fam("X1±X2", _parsed("x^2/2 + A", ("x", "A")),
+                  {"A": Role.FREE, "B": Role.DETERMINED},
+                  lambda pins: _sol(Status.NO_SOLUTION, p, residuals=(p["C"],), note=(
+                      "the parabola ansatz needs a vanishing delay spacing, but "
+                      f"the delay fixes B = {p['C']!r}")),
+                  lambda m: (_ONE, _X),
+                  "incompatible: two constraints pin B to different values"),
+              fam("aX1+X4", _parsed("A*exp(x/a)", ("x", "A", "a")),
+                  {"a": Role.EXISTENCE, "A": Role.FREE, "B": Role.DETERMINED},
+                  _existence_rate(
+                      p, p["C"], lambda lam: _exp_gap(lam, p["C"]), _BOTH_SIGNS,
+                      lambda gap: _sol(Status.TRIVIAL_ONLY, p, note=(
+                          "the existence equation 1/a = (1 - exp(-C/a))/C has no "
+                          "nonzero real solution; only y = 0 remains")),
+                      invert=True),
+                  lambda m: (_expr_with("a", {"a": m["a"]}), _Y),
+                  "the exponential rate equation has no real nonzero root"))),
     _Case(CaseInfo("A4_14", "y' = (y - y-)/(x - x-)",
                    "x- = (x - C)/(1 + C x) on x > -1/C",
                    "C > 0 (default 1)"),
@@ -742,9 +765,9 @@ _CASES = {c.info.id: c for c in (
           generators=lambda p: (_DY, _XDY, _YDY,
                                 (_parsed("1 + x^2"), _parsed("x*y", ("x", "y")))),
           k=_K_MOEBIUS,
-          families=lambda p: (_Family(
+          families=lambda p, fam: (fam(
               "aX3+X4", _parsed("A*sqrt(1 + x^2)*exp(a*atan(x))", ("x", "A", "a")),
-              "a:existence A:free B:determined",
+              {"a": Role.EXISTENCE, "A": Role.FREE, "B": Role.DETERMINED},
               _existence_rate(
                   p, p["C"], lambda a: _spiral_gap(a, p["C"]), ((-10.0, 10.0),),
                   lambda gap: _sol(Status.TRIVIAL_ONLY, p, note=(
@@ -760,31 +783,31 @@ _CASES = {c.info.id: c for c in (
           system=lambda p, f, g: _slope_system(scale_delay(p["C"]),
                                                domain=(0.0, math.inf)),
           generators=lambda p: (_DY, (_X, _Y), _XDY, (_X, _ZERO)), k=_K_SCALE,
-          families=lambda p: (
-              _Family("Y1", _parsed("A", ("x", "A")), "A:free B:determined",
-                      lambda pins: _sol(Status.SOLVED, {**p, "B": p["C"]}, ("A",)),
-                      lambda m: (_X, _ZERO), "constants"),
-              _Family("Y1±Y2", _parsed("ln(abs(x)) + A", ("x", "A")),
-                      "A:free C:existence B:determined",
-                      lambda pins: _log_ratio(p), lambda m: (_X, _ONE),
-                      "logarithms; they pin the delay ratio itself"),
-              _Family("aY1+Y4", _parsed("A*x^(1/a)", ("x", "A", "a")),
-                      "a:existence A:free B:determined",
-                      _existence_rate(
-                          p, p["C"], lambda pw: _power_gap(pw, p["C"]),
-                          ((1e-6, 10.0),) if p["C"] > 0.0 else (),
-                          # for C < 0 only integer exponents stay real valued
-                          # at xm = C x < 0; pw = 1 satisfies the equation
-                          # identically
-                          lambda gap: (
-                              _sol(Status.TRIVIAL_ONLY, p, note=(
-                                  "no positive exponent satisfies the existence equation"))
-                              if p["C"] > 0.0 else
-                              _sol(Status.SOLVED, {**p, "a": 1.0, "B": p["C"]}, ("A",),
-                                   (abs(gap(1.0)),), note="linear branch")),
-                          invert=True, word="exponent"),
-                      lambda m: (_expr_with("a*x", {"a": m["a"]}), _Y),
-                      "power laws of the scaling group"))),
+          families=lambda p, fam: (
+              fam("Y1", _parsed("A", ("x", "A")), {"A": Role.FREE, "B": Role.DETERMINED},
+                  lambda pins: _sol(Status.SOLVED, {**p, "B": p["C"]}, ("A",)),
+                  lambda m: (_X, _ZERO), "constants"),
+              fam("Y1±Y2", _parsed("ln(abs(x)) + A", ("x", "A")),
+                  {"A": Role.FREE, "C": Role.EXISTENCE, "B": Role.DETERMINED},
+                  lambda pins: _log_ratio(p), lambda m: (_X, _ONE),
+                  "logarithms; they pin the delay ratio itself"),
+              fam("aY1+Y4", _parsed("A*x^(1/a)", ("x", "A", "a")),
+                  {"a": Role.EXISTENCE, "A": Role.FREE, "B": Role.DETERMINED},
+                  _existence_rate(
+                      p, p["C"], lambda pw: _power_gap(pw, p["C"]),
+                      ((1e-6, 10.0),) if p["C"] > 0.0 else (),
+                      # for C < 0 only integer exponents stay real valued
+                      # at xm = C x < 0; pw = 1 satisfies the equation
+                      # identically
+                      lambda gap: (
+                          _sol(Status.TRIVIAL_ONLY, p, note=(
+                              "no positive exponent satisfies the existence equation"))
+                          if p["C"] > 0.0 else
+                          _sol(Status.SOLVED, {**p, "a": 1.0, "B": p["C"]}, ("A",),
+                               (abs(gap(1.0)),), note="linear branch")),
+                      invert=True, word="exponent"),
+                  lambda m: (_expr_with("a*x", {"a": m["a"]}), _Y),
+                  "power laws of the scaling group"))),
 )}
 
 CASE_IDS = tuple(_CASES)
@@ -838,10 +861,23 @@ def resolve_case(case: CatalogCase | str) -> CatalogCase:
     return CatalogCase(cid, params, f, relation)
 
 
+def families(case: CatalogCase | str) -> tuple[InvariantFamily, ...]:
+    """The case's one dimensional subalgebras that admit an invariant
+    ansatz, in catalog order.  Cases whose symmetries all act vertically
+    (or trivially on x) have no reduction and return an empty tuple."""
+    return _families(resolve_case(case))
+
+
+def _families(rcase: CatalogCase) -> tuple[InvariantFamily, ...]:
+    spec = _CASES[rcase.id]
+    p = dict(rcase.params or {})
+    return spec.families(p, lambda label, h, roles, solver, generator_fn, notes: InvariantFamily(
+        rcase.id, label, p, h, spec.k, roles, solver, generator_fn, notes))
+
+
 def catalog(case: CatalogCase | str) -> CatalogEntry:
     """Instantiate a catalog case: the system, its symmetry generators, and
     its invariant solution families."""
-    from . import reduction as _reduction
     from . import symmetry as _symmetry
 
     rcase = resolve_case(case)
@@ -852,4 +888,4 @@ def catalog(case: CatalogCase | str) -> CatalogEntry:
     validate_beta(d, window)
     algebra = tuple(_symmetry.VectorField(xi, eta, name=f"X{i}")
                     for i, (xi, eta) in enumerate(spec.generators(p), start=1))
-    return CatalogEntry(rcase, d, algebra, _reduction.families(rcase), window)
+    return CatalogEntry(rcase, d, algebra, _families(rcase), window)

@@ -26,7 +26,7 @@ from collections.abc import Callable, Iterable, Sequence
 from . import expr as ex
 from .delay import DelayRelation, Mesh, build_mesh, parse_delay_spec
 from .dods import Dods, InitialCondition, LinearRhs, _max_residual
-from .errors import (MeshRangeError, OutOfRange, ParameterDomainError,
+from .errors import (DomainError, MeshRangeError, OutOfRange, ParameterDomainError,
                      SchemeMismatch)
 
 __all__ = [
@@ -346,7 +346,9 @@ def solve(d: Dods, init: InitialCondition, intervals: int,
     gives alpha, beta*ym and gamma at every node and midpoint (rhs_fn's bits).
     Either scheme reads an interval's delayed values in one sweep before
     stepping it, so when both the delay and a coefficient fail inside one
-    interval, the delay's DomainError is the one raised.
+    interval, the delay's DomainError is the one raised.  An interval that
+    ends on a value or slope that is not finite, or whose integrating factor
+    overflows, raises DomainError naming it.
     """
     mesh = build_mesh(d.delay, init.x0, intervals)
     if abs(init.x_minus1 - mesh.points[0]) > _TOL * (1.0 + abs(mesh.points[0])):
@@ -374,7 +376,11 @@ def solve(d: Dods, init: InitialCondition, intervals: int,
     for n in range(1, intervals + 1):
         a, b = mesh.points[n], mesh.points[n + 1]
         nodes = tuple(a + (b - a) * j / m for j in range(m + 1))
-        segments.append(step(d, segments[-1], nodes, (b - a) / m))
+        seg = step(d, segments[-1], nodes, (b - a) / m)
+        # a value that is not finite stays so through every later step
+        if not (math.isfinite(seg.values[-1]) and math.isfinite(seg.derivs[-1])):
+            raise DomainError(f"the solution is not finite on the interval [{a!r}, {b!r}]")
+        segments.append(seg)
 
     return PiecewiseSolution(mesh, tuple(segments))
 
@@ -469,14 +475,18 @@ def _exact_linear_interval(d: Dods, prev: Segment, nodes: tuple[float, ...],
     exp = math.exp
     y = pv[-1]
     values = [y]
-    for a0, a1, a2, f0, f1, f2 in zip(alphas[:n], alphas[n:2 * n], alphas[2 * n:],
-                                      forcing[:n], forcing[n:2 * n], forcing[2 * n:]):
-        e0 = exp(h * (((0.0 + t00 * a0) + t01 * a1) + t02 * a2))
-        e1 = exp(h * (((0.0 + t10 * a0) + t11 * a1) + t12 * a2))
-        e2 = exp(h * (((0.0 + t20 * a0) + t21 * a1) + t22 * a2))
-        s = ((0.0 + b0 * e0 * f0) + b1 * e1 * f1) + b2 * e2 * f2
-        y = exp(h * (((0.0 + b0 * a0) + b1 * a1) + b2 * a2)) * y + h * s
-        values.append(y)
+    try:
+        for a0, a1, a2, f0, f1, f2 in zip(alphas[:n], alphas[n:2 * n], alphas[2 * n:],
+                                          forcing[:n], forcing[n:2 * n], forcing[2 * n:]):
+            e0 = exp(h * (((0.0 + t00 * a0) + t01 * a1) + t02 * a2))
+            e1 = exp(h * (((0.0 + t10 * a0) + t11 * a1) + t12 * a2))
+            e2 = exp(h * (((0.0 + t20 * a0) + t21 * a1) + t22 * a2))
+            s = ((0.0 + b0 * e0 * f0) + b1 * e1 * f1) + b2 * e2 * f2
+            y = exp(h * (((0.0 + b0 * a0) + b1 * a1) + b2 * a2)) * y + h * s
+            values.append(y)
+    except OverflowError:
+        raise DomainError(f"the integrating factor overflows on the interval "
+                          f"[{nodes[0]!r}, {nodes[-1]!r}]") from None
     (derivs,) = slope_col(nodes, values, at_nodes)
     return Segment(nodes, tuple(values), tuple(derivs))
 

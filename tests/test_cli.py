@@ -136,6 +136,18 @@ class TestSolve:
             main(["solve", "--case", "A3_5", "--phi", "x"])
         assert info.value.code == 2
 
+    @pytest.mark.parametrize("scheme, message", [
+        ("exact-linear", "the integrating factor overflows on the interval [0.0, 1.0]"),
+        ("rk4", "the solution is not finite on the interval [0.0, 1.0]"),
+    ])
+    def test_overflow_is_a_domain_error(self, capsys, tmp_path, scheme, message):
+        spec = tmp_path / "fast.dods"
+        spec.write_text("alpha = 1e5\nbeta = 0.5\ngamma = 1\ndelay = constant(1)\n")
+        code, out, err = run(capsys, "solve", "--spec", str(spec), "--phi", "1", "--x0", "0",
+                             "--intervals", "1", "--scheme", scheme)
+        assert code == 1 and out == ""
+        assert err == f"DomainError: {message}\n"
+
     def test_solver_error_is_reported(self, capsys, spec_file):
         # phi(x0) mismatch cannot happen (phi defines the value), but a
         # domain violation can: qscale case started at negative x0

@@ -16,6 +16,7 @@ from delaysym.reduction import (
     verify,
 )
 from delaysym.symmetry import Invariance, check_invariance
+from test_acceptance import INVARIANCE_CASES
 
 
 def family(case, label):
@@ -65,6 +66,29 @@ class TestFamilyTables:
         assert fam.roles["B"] is Role.DETERMINED
         fam = family("A3_5", "X3")
         assert fam.roles["A"] is Role.DETERMINED
+
+
+class TestOneFamilyRecord:
+    def test_reduction_reexports_the_catalog_records(self):
+        import delaysym
+        from delaysym import dods, reduction
+        for name in ("InvariantFamily", "Role", "Status", "ConstraintSolution", "families"):
+            assert getattr(reduction, name) is getattr(dods, name) is getattr(delaysym, name)
+
+    @pytest.mark.parametrize("case", INVARIANCE_CASES, ids=repr)
+    def test_catalog_and_families_give_equal_records(self, case):
+        def visible(fam):
+            return [getattr(fam, n) for n in fam.__match_args__ if n not in fam._hidden]
+
+        assert [visible(f) for f in catalog(case).families] == [visible(f) for f in families(case)]
+
+    def test_only_a_family_rate_can_be_pinned(self):
+        with pytest.raises(ParameterDomainError) as raised:
+            solve_constraints(family("A4_12", "X1"), fixed={"a": 1.0})
+        assert str(raised.value) == "only [] can be pinned here, not 'a'"
+        with pytest.raises(ParameterDomainError) as raised:
+            solve_constraints(family("A4_12", "aX1+X4"), fixed={"a": 5.0, "B": 1.0})
+        assert str(raised.value) == "only ['a'] can be pinned here, not 'B'"
 
 
 class TestDeterminedFamilies:

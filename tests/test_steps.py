@@ -664,13 +664,29 @@ class TestColumnKernels:
         assert _solve_outcome(d, init, 2, config) == want
 
     def test_integrating_factor_overflow_as_before(self):
-        # h*alpha = 1e5/64 overflows exp in the step, as a bare OverflowError
+        # h*alpha = 1e5/64 overflows exp in the step: the per-point stepper
+        # meets a bare OverflowError there, which solve reports as a
+        # DomainError naming the interval
         d = Dods(LinearRhs(ex.Num(1e5), ex.Num(0.5), ex.Num(1.0)), ConstantDelay(1.0))
         init = initial_condition("1", d.delay, 0.0)
         config = SolverConfig(Scheme.EXACT_LINEAR, step_count=64)
-        want = _per_point_outcome(d, init, 1, config)
-        assert want == (OverflowError, "math range error")
+        assert _per_point_outcome(d, init, 1, config) == (OverflowError, "math range error")
+        assert _solve_outcome(d, init, 1, config) == (
+            DomainError, "the integrating factor overflows on the interval [0.0, 1.0]")
+
+    @pytest.mark.parametrize("rhs", [
+        LinearRhs(ex.Num(1e5), ex.Num(0.5), ex.Num(1.0)),
+        GeneralRhs(ex.parse("1e5*y + 0.5*ym + 1", ("x", "y", "ym"))),
+    ])
+    def test_rk4_overflow_is_a_domain_error(self, rhs):
+        # RK4 has no exp to overflow: y grows past the largest float to inf
+        # and stays there, so the interval's last value and slope tell
+        d = Dods(rhs, ConstantDelay(1.0))
+        init = initial_condition("1", d.delay, 0.0)
+        config = SolverConfig(Scheme.RK4, step_count=64)
+        want = (DomainError, "the solution is not finite on the interval [0.0, 1.0]")
         assert _solve_outcome(d, init, 1, config) == want
+        assert _per_point_outcome(d, init, 1, config) == want
 
     def test_exact_linear_coefficient_leaving_its_domain_names_the_first_gauss_point(self):
         # sqrt(0.6 - x) is real on the first interval [0, 1] only up to 0.6;
