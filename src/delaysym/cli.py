@@ -21,7 +21,7 @@ from .errors import DelaySymError, ParameterDomainError
 from .reduction import Status, build_solution, solve_constraints, verify
 from .steps import (Scheme, SolverConfig, residual_scan, solution_from_json,
                     solve)
-from .symmetry import AffineEta, char_roots
+from .symmetry import char_roots
 
 
 def _parse_params(raw: str | None) -> dict[str, float]:
@@ -98,9 +98,7 @@ def _cmd_catalog(args: argparse.Namespace) -> int:
         "generators:",
     ]
     for v in entry.algebra:
-        eta = v.eta
-        eta_text = ex.to_text(eta) if not isinstance(eta, AffineEta) else "affine"
-        lines.append(f"    {v.name}: xi = {ex.to_text(v.xi)}, eta = {eta_text}")
+        lines.append(f"    {v.name}: xi = {ex.to_text(v.xi)}, eta = {ex.to_text(v.eta)}")
     lines.append("families:")
     if not entry.families:
         lines.append("    (none: no subalgebra produces an ansatz)")

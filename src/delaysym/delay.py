@@ -66,8 +66,26 @@ class DelayRelation(ex.Record):
         raise NotImplementedError
 
 
-class ConstantDelay(DelayRelation):
+class _Affine(DelayRelation):
+    """x- = q*x - tau, from the q and tau of a subclass: a field, or a class
+    constant where the relation fixes it."""
+
+    def advance(self, x: float) -> float:
+        return (x + self.tau) / self.q
+
+    def as_expr(self) -> ex.Expr:
+        return ex.fold(ex.Binary("-", ex.Binary("*", ex.Num(self.q), _X), ex.Num(self.tau)))
+
+    def derivative(self, x: float) -> float:
+        return self.q
+
+    def affine_parameters(self) -> tuple[float, float]:
+        return self.q, self.tau
+
+
+class ConstantDelay(_Affine):
     tau: float
+    q = 1.0
 
     def __post_init__(self) -> None:
         if not self.tau > 0.0:
@@ -76,26 +94,14 @@ class ConstantDelay(DelayRelation):
     def delayed_point(self, x: float) -> float:
         return x - self.tau
 
-    def advance(self, x: float) -> float:
-        return x + self.tau
-
-    def as_expr(self) -> ex.Expr:
-        return ex.Binary("-", _X, ex.Num(self.tau))
-
-    def derivative(self, x: float) -> float:
-        return 1.0
-
     def gap_expr(self) -> ex.Expr:
         return ex.Num(self.tau)
-
-    def affine_parameters(self) -> tuple[float, float]:
-        return 1.0, self.tau
 
     def spec_string(self) -> str:
         return f"constant({self.tau!r})"
 
 
-class AffineDelay(DelayRelation):
+class AffineDelay(_Affine):
     """x- = q*x - tau with q > 0.  Valid where (q - 1)*x < tau."""
 
     q: float
@@ -114,18 +120,6 @@ class AffineDelay(DelayRelation):
                 f"affine relation is not a delay at x = {x!r}: needs (q-1)*x < tau")
         return xm
 
-    def advance(self, x: float) -> float:
-        return (x + self.tau) / self.q
-
-    def as_expr(self) -> ex.Expr:
-        return ex.fold(ex.Binary("-", ex.Binary("*", ex.Num(self.q), _X), ex.Num(self.tau)))
-
-    def derivative(self, x: float) -> float:
-        return self.q
-
-    def affine_parameters(self) -> tuple[float, float]:
-        return self.q, self.tau
-
     def default_domain(self) -> tuple[float, float]:
         q, tau = self.q, self.tau
         if q == 1.0:
@@ -138,10 +132,11 @@ class AffineDelay(DelayRelation):
         return f"affine({self.q!r}, {self.tau!r})"
 
 
-class QScaleDelay(DelayRelation):
+class QScaleDelay(_Affine):
     """x- = q*x with 0 < q < 1, valid on x > 0."""
 
     q: float
+    tau = 0.0
 
     def __post_init__(self) -> None:
         if not 0.0 < self.q < 1.0:
@@ -156,15 +151,6 @@ class QScaleDelay(DelayRelation):
         if not x > 0.0:
             raise DomainError(f"scale relation advances only on x > 0, got x = {x!r}")
         return x / self.q
-
-    def as_expr(self) -> ex.Expr:
-        return ex.Binary("*", ex.Num(self.q), _X)
-
-    def derivative(self, x: float) -> float:
-        return self.q
-
-    def affine_parameters(self) -> tuple[float, float]:
-        return self.q, 0.0
 
     def default_domain(self) -> tuple[float, float]:
         return (0.0, math.inf)
@@ -389,6 +375,13 @@ def closed_form_point(relation: DelayRelation, x0: float, x_minus1: float, n: in
 _DELAY_RE = re.compile(r"^\s*([a-z]+)\s*\(\s*(.*?)\s*\)\s*$", re.S)
 
 
+def _unquote(raw: str) -> str:
+    raw = raw.strip()
+    if len(raw) >= 2 and raw[0] in "\"'" and raw[-1] == raw[0]:
+        return raw[1:-1]
+    return raw
+
+
 def parse_delay_spec(text: str) -> DelayRelation:
     """Parse 'constant(tau)', 'affine(q, tau)', 'qscale(q)', 'moebius(C)'
     or 'general("<expr in x>")'."""
@@ -397,10 +390,7 @@ def parse_delay_spec(text: str) -> DelayRelation:
         raise ParameterDomainError(f"cannot parse delay specification {text!r}")
     kind, body = m.group(1), m.group(2)
     if kind == "general":
-        inner = body.strip()
-        if len(inner) >= 2 and inner[0] in "\"'" and inner[-1] == inner[0]:
-            inner = inner[1:-1]
-        return GeneralDelay(ex.parse(inner, ("x",)))
+        return GeneralDelay(ex.parse(_unquote(body), ("x",)))
     try:
         args = [float(p) for p in body.split(",")] if body else []
     except ValueError:

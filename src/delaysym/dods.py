@@ -18,8 +18,8 @@ import math
 from collections.abc import Callable, Mapping
 
 from . import expr as ex
-from .delay import (ConstantDelay, DelayRelation, MoebiusDelay, parse_delay_spec,
-                    scale_delay)
+from .delay import (ConstantDelay, DelayRelation, MoebiusDelay, _unquote,
+                    parse_delay_spec, scale_delay)
 from .errors import (BracketNotFound, DomainError, NoDodsError, NonConvergence,
                      ParameterDomainError, SchemeMismatch)
 from .numerics import hybrid_root, scan_bracket
@@ -147,20 +147,6 @@ class Dods(ex.Record):
     def rhs_value(self, x: float, y: float, ym: float) -> float:
         return self.rhs_fn(x, y, ym)
 
-    def residual(self, x: float, y: float, xm: float, ym: float, ydot: float
-                 ) -> tuple[float, float]:
-        """(ydot - f(x, y, ym), xm - g(x)).
-
-        The first component is affine in (y, ym, ydot) for a linear right
-        hand side; the second vanishes exactly on the delay manifold.
-        """
-        return (ydot - self.rhs_value(x, y, ym),
-                xm - self.delay.delayed_point(x))
-
-    def contains(self, x: float) -> bool:
-        lo, hi = self.domain
-        return lo < x < hi
-
 
 def homogenized(d: Dods) -> Dods:
     """The same system with the forcing term removed (gamma = 0)."""
@@ -192,27 +178,27 @@ def initial_condition(phi: "ex.Expr | str", relation: DelayRelation, x0: float) 
     return InitialCondition(ex.as_expr(phi, ("x",)), relation.delayed_point(x0), x0)
 
 
-def _sampled_max(e: ex.Expr, window: tuple[float, float], samples: int = 20,
+def _sampled_max(e: ex.Expr, window: tuple[float, float],
                  skip: "type[Exception] | tuple" = ()) -> float:
-    """Largest |e(x)| over the midpoints of `samples` equal cells of the
-    window; a point whose evaluation raises one of `skip` is passed over.
-    The reference evaluator is used, so nothing is compiled."""
+    """Largest |e(x)| over the midpoints of 20 equal cells of the window; a
+    point whose evaluation raises one of `skip` is passed over.  The
+    reference evaluator is used, so nothing is compiled."""
     lo, hi = window
     seen = 0.0
-    for i in range(samples):
+    for i in range(20):
         try:
-            seen = max(seen, abs(ex.evaluate(e, {"x": lo + (hi - lo) * (i + 0.5) / samples})))
+            seen = max(seen, abs(ex.evaluate(e, {"x": lo + (hi - lo) * (i + 0.5) / 20})))
         except skip:
             continue
     return seen
 
 
-def validate_beta(d: Dods, window: tuple[float, float], samples: int = 20) -> None:
+def validate_beta(d: Dods, window: tuple[float, float]) -> None:
     """Reject a linear system whose delay coefficient vanishes identically
     on the sampling window."""
     if not isinstance(d.rhs, LinearRhs):
         return
-    if _sampled_max(d.rhs.beta, window, samples, Exception) <= 1e-12:
+    if _sampled_max(d.rhs.beta, window, Exception) <= 1e-12:
         raise ParameterDomainError(
             "delay coefficient beta vanishes identically; the system is an ODE")
 
@@ -245,11 +231,11 @@ def _max_residual(d: Dods, lo: float, hi: float, samples: int,
 # plain text system files
 
 
-def _unquote(raw: str) -> str:
-    raw = raw.strip()
-    if len(raw) >= 2 and raw[0] in "\"'" and raw[-1] == raw[0]:
-        return raw[1:-1]
-    return raw
+def _number(key: str, raw: str) -> float:
+    try:
+        return float(raw)
+    except ValueError:
+        raise ParameterDomainError(f"{key} needs a number, got {raw.strip()!r}") from None
 
 
 def _parse_domain(raw: str) -> tuple[float, float]:
@@ -259,7 +245,7 @@ def _parse_domain(raw: str) -> tuple[float, float]:
     parts = raw[1:-1].split(",")
     if len(parts) != 2:
         raise ParameterDomainError(f"domain must have two bounds, got {raw!r}")
-    return float(parts[0]), float(parts[1])
+    return _number("domain", parts[0]), _number("domain", parts[1])
 
 
 def load_spec(text: str) -> tuple[Dods, InitialCondition | None]:
@@ -302,7 +288,7 @@ def load_spec(text: str) -> tuple[Dods, InitialCondition | None]:
 
     init: InitialCondition | None = None
     if "phi" in fields and "x0" in fields:
-        init = initial_condition(_unquote(fields["phi"]), relation, float(fields["x0"]))
+        init = initial_condition(_unquote(fields["phi"]), relation, _number("x0", fields["x0"]))
     return d, init
 
 

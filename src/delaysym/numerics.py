@@ -50,15 +50,15 @@ def adaptive_simpson(f: Callable[[float], float], a: float, b: float,
     return sign * _adapt(f, a, fa, b, fb, m, fm, whole, tol, max_depth)
 
 
-def scan_bracket(f: Callable[[float], float], lo: float, hi: float,
-                 subdivisions: int = 200) -> tuple[float, float]:
-    """Locate the first sign change of f on [lo, hi] by a uniform scan."""
+def scan_bracket(f: Callable[[float], float], lo: float, hi: float) -> tuple[float, float]:
+    """Locate the first sign change of f on [lo, hi] by a uniform scan of
+    200 cells."""
     prev_x = lo
     prev_f = f(lo)
     if prev_f == 0.0:
         return lo, lo
-    for i in range(1, subdivisions + 1):
-        x = lo + (hi - lo) * i / subdivisions
+    for i in range(1, 201):
+        x = lo + (hi - lo) * i / 200
         fx = f(x)
         if fx == 0.0:
             return x, x
@@ -68,15 +68,15 @@ def scan_bracket(f: Callable[[float], float], lo: float, hi: float,
     raise BracketNotFound(f"no sign change of the target function on [{lo!r}, {hi!r}]")
 
 
-def hybrid_root(f: Callable[[float], float], lo: float, hi: float,
-                residual_tol: float = 1e-13, max_iter: int = 200) -> float:
+def hybrid_root(f: Callable[[float], float], lo: float, hi: float) -> float:
     """Root of f inside a bracketing interval.
 
     Bisection narrows the bracket; once it is small a guarded secant step
-    takes over and runs until the bracket cannot shrink any further (or
-    max_iter evaluations are spent).  Steps that would leave the bracket fall
-    back to bisection, so the search cannot escape [lo, hi].  The point with
-    the smallest |f| is returned when that is within residual_tol.
+    takes over and runs until the bracket cannot shrink any further (or 200
+    evaluations are spent).  Steps that would leave the bracket fall back to
+    bisection, so the search cannot escape [lo, hi].  The point with the
+    smallest |f| is returned when that is within 1e-13, else NonConvergence
+    is raised.
     """
     flo, fhi = f(lo), f(hi)
     if flo == 0.0:
@@ -89,7 +89,7 @@ def hybrid_root(f: Callable[[float], float], lo: float, hi: float,
     best_x, best_f = (a, fa) if abs(fa) < abs(fb) else (b, fb)
     used = 0
     # phase one: bisection down to a narrow interval
-    while b - a > 1e-6 * (1.0 + abs(a) + abs(b)) and used < max_iter:
+    while b - a > 1e-6 * (1.0 + abs(a) + abs(b)) and used < 200:
         m = 0.5 * (a + b)
         fm = f(m)
         used += 1
@@ -103,9 +103,9 @@ def hybrid_root(f: Callable[[float], float], lo: float, hi: float,
             a, fa = m, fm
     # phase two: guarded secant inside the bracket, where f is near linear,
     # until the bracket is exhausted at machine precision.  Stopping at
-    # residual_tol instead would leave an absolute error that callers
-    # multiply by large factors
-    while used < max_iter:
+    # 1e-13 instead would leave an absolute error that callers multiply by
+    # large factors
+    while used < 200:
         if fb != fa:
             x = b - fb * (b - a) / (fb - fa)
         else:
@@ -124,7 +124,7 @@ def hybrid_root(f: Callable[[float], float], lo: float, hi: float,
             b, fb = x, fx
         else:
             a, fa = x, fx
-    if abs(best_f) <= residual_tol:
+    if abs(best_f) <= 1e-13:
         return best_x
     raise NonConvergence(
         f"root refinement stalled at {best_x!r} with residual {best_f!r}")

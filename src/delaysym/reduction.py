@@ -14,6 +14,7 @@ verify, and re-exports the records and families from dods.
 
 from __future__ import annotations
 
+import math
 from collections.abc import Mapping
 
 from . import expr as ex
@@ -38,12 +39,15 @@ def solve_constraints(fam: InvariantFamily,
                       ) -> ConstraintSolution:
     """Solve the family's constraints; `fixed` pins parameters that would
     otherwise come from an existence equation.  A family's rate a, when it
-    has one, is the only parameter a caller may pin."""
+    has one, is the only parameter a caller may pin, and only to a finite
+    value."""
     pins = dict(fixed or {})
     allowed = ["a"] if "a" in fam.roles else []
-    for key in pins:
+    for key, value in pins.items():
         if key not in allowed:
             raise ParameterDomainError(f"only {allowed} can be pinned here, not {key!r}")
+        if not math.isfinite(value):
+            raise ParameterDomainError(f"{fam.case_id} needs a finite pinned {key}, got {value!r}")
     return fam.solver(pins)
 
 
@@ -80,14 +84,11 @@ def build_solution(fam: InvariantFamily, sol: ConstraintSolution,
 
 
 def verify(y: "ex.Expr | str", d: Dods,
-           window: tuple[float, float] | None = None,
-           samples: int = 240) -> float:
-    """Independent oracle: largest |y' - f(x, y, ym)| of the candidate over
-    the window, with ym evaluated through the delay relation."""
-    if samples < 1:
-        raise ParameterDomainError("need at least one sample")
+           window: tuple[float, float] | None = None) -> float:
+    """Independent oracle: largest |y' - f(x, y, ym)| of the candidate at 240
+    points of the window, with ym evaluated through the delay relation."""
     e = ex.as_expr(y, ("x",))
     f = ex.compile(e, ("x",))
     df = ex.compile(ex.fold(ex.differentiate(e, "x")), ("x",))
     lo, hi = window if window is not None else _window_for(d.domain)
-    return _max_residual(d, lo, hi, samples, lambda x: (f(x), df(x)), f)
+    return _max_residual(d, lo, hi, 240, lambda x: (f(x), df(x)), f)

@@ -491,15 +491,13 @@ def _exact_linear_interval(d: Dods, prev: Segment, nodes: tuple[float, ...],
     return Segment(nodes, tuple(values), tuple(derivs))
 
 
-def residual_scan(s: PiecewiseSolution, d: Dods, samples_per_segment: int = 48) -> float:
-    """Max |ydot - f(x, y, y(g(x)))| over off-node samples of every solved
+def residual_scan(s: PiecewiseSolution, d: Dods) -> float:
+    """Max |ydot - f(x, y, y(g(x)))| over 48 off-node samples of every solved
     segment.  This is the project-wide correctness oracle: it only uses the
     stored solution and the system definition."""
-    if samples_per_segment < 1:
-        raise ParameterDomainError("need at least one sample per segment")
     pts = s.mesh.points
     # every sample lies strictly inside its segment, so segment n holds it
     # and it is no mesh point
-    return max((_max_residual(d, pts[n], pts[n + 1], samples_per_segment,
+    return max((_max_residual(d, pts[n], pts[n + 1], 48,
                               s.segments[n].evaluate, s.value)
                 for n in range(1, len(s.segments))), default=0.0)

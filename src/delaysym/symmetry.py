@@ -68,59 +68,27 @@ class VectorField(ex.Record):
         if not isinstance(self.eta, AffineEta):
             ex.check_variables(self.eta, {"x", "y"}, "eta may only depend on x and y")
 
-    # -- pointwise evaluation -------------------------------------------
-
     @functools.cached_property
     def _trees(self) -> tuple[ex.Expr, ...]:
         """xi(x), xi(xm), eta(x, y), eta(xm, ym), eta_x, eta_y and xi'(x) as
-        trees over x, y, xm and ym.  An eta whose r is a computed solution
-        has no tree: its four values are the variables _OUTSIDE_ARGS."""
+        trees over x, y, xm and ym.  A computed r has no tree: its value at x
+        and xm and its slope at x are the variables r, r_m and r_x."""
         eta = self.eta
-        if _computed_r(self) is not None:
-            etas = tuple(ex.Var(name) for name in _OUTSIDE_ARGS)
-        else:
-            if isinstance(eta, AffineEta):
-                # p y + r in the order of operations of the point methods
-                p, r, y = eta.p, ex.as_expr(eta.r, ("x",)), ex.Var("y")
-                eta = ex.Binary("+", ex.Binary("*", p, y), r)
-                eta_x = ex.Binary("+", ex.Binary("*", _deriv(p, "x"), y), _deriv(r, "x"))
-                eta_y = p
+        if isinstance(eta, AffineEta):
+            # p y + r in the order of operations of the per-term formulas
+            p, y = eta.p, ex.Var("y")
+            if isinstance(eta.r, PiecewiseSolution):
+                r, r_x = ex.Var("r"), ex.Var("r_x")
             else:
-                eta_x, eta_y = _deriv(eta, "x"), _deriv(eta, "y")
-            etas = (eta, ex.substitute(eta, _AT_DELAYED), eta_x, eta_y)
-        return (self.xi, ex.substitute(self.xi, _AT_DELAYED)) + etas + (_deriv(self.xi, "x"),)
-
-    @functools.cached_property
-    def _compiled(self) -> tuple[Callable[..., float], ...]:
-        """(xi(x), xi'(x), eta(x, y), eta_x(x, y), eta_y(x, y)), compiled on
-        first use."""
-        xi, _, eta, _, eta_x, eta_y, xi_prime = self._trees
-        x, xy = ("x",), ("x", "y")
-        r = _computed_r(self)
-        if r is None:
-            return (ex.compile(xi, x), ex.compile(xi_prime, x), ex.compile(eta, xy),
-                    ex.compile(eta_x, xy), ex.compile(eta_y, xy))
-        p = ex.compile(self.eta.p, x)
-        p_x = ex.compile(_deriv(self.eta.p, "x"), x)
-        return (ex.compile(xi, x), ex.compile(xi_prime, x),
-                lambda u, y: p(u) * y + r.value(u),
-                lambda u, y: p_x(u) * y + r.eval(u)[2],
-                lambda u, y: p(u))
-
-    def xi_at(self, x: float) -> float:
-        return self._compiled[0](x)
-
-    def xi_prime_at(self, x: float) -> float:
-        return self._compiled[1](x)
-
-    def eta_at(self, x: float, y: float) -> float:
-        return self._compiled[2](x, y)
-
-    def eta_x_at(self, x: float, y: float) -> float:
-        return self._compiled[3](x, y)
-
-    def eta_y_at(self, x: float, y: float) -> float:
-        return self._compiled[4](x, y)
+                r = ex.as_expr(eta.r, ("x",))
+                r_x = _deriv(r, "x")
+            eta = ex.Binary("+", ex.Binary("*", p, y), r)
+            eta_x = ex.Binary("+", ex.Binary("*", _deriv(p, "x"), y), r_x)
+            eta_y = p
+        else:
+            eta_x, eta_y = _deriv(eta, "x"), _deriv(eta, "y")
+        return (self.xi, ex.substitute(self.xi, _AT_DELAYED), eta,
+                ex.substitute(eta, _AT_DELAYED), eta_x, eta_y, _deriv(self.xi, "x"))
 
 
 def _computed_r(v: VectorField) -> PiecewiseSolution | None:
@@ -144,12 +112,12 @@ class Invariance(enum.Enum):
 # m_ym, xi(x), xi(xm), eta(x, y), eta(xm, ym), eta_x, eta_y, xi'(x), pr1, pr2
 # and the seven magnitudes whose largest is the scale, evaluated in that
 # order from shared subexpressions.  An eta whose r is a computed solution
-# has no tree: its four values come from the field's point methods and are
-# passed in after the six point arguments.
+# takes three reads of it, r(x), r(xm) and r'(x), after the six point
+# arguments; p is compiled in the kernel like any other tree.
 
 _KERNEL_ARGS = ("x", "y", "xm", "ym", "ydot", "gp")
-_OUTSIDE_ARGS = ("eta", "eta_m", "eta_x", "eta_y")
-_AT_DELAYED = {"x": ex.Var("xm"), "y": ex.Var("ym")}
+_OUTSIDE_ARGS = ("r", "r_m", "r_x")
+_AT_DELAYED = {"x": ex.Var("xm"), "y": ex.Var("ym"), "r": ex.Var("r_m")}
 
 
 def _kernel(v: VectorField, d: Dods) -> Callable[..., tuple[float, ...]]:
@@ -168,17 +136,15 @@ def _kernel(v: VectorField, d: Dods) -> Callable[..., tuple[float, ...]]:
     xi_g = B("*", xi, ex.Var("gp"))
     pr1 = B("-", zeta, B("+", B("+", B("+", terms[1], terms[2]), terms[3]), terms[4]))
     pr2 = B("-", xi_m, xi_g)
-    outside = _computed_r(v) is not None
+    r = _computed_r(v)
     fn = ex.compile_many(
         partials + trees + (pr1, pr2) + tuple(ex.Unary("abs", t) for t in terms + (xi_m, xi_g)),
-        _KERNEL_ARGS + _OUTSIDE_ARGS if outside else _KERNEL_ARGS)
-    if outside:
-        _, _, eta_at, eta_x_at, eta_y_at = v._compiled
+        _KERNEL_ARGS if r is None else _KERNEL_ARGS + _OUTSIDE_ARGS)
+    if r is not None:
         kernel = fn
 
         def fn(x, y, xm, ym, ydot, gp):
-            return kernel(x, y, xm, ym, ydot, gp, eta_at(x, y), eta_at(xm, ym),
-                          eta_x_at(x, y), eta_y_at(x, y))
+            return kernel(x, y, xm, ym, ydot, gp, r.value(x), r.value(xm), r.eval(x)[2])
     v.__dict__["_kernel"] = (d, fn)
     return fn
 
@@ -221,22 +187,22 @@ def _judge(terms: Callable[[tuple[float, ...]], tuple[float, float, float]],
 
 
 def check_invariance(v: VectorField, d: Dods, samples: int = 200,
-                     window: tuple[float, float] | None = None,
-                     seed: int = 7) -> tuple[float, Invariance]:
+                     window: tuple[float, float] | None = None
+                     ) -> tuple[float, Invariance]:
     """Monte Carlo invariance test.
 
-    Samples the solution manifold (xm = g(x), ydot = f) and reports the
-    largest applied prolongation value there, then perturbs y, ym, ydot by
-    one unit and xm by half a gap to separate identities that hold
-    everywhere from those relying on the manifold equations.  Tolerances
-    scale with the largest term entering each evaluation, so cancellation
-    is measured relative to what was cancelled.  A point that cannot be
-    evaluated, or whose terms are not finite, is not counted.
+    Samples the solution manifold (xm = g(x), ydot = f) from random.Random(7)
+    and reports the largest applied prolongation value there, then perturbs
+    y, ym, ydot by one unit and xm by half a gap to separate identities that
+    hold everywhere from those relying on the manifold equations.
+    Tolerances scale with the largest term entering each evaluation, so
+    cancellation is measured relative to what was cancelled.  A point that
+    cannot be evaluated, or whose terms are not finite, is not counted.
     """
     if samples < 1:
         raise ParameterDomainError("need at least one sample")
     lo, hi = window if window is not None else _window_for(d.domain)
-    rng = random.Random(seed)
+    rng = random.Random(7)
     r = _computed_r(v)
     breaks = r.mesh.points if r is not None else ()
     terms = _prolongation(v, d)

@@ -156,6 +156,19 @@ class TestSolve:
         assert code == 1
         assert "Error" in err
 
+    @pytest.mark.parametrize("line, argv, message", [
+        ("phi = x\nx0 = abc", ("solve",), "x0 needs a number, got 'abc'"),
+        ("domain = (0, zz)", ("solve", "--phi", "x", "--x0", "0"),
+         "domain needs a number, got 'zz'"),
+        ("domain = (0, zz)", ("verify", "--solution", "x"), "domain needs a number, got 'zz'")],
+        ids=("solve-x0", "solve-domain", "verify-domain"))
+    def test_system_file_number_is_checked(self, capsys, tmp_path, line, argv, message):
+        spec = tmp_path / "bad.dods"
+        spec.write_text(SPEC + line + "\n")
+        code, out, err = run(capsys, *argv, "--spec", str(spec))
+        assert (code, out) == (1, "")
+        assert err == f"ParameterDomainError: {message}\n"
+
 
 def test_listing_and_meshing_compile_nothing(capsys, monkeypatch):
     # trees compile on first evaluation in a hot path, never while a
@@ -291,6 +304,13 @@ class TestReduce:
                              "--subalgebra", "X3", "--params", "C1=nan")
         assert (code, out) == (1, "")
         assert err.startswith("ParameterDomainError: A3_5 needs a finite C1")
+
+    @pytest.mark.parametrize("value", ["nan", "inf"])
+    def test_non_finite_pin(self, capsys, value):
+        code, out, err = run(capsys, "reduce", "--case", "A3_1",
+                             "--subalgebra", "aX2+X3", "--fix", f"a={value}")
+        assert (code, out) == (1, "")
+        assert err == f"ParameterDomainError: A3_1 needs a finite pinned a, got {value}\n"
 
     def test_unknown_subalgebra(self, capsys):
         code, _, err = run(capsys, "reduce", "--case", "A3_5",

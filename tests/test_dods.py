@@ -46,15 +46,6 @@ class TestContainers:
         d = linear(alpha="2", beta="-1", gamma="x")
         assert d.rhs_value(3.0, 5.0, 4.0) == 2 * 5 - 4 + 3
 
-    def test_residual_components(self):
-        d = linear(alpha="0", beta="1")
-        r1, r2 = d.residual(x=1.0, y=2.0, xm=0.0, ym=3.0, ydot=3.0)
-        assert r1 == 0.0
-        assert r2 == 0.0
-        r1, r2 = d.residual(x=1.0, y=2.0, xm=0.5, ym=3.0, ydot=0.0)
-        assert r1 == -3.0
-        assert r2 == 0.5
-
     def test_domain_must_be_nonempty(self):
         with pytest.raises(ParameterDomainError):
             Dods(LinearRhs(ex.Num(0.0), ex.Num(1.0), ex.Num(0.0)),
@@ -65,12 +56,6 @@ class TestContainers:
             Dods(LinearRhs(ex.Num(0.0), ex.Num(1.0), ex.Num(0.0)),
                  ConstantDelay(1.0),
                  rhs_manifold=ex.parse("t", ("t",)))
-
-    def test_contains(self):
-        d = Dods(LinearRhs(ex.Num(0.0), ex.Num(1.0), ex.Num(0.0)),
-                 QScaleDelay(0.5), domain=(0.0, math.inf))
-        assert d.contains(1.0)
-        assert not d.contains(-1.0)
 
     def test_homogenized_drops_gamma(self):
         d = linear(alpha="1", beta="-1", gamma="sin(x)")
@@ -147,6 +132,16 @@ class TestLoadSpec:
     def test_bad_domain(self):
         with pytest.raises(ParameterDomainError):
             load_spec("beta = 1\ndelay = constant(1)\ndomain = [0, 1]")
+
+    def test_domain_bound_not_a_number(self):
+        with pytest.raises(ParameterDomainError) as raised:
+            load_spec("beta = 1\ndelay = constant(1)\ndomain = (0, zz)")
+        assert str(raised.value) == "domain needs a number, got 'zz'"
+
+    def test_x0_not_a_number(self):
+        with pytest.raises(ParameterDomainError) as raised:
+            load_spec("beta = 1\ndelay = constant(1)\nphi = x\nx0 = abc")
+        assert str(raised.value) == "x0 needs a number, got 'abc'"
 
 
 class TestResolveCase:

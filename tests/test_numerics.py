@@ -1,0 +1,54 @@
+"""Root searches: the bracket scan and the bisection-secant refinement."""
+
+import math
+
+import pytest
+
+from delaysym.errors import BracketNotFound, NonConvergence
+from delaysym.numerics import hybrid_root, scan_bracket
+
+
+class TestScanBracket:
+    def test_exact_zero_at_either_end(self):
+        assert scan_bracket(lambda x: x, 0.0, 2.0) == (0.0, 0.0)
+        assert scan_bracket(lambda x: x - 2.0, 0.0, 2.0) == (2.0, 2.0)
+
+    def test_exact_zero_on_the_grid(self):
+        assert scan_bracket(lambda x: x - 1.0, 0.0, 2.0) == (1.0, 1.0)
+
+    def test_first_sign_change_is_chosen(self):
+        # roots at 0.2501 and 0.7501; the 200 cells of [0, 1] are 0.005 wide
+        assert scan_bracket(lambda x: (x - 0.2501) * (x - 0.7501), 0.0, 1.0) == (0.25, 0.255)
+
+    def test_no_sign_change(self):
+        with pytest.raises(BracketNotFound):
+            scan_bracket(lambda x: x * x + 1.0, -3.0, 3.0)
+
+
+class TestHybridRoot:
+    def test_exact_zero_at_either_end(self):
+        assert hybrid_root(lambda x: x - 1.0, 1.0, 2.0) == 1.0
+        assert hybrid_root(lambda x: x - 2.0, 1.0, 2.0) == 2.0
+
+    def test_sqrt_two_to_the_last_bit(self):
+        assert hybrid_root(lambda x: x * x - 2.0, 1.0, 2.0) == math.sqrt(2.0)
+        assert hybrid_root(lambda x: x * x - 2.0, 0.0, 10.0) == math.sqrt(2.0)
+
+    def test_interval_without_a_bracket(self):
+        with pytest.raises(BracketNotFound):
+            hybrid_root(lambda x: x * x + 1.0, -1.0, 1.0)
+
+    def test_sign_jump_does_not_converge(self):
+        # the bracket closes on the jump at 0.3, where |f| stays 1
+        calls = []
+
+        def jump(x):
+            calls.append(x)
+            return 1.0 if x > 0.3 else -1.0
+
+        with pytest.raises(NonConvergence, match="stalled"):
+            hybrid_root(jump, 0.0, 1.0)
+        assert len(calls) <= 202  # both ends, then at most 200 refinements
+        below = max(x for x in calls if x <= 0.3)
+        above = min(x for x in calls if x > 0.3)
+        assert above - below <= 2.0 * math.ulp(0.3)

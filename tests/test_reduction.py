@@ -90,6 +90,15 @@ class TestOneFamilyRecord:
             solve_constraints(family("A4_12", "aX1+X4"), fixed={"a": 5.0, "B": 1.0})
         assert str(raised.value) == "only ['a'] can be pinned here, not 'B'"
 
+    @pytest.mark.parametrize("value", [math.nan, math.inf, -math.inf])
+    @pytest.mark.parametrize("case, label", [
+        ("A3_1", "aX2+X3"), ("A3_13", "X1+aX3"), ("A4_12", "aX1+X4"),
+        ("A4_14", "aX3+X4"), ("A4_21", "aY1+Y4")])
+    def test_pinned_rate_must_be_finite(self, case, label, value):
+        with pytest.raises(ParameterDomainError) as raised:
+            solve_constraints(family(case, label), fixed={"a": value})
+        assert str(raised.value) == f"{case} needs a finite pinned a, got {value!r}"
+
 
 class TestDeterminedFamilies:
     def test_a3_1_rate_from_constants(self):

@@ -83,10 +83,12 @@ class TestVectorField:
             VectorField(ex.Num(0.0), ex.parse("ym", ("ym",)))
 
     def test_affine_eta_evaluation(self):
+        # kernel outputs 6, 8 and 9 are eta, eta_x and eta_y at (x, y)
         v = VectorField(ex.Num(0.0), AffineEta(ex.parse("x"), ex.parse("x^2")))
-        assert v.eta_at(2.0, 3.0) == 2 * 3 + 4
-        assert v.eta_y_at(2.0, 3.0) == 2.0
-        assert v.eta_x_at(2.0, 3.0) == 3 + 4.0
+        out = symmetry._kernel(v, smoothing_instance()[0])(2.0, 3.0, 1.0, 0.0, 0.0, 1.0)
+        assert out[6] == 2 * 3 + 4
+        assert out[9] == 2.0
+        assert out[8] == 3 + 4.0
 
     def test_pickles_after_compiling(self):
         # compiled callables are dropped from the pickled state and compile
@@ -102,8 +104,9 @@ class TestVectorField:
     def test_affine_eta_r_from_solution(self):
         s = sample_expr(ConstantDelay(1.0), "x^2", 0.0, 2)
         v = VectorField(ex.Num(0.0), AffineEta(ex.Num(0.0), s))
-        assert v.eta_at(0.5, 9.0) == pytest.approx(0.25, abs=1e-12)
-        assert v.eta_x_at(0.5, 9.0) == pytest.approx(1.0, abs=1e-12)
+        out = symmetry._kernel(v, smoothing_instance()[0])(0.5, 9.0, -0.5, 0.0, 0.0, 1.0)
+        assert out[6] == pytest.approx(0.25, abs=1e-12)
+        assert out[8] == pytest.approx(1.0, abs=1e-12)
 
 
 class TestProlongation:
