@@ -439,11 +439,13 @@ def _eval(e: Expr, b: Mapping[str, float]) -> float:
 # compile_many() turns trees into one Python function of positional
 # arguments that returns the tuple of their values; compile() is its one-tree
 # case and returns the value itself; compile_columns() runs the same statements
-# once per point of its argument columns.  The emitter walks each tree in the
-# order _eval visits it (child before parent, left before right) and emits
-# one statement per operator node, t<k> = <op>, with a node's domain guard on
-# the line before it; the first use of an argument coerces it with float()
-# on a line of its own, as _eval does at every use.
+# once per point of its argument columns.  _emit() gives the statements and
+# _define() turns lines into a function; symmetry's invariance loop wraps a
+# kernel's statements in its own template the same way.  The emitter walks
+# each tree in the order _eval visits it (child before parent, left before
+# right) and emits one statement per operator node, t<k> = <op>, with a
+# node's domain guard on the line before it; the first use of an argument
+# coerces it with float() on a line of its own, as _eval does at every use.
 #
 # Nodes are value numbered: an operator node's key is its op plus the names
 # of its operands, and a constant's key is float.hex of its value (never ==,
@@ -524,6 +526,26 @@ def compile_columns(trees: Iterable[Expr], args: Sequence[str]
 
 
 def _generate(trees: tuple[Expr, ...], args: Sequence[str], form: str) -> Callable:
+    lines, outputs, consts = _emit(trees, args)
+    params = ", ".join(f"a{i}" for i in range(len(args)))
+    if form == "columns":  # the statements once per point; list o<i> gathers output i
+        columns = ", ".join(f"c{i}" for i in range(len(args)))
+        points = {0: "()", 1: columns}.get(len(args), f"zip({columns}, strict=True)")
+        loop = [*lines, *(f"p{i}({name})" for i, name in enumerate(outputs))] or ["pass"]
+        lines = [*(f"o{i} = []; p{i} = o{i}.append" for i in range(len(outputs))),
+                 f"for {params or '()'} in {points}:", *(f"    {line}" for line in loop)]
+        params, outputs = columns, [f"o{i}" for i in range(len(outputs))]
+    returned = outputs[0] if form == "value" else f"({''.join(f'{name}, ' for name in outputs)})"
+    return _define(params, ["try:", *(f"    {line}" for line in lines), f"    return {returned}",
+                            "except OverflowError as exc:", "    raise _overflow(exc) from exc"],
+                   consts)
+
+
+def _emit(trees: tuple[Expr, ...], args: Sequence[str]
+          ) -> tuple[list[str], list[str], list[object]]:
+    """The statements that evaluate the trees over the arguments a0, a1, ...,
+    the name that holds each tree's value after them, and the constants
+    k0, k1, ... they read."""
     args = tuple(args)
     if len(set(args)) != len(args):
         raise ValueError(f"duplicate argument names in {args!r}")
@@ -590,30 +612,19 @@ def _generate(trees: tuple[Expr, ...], args: Sequence[str], form: str) -> Callab
                 continue
             names.append(name)
         outputs.append(names.pop())
-    params = ", ".join(f"a{i}" for i in range(len(args)))
+    return lines, outputs, consts
+
+
+def _define(params: str, body: Sequence[str], consts: Sequence[object],
+            namespace: Mapping[str, object] = _COMPILE_GLOBALS) -> Callable:
+    """The function compiled(params) whose body is the given lines, run with
+    the names of namespace as globals and k0, k1, ... bound to consts."""
     cells = ", ".join(f"k{i}" for i in range(len(consts)))
-    if form == "columns":  # the statements once per point; list o<i> gathers output i
-        columns = ", ".join(f"c{i}" for i in range(len(args)))
-        points = {0: "()", 1: columns}.get(len(args), f"zip({columns}, strict=True)")
-        loop = [*lines, *(f"p{i}({name})" for i, name in enumerate(outputs))] or ["pass"]
-        lines = [*(f"o{i} = []; p{i} = o{i}.append" for i in range(len(outputs))),
-                 f"for {params or '()'} in {points}:", *(f"    {line}" for line in loop)]
-        params, outputs = columns, [f"o{i}" for i in range(len(outputs))]
-    body = "".join(f"            {line}\n" for line in lines)
-    returned = outputs[0] if form == "value" else f"({''.join(f'{name}, ' for name in outputs)})"
-    source = (
-        f"def _make({cells}):\n"
-        f"    def compiled({params}):\n"
-        f"        try:\n"
-        f"{body}"
-        f"            return {returned}\n"
-        f"        except OverflowError as exc:\n"
-        f"            raise _overflow(exc) from exc\n"
-        f"    return compiled\n"
-    )
-    namespace: dict = {}
-    exec(_bytecode(source), _COMPILE_GLOBALS, namespace)
-    return namespace["_make"](*consts)
+    lines = "".join(f"        {line}\n" for line in body)
+    source = f"def _make({cells}):\n    def compiled({params}):\n{lines}    return compiled\n"
+    scope: dict = {}
+    exec(_bytecode(source), namespace, scope)
+    return scope["_make"](*consts)
 
 
 @functools.lru_cache(maxsize=1024)

@@ -120,12 +120,8 @@ _OUTSIDE_ARGS = ("r", "r_m", "r_x")
 _AT_DELAYED = {"x": ex.Var("xm"), "y": ex.Var("ym"), "r": ex.Var("r_m")}
 
 
-def _kernel(v: VectorField, d: Dods) -> Callable[..., tuple[float, ...]]:
-    """The prolongation kernel of v on d, kept on v for the last system it
-    was built for; like every compiled form it is left out of pickles."""
-    hit = v.__dict__.get("_kernel")
-    if hit is not None and hit[0] is d:
-        return hit[1]
+def _kernel_trees(v: VectorField, d: Dods) -> tuple[tuple[ex.Expr, ...], tuple[str, ...]]:
+    """The kernel's twenty trees and its arguments."""
     partials, trees = d.manifold_partials, v._trees
     xi, xi_m, eta, eta_m, eta_x, eta_y, xi_prime = trees
     B, ydot = ex.Binary, ex.Var("ydot")
@@ -136,10 +132,18 @@ def _kernel(v: VectorField, d: Dods) -> Callable[..., tuple[float, ...]]:
     xi_g = B("*", xi, ex.Var("gp"))
     pr1 = B("-", zeta, B("+", B("+", B("+", terms[1], terms[2]), terms[3]), terms[4]))
     pr2 = B("-", xi_m, xi_g)
+    return (partials + trees + (pr1, pr2) + tuple(ex.Unary("abs", t) for t in terms + (xi_m, xi_g)),
+            _KERNEL_ARGS if _computed_r(v) is None else _KERNEL_ARGS + _OUTSIDE_ARGS)
+
+
+def _kernel(v: VectorField, d: Dods) -> Callable[..., tuple[float, ...]]:
+    """The prolongation kernel of v on d, kept on v for the last system it
+    was built for; like every compiled form it is left out of pickles."""
+    hit = v.__dict__.get("_kernel")
+    if hit is not None and hit[0] is d:
+        return hit[1]
+    fn = ex.compile_many(*_kernel_trees(v, d))
     r = _computed_r(v)
-    fn = ex.compile_many(
-        partials + trees + (pr1, pr2) + tuple(ex.Unary("abs", t) for t in terms + (xi_m, xi_g)),
-        _KERNEL_ARGS if r is None else _KERNEL_ARGS + _OUTSIDE_ARGS)
     if r is not None:
         kernel = fn
 
@@ -149,41 +153,100 @@ def _kernel(v: VectorField, d: Dods) -> Callable[..., tuple[float, ...]]:
     return fn
 
 
-def _prolongation(v: VectorField, d: Dods
-                  ) -> Callable[[tuple[float, ...]], tuple[float, float, float]]:
-    """(pr1, pr2, scale) at a point (x, y, xm, ym, ydot): the two applied
-    values and the largest magnitude that entered them."""
-    kernel, derivative = _kernel(v, d), d.delay.derivative
-
-    def terms(point: tuple[float, ...]) -> tuple[float, float, float]:
-        x, y, xm, ym, ydot = point
-        out = kernel(x, y, xm, ym, ydot, derivative(x))
-        return out[11], out[12], max(out[13:])
-    return terms
-
-
 def prolong_apply(v: VectorField, d: Dods,
                   point: tuple[float, float, float, float, float]
                   ) -> tuple[float, float]:
     """Apply the prolonged field to (F1, F2) at (x, y, xm, ym, ydot)."""
-    pr1, pr2, _ = _prolongation(v, d)(point)
-    return pr1, pr2
+    x, y, xm, ym, ydot = point
+    out = _kernel(v, d)(x, y, xm, ym, ydot, d.delay.derivative(x))
+    return out[11], out[12]
 
 
-def _judge(terms: Callable[[tuple[float, ...]], tuple[float, float, float]],
-           point: tuple[float, float, float, float, float]
-           ) -> tuple[float, bool] | None:
-    """(largest applied value, whether it is within 1e-7 (1 + scale)) at a
-    point, or None when the point cannot be evaluated or a term overflows:
-    max() drops NaN, so a non-finite sample would otherwise read as zero."""
+# check_invariance is one generated function per (field, system) that runs
+# both sampling phases with the kernel's statements inline.  It draws x, y
+# and ym as random.Random.uniform does, lo + (hi - lo) * random(), so the
+# draw stream is the caller's, and calls the system's delayed_point, rhs_fn
+# and derivative and a computed r's reads, passed in.  A sample is skipped
+# when one of those or a kernel statement raises DomainError, OutOfRange or
+# MeshRangeError, when the kernel overflows, or when pr1, pr2 or the scale is
+# not finite: max() drops NaN, so a non-finite sample would otherwise read as
+# zero.  A line "judge" stands for the kernel at (a0, ..., a4) followed by
+# the worst applied value and the scale; "breaks" skips an x within 1e-6 of a
+# computed r's breaking points before y is drawn.
+
+_LOOP = """
+width = hi - lo
+max_on = 0.0
+on_ok = True
+on_points = []
+for _ in range(80 * samples):
+    if len(on_points) == samples:
+        break
+    a0 = lo + width * random()
+    breaks
+    a1 = -2.0 + 4.0 * random()
+    a3 = -2.0 + 4.0 * random()
     try:
-        pr1, pr2, scale = terms(point)
-    except (DomainError, OutOfRange, MeshRangeError):
-        return None
-    if not (math.isfinite(pr1) and math.isfinite(pr2) and math.isfinite(scale)):
-        return None
-    worst = max(abs(pr1), abs(pr2))
-    return worst, worst <= 1e-7 * (1.0 + scale)
+        a2 = delayed_point(a0)
+        a4 = rhs(a0, a1, a3)
+    except _SKIPPED:
+        continue
+    point = (a0, a1, a2, a3, a4)
+    judge
+    on_points.append(point)
+    max_on = max(max_on, worst)
+    on_ok = on_ok and worst <= 1e-7 * (1.0 + scale)
+if not on_points:
+    return None
+if not on_ok:
+    return max_on, _NOT_INVARIANT
+for i, (x, y, xm, ym, ydot) in enumerate(on_points):
+    sign = 1.0 if i % 2 == 0 else -1.0
+    for a0, a1, a2, a3, a4 in ((x, y + sign, xm, ym, ydot), (x, y, xm, ym + sign, ydot),
+                               (x, y, xm, ym, ydot + sign),
+                               (x, y, xm + sign * (x - xm) / 2.0, ym, ydot)):
+        judge
+        if not worst <= 1e-7 * (1.0 + scale):
+            return max_on, _WEAK
+return max_on, _STRONG
+""".strip("\n").split("\n")
+_LOOP_GLOBALS = {**ex._COMPILE_GLOBALS, "_SKIPPED": (DomainError, OutOfRange, MeshRangeError),
+                 "_isfinite": math.isfinite, "_STRONG": Invariance.STRONG,
+                 "_WEAK": Invariance.WEAK, "_NOT_INVARIANT": Invariance.NOT_INVARIANT}
+
+
+def _loop(v: VectorField, d: Dods) -> Callable[..., tuple[float, Invariance] | None]:
+    """check_invariance of v on d as one function of (random, lo, hi,
+    samples, delayed_point, rhs, derivative), and for a computed r also of
+    (breaks, r_value, r_eval); it returns None when no sample was valid."""
+    lines, outputs, consts = ex._emit(*_kernel_trees(v, d))
+    pr1, pr2, magnitudes = outputs[11], outputs[12], ", ".join(outputs[13:])
+    computed = _computed_r(v) is not None
+    blocks = {
+        "breaks": ["if any(abs(a0 - b) <= 1e-6 for b in breaks):", "    continue"],
+        "judge": ["try:", "    a5 = derivative(a0)",
+                  "    a6 = r_value(a0)", "    a7 = r_value(a2)", "    a8 = r_eval(a0)[2]",
+                  "    try:", *(f"        {line}" for line in lines),
+                  "    except OverflowError:", "        continue",
+                  "except _SKIPPED:", "    continue",
+                  f"scale = max({magnitudes})",
+                  f"if not (_isfinite({pr1}) and _isfinite({pr2}) and _isfinite(scale)):",
+                  "    continue",
+                  f"worst = max(abs({pr1}), abs({pr2}))"]}
+    if not computed:
+        blocks["breaks"] = []
+        del blocks["judge"][2:5]
+    body = []
+    for line in _LOOP:
+        block = blocks.get(line.strip())
+        if block is None:
+            body.append(line)
+        else:
+            indent = line[:len(line) - len(line.lstrip())]
+            body.extend(indent + b for b in block)
+    params = "random, lo, hi, samples, delayed_point, rhs, derivative"
+    return ex._define(params + (", breaks, r_value, r_eval" if computed else ""), body,
+                      consts, _LOOP_GLOBALS)
 
 
 def check_invariance(v: VectorField, d: Dods, samples: int = 200,
@@ -202,52 +265,13 @@ def check_invariance(v: VectorField, d: Dods, samples: int = 200,
     if samples < 1:
         raise ParameterDomainError("need at least one sample")
     lo, hi = window if window is not None else _window_for(d.domain)
-    rng = random.Random(7)
     r = _computed_r(v)
-    breaks = r.mesh.points if r is not None else ()
-    terms = _prolongation(v, d)
-
-    def fresh_point() -> tuple[float, float, float, float, float] | None:
-        x = rng.uniform(lo, hi)
-        if any(abs(x - b) <= 1e-6 for b in breaks):
-            return None
-        y = rng.uniform(-2.0, 2.0)
-        ym = rng.uniform(-2.0, 2.0)
-        try:
-            xm = d.delay.delayed_point(x)
-            ydot = d.rhs_value(x, y, ym)
-        except (DomainError, OutOfRange, MeshRangeError):
-            return None
-        return (x, y, xm, ym, ydot)
-
-    max_on = 0.0
-    on_ok = True
-    on_points = []
-    for _ in range(80 * samples):
-        if len(on_points) == samples:
-            break
-        pt = fresh_point()
-        judged = None if pt is None else _judge(terms, pt)
-        if judged is None:
-            continue
-        on_points.append(pt)
-        max_on = max(max_on, judged[0])
-        on_ok = on_ok and judged[1]
-    if not on_points:
+    reads = () if r is None else (r.mesh.points, r.value, r.eval)
+    judged = _loop(v, d)(random.Random(7).random, lo, hi, samples, d.delay.delayed_point,
+                         d.rhs_fn, d.delay.derivative, *reads)
+    if judged is None:
         raise DomainError("no valid sample points in the window")
-    if not on_ok:
-        return max_on, Invariance.NOT_INVARIANT
-
-    for i, (x, y, xm, ym, ydot) in enumerate(on_points):
-        sign = 1.0 if i % 2 == 0 else -1.0
-        for pt in ((x, y + sign, xm, ym, ydot),
-                   (x, y, xm, ym + sign, ydot),
-                   (x, y, xm, ym, ydot + sign),
-                   (x, y, xm + sign * (x - xm) / 2.0, ym, ydot)):
-            judged = _judge(terms, pt)
-            if judged is not None and not judged[1]:
-                return max_on, Invariance.WEAK
-    return max_on, Invariance.STRONG
+    return judged
 
 
 def vertical_from_solution(s: PiecewiseSolution, d: Dods) -> VectorField:

@@ -28,7 +28,9 @@ from delaysym.errors import (
     DelaySymError,
     DivergenceWarning,
     DomainError,
+    MeshRangeError,
     NotASolution,
+    OutOfRange,
     ParameterDomainError,
     UnsupportedFlow,
 )
@@ -291,6 +293,89 @@ def _fields_and_systems():
 _FIELDS = _fields_and_systems()
 
 
+def _judge(terms, point):
+    """The judge of check_invariance before its loop was generated."""
+    try:
+        pr1, pr2, scale = terms(point)
+    except (DomainError, OutOfRange, MeshRangeError):
+        return None
+    if not (math.isfinite(pr1) and math.isfinite(pr2) and math.isfinite(scale)):
+        return None
+    worst = max(abs(pr1), abs(pr2))
+    return worst, worst <= 1e-7 * (1.0 + scale)
+
+
+def _reference_check(v, d, samples, window):
+    """check_invariance as it was before its loop was generated: both
+    sampling phases in Python, each point judged through _per_term."""
+    lo, hi = window
+    rng = random.Random(7)
+    r = v.eta.r if isinstance(v.eta, AffineEta) and not isinstance(v.eta.r, ex.Expr) else None
+    breaks = r.mesh.points if r is not None else ()
+    terms = _per_term(v, d)
+
+    def fresh_point():
+        x = rng.uniform(lo, hi)
+        if any(abs(x - b) <= 1e-6 for b in breaks):
+            return None
+        y = rng.uniform(-2.0, 2.0)
+        ym = rng.uniform(-2.0, 2.0)
+        try:
+            xm = d.delay.delayed_point(x)
+            ydot = d.rhs_value(x, y, ym)
+        except (DomainError, OutOfRange, MeshRangeError):
+            return None
+        return (x, y, xm, ym, ydot)
+
+    max_on = 0.0
+    on_ok = True
+    on_points = []
+    for _ in range(80 * samples):
+        if len(on_points) == samples:
+            break
+        pt = fresh_point()
+        judged = None if pt is None else _judge(terms, pt)
+        if judged is None:
+            continue
+        on_points.append(pt)
+        max_on = max(max_on, judged[0])
+        on_ok = on_ok and judged[1]
+    if not on_points:
+        raise DomainError("no valid sample points in the window")
+    if not on_ok:
+        return max_on, Invariance.NOT_INVARIANT
+
+    for i, (x, y, xm, ym, ydot) in enumerate(on_points):
+        sign = 1.0 if i % 2 == 0 else -1.0
+        for pt in ((x, y + sign, xm, ym, ydot),
+                   (x, y, xm, ym + sign, ydot),
+                   (x, y, xm, ym, ydot + sign),
+                   (x, y, xm + sign * (x - xm) / 2.0, ym, ydot)):
+            judged = _judge(terms, pt)
+            if judged is not None and not judged[1]:
+                return max_on, Invariance.WEAK
+    return max_on, Invariance.STRONG
+
+
+def _checked(check, v, d, samples, window):
+    """(max as float.hex, class) of a check, or (error type, message)."""
+    try:
+        mx, cls = check(v, d, samples, window)
+    except DelaySymError as exc:
+        return type(exc), str(exc)
+    return mx.hex(), cls.value
+
+
+def _chi():
+    d, init = smoothing_instance()
+    s = solve(d, init, 2, SolverConfig(Scheme.EXACT_LINEAR, step_count=512))
+    return ("smoothing chi d_y", vertical_from_solution(s, d), d, (-0.9, 1.9))
+
+
+_CHI = _chi()
+_WRONG = VectorField(ex.Num(0.0), ex.parse("x^2"), name="x^2 d_y")
+
+
 def _points(d, window, seed, count=40):
     """Points on the manifold and off it: xm = g(x) moved by 0 or half a gap,
     y, ym and ydot anywhere in [-2, 2] or [-3, 3]."""
@@ -314,14 +399,61 @@ class TestKernel:
         reference = _per_term(v, d)
         for point in _points(d, window, seed=len(label)):
             want = _outcome(reference, point)
-            assert _outcome(symmetry._prolongation(v, d), point) == want, (label, point)
             assert _outcome(prolong_apply, v, d, point) == want[:2], (label, point)
 
-    @pytest.mark.parametrize("label, v, d, window", _FIELDS, ids=[f[0] for f in _FIELDS])
-    def test_check_invariance_matches_per_term(self, monkeypatch, label, v, d, window):
-        got = check_invariance(v, d, samples=40, window=window)
-        monkeypatch.setattr(symmetry, "_prolongation", _per_term)
-        assert got == check_invariance(v, d, samples=40, window=window)
+    @pytest.mark.parametrize("label, v, d, window", _FIELDS + [_CHI], ids=[f[0] for f in _FIELDS] + [_CHI[0]])
+    def test_check_invariance_matches_reference_loop(self, label, v, d, window):
+        for samples in (1, 7, 40, 200):
+            assert (_checked(check_invariance, v, d, samples, window)
+                    == _checked(_reference_check, v, d, samples, window)), samples
+
+    @pytest.mark.parametrize("window", [(1.0 - 2e-6, 1.0 + 2e-6), (1.0 - 1e-6, 1.0 + 1e-6)])
+    def test_draws_next_to_a_mesh_break(self, window):
+        # about half the draws of the first window, and every draw of the
+        # second, lie within 1e-6 of the break x = 1 and draw no y or ym
+        label, v, d, _ = _CHI
+        got = _checked(check_invariance, v, d, 40, window)
+        assert got == _checked(_reference_check, v, d, 40, window)
+        assert (got[0] is DomainError) == (window[1] - window[0] < 3e-6)
+
+    def test_delay_that_raises_on_part_of_the_window(self):
+        # A4_14's relation has its pole at x = -1/C and delays only past it
+        e = catalog(CatalogCase("A4_14", {"C": 1.5}))
+        pole = -1.0 / 1.5
+        for v in e.algebra + (_WRONG,):
+            for window in ((pole - 0.5, pole + 0.5), (pole - 1e-3, pole + 1e-3)):
+                got = _checked(check_invariance, v, e.dods, 40, window)
+                assert got == _checked(_reference_check, v, e.dods, 40, window), (v.name, window)
+                assert got[0] is not DomainError
+
+    def test_overflow_in_a_term(self):
+        # exp(300 x) overflows for x > 2.37: those samples are skipped
+        e = catalog("A4_12")
+        for text in ("exp(300*x)*y", "y + exp(300*x)", "x^300*y"):
+            v = VectorField(ex.Num(0.0), ex.parse(text, ("x", "y")))
+            got = _checked(check_invariance, v, e.dods, 40, e.window)
+            assert got == _checked(_reference_check, v, e.dods, 40, e.window), text
+
+    def test_window_with_no_valid_point(self):
+        # a scale relation delays only on x > 0
+        e = catalog("A3_14")
+        for v in e.algebra + (_WRONG,):
+            got = _checked(check_invariance, v, e.dods, 7, (-2.0, -1.0))
+            assert got == _checked(_reference_check, v, e.dods, 7, (-2.0, -1.0))
+            assert got == (DomainError, "no valid sample points in the window")
+
+    def test_weak_field_returns_before_a_later_error(self):
+        # y d_y with xi = 0*sin(1e308*(2 - 5*(x - 1.6)^2)): xi is 0 at every x
+        # and xm = x - 1 of the window, but at the midpoints 1.5..1.7 that the
+        # fourth perturbation moves xm to, sin(inf) raises a ValueError that no
+        # judge catches; the first perturbation, y + 1, already fails
+        e = catalog("A4_12")
+        v = VectorField(ex.parse("0*sin(1e308*(2 - 5*(x - 1.6)^2))"), ex.parse("y", ("x", "y")))
+        window = (2.0, 2.2)
+        assert check_invariance(v, e.dods, 40, window) == _reference_check(v, e.dods, 40, window)
+        assert check_invariance(v, e.dods, 40, window)[1] is Invariance.WEAK
+        with pytest.raises(ValueError):
+            prolong_apply(v, e.dods, (2.1, 0.5, 1.6, 0.2, 0.3))
 
     def test_errors_match_per_term(self):
         # xm = x divides by zero in the slope's partials; ln of a negative x
@@ -336,9 +468,7 @@ class TestKernel:
             assert _outcome(prolong_apply, v, e.dods, point) == want
 
     def test_computed_r_matches_per_term(self):
-        d, init = smoothing_instance()
-        s = solve(d, init, 2, SolverConfig(Scheme.EXACT_LINEAR, step_count=512))
-        v = vertical_from_solution(s, d)
+        label, v, d, window = _CHI
         reference = _per_term(v, d)
         # x from inside the solution's range to past its end, where r fails
         for i in range(41):
@@ -346,10 +476,7 @@ class TestKernel:
             for point in ((x, 0.3, x - 1.0, -0.4, 0.7), (x, 1.3, x - 0.5, 0.4, -0.7)):
                 want = _outcome(lambda p: reference(p)[:2], point)
                 assert _outcome(prolong_apply, v, d, point) == want, point
-        got = check_invariance(v, d, samples=60, window=(-0.9, 1.9))
-        with pytest.MonkeyPatch.context() as mp:
-            mp.setattr(symmetry, "_prolongation", _per_term)
-            assert got == check_invariance(v, d, samples=60, window=(-0.9, 1.9))
+        assert check_invariance(v, d, 60, window) == _reference_check(v, d, 60, window)
 
     def test_one_kernel_per_field_and_system(self):
         a, b = catalog("A3_5"), catalog("A4_12")
@@ -381,12 +508,15 @@ class TestKernel:
         e = catalog("A3_7")
         v = e.algebra[2]
         before = check_invariance(v, e.dods, samples=40, window=e.window)
-        assert "_kernel" in v.__dict__
+        point = (0.5, 1.0, e.dods.delay.delayed_point(0.5), -0.3, 0.7)
+        applied = prolong_apply(v, e.dods, point)
+        assert "_kernel" in v.__dict__  # a check keeps no kernel on the field; prolong_apply does
         data = pickle.dumps(v)
         assert data == pickle.dumps(VectorField(v.xi, v.eta, v.name))
         v2 = pickle.loads(data)
         assert v2 == v and "_kernel" not in v2.__dict__
         assert check_invariance(v2, e.dods, samples=40, window=e.window) == before
+        assert prolong_apply(v2, e.dods, point) == applied
 
 
 class TestVerticalFromSolution:
