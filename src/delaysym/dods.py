@@ -144,6 +144,12 @@ class Dods(ex.Record):
         m = self.rhs_manifold if self.rhs_manifold is not None else self.rhs.as_expr()
         return tuple(ex.fold(ex.differentiate(m, v)) for v in ("x", "y", "xm", "ym"))
 
+    @functools.cached_property
+    def _partials_key(self) -> str:
+        """expr._key of manifold_partials: the system's part of the key under
+        which symmetry caches the kernels and loops built from them."""
+        return ex._key(self.manifold_partials)
+
     def rhs_value(self, x: float, y: float, ym: float) -> float:
         return self.rhs_fn(x, y, ym)
 
@@ -254,7 +260,7 @@ def load_spec(text: str) -> tuple[Dods, InitialCondition | None]:
     Recognized keys: rhs.kind (linear or general), alpha, beta, gamma, f,
     delay, domain, phi, x0.  Lines starting with # and blank lines are
     ignored.  Returns the system and, when phi and x0 are present, the
-    initial condition.
+    initial condition; a file that sets only one of them is rejected.
     """
     fields: dict[str, str] = {}
     for lineno, line in enumerate(text.splitlines(), start=1):
@@ -286,10 +292,14 @@ def load_spec(text: str) -> tuple[Dods, InitialCondition | None]:
     domain = _parse_domain(fields["domain"]) if "domain" in fields else (-math.inf, math.inf)
     d = Dods(rhs, relation, domain)
 
-    init: InitialCondition | None = None
-    if "phi" in fields and "x0" in fields:
-        init = initial_condition(_unquote(fields["phi"]), relation, _number("x0", fields["x0"]))
-    return d, init
+    x0 = _number("x0", fields["x0"]) if "x0" in fields else None
+    if ("phi" in fields) != (x0 is not None):
+        given, missing = ("phi", "x0") if x0 is None else ("x0", "phi")
+        raise ParameterDomainError(f"system file sets {given} but not {missing}; "
+                                   "an initial condition needs both")
+    if x0 is None:
+        return d, None
+    return d, initial_condition(_unquote(fields["phi"]), relation, x0)
 
 
 # ---------------------------------------------------------------------------

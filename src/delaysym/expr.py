@@ -545,7 +545,9 @@ def _emit(trees: tuple[Expr, ...], args: Sequence[str]
           ) -> tuple[list[str], list[str], list[object]]:
     """The statements that evaluate the trees over the arguments a0, a1, ...,
     the name that holds each tree's value after them, and the constants
-    k0, k1, ... they read."""
+    k0, k1, ... they read.  Argument i is the variable a<i>.  The statements
+    assign only a<i> and t<k>, and read only those, k<i> and the names of
+    _COMPILE_GLOBALS, so code around them may use any other name."""
     args = tuple(args)
     if len(set(args)) != len(args):
         raise ValueError(f"duplicate argument names in {args!r}")
@@ -585,11 +587,10 @@ def _emit(trees: tuple[Expr, ...], args: Sequence[str]
             elif (name := seen.get(id(node))) is not None:
                 pass
             elif isinstance(node, Num):
-                v = node.value
-                key = v.hex() if type(v) is float else (type(v), v)
+                key = _constant_key(node.value)
                 name = numbered.get(key)
                 if name is None:
-                    name = numbered[key] = const(v)
+                    name = numbered[key] = const(node.value)
             elif isinstance(node, Var):
                 i = position.get(node.name)
                 if i is None:
@@ -613,6 +614,39 @@ def _emit(trees: tuple[Expr, ...], args: Sequence[str]
             names.append(name)
         outputs.append(names.pop())
     return lines, outputs, consts
+
+
+def _constant_key(value: object) -> object:
+    """float.hex of a float, never ==, so 0.0 and -0.0 stay apart; the type
+    and value of anything else, so 1 and 1.0 do too."""
+    return value.hex() if type(value) is float else (type(value), value)
+
+
+def _key(trees: Iterable[Expr]) -> str:
+    """The trees as the repr of one flat tuple, walked in prefix order: an
+    operator as its op, a variable as None and its name, a constant as its
+    _constant_key.  Two sequences of as many trees with equal keys get the
+    same statements and constants from _emit.  A string keeps its hash, so
+    a dict looks a kept key up without walking it again."""
+    out: list = []
+    todo = list(trees)[::-1]
+    while todo:
+        node = todo.pop()
+        if isinstance(node, Binary):
+            out.append(node.op)
+            todo.append(node.right)
+            todo.append(node.left)
+        elif isinstance(node, Unary):
+            out.append(node.op)
+            todo.append(node.child)
+        elif isinstance(node, Num):
+            out.append(_constant_key(node.value))
+        elif isinstance(node, Var):
+            out.append(None)
+            out.append(node.name)
+        else:
+            raise TypeError(f"not an expression node: {node!r}")
+    return repr(tuple(out))
 
 
 def _define(params: str, body: Sequence[str], consts: Sequence[object],

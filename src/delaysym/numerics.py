@@ -76,7 +76,7 @@ def hybrid_root(f: Callable[[float], float], lo: float, hi: float) -> float:
     evaluations are spent).  Steps that would leave the bracket fall back to
     bisection, so the search cannot escape [lo, hi].  The point with the
     smallest |f| is returned when that is within 1e-13, else NonConvergence
-    is raised.
+    is raised, naming the final bracket and the evaluations used.
     """
     flo, fhi = f(lo), f(hi)
     if flo == 0.0:
@@ -127,4 +127,5 @@ def hybrid_root(f: Callable[[float], float], lo: float, hi: float) -> float:
     if abs(best_f) <= 1e-13:
         return best_x
     raise NonConvergence(
-        f"root refinement stalled at {best_x!r} with residual {best_f!r}")
+        f"root refinement stalled on the bracket [{a!r}, {b!r}] after {used + 2} "
+        f"evaluations; the smallest residual was {best_f!r}")

@@ -90,6 +90,12 @@ class VectorField(ex.Record):
         return (self.xi, ex.substitute(self.xi, _AT_DELAYED), eta,
                 ex.substitute(eta, _AT_DELAYED), eta_x, eta_y, _deriv(self.xi, "x"))
 
+    @functools.cached_property
+    def _trees_key(self) -> str:
+        """expr._key of _trees: the field's part of the key under which the
+        kernels and loops built from them are cached."""
+        return ex._key(self._trees)
+
 
 def _computed_r(v: VectorField) -> PiecewiseSolution | None:
     if isinstance(v.eta, AffineEta) and isinstance(v.eta.r, PiecewiseSolution):
@@ -113,10 +119,13 @@ class Invariance(enum.Enum):
 # and the seven magnitudes whose largest is the scale, evaluated in that
 # order from shared subexpressions.  An eta whose r is a computed solution
 # takes three reads of it, r(x), r(xm) and r'(x), after the six point
-# arguments; p is compiled in the kernel like any other tree.
+# arguments; p is compiled in the kernel like any other tree.  The kernel's
+# statements hold argument i in the variable a<i> (expr._emit); _ARG names
+# them for the sampling loop, which sets them itself.
 
 _KERNEL_ARGS = ("x", "y", "xm", "ym", "ydot", "gp")
 _OUTSIDE_ARGS = ("r", "r_m", "r_x")
+_ARG = {name: f"a{i}" for i, name in enumerate(_KERNEL_ARGS + _OUTSIDE_ARGS)}
 _AT_DELAYED = {"x": ex.Var("xm"), "y": ex.Var("ym"), "r": ex.Var("r_m")}
 
 
@@ -132,25 +141,44 @@ def _kernel_trees(v: VectorField, d: Dods) -> tuple[tuple[ex.Expr, ...], tuple[s
     xi_g = B("*", xi, ex.Var("gp"))
     pr1 = B("-", zeta, B("+", B("+", B("+", terms[1], terms[2]), terms[3]), terms[4]))
     pr2 = B("-", xi_m, xi_g)
-    return (partials + trees + (pr1, pr2) + tuple(ex.Unary("abs", t) for t in terms + (xi_m, xi_g)),
+    magnitudes = tuple(ex.Unary("abs", t) for t in terms + (xi_m, xi_g))
+    return (partials + trees + (pr1, pr2) + magnitudes,
             _KERNEL_ARGS if _computed_r(v) is None else _KERNEL_ARGS + _OUTSIDE_ARGS)
 
 
-def _kernel(v: VectorField, d: Dods) -> Callable[..., tuple[float, ...]]:
-    """The prolongation kernel of v on d, kept on v for the last system it
-    was built for; like every compiled form it is left out of pickles."""
-    hit = v.__dict__.get("_kernel")
-    if hit is not None and hit[0] is d:
-        return hit[1]
-    fn = ex.compile_many(*_kernel_trees(v, d))
-    r = _computed_r(v)
-    if r is not None:
-        kernel = fn
+# Kernels and loops are cached by value, not by object: catalog() and a
+# parameter sweep rebuild equal systems and fields, and one field, such as a
+# wrong generator, meets many systems.  The key is the builder's name and
+# ex._key of the system's partials and of the field's trees, each walked once
+# and kept on its object (not pickled).  A computed r shows in the trees as
+# the variables r, r_m and r_x, which no closed form may use.  An entry holds
+# a function and its key only, never a system or a field (a computed r is
+# passed in at each call), and the oldest entry goes once there are
+# _CACHE_SIZE.
 
-        def fn(x, y, xm, ym, ydot, gp):
-            return kernel(x, y, xm, ym, ydot, gp, r.value(x), r.value(xm), r.eval(x)[2])
-    v.__dict__["_kernel"] = (d, fn)
+_CACHE_SIZE = 256
+_CACHE: dict[tuple, Callable] = {}
+
+
+def _cached(build: Callable[[VectorField, Dods], Callable], v: VectorField, d: Dods
+            ) -> Callable:
+    key = (build.__name__, d._partials_key, v._trees_key)
+    fn = _CACHE.get(key)
+    if fn is None:
+        fn = build(v, d)
+        if len(_CACHE) >= _CACHE_SIZE:
+            del _CACHE[next(iter(_CACHE))]
+        _CACHE[key] = fn
     return fn
+
+
+def _compile_kernel(v: VectorField, d: Dods) -> Callable[..., tuple[float, ...]]:
+    return ex.compile_many(*_kernel_trees(v, d))
+
+
+def _kernel(v: VectorField, d: Dods) -> Callable[..., tuple[float, ...]]:
+    """The prolongation kernel of v on d, from the cache."""
+    return _cached(_compile_kernel, v, d)
 
 
 def prolong_apply(v: VectorField, d: Dods,
@@ -158,7 +186,12 @@ def prolong_apply(v: VectorField, d: Dods,
                   ) -> tuple[float, float]:
     """Apply the prolonged field to (F1, F2) at (x, y, xm, ym, ydot)."""
     x, y, xm, ym, ydot = point
-    out = _kernel(v, d)(x, y, xm, ym, ydot, d.delay.derivative(x))
+    kernel, r = _kernel(v, d), _computed_r(v)
+    gp = d.delay.derivative(x)
+    if r is None:
+        out = kernel(x, y, xm, ym, ydot, gp)
+    else:
+        out = kernel(x, y, xm, ym, ydot, gp, r.value(x), r.value(xm), r.eval(x)[2])
     return out[11], out[12]
 
 
@@ -170,9 +203,10 @@ def prolong_apply(v: VectorField, d: Dods,
 # when one of those or a kernel statement raises DomainError, OutOfRange or
 # MeshRangeError, when the kernel overflows, or when pr1, pr2 or the scale is
 # not finite: max() drops NaN, so a non-finite sample would otherwise read as
-# zero.  A line "judge" stands for the kernel at (a0, ..., a4) followed by
-# the worst applied value and the scale; "breaks" skips an x within 1e-6 of a
-# computed r's breaking points before y is drawn.
+# zero.  In the template, {x}, {y}, {xm}, {ym} and {ydot} are the kernel's
+# argument variables of _ARG; a line "judge" stands for the kernel at them
+# followed by the worst applied value and the scale, and "breaks" skips an x
+# within 1e-6 of a computed r's breaking points before y is drawn.
 
 _LOOP = """
 width = hi - lo
@@ -182,16 +216,16 @@ on_points = []
 for _ in range(80 * samples):
     if len(on_points) == samples:
         break
-    a0 = lo + width * random()
+    {x} = lo + width * random()
     breaks
-    a1 = -2.0 + 4.0 * random()
-    a3 = -2.0 + 4.0 * random()
+    {y} = -2.0 + 4.0 * random()
+    {ym} = -2.0 + 4.0 * random()
     try:
-        a2 = delayed_point(a0)
-        a4 = rhs(a0, a1, a3)
+        {xm} = delayed_point({x})
+        {ydot} = rhs({x}, {y}, {ym})
     except _SKIPPED:
         continue
-    point = (a0, a1, a2, a3, a4)
+    point = ({x}, {y}, {xm}, {ym}, {ydot})
     judge
     on_points.append(point)
     max_on = max(max_on, worst)
@@ -202,14 +236,14 @@ if not on_ok:
     return max_on, _NOT_INVARIANT
 for i, (x, y, xm, ym, ydot) in enumerate(on_points):
     sign = 1.0 if i % 2 == 0 else -1.0
-    for a0, a1, a2, a3, a4 in ((x, y + sign, xm, ym, ydot), (x, y, xm, ym + sign, ydot),
-                               (x, y, xm, ym, ydot + sign),
-                               (x, y, xm + sign * (x - xm) / 2.0, ym, ydot)):
+    for {x}, {y}, {xm}, {ym}, {ydot} in ((x, y + sign, xm, ym, ydot), (x, y, xm, ym + sign, ydot),
+                                         (x, y, xm, ym, ydot + sign),
+                                         (x, y, xm + sign * (x - xm) / 2.0, ym, ydot)):
         judge
         if not worst <= 1e-7 * (1.0 + scale):
             return max_on, _WEAK
 return max_on, _STRONG
-""".strip("\n").split("\n")
+""".strip("\n").format(**_ARG).split("\n")
 _LOOP_GLOBALS = {**ex._COMPILE_GLOBALS, "_SKIPPED": (DomainError, OutOfRange, MeshRangeError),
                  "_isfinite": math.isfinite, "_STRONG": Invariance.STRONG,
                  "_WEAK": Invariance.WEAK, "_NOT_INVARIANT": Invariance.NOT_INVARIANT}
@@ -222,10 +256,13 @@ def _loop(v: VectorField, d: Dods) -> Callable[..., tuple[float, Invariance] | N
     lines, outputs, consts = ex._emit(*_kernel_trees(v, d))
     pr1, pr2, magnitudes = outputs[11], outputs[12], ", ".join(outputs[13:])
     computed = _computed_r(v) is not None
+    a = _ARG
+    breaks = [f"if any(abs({a['x']} - b) <= 1e-6 for b in breaks):", "    continue"]
+    reads = [f"    {a['r']} = r_value({a['x']})", f"    {a['r_m']} = r_value({a['xm']})",
+             f"    {a['r_x']} = r_eval({a['x']})[2]"]
     blocks = {
-        "breaks": ["if any(abs(a0 - b) <= 1e-6 for b in breaks):", "    continue"],
-        "judge": ["try:", "    a5 = derivative(a0)",
-                  "    a6 = r_value(a0)", "    a7 = r_value(a2)", "    a8 = r_eval(a0)[2]",
+        "breaks": breaks if computed else [],
+        "judge": ["try:", f"    {a['gp']} = derivative({a['x']})", *(reads if computed else ()),
                   "    try:", *(f"        {line}" for line in lines),
                   "    except OverflowError:", "        continue",
                   "except _SKIPPED:", "    continue",
@@ -233,9 +270,6 @@ def _loop(v: VectorField, d: Dods) -> Callable[..., tuple[float, Invariance] | N
                   f"if not (_isfinite({pr1}) and _isfinite({pr2}) and _isfinite(scale)):",
                   "    continue",
                   f"worst = max(abs({pr1}), abs({pr2}))"]}
-    if not computed:
-        blocks["breaks"] = []
-        del blocks["judge"][2:5]
     body = []
     for line in _LOOP:
         block = blocks.get(line.strip())
@@ -267,8 +301,8 @@ def check_invariance(v: VectorField, d: Dods, samples: int = 200,
     lo, hi = window if window is not None else _window_for(d.domain)
     r = _computed_r(v)
     reads = () if r is None else (r.mesh.points, r.value, r.eval)
-    judged = _loop(v, d)(random.Random(7).random, lo, hi, samples, d.delay.delayed_point,
-                         d.rhs_fn, d.delay.derivative, *reads)
+    judged = _cached(_loop, v, d)(random.Random(7).random, lo, hi, samples,
+                                  d.delay.delayed_point, d.rhs_fn, d.delay.derivative, *reads)
     if judged is None:
         raise DomainError("no valid sample points in the window")
     return judged

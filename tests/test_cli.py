@@ -169,6 +169,19 @@ class TestSolve:
         assert (code, out) == (1, "")
         assert err == f"ParameterDomainError: {message}\n"
 
+    @pytest.mark.parametrize("line, argv, message", [
+        ("phi = x", ("solve",), "system file sets phi but not x0"),
+        ("x0 = 0", ("solve",), "system file sets x0 but not phi"),
+        ("x0 = 0", ("solve", "--phi", "x", "--x0", "0"), "system file sets x0 but not phi"),
+        ("phi = x", ("verify", "--solution", "x"), "system file sets phi but not x0")],
+        ids=("solve-phi", "solve-x0", "solve-x0-with-flags", "verify-phi"))
+    def test_system_file_sets_phi_and_x0_together(self, capsys, tmp_path, line, argv, message):
+        spec = tmp_path / "half.dods"
+        spec.write_text(SPEC + line + "\n")
+        code, out, err = run(capsys, *argv, "--spec", str(spec))
+        assert (code, out) == (1, "")
+        assert err == f"ParameterDomainError: {message}; an initial condition needs both\n"
+
 
 def test_listing_and_meshing_compile_nothing(capsys, monkeypatch):
     # trees compile on first evaluation in a hot path, never while a

@@ -143,6 +143,22 @@ class TestLoadSpec:
             load_spec("beta = 1\ndelay = constant(1)\nphi = x\nx0 = abc")
         assert str(raised.value) == "x0 needs a number, got 'abc'"
 
+    def test_x0_is_a_number_without_phi_too(self):
+        with pytest.raises(ParameterDomainError) as raised:
+            load_spec("beta = 1\ndelay = constant(1)\nx0 = abc")
+        assert str(raised.value) == "x0 needs a number, got 'abc'"
+
+    @pytest.mark.parametrize("line, given, missing", [
+        ("phi = (x + 1)^2", "phi", "x0"), ("x0 = 0", "x0", "phi")])
+    def test_phi_and_x0_come_together(self, line, given, missing):
+        with pytest.raises(ParameterDomainError) as raised:
+            load_spec(f"beta = 1\ndelay = constant(1)\n{line}")
+        assert str(raised.value) == (f"system file sets {given} but not {missing}; "
+                                     "an initial condition needs both")
+
+    def test_no_history_without_phi_and_x0(self):
+        assert load_spec("beta = 1\ndelay = constant(1)")[1] is None
+
 
 class TestResolveCase:
     def test_unknown_case(self):

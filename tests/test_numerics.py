@@ -52,3 +52,21 @@ class TestHybridRoot:
         below = max(x for x in calls if x <= 0.3)
         above = min(x for x in calls if x > 0.3)
         assert above - below <= 2.0 * math.ulp(0.3)
+
+    def test_non_convergence_names_the_final_bracket(self):
+        # best |f| never falls below 1, so the point with the smallest |f|
+        # stays at the starting end 1.0; the message names where the bracket
+        # closed, around the jump at 0.3, and how many evaluations it took
+        calls = []
+
+        def jump(x):
+            calls.append(x)
+            return 1.0 if x > 0.3 else -1.0
+
+        with pytest.raises(NonConvergence) as raised:
+            hybrid_root(jump, 0.0, 1.0)
+        below = max(x for x in calls if x <= 0.3)
+        above = min(x for x in calls if x > 0.3)
+        assert str(raised.value) == (
+            f"root refinement stalled on the bracket [{below!r}, {above!r}] after "
+            f"{len(calls)} evaluations; the smallest residual was 1.0")

@@ -1,6 +1,8 @@
 """Prolongations, invariance checks, flows, characteristic roots."""
 
 import cmath
+import functools
+import gc
 import math
 import os
 import pathlib
@@ -8,6 +10,7 @@ import pickle
 import random
 import subprocess
 import sys
+import types
 import warnings
 
 import pytest
@@ -34,7 +37,8 @@ from delaysym.errors import (
     ParameterDomainError,
     UnsupportedFlow,
 )
-from delaysym.steps import Scheme, SolverConfig, residual_scan, sample_expr, solve
+from delaysym.steps import (PiecewiseSolution, Scheme, SolverConfig, residual_scan,
+                            sample_expr, solve)
 from delaysym.symmetry import (
     AffineEta,
     CharacteristicRoot,
@@ -106,7 +110,9 @@ class TestVectorField:
     def test_affine_eta_r_from_solution(self):
         s = sample_expr(ConstantDelay(1.0), "x^2", 0.0, 2)
         v = VectorField(ex.Num(0.0), AffineEta(ex.Num(0.0), s))
-        out = symmetry._kernel(v, smoothing_instance()[0])(0.5, 9.0, -0.5, 0.0, 0.0, 1.0)
+        # the three reads of a computed r follow the six point arguments
+        reads = (s.value(0.5), s.value(-0.5), s.eval(0.5)[2])
+        out = symmetry._kernel(v, smoothing_instance()[0])(0.5, 9.0, -0.5, 0.0, 0.0, 1.0, *reads)
         assert out[6] == pytest.approx(0.25, abs=1e-12)
         assert out[8] == pytest.approx(1.0, abs=1e-12)
 
@@ -259,11 +265,27 @@ def _per_term(v, d):
     return terms
 
 
+def _through_kernel(v, d):
+    """(pr1, pr2, scale) at a point from one kernel call, as the generated
+    loop reads them: outputs 11 and 12 and the largest of 13 to 19."""
+    kernel, r = symmetry._kernel(v, d), symmetry._computed_r(v)
+
+    def terms(point):
+        x, y, xm, ym, ydot = point
+        reads = () if r is None else (r.value(x), r.value(xm), r.eval(x)[2])
+        out = kernel(x, y, xm, ym, ydot, d.delay.derivative(x), *reads)
+        return out[11], out[12], max(out[13:])
+    return terms
+
+
 def _outcome(fn, *a):
     try:
         return tuple(float.hex(t) for t in fn(*a))
     except DelaySymError as exc:
         return type(exc), str(exc)
+
+
+_WRONG = VectorField(ex.Num(0.0), ex.parse("x^2"), name="x^2 d_y")
 
 
 def _fields_and_systems():
@@ -275,10 +297,9 @@ def _fields_and_systems():
         CatalogCase("A3_3", {"a": 1.0}), CatalogCase("A3_3", {"a": -1.0}),
         CatalogCase("A3_7", {"b": 0.0}),
         CatalogCase("A4_5", delay='general("x - 1 - 0.1*sin(x)")')]
-    wrong = VectorField(ex.Num(0.0), ex.parse("x^2"), name="x^2 d_y")
     for case in cases:
         e = catalog(case)
-        for v in e.algebra + (wrong,):
+        for v in e.algebra + (_WRONG,):
             out.append((f"{case.id} {case.params or case.delay or ''} {v.name}", v, e.dods,
                         e.window))
     e = catalog("A4_12")
@@ -373,7 +394,6 @@ def _chi():
 
 
 _CHI = _chi()
-_WRONG = VectorField(ex.Num(0.0), ex.parse("x^2"), name="x^2 d_y")
 
 
 def _points(d, window, seed, count=40):
@@ -396,12 +416,14 @@ def _points(d, window, seed, count=40):
 class TestKernel:
     @pytest.mark.parametrize("label, v, d, window", _FIELDS, ids=[f[0] for f in _FIELDS])
     def test_prolong_apply_matches_per_term(self, label, v, d, window):
-        reference = _per_term(v, d)
+        reference, kernel = _per_term(v, d), _through_kernel(v, d)
         for point in _points(d, window, seed=len(label)):
             want = _outcome(reference, point)
+            assert _outcome(kernel, point) == want, (label, point)
             assert _outcome(prolong_apply, v, d, point) == want[:2], (label, point)
 
-    @pytest.mark.parametrize("label, v, d, window", _FIELDS + [_CHI], ids=[f[0] for f in _FIELDS] + [_CHI[0]])
+    @pytest.mark.parametrize("label, v, d, window", _FIELDS + [_CHI],
+                             ids=[f[0] for f in _FIELDS + [_CHI]])
     def test_check_invariance_matches_reference_loop(self, label, v, d, window):
         for samples in (1, 7, 40, 200):
             assert (_checked(check_invariance, v, d, samples, window)
@@ -469,13 +491,14 @@ class TestKernel:
 
     def test_computed_r_matches_per_term(self):
         label, v, d, window = _CHI
-        reference = _per_term(v, d)
+        reference, kernel = _per_term(v, d), _through_kernel(v, d)
         # x from inside the solution's range to past its end, where r fails
         for i in range(41):
             x = -0.9 + 3.2 * i / 40
             for point in ((x, 0.3, x - 1.0, -0.4, 0.7), (x, 1.3, x - 0.5, 0.4, -0.7)):
-                want = _outcome(lambda p: reference(p)[:2], point)
-                assert _outcome(prolong_apply, v, d, point) == want, point
+                want = _outcome(reference, point)
+                assert _outcome(kernel, point) == want, point
+                assert _outcome(prolong_apply, v, d, point) == want[:2], point
         assert check_invariance(v, d, 60, window) == _reference_check(v, d, 60, window)
 
     def test_one_kernel_per_field_and_system(self):
@@ -484,25 +507,33 @@ class TestKernel:
         kernel = symmetry._kernel(v, a.dods)
         assert symmetry._kernel(v, a.dods) is kernel
         other = symmetry._kernel(v, b.dods)
-        assert other is not kernel and symmetry._kernel(v, b.dods) is other
-        assert v.__dict__["_kernel"][0] is b.dods  # one entry: the last system
+        assert other is not kernel and symmetry._kernel(v, a.dods) is kernel
+        assert symmetry._kernel(v, b.dods) is other
+        # equal values share one kernel: a rebuilt field and system
+        rebuilt = catalog("A3_5")
+        assert symmetry._kernel(rebuilt.algebra[2], rebuilt.dods) is kernel
 
     def test_generated_source_does_not_depend_on_hash_order(self):
         # the source is the bytecode cache key: record every source the
-        # kernels of three systems generate, under two hash seeds
+        # loops and kernels of three systems generate, under two hash seeds
         code = ("import sys, hashlib; sys.path.insert(0, sys.argv[1]); "
                 "import delaysym.expr as ex; from delaysym import dods, symmetry; "
                 "seen = []; inner = ex._bytecode; "
                 "ex._bytecode = lambda s: (seen.append(s), inner(s))[1]; "
-                "[symmetry.check_invariance(v, e.dods, 5, e.window) "
+                "[(symmetry.check_invariance(v, e.dods, 5, e.window), "
+                "  symmetry.prolong_apply(v, e.dods, (1.5, 0.3, e.dods.delay.delayed_point(1.5), "
+                "                                     0.2, 0.1))) "
                 " for e in map(dods.catalog, ('A2_1', 'A3_7', 'A4_21')) for v in e.algebra]; "
-                "print(len(seen), hashlib.sha256('\\n'.join(seen).encode()).hexdigest())")
+                "print(len(seen), sum('on_points' in s for s in seen), "
+                "      hashlib.sha256('\\n'.join(seen).encode()).hexdigest())")
         src = str(pathlib.Path(symmetry.__file__).parents[1])
         outs = {subprocess.run([sys.executable, "-S", "-c", code, src], capture_output=True,
                                text=True, check=True, timeout=60,
                                env={**os.environ, "PYTHONHASHSEED": seed}).stdout
                 for seed in ("0", "12345")}
-        assert len(outs) == 1 and int(outs.pop().split()[0]) >= 10
+        assert len(outs) == 1
+        sources, loops, _ = outs.pop().split()
+        assert int(loops) == 9 and int(sources) >= 18
 
     def test_pickle_after_a_check_drops_the_kernel(self):
         e = catalog("A3_7")
@@ -510,13 +541,116 @@ class TestKernel:
         before = check_invariance(v, e.dods, samples=40, window=e.window)
         point = (0.5, 1.0, e.dods.delay.delayed_point(0.5), -0.3, 0.7)
         applied = prolong_apply(v, e.dods, point)
-        assert "_kernel" in v.__dict__  # a check keeps no kernel on the field; prolong_apply does
-        data = pickle.dumps(v)
-        assert data == pickle.dumps(VectorField(v.xi, v.eta, v.name))
-        v2 = pickle.loads(data)
-        assert v2 == v and "_kernel" not in v2.__dict__
-        assert check_invariance(v2, e.dods, samples=40, window=e.window) == before
-        assert prolong_apply(v2, e.dods, point) == applied
+        # the cache keys are kept on the field and the system, not pickled
+        assert "_trees_key" in v.__dict__ and "_partials_key" in e.dods.__dict__
+        data = pickle.dumps((v, e.dods))
+        assert data == pickle.dumps((VectorField(v.xi, v.eta, v.name),
+                                     Dods(e.dods.rhs, e.dods.delay, e.dods.domain,
+                                          e.dods.rhs_manifold)))
+        v2, d2 = pickle.loads(data)
+        assert (v2, d2) == (v, e.dods)
+        assert "_trees_key" not in v2.__dict__ and "_partials_key" not in d2.__dict__
+        assert check_invariance(v2, d2, samples=40, window=e.window) == before
+        assert prolong_apply(v2, d2, point) == applied
+
+
+class TestCache:
+    """The module cache of kernels and loops, keyed on the trees' values."""
+
+    def test_rebuilt_entry_generates_no_new_source(self, monkeypatch):
+        case = CatalogCase("A3_5", {"C1": 1.25, "C2": 0.75})
+
+        def run():
+            e = catalog(case)
+            point = (1.5, 0.3, e.dods.delay.delayed_point(1.5), 0.2, 0.1)
+            return [(check_invariance(v, e.dods, 40, e.window), prolong_apply(v, e.dods, point))
+                    for v in e.algebra + (_WRONG,)]
+
+        first = run()
+        built = []
+        for name in ("_loop", "_compile_kernel"):
+            inner = getattr(symmetry, name)
+            monkeypatch.setattr(symmetry, name, functools.wraps(inner)(
+                lambda v, d, inner=inner: (built.append(v), inner(v, d))[1]))
+        sources = []
+        inner_bytecode = ex._bytecode
+        monkeypatch.setattr(ex, "_bytecode", lambda s: (sources.append(s), inner_bytecode(s))[1])
+        assert run() == first
+        assert built == []
+        assert not any("on_points" in s for s in sources)
+
+    def test_keys_are_walked_once_per_object(self, monkeypatch):
+        e = catalog("A3_5")
+        v = e.algebra[2]
+        check_invariance(v, e.dods, 7, e.window)
+        walks = []
+        inner = ex._key
+        monkeypatch.setattr(ex, "_key", lambda trees: (walks.append(1), inner(trees))[1])
+        point = (1.5, 0.3, e.dods.delay.delayed_point(1.5), 0.2, 0.1)
+        for _ in range(3):
+            check_invariance(v, e.dods, 7, e.window)
+            prolong_apply(v, e.dods, point)
+        assert walks == []
+        rebuilt = catalog("A3_5")
+        check_invariance(rebuilt.algebra[2], rebuilt.dods, 7, e.window)
+        assert len(walks) == 2  # the rebuilt system's partials and field's trees
+
+    def test_signed_zero_and_int_constants_stay_apart(self):
+        # x = 0.5 > 0 > xm = -0.5: pr2 = c*xm - (c*x)*g' is -0.0 for c = 0.0
+        # and 0.0 for c = -0.0; eta = c is kernel output 6, an int for c = 1
+        d, _ = smoothing_instance()
+        point = (0.5, 0.3, -0.5, 0.2, 0.1)
+        seen = {}
+        for c in (0.0, -0.0, 1, 1.0):
+            v = VectorField(ex.Binary("*", ex.Num(c), ex.Var("x")), ex.Num(c))
+            pr2 = prolong_apply(v, d, point)[1]
+            assert pr2.hex() == _per_term(v, d)(point)[1].hex()
+            assert repr(symmetry._kernel(v, d)(*point, 1.0)[6]) == repr(c)
+            seen[repr(c)] = (symmetry._cached(symmetry._loop, v, d),
+                             symmetry._cached(symmetry._compile_kernel, v, d), pr2.hex())
+            check_invariance(v, d, 7, (0.5, 1.5))
+        assert seen["0.0"][2] == "-0x0.0p+0" and seen["-0.0"][2] == "0x0.0p+0"
+        for a, b in (("0.0", "-0.0"), ("1", "1.0")):
+            assert seen[a][0] is not seen[b][0] and seen[a][1] is not seen[b][1]
+
+    def test_bound_holds(self, monkeypatch):
+        monkeypatch.setattr(symmetry, "_CACHE", {})
+        monkeypatch.setattr(symmetry, "_CACHE_SIZE", 4)
+        d, _ = smoothing_instance()
+        fields = [VectorField(ex.Num(0.0), ex.parse(f"{k}*x^2")) for k in range(1, 7)]
+        first = [check_invariance(v, d, 7, (0.5, 1.5)) for v in fields]
+        assert len(symmetry._CACHE) == 4
+        # the oldest went first; an evicted loop is built again, alike
+        names = [key[0] for key in symmetry._CACHE]
+        assert names == ["_loop"] * 4
+        assert [check_invariance(v, d, 7, (0.5, 1.5)) for v in fields] == first
+        assert len(symmetry._CACHE) == 4
+
+    def test_holds_no_system_or_field(self):
+        for e in (catalog("A3_7"), catalog("A4_14")):
+            for v in e.algebra + (_WRONG,):
+                check_invariance(v, e.dods, 7, e.window)
+                prolong_apply(v, e.dods, (1.5, 0.3, e.dods.delay.delayed_point(1.5), 0.2, 0.1))
+        label, v, d, window = _CHI
+        check_invariance(v, d, 7, window)
+        prolong_apply(v, d, (0.5, 0.3, -0.5, 0.2, 0.1))
+        # walk everything the cache refers to, except modules, classes and
+        # the globals of the generated functions, checked apart below
+        module_dicts = {id(vars(m)) for m in list(sys.modules.values()) if m is not None}
+        skipped = module_dicts | {id(ex._COMPILE_GLOBALS), id(symmetry._LOOP_GLOBALS)}
+        seen, todo = set(), [symmetry._CACHE]
+        while todo:
+            obj = todo.pop()
+            if id(obj) in seen or id(obj) in skipped or isinstance(obj, (type, types.ModuleType)):
+                continue
+            seen.add(id(obj))
+            assert not isinstance(obj, (Dods, VectorField, AffineEta, PiecewiseSolution,
+                                        ex.Expr)), obj
+            todo.extend(gc.get_referents(obj))
+        assert len(seen) > 100
+        for value in (*ex._COMPILE_GLOBALS.values(), *symmetry._LOOP_GLOBALS.values()):
+            assert isinstance(value, (types.FunctionType, types.BuiltinFunctionType,
+                                      types.ModuleType, tuple, Invariance)), value
 
 
 class TestVerticalFromSolution:
