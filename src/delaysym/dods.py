@@ -178,6 +178,17 @@ class InitialCondition(ex.Record):
                 f"history interval is empty: [{self.x_minus1!r}, {self.x0!r}]")
         ex.check_variables(self.phi, {"x"}, "phi may only depend on x")
 
+    @functools.cached_property
+    def _phi_with_slope(self) -> tuple[Callable[[float], float], Callable[[float], float]]:
+        """_with_slope(phi), made once per record (not pickled): every solve
+        from this history samples it on the first segment."""
+        return _with_slope(self.phi)
+
+
+def _with_slope(e: ex.Expr) -> tuple[Callable[[float], float], Callable[[float], float]]:
+    """e and its x-derivative compiled as functions of x."""
+    return ex.compile(e, ("x",)), ex.compile(ex.differentiate(e, "x"), ("x",))
+
 
 def initial_condition(phi: "ex.Expr | str", relation: DelayRelation, x0: float) -> InitialCondition:
     """Build the history record with x_minus1 = g(x0)."""

@@ -526,7 +526,7 @@ def compile_columns(trees: Iterable[Expr], args: Sequence[str]
 
 
 def _generate(trees: tuple[Expr, ...], args: Sequence[str], form: str) -> Callable:
-    lines, outputs, consts = _emit(trees, args)
+    lines, outputs, consts, _ = _emit(trees, args)
     params = ", ".join(f"a{i}" for i in range(len(args)))
     if form == "columns":  # the statements once per point; list o<i> gathers output i
         columns = ", ".join(f"c{i}" for i in range(len(args)))
@@ -542,12 +542,15 @@ def _generate(trees: tuple[Expr, ...], args: Sequence[str], form: str) -> Callab
 
 
 def _emit(trees: tuple[Expr, ...], args: Sequence[str]
-          ) -> tuple[list[str], list[str], list[object]]:
+          ) -> tuple[list[str], list[str], list[object], list[int]]:
     """The statements that evaluate the trees over the arguments a0, a1, ...,
-    the name that holds each tree's value after them, and the constants
-    k0, k1, ... they read.  Argument i is the variable a<i>.  The statements
-    assign only a<i> and t<k>, and read only those, k<i> and the names of
-    _COMPILE_GLOBALS, so code around them may use any other name."""
+    the name that holds each tree's value after them, the constants k0, k1,
+    ... they read, and for each statement the arguments it reaches, as a mask
+    with bit i set when its value depends on argument i, read directly or
+    through the names it reads (a guard counts as its operation).  Argument
+    i is the variable a<i>.  The statements assign only a<i> and t<k>, and
+    read only those, k<i> and the names of _COMPILE_GLOBALS, so code around
+    them may use any other name."""
     args = tuple(args)
     if len(set(args)) != len(args):
         raise ValueError(f"duplicate argument names in {args!r}")
@@ -559,6 +562,8 @@ def _emit(trees: tuple[Expr, ...], args: Sequence[str]
     seen: dict[int, str] = {}  # id of an operator node already named -> its name
     names: list[str] = []  # the name holding each evaluated operand
     outputs: list[str] = []
+    reach: dict[str, int] = {}  # argument or temporary -> the arguments it reaches
+    reaches: list[int] = []
 
     def const(value: object) -> str:
         consts.append(value)
@@ -578,11 +583,17 @@ def _emit(trees: tuple[Expr, ...], args: Sequence[str]
                     if template is None:
                         kind = "unary" if arity == 1 else "binary"
                         raise ValueError(f"bad {kind} op {node.op!r}")
+                    mask = 0
+                    for operand in key[1:]:
+                        mask |= reach.get(operand, 0)
                     guard = _GUARDS.get(node.op)
                     if guard is not None:
                         lines.append(guard.format(*key[1:]))
+                        reaches.append(mask)
                     name = numbered[key] = f"t{len(lines)}"
+                    reach[name] = mask
                     lines.append(f"{name} = {template.format(*key[1:])}")
+                    reaches.append(mask)
                 seen[id(node)] = name
             elif (name := seen.get(id(node))) is not None:
                 pass
@@ -595,12 +606,15 @@ def _emit(trees: tuple[Expr, ...], args: Sequence[str]
                 i = position.get(node.name)
                 if i is None:
                     lines.append(f"raise _unbound({const(node.name)})")
+                    reaches.append(0)
                     name = "None"
                 else:
+                    name = f"a{i}"
                     if i not in coerced:
                         coerced.add(i)
-                        lines.append(f"a{i} = float(a{i})")
-                    name = f"a{i}"
+                        lines.append(f"{name} = float({name})")
+                        reach[name] = 1 << i
+                        reaches.append(reach[name])
             else:
                 todo.append((node, True))
                 if isinstance(node, Unary):
@@ -613,7 +627,7 @@ def _emit(trees: tuple[Expr, ...], args: Sequence[str]
                 continue
             names.append(name)
         outputs.append(names.pop())
-    return lines, outputs, consts
+    return lines, outputs, consts, reaches
 
 
 def _constant_key(value: object) -> object:

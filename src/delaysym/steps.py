@@ -25,7 +25,7 @@ from collections.abc import Callable, Iterable, Sequence
 
 from . import expr as ex
 from .delay import DelayRelation, Mesh, build_mesh, parse_delay_spec
-from .dods import Dods, InitialCondition, LinearRhs, _max_residual
+from .dods import Dods, InitialCondition, LinearRhs, _max_residual, _with_slope
 from .errors import (DomainError, MeshRangeError, OutOfRange, ParameterDomainError,
                      SchemeMismatch)
 
@@ -279,11 +279,6 @@ def solution_from_json(text: str) -> PiecewiseSolution:
     return PiecewiseSolution(mesh, tuple(segments))
 
 
-def _with_slope(e: ex.Expr) -> tuple[Callable[[float], float], Callable[[float], float]]:
-    """e and its x-derivative compiled as functions of x."""
-    return ex.compile(e, ("x",)), ex.compile(ex.differentiate(e, "x"), ("x",))
-
-
 def _sample_segment(fns: tuple[Callable[[float], float], Callable[[float], float]],
                     lo: float, hi: float, m: int) -> Segment:
     f, df = fns
@@ -364,7 +359,7 @@ def solve(d: Dods, init: InitialCondition, intervals: int,
                 f"mesh point {p!r} leaves the domain ({lo!r}, {hi!r})")
 
     m = config.step_count
-    segments = [_sample_segment(_with_slope(init.phi), mesh.points[0], mesh.points[1], m)]
+    segments = [_sample_segment(init._phi_with_slope, mesh.points[0], mesh.points[1], m)]
 
     linear = isinstance(d.rhs, LinearRhs)
     if config.scheme is Scheme.RK4:

@@ -116,10 +116,11 @@ class Invariance(enum.Enum):
 # The prolongation at a point is one compiled call: the kernel of a field on
 # a system takes (x, y, xm, ym, ydot, g'(x)) and returns m_x, m_y, m_xm,
 # m_ym, xi(x), xi(xm), eta(x, y), eta(xm, ym), eta_x, eta_y, xi'(x), pr1, pr2
-# and the seven magnitudes whose largest is the scale, evaluated in that
-# order from shared subexpressions.  An eta whose r is a computed solution
-# takes three reads of it, r(x), r(xm) and r'(x), after the six point
-# arguments; p is compiled in the kernel like any other tree.  The kernel's
+# and the seven terms whose largest magnitude is the scale (zeta, the four
+# products, xi(xm) and xi g'), evaluated in that order from shared
+# subexpressions.  An eta whose r is a computed solution takes three reads of
+# it, r(x), r(xm) and r'(x), after the six point arguments; p is compiled in
+# the kernel like any other tree.  The kernel's
 # statements hold argument i in the variable a<i> (expr._emit); _ARG names
 # them for the sampling loop, which sets them itself.
 
@@ -141,8 +142,7 @@ def _kernel_trees(v: VectorField, d: Dods) -> tuple[tuple[ex.Expr, ...], tuple[s
     xi_g = B("*", xi, ex.Var("gp"))
     pr1 = B("-", zeta, B("+", B("+", B("+", terms[1], terms[2]), terms[3]), terms[4]))
     pr2 = B("-", xi_m, xi_g)
-    magnitudes = tuple(ex.Unary("abs", t) for t in terms + (xi_m, xi_g))
-    return (partials + trees + (pr1, pr2) + magnitudes,
+    return (partials + trees + (pr1, pr2) + terms + (xi_m, xi_g),
             _KERNEL_ARGS if _computed_r(v) is None else _KERNEL_ARGS + _OUTSIDE_ARGS)
 
 
@@ -201,12 +201,27 @@ def prolong_apply(v: VectorField, d: Dods,
 # draw stream is the caller's, and calls the system's delayed_point, rhs_fn
 # and derivative and a computed r's reads, passed in.  A sample is skipped
 # when one of those or a kernel statement raises DomainError, OutOfRange or
-# MeshRangeError, when the kernel overflows, or when pr1, pr2 or the scale is
-# not finite: max() drops NaN, so a non-finite sample would otherwise read as
-# zero.  In the template, {x}, {y}, {xm}, {ym} and {ydot} are the kernel's
-# argument variables of _ARG; a line "judge" stands for the kernel at them
-# followed by the worst applied value and the scale, and "breaks" skips an x
-# within 1e-6 of a computed r's breaking points before y is drawn.
+# MeshRangeError, when the kernel overflows, or when pr1 or pr2 is not
+# finite: max() drops NaN, so a non-finite sample would otherwise read as
+# zero.  Finite pr1 and pr2 make the seven terms finite too, since a term
+# that is not finite makes the sum or difference it enters not finite.
+#
+# A sample is judged by its applied values first.  It passes when
+# worst = max(|pr1|, |pr2|) <= 1e-7 * (1 + scale), and 1e-7 * (1 + scale) is
+# at least 1e-7 for every scale >= 0, so the scale, the largest |term|, is
+# taken only when worst > 1e-7.  Phase 2 moves y, ym, ydot or xm of a point
+# that phase 1 kept, never x: the call g'(x), a computed r's reads r(x) and
+# r'(x), and the statements that reach only x and those values (expr._emit
+# reports what each reaches) run once per point, the rest once per
+# perturbation.  The shared ones ran without raising at this x in phase 1
+# and are pure, so they stand outside the try.  Both parts keep the order of emission, so the source
+# does not depend on hash order.
+#
+# In the template, {x}, {y}, {xm}, {ym} and {ydot} are the kernel's argument
+# variables of _ARG.  A line "judge" stands for the kernel at them followed
+# by the worst applied value, "shared" and "rest" for its two parts in
+# phase 2, "scale" for the scale, and "breaks" skips an x within 1e-6 of a
+# computed r's breaking points before y is drawn.
 
 _LOOP = """
 width = hi - lo
@@ -229,47 +244,64 @@ for _ in range(80 * samples):
     judge
     on_points.append(point)
     max_on = max(max_on, worst)
-    on_ok = on_ok and worst <= 1e-7 * (1.0 + scale)
+    if worst > 1e-7:
+        scale
+        on_ok = on_ok and worst <= 1e-7 * (1.0 + scale)
 if not on_points:
     return None
 if not on_ok:
     return max_on, _NOT_INVARIANT
 for i, (x, y, xm, ym, ydot) in enumerate(on_points):
     sign = 1.0 if i % 2 == 0 else -1.0
-    for {x}, {y}, {xm}, {ym}, {ydot} in ((x, y + sign, xm, ym, ydot), (x, y, xm, ym + sign, ydot),
-                                         (x, y, xm, ym, ydot + sign),
-                                         (x, y, xm + sign * (x - xm) / 2.0, ym, ydot)):
-        judge
-        if not worst <= 1e-7 * (1.0 + scale):
-            return max_on, _WEAK
+    {x} = x
+    shared
+    for {y}, {xm}, {ym}, {ydot} in ((y + sign, xm, ym, ydot), (y, xm, ym + sign, ydot),
+                                    (y, xm, ym, ydot + sign),
+                                    (y, xm + sign * (x - xm) / 2.0, ym, ydot)):
+        rest
+        if worst > 1e-7:
+            scale
+            if not worst <= 1e-7 * (1.0 + scale):
+                return max_on, _WEAK
 return max_on, _STRONG
 """.strip("\n").format(**_ARG).split("\n")
 _LOOP_GLOBALS = {**ex._COMPILE_GLOBALS, "_SKIPPED": (DomainError, OutOfRange, MeshRangeError),
                  "_isfinite": math.isfinite, "_STRONG": Invariance.STRONG,
                  "_WEAK": Invariance.WEAK, "_NOT_INVARIANT": Invariance.NOT_INVARIANT}
+# the arguments that phase 2 does not move, as a mask of expr._emit
+_PER_POINT = sum(1 << i for i, name in enumerate(_ARG) if name in ("x", "gp", "r", "r_x"))
 
 
 def _loop(v: VectorField, d: Dods) -> Callable[..., tuple[float, Invariance] | None]:
     """check_invariance of v on d as one function of (random, lo, hi,
     samples, delayed_point, rhs, derivative), and for a computed r also of
     (breaks, r_value, r_eval); it returns None when no sample was valid."""
-    lines, outputs, consts = ex._emit(*_kernel_trees(v, d))
-    pr1, pr2, magnitudes = outputs[11], outputs[12], ", ".join(outputs[13:])
+    lines, outputs, consts, reaches = ex._emit(*_kernel_trees(v, d))
+    pr1, pr2 = outputs[11], outputs[12]
     computed = _computed_r(v) is not None
     a = _ARG
-    breaks = [f"if any(abs({a['x']} - b) <= 1e-6 for b in breaks):", "    continue"]
-    reads = [f"    {a['r']} = r_value({a['x']})", f"    {a['r_m']} = r_value({a['xm']})",
-             f"    {a['r_x']} = r_eval({a['x']})[2]"]
+    slope_g = f"{a['gp']} = derivative({a['x']})"
+    r_at_x, r_at_xm, slope_r = (f"{a['r']} = r_value({a['x']})",
+                                f"{a['r_m']} = r_value({a['xm']})",
+                                f"{a['r_x']} = r_eval({a['x']})[2]")
+
+    def judged(reads: list[str], statements: list[str]) -> list[str]:
+        return ["try:", *(f"    {line}" for line in reads),
+                "    try:", *(f"        {line}" for line in statements),
+                "    except OverflowError:", "        continue",
+                "except _SKIPPED:", "    continue",
+                f"if not (_isfinite({pr1}) and _isfinite({pr2})):", "    continue",
+                f"worst = max(abs({pr1}), abs({pr2}))"]
+
+    shared = [line for line, reach in zip(lines, reaches) if not reach & ~_PER_POINT]
+    rest = [line for line, reach in zip(lines, reaches) if reach & ~_PER_POINT]
     blocks = {
-        "breaks": breaks if computed else [],
-        "judge": ["try:", f"    {a['gp']} = derivative({a['x']})", *(reads if computed else ()),
-                  "    try:", *(f"        {line}" for line in lines),
-                  "    except OverflowError:", "        continue",
-                  "except _SKIPPED:", "    continue",
-                  f"scale = max({magnitudes})",
-                  f"if not (_isfinite({pr1}) and _isfinite({pr2}) and _isfinite(scale)):",
-                  "    continue",
-                  f"worst = max(abs({pr1}), abs({pr2}))"]}
+        "breaks": [f"if any(abs({a['x']} - b) <= 1e-6 for b in breaks):", "    continue"]
+                  if computed else [],
+        "judge": judged([slope_g, *([r_at_x, r_at_xm, slope_r] if computed else ())], lines),
+        "shared": [slope_g, *([r_at_x, slope_r] if computed else ()), *shared],
+        "rest": judged([r_at_xm] if computed else [], rest),
+        "scale": [f"scale = max({', '.join(f'abs({t})' for t in outputs[13:])})"]}
     body = []
     for line in _LOOP:
         block = blocks.get(line.strip())

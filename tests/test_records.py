@@ -123,6 +123,12 @@ def test_pickle_drops_cached_callables():
     back = pickle.loads(pickle.dumps(d))
     assert "rhs_fn" not in vars(back)
     assert back.rhs_value(0.5, 1.0, 2.0) == d.rhs_value(0.5, 1.0, 2.0)
+    init = RECORDS["InitialCondition"]
+    first = solve(d, init, 1, SolverConfig(step_count=8))
+    assert "_phi_with_slope" in vars(init)
+    back = pickle.loads(pickle.dumps(init))
+    assert back == init and "_phi_with_slope" not in vars(back)
+    assert solve(d, back, 1, SolverConfig(step_count=8)) == first
 
 
 def test_defaults_and_bad_arguments():

@@ -16,7 +16,7 @@ import warnings
 import pytest
 
 import delaysym.expr as ex
-from delaysym.delay import AffineDelay, ConstantDelay, QScaleDelay
+from delaysym.delay import AffineDelay, ConstantDelay, MoebiusDelay, QScaleDelay
 from delaysym.dods import (
     CatalogCase,
     Dods,
@@ -267,14 +267,15 @@ def _per_term(v, d):
 
 def _through_kernel(v, d):
     """(pr1, pr2, scale) at a point from one kernel call, as the generated
-    loop reads them: outputs 11 and 12 and the largest of 13 to 19."""
+    loop reads them: outputs 11 and 12 and the largest magnitude of the
+    terms 13 to 19."""
     kernel, r = symmetry._kernel(v, d), symmetry._computed_r(v)
 
     def terms(point):
         x, y, xm, ym, ydot = point
         reads = () if r is None else (r.value(x), r.value(xm), r.eval(x)[2])
         out = kernel(x, y, xm, ym, ydot, d.delay.derivative(x), *reads)
-        return out[11], out[12], max(out[13:])
+        return out[11], out[12], max(abs(t) for t in out[13:])
     return terms
 
 
@@ -314,8 +315,9 @@ def _fields_and_systems():
 _FIELDS = _fields_and_systems()
 
 
-def _judge(terms, point):
-    """The judge of check_invariance before its loop was generated."""
+def _judge(terms, point, scaled=True):
+    """The judge of check_invariance before its loop was generated; not
+    scaled, it judges by worst <= 1e-7 alone."""
     try:
         pr1, pr2, scale = terms(point)
     except (DomainError, OutOfRange, MeshRangeError):
@@ -323,12 +325,14 @@ def _judge(terms, point):
     if not (math.isfinite(pr1) and math.isfinite(pr2) and math.isfinite(scale)):
         return None
     worst = max(abs(pr1), abs(pr2))
-    return worst, worst <= 1e-7 * (1.0 + scale)
+    return worst, worst <= 1e-7 * (1.0 + scale if scaled else 1.0)
 
 
-def _reference_check(v, d, samples, window):
+def _reference_check(v, d, samples, window, scaled=(True, True), perturbed=None):
     """check_invariance as it was before its loop was generated: both
-    sampling phases in Python, each point judged through _per_term."""
+    sampling phases in Python, each point judged through _per_term, in
+    phase 1 and phase 2 with or without the scale as `scaled` says.  Phase 2
+    appends each point it perturbs to the list `perturbed`, if given."""
     lo, hi = window
     rng = random.Random(7)
     r = v.eta.r if isinstance(v.eta, AffineEta) and not isinstance(v.eta.r, ex.Expr) else None
@@ -355,7 +359,7 @@ def _reference_check(v, d, samples, window):
         if len(on_points) == samples:
             break
         pt = fresh_point()
-        judged = None if pt is None else _judge(terms, pt)
+        judged = None if pt is None else _judge(terms, pt, scaled[0])
         if judged is None:
             continue
         on_points.append(pt)
@@ -368,11 +372,13 @@ def _reference_check(v, d, samples, window):
 
     for i, (x, y, xm, ym, ydot) in enumerate(on_points):
         sign = 1.0 if i % 2 == 0 else -1.0
+        if perturbed is not None:
+            perturbed.append((x, y, xm, ym, ydot))
         for pt in ((x, y + sign, xm, ym, ydot),
                    (x, y, xm, ym + sign, ydot),
                    (x, y, xm, ym, ydot + sign),
                    (x, y, xm + sign * (x - xm) / 2.0, ym, ydot)):
-            judged = _judge(terms, pt)
+            judged = _judge(terms, pt, scaled[1])
             if judged is not None and not judged[1]:
                 return max_on, Invariance.WEAK
     return max_on, Invariance.STRONG
@@ -476,6 +482,70 @@ class TestKernel:
         assert check_invariance(v, e.dods, 40, window)[1] is Invariance.WEAK
         with pytest.raises(ValueError):
             prolong_apply(v, e.dods, (2.1, 0.5, 1.6, 0.2, 0.3))
+
+    def test_scale_decides_in_both_phases(self):
+        # 1e9 x d_y on A3_5, y' = y - y(x - 1) + e^x: the terms eta m_y and
+        # eta(xm) m_ym reach 3e9, and their rounding leaves applied values
+        # above 1e-7, which pass only as a share of the scale.  Judged without
+        # it, phase 1 would call the field no symmetry, and phase 2 a weak one
+        e = catalog("A3_5")
+        v = VectorField(ex.Num(0.0), ex.parse("1e9*x"))
+        got = check_invariance(v, e.dods, 60, e.window)
+        assert got == _reference_check(v, e.dods, 60, e.window)
+        assert got[1] is Invariance.STRONG and got[0] > 1e-7
+        for scaled, cls in (((False, True), Invariance.NOT_INVARIANT),
+                            ((True, False), Invariance.WEAK)):
+            assert _reference_check(v, e.dods, 60, e.window, scaled)[1] is cls, scaled
+
+    def test_shared_statements_run_once_per_point(self, monkeypatch):
+        # g' is called once for each phase 1 sample that reaches the judge,
+        # and once for each point that phase 2 perturbs, not once per
+        # perturbation; a computed r's slope r'(x) likewise.  Phase 2 must
+        # perturb as many points as the reference loop
+        calls = {}
+
+        def counted(cls, name):
+            inner = getattr(cls, name)
+
+            def method(self, x):
+                out = inner(self, x)  # a call that raises is not counted
+                calls[name] = calls.get(name, 0) + 1
+                return out
+            monkeypatch.setattr(cls, name, method)
+
+        # A4_14's relation raises on the half of the first window before its
+        # pole; a linear right hand side never raises, so every delayed point
+        # reaches the judge.  chi's r can be read at x and xm all over (0, 2).
+        # 1e-8 y d_y is weak only where what a unit step of y or ym leaves,
+        # 1e-8 alpha or 1e-8 beta, passes 1e-7: under alpha = exp(2x) and
+        # under beta = -exp(2x), past the first few points
+        e = catalog(CatalogCase("A4_14", {"C": 1.5}))
+        pole = -1.0 / 1.5
+        cases = [(v, e.dods, window) for v in e.algebra + (_WRONG,)
+                 for window in ((pole - 0.5, pole + 0.5), e.window)]
+        cases.append((_CHI[1], _CHI[2], (0.0, 2.0)))
+        small = VectorField(ex.Num(0.0), ex.parse("1e-8*y", ("x", "y")))
+        for alpha, beta in (("exp(2*x)", "-1"), ("1", "-exp(2*x)")):
+            steep = Dods(LinearRhs(ex.parse(alpha), ex.parse(beta), ex.Num(0.0)), ConstantDelay(1.0))
+            cases.append((small, steep, (0.0, 3.0)))
+        want = []
+        for v, d, window in cases:
+            perturbed = []
+            want.append((_reference_check(v, d, 40, window, perturbed=perturbed), len(perturbed)))
+        for cls, name in ((MoebiusDelay, "delayed_point"), (MoebiusDelay, "derivative"),
+                          (ConstantDelay, "delayed_point"), (ConstantDelay, "derivative"),
+                          (PiecewiseSolution, "eval")):
+            counted(cls, name)
+        got = []
+        for v, d, window in cases:
+            calls.clear()
+            result = check_invariance(v, d, 40, window)
+            assert calls.get("eval", 0) == (calls["derivative"] if v is _CHI[1] else 0)
+            got.append((result, calls["derivative"] - calls["delayed_point"]))
+        assert got == want
+        assert {result[1] for result, _ in got} == set(Invariance)
+        assert {n for _, n in got[:-2]} == {0, 1, 40}
+        assert all(result[1] is Invariance.WEAK and 1 < n < 40 for result, n in got[-2:])
 
     def test_errors_match_per_term(self):
         # xm = x divides by zero in the slope's partials; ln of a negative x
