@@ -195,27 +195,9 @@ def initial_condition(phi: "ex.Expr | str", relation: DelayRelation, x0: float) 
     return InitialCondition(ex.as_expr(phi, ("x",)), relation.delayed_point(x0), x0)
 
 
-def _sampled_max(e: ex.Expr, window: tuple[float, float],
-                 skip: "type[Exception] | tuple" = ()) -> float:
-    """Largest |e(x)| over the midpoints of 20 equal cells of the window; a
-    point whose evaluation raises one of `skip` is passed over.  The
-    reference evaluator is used, so nothing is compiled."""
-    lo, hi = window
-    seen = 0.0
-    for i in range(20):
-        try:
-            seen = max(seen, abs(ex.evaluate(e, {"x": lo + (hi - lo) * (i + 0.5) / 20})))
-        except skip:
-            continue
-    return seen
-
-
-def validate_beta(d: Dods, window: tuple[float, float]) -> None:
-    """Reject a linear system whose delay coefficient vanishes identically
-    on the sampling window."""
-    if not isinstance(d.rhs, LinearRhs):
-        return
-    if _sampled_max(d.rhs.beta, window, Exception) <= 1e-12:
+def validate_beta(d: Dods) -> None:
+    """Reject a linear system whose beta is zero by structure (ex.is_zero)."""
+    if isinstance(d.rhs, LinearRhs) and ex.is_zero(d.rhs.beta):
         raise ParameterDomainError(
             "delay coefficient beta vanishes identically; the system is an ODE")
 
@@ -355,10 +337,20 @@ def _slope_system(relation: DelayRelation, gamma: ex.Expr | None = None,
 
 
 def _nonzero_forcing(d: Dods) -> Dods:
-    if not _sampled_max(d.rhs.gamma, _window_for(d.domain)) > 1e-12:
+    if ex.is_zero(d.rhs.gamma):
         raise ParameterDomainError(
             "A2_3 needs f not identically zero; A2_1 covers the homogeneous equation")
     return d
+
+
+def _check_defined(e: ex.Expr) -> None:
+    """Raise the DomainError of a constant subtree of a folded tree, which fold
+    keeps only when it raises: e then raises at every point."""
+    kids = [getattr(e, name) for name in ("child", "left", "right") if hasattr(e, name)]
+    if kids and all(isinstance(kid, ex.Num) for kid in kids):
+        ex.evaluate(e, {})
+    for kid in kids:
+        _check_defined(kid)
 
 
 def _window_for(domain: tuple[float, float]) -> tuple[float, float]:
@@ -854,6 +846,7 @@ def resolve_case(case: CatalogCase | str) -> CatalogCase:
     f: ex.Expr | None = None
     if spec.fn is not None:
         f = ex.as_expr(case.f, ("x",)) if case.f is not None else _parsed(spec.fn)
+        _check_defined(ex.fold(f))
     elif case.f is not None:
         raise ParameterDomainError(f"{cid} does not take a function f")
 
@@ -891,8 +884,7 @@ def catalog(case: CatalogCase | str) -> CatalogEntry:
     spec = _CASES[rcase.id]
     p = dict(rcase.params or {})
     d = spec.system(p, rcase.f, rcase.delay)
-    window = _window_for(d.domain)
-    validate_beta(d, window)
+    validate_beta(d)
     algebra = tuple(_symmetry.VectorField(xi, eta, name=f"X{i}")
                     for i, (xi, eta) in enumerate(spec.generators(p), start=1))
-    return CatalogEntry(rcase, d, algebra, _families(rcase), window)
+    return CatalogEntry(rcase, d, algebra, _families(rcase), _window_for(d.domain))

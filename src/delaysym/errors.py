@@ -59,7 +59,7 @@ class OutOfRange(DelaySymError):
 
 
 class MeshRangeError(DelaySymError):
-    """A tabulated coefficient function was evaluated outside its mesh."""
+    """A mesh point of the method of steps lies outside the system's domain."""
 
 
 class NotASolution(DelaySymError):

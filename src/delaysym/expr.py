@@ -46,6 +46,7 @@ __all__ = [
     "substitute",
     "variables_of",
     "is_constant",
+    "is_zero",
     "fold",
     "as_expr",
 ]
@@ -338,8 +339,8 @@ def _pow_checked(base: float, exponent: float) -> float:
         if exponent == 0.0:
             return 1.0
         raise DomainError("zero raised to a negative power")
-    # negative base: only integer exponents stay real
-    if exponent != math.floor(exponent) or abs(exponent) > 1e15:
+    # negative base: only integer exponents stay real; NaN and inf fail before floor
+    if not abs(exponent) <= 1e15 or exponent != math.floor(exponent):
         raise DomainError(
             f"negative base {base!r} with non-integer exponent {exponent!r}"
         )
@@ -362,16 +363,24 @@ def _division_by_zero() -> DomainError:
     return DomainError("division by zero")
 
 
+def _infinite_angle(op: str, v: float) -> DomainError:
+    return DomainError(f"{op} of infinite value {v!r}")
+
+
 def _overflow(exc: OverflowError) -> DomainError:
     return DomainError(f"overflow during evaluation: {exc}")
+
+
+_TRIG = {"sin": math.sin, "cos": math.cos, "tan": math.tan}
 
 
 def evaluate(e: Expr, bindings: Mapping[str, float]) -> float:
     """Evaluate in IEEE double precision.
 
-    Raises DomainError for log or sqrt of an out of range argument, division
-    by zero, impossible powers, and overflow in exp; raises UnboundVariable
-    for a free variable missing from bindings.
+    Raises DomainError for log or sqrt of an out of range argument, a trig
+    function of an infinite one, division by zero, impossible powers, and
+    overflow in exp; raises UnboundVariable for a free variable missing from
+    bindings.
     """
     try:
         return _eval(e, bindings)
@@ -398,12 +407,10 @@ def _eval(e: Expr, b: Mapping[str, float]) -> float:
             if v <= 0.0:
                 raise _ln_domain(v)
             return math.log(v)
-        if op == "sin":
-            return math.sin(v)
-        if op == "cos":
-            return math.cos(v)
-        if op == "tan":
-            return math.tan(v)
+        if op in _TRIG:
+            if math.isinf(v):
+                raise _infinite_angle(op, v)
+            return _TRIG[op](v)
         if op == "atan":
             return math.atan(v)
         if op == "sqrt":
@@ -444,7 +451,8 @@ def _eval(e: Expr, b: Mapping[str, float]) -> float:
 # kernel's statements in its own template the same way.  The emitter walks
 # each tree in the order _eval visits it (child before parent, left before
 # right) and emits one statement per operator node, t<k> = <op>, with a
-# node's domain guard on the line before it; the first use of an argument
+# node's domain guard (ln, sqrt, /, and sin, cos and tan, where math raises
+# ValueError at inf) on the line before it; the first use of an argument
 # coerces it with float() on a line of its own, as _eval does at every use.
 #
 # Nodes are value numbered: an operator node's key is its op plus the names
@@ -487,6 +495,9 @@ _GUARDS = {
     "ln": "if {0} <= 0.0: raise _ln_domain({0})",
     "sqrt": "if {0} < 0.0: raise _sqrt_domain({0})",
     "/": "if {1} == 0.0: raise _division_by_zero()",
+    "sin": "if _isinf({0}): raise _infinite_angle('sin', {0})",
+    "cos": "if _isinf({0}): raise _infinite_angle('cos', {0})",
+    "tan": "if _isinf({0}): raise _infinite_angle('tan', {0})",
 }
 
 _COMPILE_GLOBALS = {
@@ -494,6 +505,7 @@ _COMPILE_GLOBALS = {
     "_atan": math.atan, "_log": math.log, "_sqrt": math.sqrt, "_mpow": math.pow,
     "_pow_checked": _pow_checked, "_ln_domain": _ln_domain,
     "_sqrt_domain": _sqrt_domain, "_division_by_zero": _division_by_zero,
+    "_isinf": math.isinf, "_infinite_angle": _infinite_angle,
     "_unbound": _unbound, "_overflow": _overflow, "__builtins__": builtins,
 }
 
@@ -842,6 +854,12 @@ def differentiate(e: Expr, var: str) -> Expr:
             _add(_mul(dr, Unary("ln", l)), _mul(r, _div(dl, l))),
         )
     raise ValueError(f"bad binary op {op!r}")
+
+
+def is_zero(e: Expr) -> bool:
+    """Whether fold(e) is the constant 0.0 or -0.0: zero by structure, so an
+    identity such as sin(x)^2 + cos(x)^2 - 1 is not zero here."""
+    return _is_num(fold(e), 0.0)
 
 
 def fold(e: Expr) -> Expr:

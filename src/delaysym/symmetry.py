@@ -25,9 +25,8 @@ from collections.abc import Callable
 
 from . import expr as ex
 from .dods import Dods, homogenized, _window_for
-from .errors import (DegenerateRoot, DivergenceWarning, DomainError,
-                     MeshRangeError, NonConvergence, NotASolution, OutOfRange,
-                     ParameterDomainError, UnsupportedFlow)
+from .errors import (DegenerateRoot, DivergenceWarning, DomainError, NonConvergence,
+                     NotASolution, OutOfRange, ParameterDomainError, UnsupportedFlow)
 from .steps import PiecewiseSolution, Segment, residual_scan
 
 __all__ = [
@@ -120,9 +119,8 @@ class Invariance(enum.Enum):
 # products, xi(xm) and xi g'), evaluated in that order from shared
 # subexpressions.  An eta whose r is a computed solution takes three reads of
 # it, r(x), r(xm) and r'(x), after the six point arguments; p is compiled in
-# the kernel like any other tree.  The kernel's
-# statements hold argument i in the variable a<i> (expr._emit); _ARG names
-# them for the sampling loop, which sets them itself.
+# the kernel like any other tree.  The kernel's statements hold argument i in
+# the variable a<i> (expr._emit); _ARG names them for the sampling loop.
 
 _KERNEL_ARGS = ("x", "y", "xm", "ym", "ydot", "gp")
 _OUTSIDE_ARGS = ("r", "r_m", "r_x")
@@ -195,35 +193,19 @@ def prolong_apply(v: VectorField, d: Dods,
     return out[11], out[12]
 
 
-# check_invariance is one generated function per (field, system) that runs
-# both sampling phases with the kernel's statements inline.  It draws x, y
-# and ym as random.Random.uniform does, lo + (hi - lo) * random(), so the
-# draw stream is the caller's, and calls the system's delayed_point, rhs_fn
-# and derivative and a computed r's reads, passed in.  A sample is skipped
-# when one of those or a kernel statement raises DomainError, OutOfRange or
-# MeshRangeError, when the kernel overflows, or when pr1 or pr2 is not
-# finite: max() drops NaN, so a non-finite sample would otherwise read as
-# zero.  Finite pr1 and pr2 make the seven terms finite too, since a term
-# that is not finite makes the sum or difference it enters not finite.
-#
-# A sample is judged by its applied values first.  It passes when
-# worst = max(|pr1|, |pr2|) <= 1e-7 * (1 + scale), and 1e-7 * (1 + scale) is
-# at least 1e-7 for every scale >= 0, so the scale, the largest |term|, is
-# taken only when worst > 1e-7.  Phase 2 moves y, ym, ydot or xm of a point
-# that phase 1 kept, never x: the call g'(x), a computed r's reads r(x) and
-# r'(x), and the statements that reach only x and those values (expr._emit
-# reports what each reaches) run once per point, the rest once per
-# perturbation.  The shared ones ran without raising at this x in phase 1
-# and are pure, so they stand outside the try.  Both parts keep the order of emission, so the source
-# does not depend on hash order.
-#
-# In the template, {x}, {y}, {xm}, {ym} and {ydot} are the kernel's argument
-# variables of _ARG.  A line "judge" stands for the kernel at them followed
-# by the worst applied value, "shared" and "rest" for its two parts in
-# phase 2, "scale" for the scale, and "breaks" skips an x within 1e-6 of a
-# computed r's breaking points before y is drawn.
+# check_invariance is one generated function per (field, system), with the
+# kernel's statements inline.  It draws as random.Random.uniform does, so the
+# draw stream is the caller's.  A sample whose calls or statements raise
+# DomainError or OutOfRange or overflow is skipped, and so is one whose pr1
+# or pr2 is not finite: max() drops NaN, so it would read as zero.  Finite
+# pr1 and pr2 make the seven terms finite, as each enters a sum or
+# difference, so the scale is taken only when worst > 1e-7.  Phase 2 never
+# moves x: g'(x), r(x), r'(x) and the statements that reach only x and those
+# (expr._emit reports what each reaches) ran without raising at this x in
+# phase 1 and are pure, so they run once per point, outside the try, in the
+# order of emission, which keeps the source free of hash order.
 
-_LOOP = """
+_LOOP = """\
 width = hi - lo
 max_on = 0.0
 on_ok = True
@@ -232,8 +214,7 @@ for _ in range(80 * samples):
     if len(on_points) == samples:
         break
     {x} = lo + width * random()
-    breaks
-    {y} = -2.0 + 4.0 * random()
+{breaks}    {y} = -2.0 + 4.0 * random()
     {ym} = -2.0 + 4.0 * random()
     try:
         {xm} = delayed_point({x})
@@ -241,12 +222,9 @@ for _ in range(80 * samples):
     except _SKIPPED:
         continue
     point = ({x}, {y}, {xm}, {ym}, {ydot})
-    judge
-    on_points.append(point)
+{judge}    on_points.append(point)
     max_on = max(max_on, worst)
-    if worst > 1e-7:
-        scale
-        on_ok = on_ok and worst <= 1e-7 * (1.0 + scale)
+    on_ok = on_ok and (worst <= 1e-7 or worst <= 1e-7 * (1.0 + {scale}))
 if not on_points:
     return None
 if not on_ok:
@@ -254,22 +232,22 @@ if not on_ok:
 for i, (x, y, xm, ym, ydot) in enumerate(on_points):
     sign = 1.0 if i % 2 == 0 else -1.0
     {x} = x
-    shared
-    for {y}, {xm}, {ym}, {ydot} in ((y + sign, xm, ym, ydot), (y, xm, ym + sign, ydot),
+{shared}    for {y}, {xm}, {ym}, {ydot} in ((y + sign, xm, ym, ydot), (y, xm, ym + sign, ydot),
                                     (y, xm, ym, ydot + sign),
                                     (y, xm + sign * (x - xm) / 2.0, ym, ydot)):
-        rest
-        if worst > 1e-7:
-            scale
-            if not worst <= 1e-7 * (1.0 + scale):
-                return max_on, _WEAK
-return max_on, _STRONG
-""".strip("\n").format(**_ARG).split("\n")
-_LOOP_GLOBALS = {**ex._COMPILE_GLOBALS, "_SKIPPED": (DomainError, OutOfRange, MeshRangeError),
+{rest}        if not (worst <= 1e-7 or worst <= 1e-7 * (1.0 + {scale})):
+            return max_on, _WEAK
+return max_on, _STRONG"""
+_LOOP_GLOBALS = {**ex._COMPILE_GLOBALS, "_SKIPPED": (DomainError, OutOfRange),
                  "_isfinite": math.isfinite, "_STRONG": Invariance.STRONG,
                  "_WEAK": Invariance.WEAK, "_NOT_INVARIANT": Invariance.NOT_INVARIANT}
 # the arguments that phase 2 does not move, as a mask of expr._emit
 _PER_POINT = sum(1 << i for i, name in enumerate(_ARG) if name in ("x", "gp", "r", "r_x"))
+
+
+def _block(depth: int, *lines: str) -> str:
+    """A field of _LOOP: the lines at depth levels of four spaces."""
+    return "".join(f"{'    ' * depth}{line}\n" for line in lines)
 
 
 def _loop(v: VectorField, d: Dods) -> Callable[..., tuple[float, Invariance] | None]:
@@ -279,40 +257,30 @@ def _loop(v: VectorField, d: Dods) -> Callable[..., tuple[float, Invariance] | N
     lines, outputs, consts, reaches = ex._emit(*_kernel_trees(v, d))
     pr1, pr2 = outputs[11], outputs[12]
     computed = _computed_r(v) is not None
-    a = _ARG
-    slope_g = f"{a['gp']} = derivative({a['x']})"
-    r_at_x, r_at_xm, slope_r = (f"{a['r']} = r_value({a['x']})",
-                                f"{a['r_m']} = r_value({a['xm']})",
-                                f"{a['r_x']} = r_eval({a['x']})[2]")
+    slope_g, r_at_x, r_at_xm, slope_r = (read.format(**_ARG) for read in (
+        "{gp} = derivative({x})", "{r} = r_value({x})", "{r_m} = r_value({xm})",
+        "{r_x} = r_eval({x})[2]"))
 
-    def judged(reads: list[str], statements: list[str]) -> list[str]:
-        return ["try:", *(f"    {line}" for line in reads),
-                "    try:", *(f"        {line}" for line in statements),
-                "    except OverflowError:", "        continue",
-                "except _SKIPPED:", "    continue",
-                f"if not (_isfinite({pr1}) and _isfinite({pr2})):", "    continue",
-                f"worst = max(abs({pr1}), abs({pr2}))"]
+    def judged(depth: int, reads: list[str], statements: list[str]) -> str:
+        return _block(depth, "try:", *(f"    {line}" for line in reads),
+                      "    try:", *(f"        {line}" for line in statements),
+                      "    except OverflowError:", "        continue",
+                      "except _SKIPPED:", "    continue",
+                      f"if not (_isfinite({pr1}) and _isfinite({pr2})):", "    continue",
+                      f"worst = max(abs({pr1}), abs({pr2}))")
 
     shared = [line for line, reach in zip(lines, reaches) if not reach & ~_PER_POINT]
     rest = [line for line, reach in zip(lines, reaches) if reach & ~_PER_POINT]
-    blocks = {
-        "breaks": [f"if any(abs({a['x']} - b) <= 1e-6 for b in breaks):", "    continue"]
-                  if computed else [],
-        "judge": judged([slope_g, *([r_at_x, r_at_xm, slope_r] if computed else ())], lines),
-        "shared": [slope_g, *([r_at_x, slope_r] if computed else ()), *shared],
-        "rest": judged([r_at_xm] if computed else [], rest),
-        "scale": [f"scale = max({', '.join(f'abs({t})' for t in outputs[13:])})"]}
-    body = []
-    for line in _LOOP:
-        block = blocks.get(line.strip())
-        if block is None:
-            body.append(line)
-        else:
-            indent = line[:len(line) - len(line.lstrip())]
-            body.extend(indent + b for b in block)
+    source = _LOOP.format(
+        **_ARG, scale=f"max({', '.join(f'abs({t})' for t in outputs[13:])})",
+        breaks=_block(1, f"if any(abs({_ARG['x']} - b) <= 1e-6 for b in breaks):", "    continue")
+        if computed else "",
+        judge=judged(1, [slope_g, *([r_at_x, r_at_xm, slope_r] if computed else ())], lines),
+        shared=_block(1, slope_g, *([r_at_x, slope_r] if computed else ()), *shared),
+        rest=judged(2, [r_at_xm] if computed else [], rest))
     params = "random, lo, hi, samples, delayed_point, rhs, derivative"
-    return ex._define(params + (", breaks, r_value, r_eval" if computed else ""), body,
-                      consts, _LOOP_GLOBALS)
+    return ex._define(params + (", breaks, r_value, r_eval" if computed else ""),
+                      source.split("\n"), consts, _LOOP_GLOBALS)
 
 
 def check_invariance(v: VectorField, d: Dods, samples: int = 200,
@@ -414,11 +382,8 @@ def flow(v: VectorField, eps: float, s: PiecewiseSolution, d: Dods
 
 def _is_zero(eta: ex.Expr | AffineEta) -> bool:
     if isinstance(eta, AffineEta):
-        return (_is_zero(eta.p)
-                and not isinstance(eta.r, PiecewiseSolution)
-                and _is_zero(eta.r))
-    folded = ex.fold(eta)
-    return isinstance(folded, ex.Num) and folded.value == 0.0
+        return _is_zero(eta.p) and not isinstance(eta.r, PiecewiseSolution) and _is_zero(eta.r)
+    return ex.is_zero(eta)
 
 
 # ---------------------------------------------------------------------------

@@ -6,11 +6,13 @@ before the catalog cases were folded into one table, so every case's
 listing, system, generators and families is pinned to the bytes it printed
 then.  The ``solve`` records pin both schemes' output on every delay kind
 and on a general right hand side; they were recorded before the stepper read
-its history in batches; the last record, a system file that sets its own
-phi and x0, was added when solve began to read them.  Commands run from the
-data directory, so a
-``--spec`` file there is named by its bare file name.  Regenerate the file
-only in a change that states which CLI bytes it alters:
+its history in batches.  The record of a system file that sets its own phi
+and x0 was added when solve began to read them, and the last three when sin,
+cos and tan of an infinite value began to raise DomainError.  The
+``catalog show A2_3 --fn f=ln(x)`` record changed when "identically zero"
+came to be decided on the folded tree.  Commands run from the data
+directory, so a ``--spec`` file there is named by its bare file name.
+Regenerate the file only in a change that states which CLI bytes it alters:
 
     PYTHONPATH=src python tests/test_cli_golden.py
 """
@@ -132,6 +134,12 @@ def commands() -> list[list[str]]:
                  "--format", "json"] for system, x0, n in _SOLVES]
     # a system file that sets phi and x0 itself
     out += [["solve", "--spec", "history_spec.txt", "--intervals", "2", "--format", "json"]]
+    # sin of an infinite value, in fold, in a history and in a candidate
+    out += [
+        ["catalog", "show", "A2_1", "--fn", "f=sin(1e308*10)"],
+        ["solve", "--case", "A3_5", "--phi", "sin(1e308*x*10)", "--x0", "0.5"],
+        ["verify", "--case", "A3_5", "--solution", "sin(1e308*x*10)"],
+    ]
     return out
 
 

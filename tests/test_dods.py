@@ -20,7 +20,7 @@ from delaysym.dods import (
     resolve_case,
     validate_beta,
 )
-from delaysym.errors import NoDodsError, ParameterDomainError, SchemeMismatch
+from delaysym.errors import DomainError, NoDodsError, ParameterDomainError, SchemeMismatch
 
 SYSTEM_CASES = tuple(cid for cid in CASE_IDS if cid != "A3_11")
 
@@ -74,9 +74,9 @@ class TestContainers:
         assert init.x0 == 1.0
 
     def test_validate_beta(self):
-        validate_beta(linear(beta="sin(x) + 2"), (0.0, 1.0))
+        validate_beta(linear(beta="sin(x) + 2"))
         with pytest.raises(ParameterDomainError):
-            validate_beta(linear(beta="0"), (0.0, 1.0))
+            validate_beta(linear(beta="0"))
 
 
 class TestLoadSpec:
@@ -290,12 +290,42 @@ class TestCatalog:
         assert ex.evaluate(e.dods.rhs.gamma, {"x": 0.0}) == 1.0
 
     def test_a2_3_rejects_vanishing_f(self):
-        with pytest.raises(ParameterDomainError):
-            catalog(CatalogCase("A2_3", f="0"))
+        for f in ("0", "0*x"):
+            with pytest.raises(ParameterDomainError, match="^A2_3 needs f not identically zero; "
+                               "A2_1 covers the homogeneous equation$"):
+                catalog(CatalogCase("A2_3", f=f))
 
     def test_vanishing_beta_rejected(self):
-        with pytest.raises(ParameterDomainError):
-            catalog(CatalogCase("A2_1", f="0"))
+        for f in ("0", "0*x"):
+            with pytest.raises(ParameterDomainError, match="^delay coefficient beta vanishes "
+                               "identically; the system is an ODE$"):
+                catalog(CatalogCase("A2_1", f=f))
+
+    # "identically zero" is decided on the folded tree: a sine that vanishes
+    # on every midpoint of 20 equal cells of the window (-1, 3), and a tiny
+    # constant, are not zero
+    _VANISHING_ON_MIDPOINTS = "sin(15.707963267948966*(x + 0.9))"
+
+    @pytest.mark.parametrize("cid, f", [
+        ("A2_1", _VANISHING_ON_MIDPOINTS), ("A2_1", "1e-13"), ("A2_3", _VANISHING_ON_MIDPOINTS)])
+    def test_nonzero_f_that_is_small_on_samples_builds(self, cid, f):
+        e = catalog(CatalogCase(cid, f=f))
+        assert e.window == (-1.0, 3.0)
+        assert max(abs(ex.evaluate(e.dods.rhs.beta if cid == "A2_1" else e.dods.rhs.gamma,
+                                   {"x": -1.0 + 0.2 * (i + 0.5)})) for i in range(20)) <= 1e-12
+
+    def test_zero_that_does_not_fold_is_accepted(self):
+        e = catalog(CatalogCase("A2_3", f="sin(x)^2 + cos(x)^2 - 1"))
+        assert not ex.is_zero(e.dods.rhs.gamma)
+
+    @pytest.mark.parametrize("f, message", [
+        ("sin(1e308*10)", "sin of infinite value inf"),
+        ("x*ln(0 - 1)", "ln of non-positive value -1.0"),
+    ])
+    def test_f_undefined_everywhere_rejected(self, f, message):
+        with pytest.raises(DomainError) as caught:
+            catalog(CatalogCase("A2_1", f=f))
+        assert str(caught.value) == message
 
     def test_custom_delay_moves_window(self):
         e = catalog(CatalogCase("A4_5", delay="qscale(0.25)"))

@@ -256,6 +256,13 @@ class TestFoldSubstitute:
     def test_fold_function_of_constant(self):
         assert ex.fold(ex.parse("exp(0)")) == ex.Num(1.0)
 
+    def test_is_zero_by_structure(self):
+        for text in ("0", "-0", "0*x", "0*sin(x) - 0", "2*0 + 0/x"):
+            assert ex.is_zero(ex.parse(text)), text
+        # small, undefined, or zero only as an identity: not zero by structure
+        for text in ("1e-13", "1e-320", "0/0", "sin(x)^2 + cos(x)^2 - 1", "x - x"):
+            assert not ex.is_zero(ex.parse(text)), text
+
     def test_substitute_value(self):
         tree = ex.parse("x^2 + x")
         out = ex.substitute(tree, {"x": ex.Num(3.0)})
@@ -330,6 +337,9 @@ class TestCompile:
         ("x^(-1)", 0.0, "zero raised to a negative power"),
         ("x^0.5", -2.0, "negative base -2.0 with non-integer exponent 0.5"),
         ("exp(x)", 1000.0, "overflow during evaluation: math range error"),
+        *((f"{op}(x)", x, f"{op} of infinite value {x!r}")
+          for op in ("sin", "cos", "tan") for x in (math.inf, -math.inf)),
+        ("(0-2)^x", math.nan, "negative base -2.0 with non-integer exponent nan"),
     ])
     def test_domain_errors(self, text, x, message):
         f = ex.compile(ex.parse(text), ("x",))

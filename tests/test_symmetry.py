@@ -473,14 +473,14 @@ class TestKernel:
     def test_weak_field_returns_before_a_later_error(self):
         # y d_y with xi = 0*sin(1e308*(2 - 5*(x - 1.6)^2)): xi is 0 at every x
         # and xm = x - 1 of the window, but at the midpoints 1.5..1.7 that the
-        # fourth perturbation moves xm to, sin(inf) raises a ValueError that no
-        # judge catches; the first perturbation, y + 1, already fails
+        # fourth perturbation moves xm to, sin(inf) raises a DomainError; the
+        # first perturbation, y + 1, already fails
         e = catalog("A4_12")
         v = VectorField(ex.parse("0*sin(1e308*(2 - 5*(x - 1.6)^2))"), ex.parse("y", ("x", "y")))
         window = (2.0, 2.2)
         assert check_invariance(v, e.dods, 40, window) == _reference_check(v, e.dods, 40, window)
         assert check_invariance(v, e.dods, 40, window)[1] is Invariance.WEAK
-        with pytest.raises(ValueError):
+        with pytest.raises(DomainError, match="sin of infinite value"):
             prolong_apply(v, e.dods, (2.1, 0.5, 1.6, 0.2, 0.3))
 
     def test_scale_decides_in_both_phases(self):
