@@ -339,8 +339,9 @@ def _pow_checked(base: float, exponent: float) -> float:
         if exponent == 0.0:
             return 1.0
         raise DomainError("zero raised to a negative power")
-    # negative base: only integer exponents stay real; NaN and inf fail before floor
-    if not abs(exponent) <= 1e15 or exponent != math.floor(exponent):
+    # negative base: only integer exponents stay real; NaN and inf fail before
+    # floor, and every finite float from 2^52 up is an integer
+    if not math.isfinite(exponent) or exponent != math.floor(exponent):
         raise DomainError(
             f"negative base {base!r} with non-integer exponent {exponent!r}"
         )

@@ -7,12 +7,17 @@ history function occupies the first segment; solutions are C0 at mesh points
 and may have derivative jumps there, which smooth out as n grows.
 
 Solved segments store (x, y, ydot) nodes and interpolate with cubic Hermite
-polynomials, so interpolation error is O(h^4) in value and O(h^3) in slope.
+polynomials (_hermite), so interpolation error is O(h^4) in value and O(h^3)
+in slope.
 
 The delayed points of an interval do not depend on its solution, so each
-interval reads y(g(x)) at all of them from the previous segment in one sweep
-(Segment.values_at) before it steps.  A linear right hand side then takes its
-coefficients there from column kernels (expr.compile_columns, see solve).
+interval reads y(g(x)) at all of them from the previous segment before it
+steps.  Under an affine g, step j of an interval maps onto step j of the
+previous segment at the same fraction t, so both schemes read the previous
+steps' Hermite data at fixed t (_span_reads) and compute no g(x); any other g
+is read in one sweep (Segment.values_at).  A linear right hand side then
+takes its coefficients there from column kernels (expr.compile_columns, see
+solve).
 """
 
 from __future__ import annotations
@@ -100,14 +105,14 @@ class Segment(ex.Record):
         x lies t*h past node j, with h = nodes[j+1] - nodes[j]; the end spans
         extend past either end, so xs need not be sorted or inside [lo, hi]."""
         nodes, values, derivs = self.nodes, self.values, self.derivs
-        last = len(nodes) - 2
+        hi = len(nodes) - 1
         right = bisect.bisect_right
         out = []
         for x in xs:
-            j = right(nodes, x) - 1
-            j = 0 if j < 0 else last if j > last else j  # a tenth of min(max())
+            j = right(nodes, x, 1, hi) - 1
             x0 = nodes[j]
             h = nodes[j + 1] - x0
+            # _hermite(t), inline: a call per point made values_at 1.2-1.8x slower
             t = (x - x0) / h
             t2 = t * t
             t3 = t2 * t
@@ -323,9 +328,29 @@ _GL_A = ((5.0 / 36.0, 2.0 / 9.0 - _R15 / 15.0, 5.0 / 36.0 - _R15 / 30.0),
          (5.0 / 36.0 + _R15 / 30.0, 2.0 / 9.0 + _R15 / 15.0, 5.0 / 36.0))
 # exponent weights of e^(A(t1) - A(s_i)): b[k] - a[i][k]
 _GL_TAIL = tuple(tuple(bk - aik for bk, aik in zip(_GL_B, row)) for row in _GL_A)
-# cubic Hermite basis at t = c_i, for reading a step of the previous segment
-_GL_HERMITE = tuple((2.0 * t ** 3 - 3.0 * t * t + 1.0, t ** 3 - 2.0 * t * t + t,
-                     -2.0 * t ** 3 + 3.0 * t * t, t ** 3 - t * t) for t in _GL_C)
+
+
+def _hermite(t: float) -> tuple[float, float, float, float]:
+    """The cubic Hermite weights of v0, h*d0, v1 and h*d1 at t of a step,
+    in Segment._read's order of operations."""
+    t2 = t * t
+    t3 = t2 * t
+    return 2.0 * t3 - 3.0 * t2 + 1.0, t3 - 2.0 * t2 + t, -2.0 * t3 + 3.0 * t2, t3 - t2
+
+
+# the basis at t = c_i, for reading a step of the previous segment
+_GL_HERMITE = tuple(map(_hermite, _GL_C))
+_MIDPOINT = (_hermite(0.5),)
+
+
+def _span_reads(prev: Segment, rows: Iterable[tuple[float, ...]]) -> list[float]:
+    """prev read at the same fraction t of every step, for each row of
+    weights _hermite(t), one row after another; bit for bit Segment._read
+    at x = node + t*h wherever that x is exact."""
+    pn, pv, pd = prev.nodes, prev.values, prev.derivs
+    spans = list(zip(pv, pv[1:], pd, pd[1:], [t1 - t0 for t0, t1 in zip(pn, pn[1:])]))
+    return [w0 * v0 + w1 * hp * d0 + w2 * v1 + w3 * hp * d1
+            for w0, w1, w2, w3 in rows for v0, v1, d0, d1, hp in spans]
 
 
 def solve(d: Dods, init: InitialCondition, intervals: int,
@@ -339,11 +364,14 @@ def solve(d: Dods, init: InitialCondition, intervals: int,
     alpha, then the forcing, at every Gauss point, and one pass steps.  RK4
     uses fixed steps; on a linear right hand side one column kernel call
     gives alpha, beta*ym and gamma at every node and midpoint (rhs_fn's bits).
-    Either scheme reads an interval's delayed values in one sweep before
-    stepping it, so when both the delay and a coefficient fail inside one
-    interval, the delay's DomainError is the one raised.  An interval that
-    ends on a value or slope that is not finite, or whose integrating factor
-    overflows, raises DomainError naming it.
+    Either scheme reads an interval's delayed values before stepping it.  An
+    affine delay is read from the previous segment's steps at fixed
+    fractions, which differ by a few ulps from reads at g(x) where g(x)
+    rounds; any other delay is read at g(x) in one sweep, so when both the
+    delay and a coefficient fail inside one interval, the delay's DomainError
+    is the one raised.  An interval that ends on a value or slope that is not
+    finite, or whose integrating factor overflows, raises DomainError naming
+    it.
     """
     mesh = build_mesh(d.delay, init.x0, intervals)
     if abs(init.x_minus1 - mesh.points[0]) > _TOL * (1.0 + abs(mesh.points[0])):
@@ -383,13 +411,19 @@ def solve(d: Dods, init: InitialCondition, intervals: int,
 def _delayed_abscissae(d: Dods, prev: Segment, nodes: tuple[float, ...],
                        h: float) -> tuple[list[float], list[float]]:
     """RK4's abscissae, the nodes with each step's midpoint between them,
-    and y(g(x)) at each, read from the previous interval in one sweep and in
-    marching order, so the first x the delay rejects is the one a
-    point-by-point march meets first."""
+    and y(g(x)) at each, read from the previous interval: under an affine g
+    its node values and step midpoints (t = 1/2), with no g(x) computed;
+    under any other g in one sweep in marching order, so the first x the
+    delay rejects is the one a point-by-point march meets first."""
     xs = [0.0] * (2 * len(nodes) - 1)
     xs[::2] = nodes
     xs[1::2] = [x + 0.5 * h for x in nodes[:-1]]
-    return xs, prev.values_at(map(d.delay.delayed_point, xs))
+    if d.delay.affine_parameters() is None:
+        return xs, prev.values_at(map(d.delay.delayed_point, xs))
+    yms = [0.0] * len(xs)
+    yms[::2] = prev.values
+    yms[1::2] = _span_reads(prev, _MIDPOINT)
+    return xs, yms
 
 
 def _rk4_interval(d: Dods, prev: Segment, nodes: tuple[float, ...], h: float) -> Segment:
@@ -420,7 +454,7 @@ def _rk4_linear_interval(d: Dods, prev: Segment, nodes: tuple[float, ...],
     kernel call gives alpha, beta*ym and gamma at every abscissa, in rhs_fn's
     order, and each slope is rhs_fn's (alpha*y + beta*ym) + gamma.  Kept
     apart from _rk4_interval because that loop's four rhs_fn calls per step
-    make the benchmark's march round ~5 % slower."""
+    make the benchmark's march round ~10 % slower."""
     xs, yms = _delayed_abscissae(d, prev, nodes, h)
     alphas, byms, gammas = d._rk4_columns(xs, yms)
     half, sixth = 0.5 * h, h / 6.0
@@ -451,13 +485,11 @@ def _exact_linear_interval(d: Dods, prev: Segment, nodes: tuple[float, ...],
     delayed_point, lookup = d.delay.delayed_point, prev.values_at
     n = len(nodes) - 1
     pts = [t0 + h * c for c in _GL_C for t0 in nodes[:-1]]
-    pn, pv, pd = prev.nodes, prev.values, prev.derivs
+    pv = prev.values
     if d.delay.affine_parameters() is not None:
         # an affine g maps step j onto step j of the previous segment, with
         # each Gauss point at the same fraction c_i of it
-        spans = list(zip(pv, pv[1:], pd, pd[1:], [t1 - t0 for t0, t1 in zip(pn, pn[1:])]))
-        delayed = [w0 * v0 + w1 * hp * d0 + w2 * v1 + w3 * hp * d1
-                   for w0, w1, w2, w3 in _GL_HERMITE for v0, v1, d0, d1, hp in spans]
+        delayed = _span_reads(prev, _GL_HERMITE)
         at_nodes = pv
     else:
         delayed = lookup(map(delayed_point, pts))

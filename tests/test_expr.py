@@ -340,6 +340,10 @@ class TestCompile:
         *((f"{op}(x)", x, f"{op} of infinite value {x!r}")
           for op in ("sin", "cos", "tan") for x in (math.inf, -math.inf)),
         ("(0-2)^x", math.nan, "negative base -2.0 with non-integer exponent nan"),
+        ("(0-2)^x", math.inf, "negative base -2.0 with non-integer exponent inf"),
+        ("(0-0.5)^x", 0.5 - 2.0 ** 52, "negative base -0.5 with non-integer exponent "
+                                       "-4503599627370495.5"),
+        ("(0-0.5)^x", -2e16, "overflow during evaluation: math range error"),
     ])
     def test_domain_errors(self, text, x, message):
         f = ex.compile(ex.parse(text), ("x",))
@@ -347,6 +351,18 @@ class TestCompile:
             f(x)
         assert str(caught.value) == message
         assert _agrees(ex.parse(text), ("x",), (x,))[0]
+
+    @pytest.mark.parametrize("x, want", [
+        (2e16, 0.0),
+        (2.0 ** 52 + 1.0, -0.0),  # odd, so the sign of the base survives
+        (2.0 ** 53, 0.0),
+    ])
+    def test_negative_base_with_huge_integer_exponent(self, x, want):
+        # every finite float from 2^52 up is an integer
+        tree = ex.parse("(0-0.5)^x")
+        for got in (ex.evaluate(tree, {"x": x}), ex.compile(tree, ("x",))(x)):
+            assert got == want and math.copysign(1.0, got) == math.copysign(1.0, want)
+        assert _agrees(tree, ("x",), (x,))[0]
 
     def test_infinite_literal(self):
         # 1e999 parses to Num(inf), whose repr is not a Python literal
