@@ -15,7 +15,7 @@ from __future__ import annotations
 import enum
 import functools
 import math
-from collections.abc import Callable, Mapping
+from collections.abc import Callable, Iterable, Mapping
 
 from . import expr as ex
 from .delay import (ConstantDelay, DelayRelation, MoebiusDelay, _unquote,
@@ -179,15 +179,16 @@ class InitialCondition(ex.Record):
         ex.check_variables(self.phi, {"x"}, "phi may only depend on x")
 
     @functools.cached_property
-    def _phi_with_slope(self) -> tuple[Callable[[float], float], Callable[[float], float]]:
+    def _phi_with_slope(self) -> tuple[Callable[..., tuple[list[float]]], ...]:
         """_with_slope(phi), made once per record (not pickled): every solve
         from this history samples it on the first segment."""
         return _with_slope(self.phi)
 
 
-def _with_slope(e: ex.Expr) -> tuple[Callable[[float], float], Callable[[float], float]]:
-    """e and its x-derivative compiled as functions of x."""
-    return ex.compile(e, ("x",)), ex.compile(ex.differentiate(e, "x"), ("x",))
+def _with_slope(e: ex.Expr) -> tuple[Callable[..., tuple[list[float]]], ...]:
+    """Column kernels of e and of its x-derivative over x; two, not one pair,
+    so that e is taken at every point before e' and raises first."""
+    return tuple(ex.compile_columns((t,), ("x",)) for t in (e, ex.differentiate(e, "x")))
 
 
 def initial_condition(phi: "ex.Expr | str", relation: DelayRelation, x0: float) -> InitialCondition:
@@ -202,24 +203,21 @@ def validate_beta(d: Dods) -> None:
             "delay coefficient beta vanishes identically; the system is an ODE")
 
 
-_GOLDEN = 0.6180339887498949
+def _golden_points(lo: float, hi: float, samples: int) -> list[float]:
+    """Samples lo + (hi - lo)(i + golden)/samples, i < samples, inside (lo, hi)."""
+    return [lo + (hi - lo) * ((i + 0.6180339887498949) / samples) for i in range(samples)]
 
 
-def _max_residual(d: Dods, lo: float, hi: float, samples: int,
-                  value_slope: Callable[[float], tuple[float, float]],
-                  value: Callable[[float], float]) -> float:
-    """Largest |y'(x) - f(x, y(x), y(g(x)))| of a candidate that gives its
-    value and slope at x (value_slope) and its value at g(x) (value).  The
-    sample points lo + (hi - lo)(i + golden)/samples, i < samples, all lie
-    strictly inside (lo, hi).  A residual that is not finite raises
-    DomainError: max() would drop a NaN and read it as zero."""
-    rhs, g = d.rhs_fn, d.delay.delayed_point
+def _max_residual(d: Dods, xs: Iterable[float], ys: Iterable[float],
+                  dys: Iterable[float], yms: Iterable[float]) -> float:
+    """Largest |dy - f(x, y, ym)| over columns of a candidate's value y and
+    slope dy at x and its value ym at g(x), all read before f is taken.  A
+    residual that is not finite raises DomainError naming the first such x:
+    max() would drop a NaN and read it as zero."""
+    rhs = d.rhs_fn
     worst = 0.0
-    for i in range(samples):
-        x = lo + (hi - lo) * ((i + _GOLDEN) / samples)
-        xm = g(x)
-        y, dy = value_slope(x)
-        r = abs(dy - rhs(x, y, value(xm)))
+    for x, y, dy, ym in zip(xs, ys, dys, yms):
+        r = abs(dy - rhs(x, y, ym))
         if not math.isfinite(r):
             raise DomainError(f"the residual at x = {x!r} is {r!r}, not finite")
         worst = max(worst, r)

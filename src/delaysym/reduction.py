@@ -18,8 +18,8 @@ import math
 from collections.abc import Mapping
 
 from . import expr as ex
-from .dods import (ConstraintSolution, Dods, InvariantFamily, Role, Status, _max_residual,
-                   _window_for, families)
+from .dods import (ConstraintSolution, Dods, InvariantFamily, Role, Status, _golden_points,
+                   _max_residual, _window_for, families)
 from .errors import ParameterDomainError, StatusError
 
 __all__ = [
@@ -86,9 +86,11 @@ def build_solution(fam: InvariantFamily, sol: ConstraintSolution,
 def verify(y: "ex.Expr | str", d: Dods,
            window: tuple[float, float] | None = None) -> float:
     """Independent oracle: largest |y' - f(x, y, ym)| of the candidate at 240
-    points of the window, with ym evaluated through the delay relation."""
+    points of the window, ym read through the delay relation.  Whole columns
+    go in turn (g, y with y', y at g(x), f), so an error can be a later x's."""
     e = ex.as_expr(y, ("x",))
-    f = ex.compile(e, ("x",))
-    df = ex.compile(ex.fold(ex.differentiate(e, "x")), ("x",))
-    lo, hi = window if window is not None else _window_for(d.domain)
-    return _max_residual(d, lo, hi, 240, lambda x: (f(x), df(x)), f)
+    xs = _golden_points(*(window if window is not None else _window_for(d.domain)), 240)
+    xms = list(map(d.delay.delayed_point, xs))
+    ys, dys = ex.compile_columns((e, ex.fold(ex.differentiate(e, "x"))), ("x",))(xs)
+    (yms,) = ex.compile_columns((e,), ("x",))(xms)
+    return _max_residual(d, xs, ys, dys, yms)

@@ -30,7 +30,7 @@ from collections.abc import Callable, Iterable, Sequence
 
 from . import expr as ex
 from .delay import DelayRelation, Mesh, build_mesh, parse_delay_spec
-from .dods import Dods, InitialCondition, LinearRhs, _max_residual, _with_slope
+from .dods import Dods, InitialCondition, LinearRhs, _golden_points, _max_residual, _with_slope
 from .errors import (DomainError, MeshRangeError, OutOfRange, ParameterDomainError,
                      SchemeMismatch)
 
@@ -228,8 +228,8 @@ class PiecewiseSolution(ex.Record):
         off, doff = _with_slope(ex.as_expr(offset, ("x",)))
         segs = []
         for s in self.segments:
-            vals = tuple(scale * y + off(u) for u, y in zip(s.nodes, s.values))
-            ders = tuple(scale * d + doff(u) for u, d in zip(s.nodes, s.derivs))
+            vals = tuple(scale * y + o for y, o in zip(s.values, off(s.nodes)[0]))
+            ders = tuple(scale * d + o for d, o in zip(s.derivs, doff(s.nodes)[0]))
             segs.append(Segment(s.nodes, vals, ders))
         return PiecewiseSolution(self.mesh, tuple(segs))
 
@@ -284,11 +284,13 @@ def solution_from_json(text: str) -> PiecewiseSolution:
     return PiecewiseSolution(mesh, tuple(segments))
 
 
-def _sample_segment(fns: tuple[Callable[[float], float], Callable[[float], float]],
+def _sample_segment(fns: tuple[Callable[..., tuple[list[float]]], ...],
                     lo: float, hi: float, m: int) -> Segment:
+    """m steps of [lo, hi] sampled by _with_slope's kernels: every value, then every slope."""
     f, df = fns
     nodes = tuple(lo + (hi - lo) * j / m for j in range(m + 1))
-    return Segment(nodes, tuple(f(u) for u in nodes), tuple(df(u) for u in nodes))
+    (values,), (derivs,) = f(nodes), df(nodes)
+    return Segment(nodes, tuple(values), tuple(derivs))
 
 
 def from_exprs(relation: DelayRelation, pieces: Sequence["ex.Expr | str"], x0: float,
@@ -521,10 +523,18 @@ def _exact_linear_interval(d: Dods, prev: Segment, nodes: tuple[float, ...],
 def residual_scan(s: PiecewiseSolution, d: Dods) -> float:
     """Max |ydot - f(x, y, y(g(x)))| over 48 off-node samples of every solved
     segment.  This is the project-wide correctness oracle: it only uses the
-    stored solution and the system definition."""
-    pts = s.mesh.points
-    # every sample lies strictly inside its segment, so segment n holds it
-    # and it is no mesh point
-    return max((_max_residual(d, pts[n], pts[n + 1], 48,
-                              s.segments[n].evaluate, s.value)
-                for n in range(1, len(s.segments))), default=0.0)
+    stored solution and the system definition.  Each segment takes g at all
+    its samples first, so the error raised can be a later sample's.  The
+    mesh of d's delay has g(x_n) = x_{n-1}, so g maps segment n into
+    [x_{n-2}, x_{n-1}), where value picks segment n - 1: one sweep of it
+    reads every y(g(x)).  Other meshes (a loaded solution) are read by value."""
+    pts, segs = s.mesh.points, s.segments
+    worst = 0.0
+    for n in range(1, len(segs)):
+        xs = _golden_points(pts[n], pts[n + 1], 48)  # inside segment n, on no mesh point
+        xms = list(map(d.delay.delayed_point, xs))
+        ys, dys = zip(*segs[n]._read(xs, True))
+        inside = all(pts[n - 1] <= xm < pts[n] for xm in xms)
+        yms = segs[n - 1].values_at(xms) if inside else list(map(s.value, xms))
+        worst = max(worst, _max_residual(d, xs, ys, dys, yms))
+    return worst

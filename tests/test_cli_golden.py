@@ -10,7 +10,10 @@ its history in batches.  The record of a system file that sets its own phi
 and x0 was added when solve began to read them, and the last three when sin,
 cos and tan of an infinite value began to raise DomainError.  The
 ``catalog show A2_3 --fn f=ln(x)`` record changed when "identically zero"
-came to be decided on the folded tree.  Commands run from the data
+came to be decided on the folded tree.  The two ``verify --solution-file``
+records, a stored solution scanned under the delay of its mesh and under
+another delay, were recorded before residual_scan read each segment in one
+pass, and have not been regenerated since.  Commands run from the data
 directory, so a ``--spec`` file there is named by its bare file name.
 Regenerate the file only in a change that states which CLI bytes it alters:
 
@@ -139,6 +142,12 @@ def commands() -> list[list[str]]:
         ["catalog", "show", "A2_1", "--fn", "f=sin(1e308*10)"],
         ["solve", "--case", "A3_5", "--phi", "sin(1e308*x*10)", "--x0", "0.5"],
         ["verify", "--case", "A3_5", "--solution", "sin(1e308*x*10)"],
+    ]
+    # a stored solution scanned under the delay of its mesh, and under another
+    out += [
+        ["verify", "--case", "A4_5", "--solution-file", "solution_a4_5.json"],
+        ["verify", "--case", "A4_5", "--delay", "constant(0.5)",
+         "--solution-file", "solution_a4_5.json"],
     ]
     return out
 

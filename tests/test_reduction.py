@@ -278,7 +278,41 @@ def entry_for(case, sol):
     return base
 
 
+def _verify_per_point(y, d, window):
+    """verify as it was before it took whole columns, the bit-for-bit
+    reference: at each point in turn g(x), the candidate and its slope at x,
+    the candidate at g(x), then f."""
+    e = ex.as_expr(y, ("x",))
+    f = ex.compile(e, ("x",))
+    df = ex.compile(ex.fold(ex.differentiate(e, "x")), ("x",))
+    rhs, g = d.rhs_fn, d.delay.delayed_point
+    lo, hi = window
+    worst = 0.0
+    for i in range(240):
+        x = lo + (hi - lo) * ((i + 0.6180339887498949) / 240)
+        xm = g(x)
+        value, slope = f(x), df(x)
+        r = abs(slope - rhs(x, value, f(xm)))
+        if not math.isfinite(r):
+            raise DomainError(f"the residual at x = {x!r} is {r!r}, not finite")
+        worst = max(worst, r)
+    return worst
+
+
 class TestVerification:
+    @pytest.mark.parametrize("case,label", ALL_SOLVED)
+    @pytest.mark.parametrize("bend", [None, "0.01*x^2", "sin(x)"])
+    def test_matches_the_per_point_verify(self, case, label, bend):
+        # the closed forms, and the same bent off the family so the
+        # residuals are not all rounding
+        fam = family(case, label)
+        sol = solve_constraints(fam)
+        y, _ = build_solution(fam, sol)
+        if bend is not None:
+            y = ex.Binary("+", y, ex.parse(bend))
+        e = entry_for(case, sol)
+        assert verify(y, e.dods, e.window).hex() == _verify_per_point(y, e.dods, e.window).hex()
+
     @pytest.mark.parametrize("case,label", ALL_SOLVED)
     def test_built_solutions_satisfy_system(self, case, label):
         fam = family(case, label)

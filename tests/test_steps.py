@@ -851,10 +851,11 @@ class TestColumnKernels:
             mp.setattr(ex, "_bytecode", lambda s: (seen.append(s), inner(s))[1])
             for scheme in (Scheme.RK4, Scheme.RK4, Scheme.EXACT_LINEAR, Scheme.EXACT_LINEAR):
                 solve(e.dods, init, 2, SolverConfig(scheme, step_count=16))
-        # two for the history and its slope, kept on the history record,
-        # then one rk4 kernel and three exact-linear kernels, each built once
+        # two column kernels for the history and its slope, kept on the
+        # history record, then one rk4 kernel and three exact-linear kernels,
+        # each built once
         assert len(seen) == 2 + 1 + 3
-        assert sum(" in zip(" in s or " in c0:" in s for s in seen) == 4
+        assert sum(" in zip(" in s or " in c0:" in s for s in seen) == 6
 
     def test_generated_source_does_not_depend_on_hash_order(self):
         # the source is the bytecode cache key: record every source that
@@ -880,7 +881,90 @@ class TestColumnKernels:
         assert int(count) == 3 * (4 + 4) and int(columns) == 3 * 3
 
 
+def _residual_scan_per_sample(s, d):
+    """residual_scan as it was before it read a segment in one pass, the
+    bit-for-bit reference: at each sample in turn g(x), the segment's value
+    and slope at x, the solution's value at g(x), then f."""
+    rhs, g, pts = d.rhs_fn, d.delay.delayed_point, s.mesh.points
+    worst = 0.0
+    for n in range(1, len(s.segments)):
+        lo, hi = pts[n], pts[n + 1]
+        for i in range(48):
+            x = lo + (hi - lo) * ((i + 0.6180339887498949) / 48)
+            xm = g(x)
+            y, dy = s.segments[n].evaluate(x)
+            r = abs(dy - rhs(x, y, s.value(xm)))
+            if not math.isfinite(r):
+                raise DomainError(f"the residual at x = {x!r} is {r!r}, not finite")
+            worst = max(worst, r)
+    return worst
+
+
+def _scan_system(kind, general, seed):
+    """_affine_system's system and x0, or its right hand side on a Moebius or
+    a general delay."""
+    if kind == "moebius":
+        return Dods(_affine_system("constant", general, seed)[0].rhs, MoebiusDelay(1.0)), -0.3
+    if kind == "general":
+        delay = GeneralDelay(ex.parse("x - 1 - sin(x)/10"))
+        return Dods(_affine_system("constant", general, seed)[0].rhs, delay), 0.3
+    return _affine_system(kind, general, seed)[:2]
+
+
+def _scan_counting_lookups(s, d):
+    """residual_scan, and how many points it read through
+    PiecewiseSolution.value."""
+    calls, value = [], PiecewiseSolution.value
+
+    def counting(self, x):
+        calls.append(x)
+        return value(self, x)
+
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(PiecewiseSolution, "value", counting)
+        return residual_scan(s, d), len(calls)
+
+
+_SCHEMES_AND_RHS = [(Scheme.EXACT_LINEAR, False), (Scheme.RK4, False), (Scheme.RK4, True)]
+
+
 class TestResidualScan:
+    @pytest.mark.parametrize("kind", ["constant", "affine q < 1", "affine q > 1", "qscale",
+                                      "moebius", "general"])
+    @pytest.mark.parametrize("scheme, general", _SCHEMES_AND_RHS)
+    @pytest.mark.parametrize("seed", range(3))
+    def test_one_pass_matches_the_per_sample_scan(self, kind, scheme, general, seed):
+        d, x0 = _scan_system(kind, general, seed)
+        s = solve(d, initial_condition("sin(2*x) + 1", d.delay, x0), 2,
+                  SolverConfig(scheme, step_count=16))
+        got, lookups = _scan_counting_lookups(s, d)
+        assert got.hex() == _residual_scan_per_sample(s, d).hex()
+        # on the mesh of d's own delay every y(g(x)) comes from one sweep
+        assert lookups == 0
+
+    @pytest.mark.parametrize("scheme, general", _SCHEMES_AND_RHS)
+    def test_a_mesh_of_another_delay_is_read_point_by_point(self, scheme, general):
+        # meshed under constant(1), scanned against constant(0.5): g sends
+        # each segment's samples into two segments
+        rhs = _affine_system("constant", general, 1)[0].rhs
+        meshed = Dods(rhs, ConstantDelay(1.0))
+        s = solve(meshed, initial_condition("sin(2*x) + 1", meshed.delay, 0.0), 3,
+                  SolverConfig(scheme, step_count=16))
+        d = Dods(rhs, ConstantDelay(0.5))
+        got, lookups = _scan_counting_lookups(s, d)
+        assert got.hex() == _residual_scan_per_sample(s, d).hex()
+        assert lookups == 3 * 48
+
+    def test_samples_below_the_start_raise_the_same_out_of_range(self):
+        d, init = smoothing_instance()
+        s = solve(d, init, 2, SolverConfig(Scheme.EXACT_LINEAR, step_count=16))
+        far = Dods(d.rhs, ConstantDelay(2.0))
+        with pytest.raises(OutOfRange) as raised:
+            residual_scan(s, far)
+        with pytest.raises(OutOfRange) as expected:
+            _residual_scan_per_sample(s, far)
+        assert str(raised.value) == str(expected.value)
+
     def test_skips_history_segment(self):
         # history alone does not solve the equation; the scan must not
         # penalize it
