@@ -453,8 +453,9 @@ def _eval(e: Expr, b: Mapping[str, float]) -> float:
 # each tree in the order _eval visits it (child before parent, left before
 # right) and emits one statement per operator node, t<k> = <op>, with a
 # node's domain guard (ln, sqrt, /, and sin, cos and tan, where math raises
-# ValueError at inf) on the line before it; the first use of an argument
-# coerces it with float() on a line of its own, as _eval does at every use.
+# ValueError at inf) on the line before it, unless that operand passed it
+# already; the first use of an argument coerces it with float() on a line of
+# its own, as _eval does at every use.
 #
 # Nodes are value numbered: an operator node's key is its op plus the names
 # of its operands, and a constant's key is float.hex of its value (never ==,
@@ -560,10 +561,10 @@ def _emit(trees: tuple[Expr, ...], args: Sequence[str]
     the name that holds each tree's value after them, the constants k0, k1,
     ... they read, and for each statement the arguments it reaches, as a mask
     with bit i set when its value depends on argument i, read directly or
-    through the names it reads (a guard counts as its operation).  Argument
-    i is the variable a<i>.  The statements assign only a<i> and t<k>, and
-    read only those, k<i> and the names of _COMPILE_GLOBALS, so code around
-    them may use any other name."""
+    through the names it reads (a guard, through the operand it tests).
+    Argument i is the variable a<i>.  The statements assign only a<i> and
+    t<k>, and read only those, k<i> and the names of _COMPILE_GLOBALS, so
+    code around them may use any other name."""
     args = tuple(args)
     if len(set(args)) != len(args):
         raise ValueError(f"duplicate argument names in {args!r}")
@@ -571,6 +572,7 @@ def _emit(trees: tuple[Expr, ...], args: Sequence[str]
     consts: list[object] = []
     lines: list[str] = []
     coerced: set[int] = set()
+    guarded: set[str] = set()  # the guards already emitted
     numbered: dict = {}  # value number key -> the name holding that value
     seen: dict[int, str] = {}  # id of an operator node already named -> its name
     names: list[str] = []  # the name holding each evaluated operand
@@ -599,10 +601,11 @@ def _emit(trees: tuple[Expr, ...], args: Sequence[str]
                     mask = 0
                     for operand in key[1:]:
                         mask |= reach.get(operand, 0)
-                    guard = _GUARDS.get(node.op)
-                    if guard is not None:
-                        lines.append(guard.format(*key[1:]))
-                        reaches.append(mask)
+                    guard = _GUARDS.get(node.op, "").format(*key[1:])
+                    if guard and guard not in guarded:  # it tests the last operand
+                        guarded.add(guard)
+                        lines.append(guard)
+                        reaches.append(reach.get(key[-1], 0))
                     name = numbered[key] = f"t{len(lines)}"
                     reach[name] = mask
                     lines.append(f"{name} = {template.format(*key[1:])}")

@@ -20,6 +20,7 @@ import enum
 import functools
 import math
 import random
+import re
 import warnings
 from collections.abc import Callable
 
@@ -186,11 +187,8 @@ def prolong_apply(v: VectorField, d: Dods,
     x, y, xm, ym, ydot = point
     kernel, r = _kernel(v, d), _computed_r(v)
     gp = d.delay.derivative(x)
-    if r is None:
-        out = kernel(x, y, xm, ym, ydot, gp)
-    else:
-        out = kernel(x, y, xm, ym, ydot, gp, r.value(x), r.value(xm), r.eval(x)[2])
-    return out[11], out[12]
+    reads = () if r is None else (r.value(x), r.value(xm), r.eval(x)[2])
+    return kernel(x, y, xm, ym, ydot, gp, *reads)[11:13]
 
 
 # check_invariance is one generated function per (field, system), with the
@@ -199,19 +197,20 @@ def prolong_apply(v: VectorField, d: Dods,
 # DomainError or OutOfRange or overflow is skipped, and so is one whose pr1
 # or pr2 is not finite: max() drops NaN, so it would read as zero.  Finite
 # pr1 and pr2 make the seven terms finite, as each enters a sum or
-# difference, so the scale is taken only when worst > 1e-7.  Phase 2 never
-# moves x: g'(x), r(x), r'(x) and the statements that reach only x and those
-# (expr._emit reports what each reaches) ran without raising at this x in
-# phase 1 and are pure, so they run once per point, outside the try, in the
-# order of emission, which keeps the source free of hash order.
+# difference, so the scale is taken only when worst > 1e-7.  While every
+# sample passes, phase 2 perturbs each as soon as it passes, until one
+# perturbation fails.  A perturbation reruns, renamed, only the statements
+# that reach what it moves: the rest ran without raising at the same values.
+# One that moves no judged value is left out; reads of r never overflow.
 
 _LOOP = """\
 width = hi - lo
 max_on = 0.0
 on_ok = True
-on_points = []
+weak = False
+accepted = 0
 for _ in range(80 * samples):
-    if len(on_points) == samples:
+    if accepted == samples:
         break
     {x} = lo + width * random()
 {breaks}    {y} = -2.0 + 4.0 * random()
@@ -221,33 +220,45 @@ for _ in range(80 * samples):
         {ydot} = rhs({x}, {y}, {ym})
     except _SKIPPED:
         continue
-    point = ({x}, {y}, {xm}, {ym}, {ydot})
-{judge}    on_points.append(point)
+{judge}    accepted += 1
     max_on = max(max_on, worst)
     on_ok = on_ok and (worst <= 1e-7 or worst <= 1e-7 * (1.0 + {scale}))
-if not on_points:
+    if on_ok and not weak:
+        sign = 1.0 if accepted % 2 else -1.0
+{perturb}if not accepted:
     return None
 if not on_ok:
     return max_on, _NOT_INVARIANT
-for i, (x, y, xm, ym, ydot) in enumerate(on_points):
-    sign = 1.0 if i % 2 == 0 else -1.0
-    {x} = x
-{shared}    for {y}, {xm}, {ym}, {ydot} in ((y + sign, xm, ym, ydot), (y, xm, ym + sign, ydot),
-                                    (y, xm, ym, ydot + sign),
-                                    (y, xm + sign * (x - xm) / 2.0, ym, ydot)):
-{rest}        if not (worst <= 1e-7 or worst <= 1e-7 * (1.0 + {scale})):
-            return max_on, _WEAK
-return max_on, _STRONG"""
+return max_on, _WEAK if weak else _STRONG"""
 _LOOP_GLOBALS = {**ex._COMPILE_GLOBALS, "_SKIPPED": (DomainError, OutOfRange),
+                 "_SKIPPED_OR_OVERFLOW": (DomainError, OutOfRange, OverflowError),
                  "_isfinite": math.isfinite, "_STRONG": Invariance.STRONG,
                  "_WEAK": Invariance.WEAK, "_NOT_INVARIANT": Invariance.NOT_INVARIANT}
-# the arguments that phase 2 does not move, as a mask of expr._emit
-_PER_POINT = sum(1 << i for i, name in enumerate(_ARG) if name in ("x", "gp", "r", "r_x"))
+_MOVES = (("y", "{y} + sign"), ("ym", "{ym} + sign"), ("ydot", "{ydot} + sign"),
+          ("xm", "{xm} + sign * ({x} - {xm}) / 2.0"))
 
 
 def _block(depth: int, *lines: str) -> str:
     """A field of _LOOP: the lines at depth levels of four spaces."""
     return "".join(f"{'    ' * depth}{line}\n" for line in lines)
+
+
+def _perturbations(lines: list[str], outputs: list[str], reaches: list[int], computed: bool):
+    """Phase 2's perturbations (_MOVES, in order) that move a judged output:
+    the argument moved, the lines that move it (and r_m with xm), the
+    statements that reach it, and pr1, pr2 and the terms, each name that
+    moves renamed a<i> to b<i> and t<k> (which statement k assigns) to u<k>."""
+    for arg, value in _MOVES:
+        args = [_ARG[arg]] + ([_ARG["r_m"]] if arg == "xm" and computed else [])
+        mask = sum(1 << int(name[1:]) for name in args)
+        moving = {*args, *(f"t{k}" for k, reach in enumerate(reaches) if reach & mask)}
+        renamed = functools.partial(re.sub, r"\b[at]\d+\b", lambda m: "bu"[m[0][0] == "t"]
+                                    + m[0][1:] if m[0] in moving else m[0])
+        judged = [renamed(name) for name in outputs[11:]]
+        if judged != outputs[11:]:
+            yield (arg, [f"{renamed(args[0])} = {value.format(**_ARG)}",
+                         *(renamed(f"{r_m} = r_value({args[0]})") for r_m in args[1:])],
+                   [renamed(line) for line, reach in zip(lines, reaches) if reach & mask], judged)
 
 
 def _loop(v: VectorField, d: Dods) -> Callable[..., tuple[float, Invariance] | None]:
@@ -257,27 +268,28 @@ def _loop(v: VectorField, d: Dods) -> Callable[..., tuple[float, Invariance] | N
     lines, outputs, consts, reaches = ex._emit(*_kernel_trees(v, d))
     pr1, pr2 = outputs[11], outputs[12]
     computed = _computed_r(v) is not None
-    slope_g, r_at_x, r_at_xm, slope_r = (read.format(**_ARG) for read in (
-        "{gp} = derivative({x})", "{r} = r_value({x})", "{r_m} = r_value({xm})",
-        "{r_x} = r_eval({x})[2]"))
-
-    def judged(depth: int, reads: list[str], statements: list[str]) -> str:
-        return _block(depth, "try:", *(f"    {line}" for line in reads),
-                      "    try:", *(f"        {line}" for line in statements),
-                      "    except OverflowError:", "        continue",
-                      "except _SKIPPED:", "    continue",
-                      f"if not (_isfinite({pr1}) and _isfinite({pr2})):", "    continue",
-                      f"worst = max(abs({pr1}), abs({pr2}))")
-
-    shared = [line for line, reach in zip(lines, reaches) if not reach & ~_PER_POINT]
-    rest = [line for line, reach in zip(lines, reaches) if reach & ~_PER_POINT]
+    reads = ["{gp} = derivative({x})", *(["{r} = r_value({x})", "{r_m} = r_value({xm})",
+                                           "{r_x} = r_eval({x})[2]"] if computed else ())]
     source = _LOOP.format(
-        **_ARG, scale=f"max({', '.join(f'abs({t})' for t in outputs[13:])})",
+        **_ARG, scale=f"max(abs({'), abs('.join(outputs[13:])}))",
         breaks=_block(1, f"if any(abs({_ARG['x']} - b) <= 1e-6 for b in breaks):", "    continue")
         if computed else "",
-        judge=judged(1, [slope_g, *([r_at_x, r_at_xm, slope_r] if computed else ())], lines),
-        shared=_block(1, slope_g, *([r_at_x, slope_r] if computed else ()), *shared),
-        rest=judged(2, [r_at_xm] if computed else [], rest))
+        judge=_block(1, "try:", *(f"    {read.format(**_ARG)}" for read in reads),
+                     "    try:", *(f"        {line}" for line in lines),
+                     "    except OverflowError:", "        continue",
+                     "except _SKIPPED:", "    continue",
+                     f"if not (_isfinite({pr1}) and _isfinite({pr2})):", "    continue",
+                     f"worst = max(abs({pr1}), abs({pr2}))"),
+        perturb="".join(_block(
+            2, "try:", *(f"    {line}" for line in moves + statements),
+            "except _SKIPPED_OR_OVERFLOW:", "    pass", "else:",
+            f"    if _isfinite({p1}) and _isfinite({p2}):",
+            f"        worst = max(abs({p1}), abs({p2}))",
+            "        if not (worst <= 1e-7 or worst <= 1e-7 * "
+            f"(1.0 + max(abs({'), abs('.join(terms)})))):",
+            "            weak = True", "            continue")
+            for _, moves, statements, (p1, p2, *terms)
+            in _perturbations(lines, outputs, reaches, computed)))
     params = "random, lo, hi, samples, delayed_point, rhs, derivative"
     return ex._define(params + (", breaks, r_value, r_eval" if computed else ""),
                       source.split("\n"), consts, _LOOP_GLOBALS)

@@ -506,6 +506,28 @@ class TestCompileMany:
         assert len(calls) == (0 if shared == "1 / x" else 1)
         assert got == _one_by_one(trees, ("x",), (4.0,))
 
+    def test_one_guard_per_guarded_operand(self):
+        # three quotients share the divisor y - 1 and two roots share x: each
+        # guard is emitted once, before the first use of its operand, and
+        # every compiled path raises the error evaluate raises first
+        args = ("x", "y")
+        trees = [ex.parse(text, args) for text in (
+            "x / (y - 1) + sqrt(x)", "3 / (y - 1)", "sqrt(x) * (x + 1) / (y - 1)")]
+        lines = ex._emit(trees, args)[0]
+        guards = [line for line in lines if line.startswith("if ")]
+        assert len(guards) == len(set(guards)) == 2
+        for x, y, message in ((2.0, 1.0, "division by zero"),
+                              (-1.0, 2.0, "sqrt of negative value -1.0"),
+                              (-1.0, 1.0, "division by zero")):
+            want = (DomainError, message)
+            assert _hex_outcome(ex.evaluate, trees[0], {"x": x, "y": y}) == want
+            for tree in trees:
+                assert (_hex_outcome(ex.compile(tree, args), x, y)
+                        == _hex_outcome(ex.evaluate, tree, {"x": x, "y": y}))
+            assert _hex_outcome(ex.compile_many(trees, args), x, y) == want
+            assert _columns_outcome(trees, args, [[4.0, x], [3.0, y]]) == want
+        assert _hex_outcome(ex.compile_many(trees, args), 4.0, 3.0)[0] == "value"
+
     def test_one_tree_is_compile(self):
         tree = ex.parse("x * exp(x) - exp(x)")
         assert ex.compile_many([tree], ("x",))(1.5) == (ex.compile(tree, ("x",))(1.5),)

@@ -3,11 +3,13 @@
 import cmath
 import functools
 import gc
+import importlib.util
 import math
 import os
 import pathlib
 import pickle
 import random
+import re
 import subprocess
 import sys
 import types
@@ -315,6 +317,30 @@ def _fields_and_systems():
 _FIELDS = _fields_and_systems()
 
 
+def _bench_catalog():
+    """bench/catalog.py, which draws the benchmark's catalog cases."""
+    bench = pathlib.Path(__file__).parents[1] / "bench"
+    sys.path.insert(0, str(bench))
+    try:
+        spec = importlib.util.spec_from_file_location("bench_catalog", bench / "catalog.py")
+        module = importlib.util.module_from_spec(spec)
+        spec.loader.exec_module(module)
+    finally:
+        sys.path.remove(str(bench))
+    return module
+
+
+_BENCH = _bench_catalog()
+_BENCH_VARIANTS = _BENCH.VARIANTS
+
+
+def _bench_case(key, seed):
+    """The catalog case of a benchmark variant, with its constants drawn at seed."""
+    cid = next(variant[1] for variant in _BENCH_VARIANTS if variant[0] == key)
+    drawn = _BENCH.draw(random.Random(seed))[key]
+    return CatalogCase(cid, drawn["params"], drawn.get("f"), drawn.get("delay"))
+
+
 def _judge(terms, point, scaled=True):
     """The judge of check_invariance before its loop was generated; not
     scaled, it judges by worst <= 1e-7 alone."""
@@ -497,12 +523,13 @@ class TestKernel:
                             ((True, False), Invariance.WEAK)):
             assert _reference_check(v, e.dods, 60, e.window, scaled)[1] is cls, scaled
 
-    def test_shared_statements_run_once_per_point(self, monkeypatch):
-        # g' is called once for each phase 1 sample that reaches the judge,
-        # and once for each point that phase 2 perturbs, not once per
-        # perturbation; a computed r's slope r'(x) likewise.  Phase 2 must
-        # perturb as many points as the reference loop
-        calls = {}
+    def test_reads_run_once_per_sample(self, monkeypatch):
+        # g' is called once for each sample that reaches the judge and never
+        # again, and a computed r's r(x), r(xm) and r'(x) likewise; phase 2
+        # reads r only at each moved xm.  Phase 2 must perturb the points the
+        # reference loop perturbs, with signs +1, -1, ...: counted as the runs
+        # of the generated line that sets a perturbed point's sign
+        calls, reads = {}, []
 
         def counted(cls, name):
             inner = getattr(cls, name)
@@ -510,20 +537,24 @@ class TestKernel:
             def method(self, x):
                 out = inner(self, x)  # a call that raises is not counted
                 calls[name] = calls.get(name, 0) + 1
+                if name == "value":
+                    reads.append(x)
                 return out
             monkeypatch.setattr(cls, name, method)
 
         # A4_14's relation raises on the half of the first window before its
         # pole; a linear right hand side never raises, so every delayed point
-        # reaches the judge.  chi's r can be read at x and xm all over (0, 2).
-        # 1e-8 y d_y is weak only where what a unit step of y or ym leaves,
-        # 1e-8 alpha or 1e-8 beta, passes 1e-7: under alpha = exp(2x) and
-        # under beta = -exp(2x), past the first few points
+        # reaches the judge.  chi's r can be read at x, xm and a moved xm all
+        # over (0.5, 2); chi turns weak at the first moved xm, its first
+        # point's fourth perturbation.  1e-8 y d_y is weak only where what a
+        # unit step of y or ym leaves, 1e-8 alpha or 1e-8 beta, passes 1e-7:
+        # under alpha = exp(2x) and under beta = -exp(2x), past the first few
+        # points
         e = catalog(CatalogCase("A4_14", {"C": 1.5}))
         pole = -1.0 / 1.5
         cases = [(v, e.dods, window) for v in e.algebra + (_WRONG,)
                  for window in ((pole - 0.5, pole + 0.5), e.window)]
-        cases.append((_CHI[1], _CHI[2], (0.0, 2.0)))
+        cases.append((_CHI[1], _CHI[2], (0.5, 2.0)))
         small = VectorField(ex.Num(0.0), ex.parse("1e-8*y", ("x", "y")))
         for alpha, beta in (("exp(2*x)", "-1"), ("1", "-exp(2*x)")):
             steep = Dods(LinearRhs(ex.parse(alpha), ex.parse(beta), ex.Num(0.0)), ConstantDelay(1.0))
@@ -532,20 +563,126 @@ class TestKernel:
         for v, d, window in cases:
             perturbed = []
             want.append((_reference_check(v, d, 40, window, perturbed=perturbed), len(perturbed)))
+            if v is _CHI[1]:
+                x, _, xm, _, _ = perturbed[0]
+                chi_reads = [x, xm, xm + (x - xm) / 2.0]
         for cls, name in ((MoebiusDelay, "delayed_point"), (MoebiusDelay, "derivative"),
                           (ConstantDelay, "delayed_point"), (ConstantDelay, "derivative"),
-                          (PiecewiseSolution, "eval")):
+                          (PiecewiseSolution, "eval"), (PiecewiseSolution, "value")):
             counted(cls, name)
+        # the sign line of every loop built from here on, by its code object
+        monkeypatch.setattr(symmetry, "_CACHE", {})
+        sign_line = {}
+        inner_bytecode = ex._bytecode
+
+        def recorded(source):
+            code = inner_bytecode(source)
+            lines = source.split("\n")
+            for make in code.co_consts:
+                for c in getattr(make, "co_consts", ()):
+                    if getattr(c, "co_name", None) == "compiled":
+                        sign_line[c] = next((i for i, line in enumerate(lines, 1)
+                                             if line.strip().startswith("sign = ")), None)
+            return code
+        monkeypatch.setattr(ex, "_bytecode", recorded)
+        runs = []
+
+        def tracer(frame, event, arg):
+            line = sign_line.get(frame.f_code)
+            if line is None:
+                return None
+
+            def local(frame, event, arg):
+                if event == "line":
+                    if runs and runs[-1] is None:  # the line after the sign line
+                        runs[-1] = frame.f_locals["sign"]
+                    if frame.f_lineno == line:
+                        runs.append(None)
+                return local
+            return local
         got = []
         for v, d, window in cases:
             calls.clear()
-            result = check_invariance(v, d, 40, window)
-            assert calls.get("eval", 0) == (calls["derivative"] if v is _CHI[1] else 0)
-            got.append((result, calls["derivative"] - calls["delayed_point"]))
+            runs.clear()
+            reads.clear()
+            previous = sys.gettrace()
+            sys.settrace(tracer)
+            try:
+                result = check_invariance(v, d, 40, window)
+            finally:
+                sys.settrace(previous)
+            judged = calls["delayed_point"]
+            assert calls["derivative"] == judged
+            if v is _CHI[1]:
+                assert calls["eval"] == judged and calls["value"] == 2 * judged + len(runs)
+                assert reads[:3] == chi_reads
+            else:
+                assert "eval" not in calls and "value" not in calls
+            assert runs == [(-1.0) ** i for i in range(len(runs))]
+            got.append((result, len(runs)))
         assert got == want
         assert {result[1] for result, _ in got} == set(Invariance)
         assert {n for _, n in got[:-2]} == {0, 1, 40}
         assert all(result[1] is Invariance.WEAK and 1 < n < 40 for result, n in got[-2:])
+
+    def test_kernel_source_holds_each_guard_once(self, monkeypatch):
+        # A3_7's X3 divides by (x - xm)^C2 in four partials: its kernel
+        # tests that divisor once, before the first quotient
+        e = catalog("A3_7")
+        sources = []
+        inner = ex._bytecode
+        monkeypatch.setattr(ex, "_bytecode", lambda s: (sources.append(s), inner(s))[1])
+        symmetry._compile_kernel(e.algebra[2], e.dods)
+        guards = [line.strip() for line in sources[0].split("\n")
+                  if line.strip().startswith("if ")]
+        assert len(guards) == len(set(guards)) == 5
+        assert "if t7 == 0.0: raise _division_by_zero()" in guards
+
+    def test_perturbations_rerun_only_what_they_move(self):
+        # phase 2's block for y, ym, ydot or xm holds, renamed, exactly the
+        # statements that reach what it moves: 2,024 per point over the
+        # catalog generators, where rerunning every statement that reaches
+        # more than x took 5,008
+        total = 0
+        for cid in sorted(EXPECTED):
+            e = catalog(cid)
+            for v in e.algebra:
+                lines, outputs, _, reaches = ex._emit(*symmetry._kernel_trees(v, e.dods))
+                blocks = list(symmetry._perturbations(lines, outputs, reaches, False))
+                assert blocks, (cid, v.name)
+                for arg, _, statements, _ in blocks:
+                    bit = 1 << int(symmetry._ARG[arg][1:])
+                    for statement in statements:
+                        original = re.sub(r"\b([bu])(\d+)\b",
+                                          lambda m: "at"["bu".index(m[1])] + m[2], statement)
+                        assert reaches[lines.index(original)] & bit, (cid, v.name, arg, statement)
+                    assert len(statements) == sum(1 for reach in reaches if reach & bit)
+                    total += len(statements)
+        assert total <= 2024
+
+    @pytest.mark.parametrize("key", [variant[0] for variant in _BENCH_VARIANTS] + ["extra"])
+    def test_bench_variants_match_reference_loop(self, key):
+        # every variant of the benchmark's catalog round at two draws of its
+        # constants, with the wrong generator, on its window and on one
+        # shifted past its end; "extra" is chi d_y and 1e-8 y d_y on the two
+        # steep systems, which turn weak after the first points
+        cases = []
+        if key == "extra":
+            small = VectorField(ex.Num(0.0), ex.parse("1e-8*y", ("x", "y")))
+            cases += [(_CHI[1], _CHI[2], (-0.9, 1.9)), (_CHI[1], _CHI[2], (0.0, 2.0))]
+            for alpha, beta in (("exp(2*x)", "-1"), ("1", "-exp(2*x)")):
+                steep = Dods(LinearRhs(ex.parse(alpha), ex.parse(beta), ex.Num(0.0)),
+                             ConstantDelay(1.0))
+                cases += [(small, steep, (0.0, 3.0)), (small, steep, (-1.0, 2.0))]
+        for seed in (() if key == "extra" else (1, 2)):
+            e = catalog(_bench_case(key, seed))
+            lo, hi = e.window
+            cases += [(v, e.dods, window) for v in e.algebra + (_WRONG,)
+                      for window in (e.window, (lo + 0.25 * (hi - lo), hi + 0.3))]
+        for v, d, window in cases:
+            for samples in (1, 7, 60, 200):
+                assert (_checked(check_invariance, v, d, samples, window)
+                        == _checked(_reference_check, v, d, samples, window)), (v.name, samples)
 
     def test_errors_match_per_term(self):
         # xm = x divides by zero in the slope's partials; ln of a negative x
@@ -594,7 +731,7 @@ class TestKernel:
                 "  symmetry.prolong_apply(v, e.dods, (1.5, 0.3, e.dods.delay.delayed_point(1.5), "
                 "                                     0.2, 0.1))) "
                 " for e in map(dods.catalog, ('A2_1', 'A3_7', 'A4_21')) for v in e.algebra]; "
-                "print(len(seen), sum('on_points' in s for s in seen), "
+                "print(len(seen), sum('max_on' in s for s in seen), "
                 "      hashlib.sha256('\\n'.join(seen).encode()).hexdigest())")
         src = str(pathlib.Path(symmetry.__file__).parents[1])
         outs = {subprocess.run([sys.executable, "-S", "-c", code, src], capture_output=True,
@@ -647,7 +784,7 @@ class TestCache:
         monkeypatch.setattr(ex, "_bytecode", lambda s: (sources.append(s), inner_bytecode(s))[1])
         assert run() == first
         assert built == []
-        assert not any("on_points" in s for s in sources)
+        assert not any("max_on" in s for s in sources)
 
     def test_keys_are_walked_once_per_object(self, monkeypatch):
         e = catalog("A3_5")
