@@ -24,6 +24,7 @@ from __future__ import annotations
 import builtins
 import functools
 import math
+import operator
 from collections.abc import Callable, Iterable, Mapping, Sequence
 from types import CodeType
 
@@ -189,21 +190,21 @@ def _tokenize(text: str) -> list[tuple[str, str, int]]:
         if c.isspace():
             i += 1
             continue
-        if c.isdigit() or (c == "." and i + 1 < n and text[i + 1].isdigit()):
+        if c.isdecimal() or (c == "." and i + 1 < n and text[i + 1].isdecimal()):
             j = i
-            while j < n and text[j].isdigit():
+            while j < n and text[j].isdecimal():
                 j += 1
             if j < n and text[j] == ".":
                 j += 1
-                while j < n and text[j].isdigit():
+                while j < n and text[j].isdecimal():
                     j += 1
             if j < n and text[j] in "eE":
                 k = j + 1
                 if k < n and text[k] in "+-":
                     k += 1
-                if k < n and text[k].isdigit():
+                if k < n and text[k].isdecimal():
                     j = k
-                    while j < n and text[j].isdigit():
+                    while j < n and text[j].isdecimal():
                         j += 1
             tokens.append(("num", text[i:j], i))
             i = j
@@ -372,7 +373,11 @@ def _overflow(exc: OverflowError) -> DomainError:
     return DomainError(f"overflow during evaluation: {exc}")
 
 
-_TRIG = {"sin": math.sin, "cos": math.cos, "tan": math.tan}
+_UNARY_FN = {"neg": operator.neg, "exp": math.exp, "ln": math.log, "sin": math.sin,
+             "cos": math.cos, "tan": math.tan, "atan": math.atan, "sqrt": math.sqrt,
+             "abs": abs, "sign": _sign}
+_BINARY_FN = {"+": operator.add, "-": operator.sub, "*": operator.mul,
+              "/": operator.truediv, "^": _pow_checked}
 
 
 def evaluate(e: Expr, bindings: Mapping[str, float]) -> float:
@@ -398,47 +403,24 @@ def _eval(e: Expr, b: Mapping[str, float]) -> float:
         except KeyError:
             raise _unbound(e.name) from None
     if isinstance(e, Unary):
-        v = _eval(e.child, b)
-        op = e.op
-        if op == "neg":
-            return -v
-        if op == "exp":
-            return math.exp(v)
-        if op == "ln":
-            if v <= 0.0:
-                raise _ln_domain(v)
-            return math.log(v)
-        if op in _TRIG:
-            if math.isinf(v):
-                raise _infinite_angle(op, v)
-            return _TRIG[op](v)
-        if op == "atan":
-            return math.atan(v)
-        if op == "sqrt":
-            if v < 0.0:
-                raise _sqrt_domain(v)
-            return math.sqrt(v)
-        if op == "abs":
-            return abs(v)
-        if op == "sign":
-            return _sign(v)
-        raise ValueError(f"bad unary op {op!r}")
-    l = _eval(e.left, b)
-    r = _eval(e.right, b)
-    op = e.op
-    if op == "+":
-        return l + r
-    if op == "-":
-        return l - r
-    if op == "*":
-        return l * r
-    if op == "/":
-        if r == 0.0:
-            raise _division_by_zero()
-        return l / r
-    if op == "^":
-        return _pow_checked(l, r)
-    raise ValueError(f"bad binary op {op!r}")
+        v, op = _eval(e.child, b), e.op
+        if op == "ln" and v <= 0.0:
+            raise _ln_domain(v)
+        if op == "sqrt" and v < 0.0:
+            raise _sqrt_domain(v)
+        if op in ("sin", "cos", "tan") and math.isinf(v):
+            raise _infinite_angle(op, v)
+        fn = _UNARY_FN.get(op)
+        if fn is None:
+            raise ValueError(f"bad unary op {op!r}")
+        return fn(v)
+    l, r, op = _eval(e.left, b), _eval(e.right, b), e.op
+    if op == "/" and r == 0.0:
+        raise _division_by_zero()
+    fn = _BINARY_FN.get(op)
+    if fn is None:
+        raise ValueError(f"bad binary op {op!r}")
+    return fn(l, r)
 
 
 # ---------------------------------------------------------------------------
@@ -715,7 +697,9 @@ def variables_of(e: Expr) -> frozenset[str]:
 
 
 def check_variables(e: Expr, allowed: set[str], message: str) -> None:
-    """Raise ParameterDomainError("<message>, found [...]") if e uses others."""
+    """Raise ParameterDomainError("<message>, found [...]") if e uses others or is no tree."""
+    if not isinstance(e, Expr):
+        raise ParameterDomainError(f"{message}: expected an expression tree, found {e!r}")
     extra = variables_of(e) - allowed
     if extra:
         raise ParameterDomainError(f"{message}, found {sorted(extra)}")
@@ -801,6 +785,9 @@ def _pow(a: Expr, b: Expr) -> Expr:
     return Binary("^", a, b)
 
 
+_BUILD = {"+": _add, "-": _sub, "*": _mul, "/": _div, "^": _pow}
+
+
 def differentiate(e: Expr, var: str) -> Expr:
     """Exact symbolic derivative with respect to var.
 
@@ -883,10 +870,8 @@ def fold(e: Expr) -> Expr:
             except DomainError:
                 return out
         return out
-    l = fold(e.left)
-    r = fold(e.right)
-    table = {"+": _add, "-": _sub, "*": _mul, "/": _div, "^": _pow}
-    candidate = table[e.op](l, r)
+    l, r = fold(e.left), fold(e.right)
+    candidate = _BUILD[e.op](l, r)
     if isinstance(candidate, Binary) and isinstance(candidate.left, Num) and isinstance(candidate.right, Num):
         try:
             return Num(evaluate(candidate, {}))
@@ -925,7 +910,7 @@ def to_text(e: Expr) -> str:
     it reproduces the tree.
     """
     if isinstance(e, Num):
-        return repr(e.value)
+        return repr(e.value).replace("inf", "1e999")  # which reads back as inf
     if isinstance(e, Var):
         return e.name
     if isinstance(e, Unary):

@@ -270,18 +270,20 @@ class PiecewiseSolution(ex.Record):
 
 
 def solution_from_json(text: str) -> PiecewiseSolution:
-    obj = json.loads(text)
-    if not isinstance(obj, dict) or obj.get("kind") != "solution":
-        raise ParameterDomainError('expected a JSON object with kind = "solution"')
-    relation = parse_delay_spec(obj["delay"])
-    mesh = Mesh(tuple(float(p) for p in obj["mesh"]), relation)
-    segments = []
-    for raw in obj["segments"]:
-        nodes = tuple(float(n["x"]) for n in raw["nodes"])
-        values = tuple(float(n["y"]) for n in raw["nodes"])
-        derivs = tuple(float(n["dy"]) for n in raw["nodes"])
-        segments.append(Segment(nodes, values, derivs))
-    return PiecewiseSolution(mesh, tuple(segments))
+    """The solution that to_json wrote; any other text raises ParameterDomainError."""
+    try:
+        obj = json.loads(text)
+        if not isinstance(obj, dict) or obj.get("kind") != "solution":
+            raise ParameterDomainError('expected a JSON object with kind = "solution"')
+        relation = parse_delay_spec(obj["delay"])
+        mesh = Mesh(tuple(float(p) for p in obj["mesh"]), relation)
+        segments = tuple(Segment(*(tuple(float(n[k]) for n in raw["nodes"])
+                                   for k in ("x", "y", "dy"))) for raw in obj["segments"])
+    except KeyError as exc:
+        raise ParameterDomainError(f"the solution lacks the field {exc}") from exc
+    except (TypeError, ValueError) as exc:  # JSONDecodeError is a ValueError
+        raise ParameterDomainError(f"malformed solution: {exc}") from exc
+    return PiecewiseSolution(mesh, segments)
 
 
 def _sample_segment(fns: tuple[Callable[..., tuple[list[float]]], ...],

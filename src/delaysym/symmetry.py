@@ -25,7 +25,7 @@ import warnings
 from collections.abc import Callable
 
 from . import expr as ex
-from .dods import Dods, homogenized, _window_for
+from .dods import Dods, homogenized, _expr_with, _window_for
 from .errors import (DegenerateRoot, DivergenceWarning, DomainError, NonConvergence,
                      NotASolution, OutOfRange, ParameterDomainError, UnsupportedFlow)
 from .steps import PiecewiseSolution, Segment, residual_scan
@@ -55,7 +55,7 @@ class AffineEta(ex.Record):
     def __post_init__(self) -> None:
         ex.check_variables(self.p, {"x"}, "p may only depend on x")
         if not isinstance(self.r, PiecewiseSolution):
-            ex.check_variables(ex.as_expr(self.r, ("x",)), {"x"}, "r may only depend on x")
+            ex.check_variables(self.r, {"x"}, "r may only depend on x")
 
 
 class VectorField(ex.Record):
@@ -80,8 +80,7 @@ class VectorField(ex.Record):
             if isinstance(eta.r, PiecewiseSolution):
                 r, r_x = ex.Var("r"), ex.Var("r_x")
             else:
-                r = ex.as_expr(eta.r, ("x",))
-                r_x = _deriv(r, "x")
+                r, r_x = eta.r, _deriv(eta.r, "x")
             eta = ex.Binary("+", ex.Binary("*", p, y), r)
             eta_x = ex.Binary("+", ex.Binary("*", _deriv(p, "x"), y), r_x)
             eta_y = p
@@ -201,7 +200,7 @@ def prolong_apply(v: VectorField, d: Dods,
 # sample passes, phase 2 perturbs each as soon as it passes, until one
 # perturbation fails.  A perturbation reruns, renamed, only the statements
 # that reach what it moves: the rest ran without raising at the same values.
-# One that moves no judged value is left out; reads of r never overflow.
+# One that moves no judged value is left out; no call or read of r overflows.
 
 _LOOP = """\
 width = hi - lo
@@ -218,9 +217,13 @@ for _ in range(80 * samples):
     try:
         {xm} = delayed_point({x})
         {ydot} = rhs({x}, {y}, {ym})
-    except _SKIPPED:
+        {gp} = derivative({x})
+{statements}    except _SKIPPED:
         continue
-{judge}    accepted += 1
+    if not (_isfinite({pr1}) and _isfinite({pr2})):
+        continue
+    worst = max(abs({pr1}), abs({pr2}))
+    accepted += 1
     max_on = max(max_on, worst)
     on_ok = on_ok and (worst <= 1e-7 or worst <= 1e-7 * (1.0 + {scale}))
     if on_ok and not weak:
@@ -230,8 +233,7 @@ for _ in range(80 * samples):
 if not on_ok:
     return max_on, _NOT_INVARIANT
 return max_on, _WEAK if weak else _STRONG"""
-_LOOP_GLOBALS = {**ex._COMPILE_GLOBALS, "_SKIPPED": (DomainError, OutOfRange),
-                 "_SKIPPED_OR_OVERFLOW": (DomainError, OutOfRange, OverflowError),
+_LOOP_GLOBALS = {**ex._COMPILE_GLOBALS, "_SKIPPED": (DomainError, OutOfRange, OverflowError),
                  "_isfinite": math.isfinite, "_STRONG": Invariance.STRONG,
                  "_WEAK": Invariance.WEAK, "_NOT_INVARIANT": Invariance.NOT_INVARIANT}
 _MOVES = (("y", "{y} + sign"), ("ym", "{ym} + sign"), ("ydot", "{ydot} + sign"),
@@ -246,19 +248,21 @@ def _block(depth: int, *lines: str) -> str:
 def _perturbations(lines: list[str], outputs: list[str], reaches: list[int], computed: bool):
     """Phase 2's perturbations (_MOVES, in order) that move a judged output:
     the argument moved, the lines that move it (and r_m with xm), the
-    statements that reach it, and pr1, pr2 and the terms, each name that
-    moves renamed a<i> to b<i> and t<k> (which statement k assigns) to u<k>."""
+    statements that reach it bar its float() coercion, and pr1, pr2 and the
+    terms, each name that moves renamed a<i> to b<i> and t<k> to u<k>."""
     for arg, value in _MOVES:
         args = [_ARG[arg]] + ([_ARG["r_m"]] if arg == "xm" and computed else [])
         mask = sum(1 << int(name[1:]) for name in args)
         moving = {*args, *(f"t{k}" for k, reach in enumerate(reaches) if reach & mask)}
+        coercions = {f"{a} = float({a})" for a in args}
         renamed = functools.partial(re.sub, r"\b[at]\d+\b", lambda m: "bu"[m[0][0] == "t"]
                                     + m[0][1:] if m[0] in moving else m[0])
         judged = [renamed(name) for name in outputs[11:]]
         if judged != outputs[11:]:
             yield (arg, [f"{renamed(args[0])} = {value.format(**_ARG)}",
                          *(renamed(f"{r_m} = r_value({args[0]})") for r_m in args[1:])],
-                   [renamed(line) for line, reach in zip(lines, reaches) if reach & mask], judged)
+                   [renamed(line) for line, reach in zip(lines, reaches)
+                    if reach & mask and line not in coercions], judged)
 
 
 def _loop(v: VectorField, d: Dods) -> Callable[..., tuple[float, Invariance] | None]:
@@ -266,23 +270,16 @@ def _loop(v: VectorField, d: Dods) -> Callable[..., tuple[float, Invariance] | N
     samples, delayed_point, rhs, derivative), and for a computed r also of
     (breaks, r_value, r_eval); it returns None when no sample was valid."""
     lines, outputs, consts, reaches = ex._emit(*_kernel_trees(v, d))
-    pr1, pr2 = outputs[11], outputs[12]
     computed = _computed_r(v) is not None
-    reads = ["{gp} = derivative({x})", *(["{r} = r_value({x})", "{r_m} = r_value({xm})",
-                                           "{r_x} = r_eval({x})[2]"] if computed else ())]
+    reads = ["{r} = r_value({x})", "{r_m} = r_value({xm})", "{r_x} = r_eval({x})[2]"]
     source = _LOOP.format(
-        **_ARG, scale=f"max(abs({'), abs('.join(outputs[13:])}))",
+        **_ARG, pr1=outputs[11], pr2=outputs[12], scale=f"max(abs({'), abs('.join(outputs[13:])}))",
         breaks=_block(1, f"if any(abs({_ARG['x']} - b) <= 1e-6 for b in breaks):", "    continue")
         if computed else "",
-        judge=_block(1, "try:", *(f"    {read.format(**_ARG)}" for read in reads),
-                     "    try:", *(f"        {line}" for line in lines),
-                     "    except OverflowError:", "        continue",
-                     "except _SKIPPED:", "    continue",
-                     f"if not (_isfinite({pr1}) and _isfinite({pr2})):", "    continue",
-                     f"worst = max(abs({pr1}), abs({pr2}))"),
+        statements=_block(2, *(read.format(**_ARG) for read in reads if computed), *lines),
         perturb="".join(_block(
             2, "try:", *(f"    {line}" for line in moves + statements),
-            "except _SKIPPED_OR_OVERFLOW:", "    pass", "else:",
+            "except _SKIPPED:", "    pass", "else:",
             f"    if _isfinite({p1}) and _isfinite({p2}):",
             f"        worst = max(abs({p1}), abs({p2}))",
             "        if not (worst <= 1e-7 or worst <= 1e-7 * "
@@ -450,20 +447,13 @@ def char_roots(C: float, kmax: int) -> tuple[CharacteristicRoot, ...]:
 
 def exp_symmetry_fields(root: CharacteristicRoot) -> tuple[VectorField, VectorField]:
     """exp(a x) cos(b x) d_y and exp(a x) sin(b x) d_y for lambda = a + i b."""
-    a, b = root.lam.real, root.lam.imag
-    if b == 0.0:
+    if root.lam.imag == 0.0:
         raise DegenerateRoot(
             f"branch k = {root.k} has a real root; the pair of oscillatory "
             "fields degenerates")
-    cos_field = _expr_pair("exp(a*x)*cos(b*x)", a, b)
-    sin_field = _expr_pair("exp(a*x)*sin(b*x)", a, b)
-    return (VectorField(ex.Num(0.0), cos_field, name="X5"),
-            VectorField(ex.Num(0.0), sin_field, name="X6"))
-
-
-def _expr_pair(text: str, a: float, b: float) -> ex.Expr:
-    e = ex.parse(text, ("x", "a", "b"))
-    return ex.fold(ex.substitute(e, {"a": ex.Num(a), "b": ex.Num(b)}))
+    ab = {"a": root.lam.real, "b": root.lam.imag}
+    return (VectorField(ex.Num(0.0), _expr_with("exp(a*x)*cos(b*x)", ab), name="X5"),
+            VectorField(ex.Num(0.0), _expr_with("exp(a*x)*sin(b*x)", ab), name="X6"))
 
 
 # ---------------------------------------------------------------------------

@@ -371,6 +371,24 @@ class TestVerify:
         assert code == 1
         assert "ParameterDomainError" in err
 
+    def test_superscript_digit_is_a_parse_error(self, capsys):
+        code, out, err = run(capsys, "verify", "--case", "A3_5", "--solution", "2²")
+        assert (code, out, err) == (1, "", "ParseError: unexpected character '²' (at index 1)\n")
+
+    @pytest.mark.parametrize("edit, message", [
+        (lambda text: '{"kind": "solution"}', "the solution lacks the field 'delay'"),
+        (lambda text: "not json", "malformed solution: Expecting value: line 1 column 1 (char 0)"),
+        (lambda text: text.replace(', "dy": ', ', "slope": ', 1),
+         "the solution lacks the field 'dy'"),
+    ], ids=["no-delay", "not-json", "no-dy"])
+    def test_malformed_solution_file(self, capsys, spec_file, tmp_path, edit, message):
+        sol = tmp_path / "sol.json"
+        run(capsys, "solve", "--spec", spec_file, "--phi", "(x + 1)^2",
+            "--x0", "0", "--intervals", "2", "--format", "json", "--out", str(sol))
+        sol.write_text(edit(sol.read_text()))
+        code, out, err = run(capsys, "verify", "--spec", spec_file, "--solution-file", str(sol))
+        assert (code, out, err) == (1, "", f"ParameterDomainError: {message}\n")
+
 
 class TestDeterminism:
     @pytest.mark.parametrize(

@@ -11,6 +11,7 @@ from delaysym.dods import (
     CatalogCase,
     Dods,
     GeneralRhs,
+    InitialCondition,
     LinearRhs,
     catalog,
     homogenized,
@@ -36,6 +37,15 @@ class TestContainers:
     def test_linear_rhs_coefficients_depend_on_x_only(self):
         with pytest.raises(ParameterDomainError):
             LinearRhs(ex.parse("y", ("y",)), ex.Num(1.0), ex.Num(0.0))
+
+    @pytest.mark.parametrize("build", [
+        lambda: LinearRhs("x", ex.Num(1.0), ex.Num(0.0)),
+        lambda: GeneralRhs("y"),
+        lambda: InitialCondition("x", 0.0, 1.0),
+    ])
+    def test_text_is_not_a_tree(self, build):
+        with pytest.raises(ParameterDomainError, match="expected an expression tree"):
+            build()
 
     def test_general_rhs_variables(self):
         GeneralRhs(ex.parse("x + y*ym", ("x", "y", "ym")))

@@ -75,6 +75,27 @@ class TestParse:
         with pytest.raises(ParseError):
             ex.parse("1 @ 2")
 
+    @pytest.mark.parametrize("text", ["²", "2²", "x + ¹", "①", "½", "1e²", ".²", "2.²"])
+    def test_numeric_characters_that_are_not_decimal_digits(self, text):
+        # str.isdigit is true for ² and ①, which float cannot read
+        with pytest.raises(ParseError):
+            ex.parse(text)
+
+    def test_decimal_digits_of_any_script(self):
+        # float reads every Unicode decimal digit
+        assert ex.parse("١+1") == ex.parse("1.0 + 1.0")
+        assert ex.parse("\xa02.5e١") == ex.Num(25.0)
+
+    @settings(max_examples=400, deadline=None)
+    @given(st.text(st.sampled_from("0123456789.eE+-*/^() xsin²①½١\xa0") | st.characters(),
+                   max_size=30))
+    def test_text_parses_to_a_round_trip_or_raises_parse_error(self, text):
+        try:
+            tree = ex.parse(text)
+        except ParseError:
+            return
+        assert ex.parse(ex.to_text(tree)) == tree
+
     def test_missing_closing_paren(self):
         with pytest.raises(ParseError):
             ex.parse("sin(x")
@@ -162,6 +183,12 @@ class TestRoundTrip:
     def test_print_is_fixed_point(self, text):
         printed = ex.to_text(ex.parse(text, ("x", "y")))
         assert ex.to_text(ex.parse(printed, ("x", "y"))) == printed
+
+    def test_infinite_literal_round_trips(self):
+        # repr(inf) is not a literal; the printer spells it 1e999
+        tree = ex.parse("-1e999 * x")
+        assert ex.to_text(tree) == "-1e999 * x"
+        assert ex.parse(ex.to_text(tree)) == tree
 
     def test_random_trees_round_trip(self):
         # A hand built tree may hold a negative literal, which the grammar

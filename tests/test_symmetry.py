@@ -86,6 +86,17 @@ class TestVectorField:
         with pytest.raises(ParameterDomainError):
             VectorField(ex.parse("y", ("y",)), ex.Num(0.0))
 
+    @pytest.mark.parametrize("build", [
+        lambda: AffineEta(ex.Num(0.0), "x"),
+        lambda: AffineEta("x", ex.Num(0.0)),
+        lambda: VectorField("1", ex.Num(0.0)),
+        lambda: VectorField(ex.Num(0.0), "y"),
+    ])
+    def test_text_is_not_a_tree(self, build):
+        # text is parsed by the caller: a field never coerces it
+        with pytest.raises(ParameterDomainError, match="expected an expression tree"):
+            build()
+
     def test_eta_variables(self):
         with pytest.raises(ParameterDomainError):
             VectorField(ex.Num(0.0), ex.parse("ym", ("ym",)))
@@ -638,11 +649,16 @@ class TestKernel:
         assert len(guards) == len(set(guards)) == 5
         assert "if t7 == 0.0: raise _division_by_zero()" in guards
 
-    def test_perturbations_rerun_only_what_they_move(self):
+    def test_perturbations_rerun_only_what_they_move(self, monkeypatch):
         # phase 2's block for y, ym, ydot or xm holds, renamed, exactly the
-        # statements that reach what it moves: 2,024 per point over the
-        # catalog generators, where rerunning every statement that reaches
-        # more than x took 5,008
+        # statements that reach what it moves but the moved argument's own
+        # float() coercion, which the move already gives: 1,868 per point
+        # over the catalog generators, where rerunning every statement that
+        # reaches more than x took 5,008; no generated loop, chi's included,
+        # coerces a moved argument
+        sources = []
+        inner = ex._bytecode
+        monkeypatch.setattr(ex, "_bytecode", lambda s: (sources.append(s), inner(s))[1])
         total = 0
         for cid in sorted(EXPECTED):
             e = catalog(cid)
@@ -651,14 +667,22 @@ class TestKernel:
                 blocks = list(symmetry._perturbations(lines, outputs, reaches, False))
                 assert blocks, (cid, v.name)
                 for arg, _, statements, _ in blocks:
-                    bit = 1 << int(symmetry._ARG[arg][1:])
+                    name = symmetry._ARG[arg]
+                    bit, coercion = 1 << int(name[1:]), f"{name} = float({name})"
+                    assert coercion in lines
                     for statement in statements:
                         original = re.sub(r"\b([bu])(\d+)\b",
                                           lambda m: "at"["bu".index(m[1])] + m[2], statement)
                         assert reaches[lines.index(original)] & bit, (cid, v.name, arg, statement)
-                    assert len(statements) == sum(1 for reach in reaches if reach & bit)
+                    assert len(statements) == sum(1 for line, reach in zip(lines, reaches)
+                                                  if reach & bit and line != coercion)
                     total += len(statements)
-        assert total <= 2024
+                symmetry._loop(v, e.dods)
+        assert total <= 1868
+        symmetry._loop(_CHI[1], _CHI[2])
+        loops = [source for source in sources if "max_on" in source]
+        assert len(loops) == 40 and any("r_value(b2)" in source for source in loops)
+        assert not any(re.search(r"\bb(\d+) = float\(b\1\)", source) for source in loops)
 
     @pytest.mark.parametrize("key", [variant[0] for variant in _BENCH_VARIANTS] + ["extra"])
     def test_bench_variants_match_reference_loop(self, key):
@@ -976,6 +1000,15 @@ class TestFlow:
         with pytest.raises(UnsupportedFlow):
             flow(VectorField(ex.Num(0.0), ex.parse("x*y", ("x", "y"))),
                  1.0, self.s1, self.d)
+
+    def test_scaling_flow_with_tree_r(self):
+        # y -> e^eps y + (e^eps - 1) x maps solutions of y' = y - y- to solutions
+        v = VectorField(ex.Num(0.0), AffineEta(ex.Num(1.0), ex.parse("x")))
+        moved = flow(v, 0.5, self.s1, self.d)
+        assert residual_scan(moved, self.d) <= 1e-9
+        grow = math.exp(0.5)
+        assert moved.value(0.8) == pytest.approx(grow * self.s1.value(0.8) + (grow - 1.0) * 0.8,
+                                                 rel=1e-12)
 
     def test_zero_eps_is_identity(self):
         v = VectorField(ex.Num(0.0), AffineEta(ex.Num(1.0), ex.parse("x")))
