@@ -144,12 +144,6 @@ class Dods(ex.Record):
         m = self.rhs_manifold if self.rhs_manifold is not None else self.rhs.as_expr()
         return tuple(ex.fold(ex.differentiate(m, v)) for v in ("x", "y", "xm", "ym"))
 
-    @functools.cached_property
-    def _partials_key(self) -> str:
-        """expr._key of manifold_partials: the system's part of the key under
-        which symmetry caches the kernels and loops built from them."""
-        return ex._key(self.manifold_partials)
-
     def rhs_value(self, x: float, y: float, ym: float) -> float:
         return self.rhs_fn(x, y, ym)
 

@@ -14,9 +14,11 @@ The reserved identifiers pi and e fold to their double precision values at
 parse time.  Everything else must be one of the nine function names or a
 declared variable.
 
-Trees are immutable records (Record, below) and compare structurally, which
-is what the round trip guarantee is stated against: to_text of a parsed tree
-reparses to an equal tree, and to_text(parse(to_text(t))) == to_text(t).
+Trees are immutable, interned records (Expr, below): equal trees, with
+bit-equal constants, are one object, which is what the round trip guarantee
+is stated against: to_text of a parsed tree reparses to the same tree, and
+to_text(parse(to_text(t))) == to_text(t).  Text that nests deeper than
+_DEPTH levels is a ParseError.
 """
 
 from __future__ import annotations
@@ -25,6 +27,7 @@ import builtins
 import functools
 import math
 import operator
+import weakref
 from collections.abc import Callable, Iterable, Mapping, Sequence
 from types import CodeType
 
@@ -108,38 +111,61 @@ class Record:
 
 
 class Expr(Record):
-    """Expression tree node.  Parsing, folding and differentiating build nodes
-    by the thousand, so the node types keep slots and spell out their methods."""
+    """Expression tree node.  Num, Var, Unary and Binary return the one live
+    node for their type and _constant_key of a value, a name, or an op and
+    children by identity, so == is identity and the hash, taken once from
+    the children's, is stored: neither walks a tree.  Unsupported: building
+    trees from two threads at once, which can make equal trees unequal."""
 
-    __slots__ = ()
+    __slots__ = ("_hash", "__weakref__")
+    __init__ = object.__init__  # __new__ sets the fields
+    __eq__ = object.__eq__
+
+    def __hash__(self) -> int:
+        return self._hash
+
+
+class _Ref(weakref.ref):
+    __slots__ = ("key",)
+
+
+# key -> a weak reference to the live node with that key, which goes when the
+# node dies; a parent keeps its children alive, so the ids in its key name
+# them while it lives.  The table takes no lock (see Expr).
+_LIVE: dict[tuple, _Ref] = {}
+
+
+def _forget(ref: _Ref) -> None:
+    if _LIVE.get(ref.key) is ref:
+        del _LIVE[ref.key]
+
+
+def _make(cls: type, key: tuple, fields: tuple) -> Expr:
+    node = object.__new__(cls)
+    for name, value in zip(cls.__slots__, fields):
+        object.__setattr__(node, name, value)
+    object.__setattr__(node, "_hash", hash(fields))
+    ref = _LIVE[key] = _Ref(node, _forget)
+    ref.key = key
+    return node
 
 
 class Num(Expr):
     __slots__ = ("value",)
     value: float
 
-    def __init__(self, value: float) -> None:
-        object.__setattr__(self, "value", value)
-
-    def __eq__(self, other: object):
-        return (self.value,) == (other.value,) if type(other) is type(self) else NotImplemented
-
-    def __hash__(self) -> int:
-        return hash((self.value,))
+    def __new__(cls, value: float) -> Num:
+        ref = _LIVE.get(key := (cls, _constant_key(value)))
+        return ref and ref() or _make(cls, key, (value,))
 
 
 class Var(Expr):
     __slots__ = ("name",)
     name: str
 
-    def __init__(self, name: str) -> None:
-        object.__setattr__(self, "name", name)
-
-    def __eq__(self, other: object):
-        return self.name == other.name if type(other) is type(self) else NotImplemented
-
-    def __hash__(self) -> int:
-        return hash((self.name,))
+    def __new__(cls, name: str) -> Var:
+        ref = _LIVE.get(key := (cls, name))
+        return ref and ref() or _make(cls, key, (name,))
 
 
 class Unary(Expr):
@@ -147,16 +173,9 @@ class Unary(Expr):
     op: str  # 'neg' or a function name
     child: Expr
 
-    def __init__(self, op: str, child: Expr) -> None:
-        object.__setattr__(self, "op", op)
-        object.__setattr__(self, "child", child)
-
-    def __eq__(self, other: object):
-        return ((self.op, self.child) == (other.op, other.child)
-                if type(other) is type(self) else NotImplemented)
-
-    def __hash__(self) -> int:
-        return hash((self.op, self.child))
+    def __new__(cls, op: str, child: Expr) -> Unary:
+        ref = _LIVE.get(key := (op, id(child)))
+        return ref and ref() or _make(cls, key, (op, child))
 
 
 class Binary(Expr):
@@ -165,17 +184,18 @@ class Binary(Expr):
     left: Expr
     right: Expr
 
-    def __init__(self, op: str, left: Expr, right: Expr) -> None:
-        object.__setattr__(self, "op", op)
-        object.__setattr__(self, "left", left)
-        object.__setattr__(self, "right", right)
+    def __new__(cls, op: str, left: Expr, right: Expr) -> Binary:
+        ref = _LIVE.get(key := (op, id(left), id(right)))
+        return ref and ref() or _make(cls, key, (op, left, right))
 
-    def __eq__(self, other: object):
-        return ((self.op, self.left, self.right) == (other.op, other.left, other.right)
-                if type(other) is type(self) else NotImplemented)
 
-    def __hash__(self) -> int:
-        return hash((self.op, self.left, self.right))
+def _constant_key(value: object) -> object:
+    """A float itself where == is bit equality, and float.hex of zero and
+    NaN, so 0.0 and -0.0 stay apart; the type and value of anything else, so
+    1 and 1.0 do too."""
+    if type(value) is float:
+        return value if value and value == value else value.hex()
+    return type(value), value
 
 
 # ---------------------------------------------------------------------------
@@ -225,12 +245,21 @@ def _tokenize(text: str) -> list[tuple[str, str, int]]:
     return tokens
 
 
+_DEPTH = 100  # the deepest tree text may give, and its deepest nesting
+
+
 class _Parser:
+    """Recursive descent over the tokens.  Each rule returns its tree and the
+    tree's depth, the operator nodes on its longest path; a tree deeper than
+    _DEPTH, or text that opens more than _DEPTH parentheses, calls, minus
+    signs and powers around a point, is a ParseError, so no walk of a parsed
+    tree, nor the parser, runs out of stack."""
+
     def __init__(self, text: str, variables: frozenset[str]) -> None:
-        self.text = text
         self.tokens = _tokenize(text)
         self.pos = 0
         self.variables = variables
+        self.open = 0  # the nestings the rule being parsed sits in
 
     def peek(self) -> tuple[str, str, int]:
         return self.tokens[self.pos]
@@ -246,61 +275,71 @@ class _Parser:
             raise ParseError(f"expected {kind!r}, found {tok[1] or 'end of input'!r}", tok[2])
         return self.advance()
 
+    def deeper(self, depth: int, pos: int) -> int:
+        if depth > _DEPTH:
+            raise ParseError(f"expression nests deeper than {_DEPTH} levels", pos)
+        return depth
+
+    def nested(self, rule: Callable[[], tuple[Expr, int]], pos: int) -> tuple[Expr, int]:
+        self.open = self.deeper(self.open + 1, pos)
+        out = rule()
+        self.open -= 1
+        return out
+
     def parse(self) -> Expr:
-        e = self.sum()
+        e, _ = self.chain()
         tok = self.peek()
         if tok[0] != "end":
             raise ParseError(f"unexpected trailing input {tok[1]!r}", tok[2])
         return e
 
-    def sum(self) -> Expr:
-        e = self.product()
-        while self.peek()[0] in ("+", "-"):
-            op = self.advance()[0]
-            e = Binary(op, e, self.product())
-        return e
+    def chain(self, ops: tuple[str, ...] = ("+", "-")) -> tuple[Expr, int]:
+        """A sum of products, or with ops ('*', '/') a product of signed
+        values: left associative, so n operators make a chain n deep."""
+        operand = functools.partial(self.chain, ("*", "/")) if ops[0] == "+" else self.signed
+        e, depth = operand()
+        while self.peek()[0] in ops:
+            op, _, pos = self.advance()
+            right, right_depth = operand()
+            e, depth = Binary(op, e, right), self.deeper(max(depth, right_depth) + 1, pos)
+        return e, depth
 
-    def product(self) -> Expr:
-        e = self.signed()
-        while self.peek()[0] in ("*", "/"):
-            op = self.advance()[0]
-            e = Binary(op, e, self.signed())
-        return e
-
-    def signed(self) -> Expr:
+    def signed(self) -> tuple[Expr, int]:
         if self.peek()[0] == "-":
-            self.advance()
-            return Unary("neg", self.signed())
+            pos = self.advance()[2]
+            e, depth = self.nested(self.signed, pos)
+            return Unary("neg", e), self.deeper(depth + 1, pos)
         return self.power()
 
-    def power(self) -> Expr:
-        base = self.atom()
+    def power(self) -> tuple[Expr, int]:
+        base, depth = self.atom()
         if self.peek()[0] == "^":
-            self.advance()
-            return Binary("^", base, self.signed())
-        return base
+            pos = self.advance()[2]
+            exponent, exponent_depth = self.nested(self.signed, pos)
+            return Binary("^", base, exponent), self.deeper(max(depth, exponent_depth) + 1, pos)
+        return base, depth
 
-    def atom(self) -> Expr:
+    def atom(self) -> tuple[Expr, int]:
         kind, textval, pos = self.peek()
         if kind == "num":
             self.advance()
-            return Num(float(textval))
+            return Num(float(textval)), 0
         if kind == "(":
             self.advance()
-            e = self.sum()
+            out = self.nested(self.chain, pos)
             self.expect(")")
-            return e
+            return out
         if kind == "ident":
             self.advance()
             if textval in FUNCTIONS:
                 self.expect("(")
-                arg = self.sum()
+                arg, depth = self.nested(self.chain, pos)
                 self.expect(")")
-                return Unary(textval, arg)
+                return Unary(textval, arg), self.deeper(depth + 1, pos)
             if textval in CONSTANTS:
-                return Num(CONSTANTS[textval])
+                return Num(CONSTANTS[textval]), 0
             if textval in self.variables:
-                return Var(textval)
+                return Var(textval), 0
             raise ParseError(f"unknown identifier {textval!r}", pos)
         raise ParseError(f"expected a value, found {textval or 'end of input'!r}", pos)
 
@@ -429,23 +468,21 @@ def _eval(e: Expr, b: Mapping[str, float]) -> float:
 # compile_many() turns trees into one Python function of positional
 # arguments that returns the tuple of their values; compile() is its one-tree
 # case and returns the value itself; compile_columns() runs the same statements
-# once per point of its argument columns.  _emit() gives the statements and
-# _define() turns lines into a function; symmetry's invariance loop wraps a
-# kernel's statements in its own template the same way.  The emitter walks
-# each tree in the order _eval visits it (child before parent, left before
-# right) and emits one statement per operator node, t<k> = <op>, with a
-# node's domain guard (ln, sqrt, /, and sin, cos and tan, where math raises
-# ValueError at inf) on the line before it, unless that operand passed it
-# already; the first use of an argument coerces it with float() on a line of
-# its own, as _eval does at every use.
+# once per point of its argument columns.  _generate() caches each function by
+# the interned trees, so a rebuilt system finds it without walking a tree.
+# _emit() gives the statements and _define() turns lines into a function;
+# symmetry's invariance loop wraps a kernel's statements in its own template
+# the same way.  The emitter walks each tree in the order _eval visits it
+# (child before parent, left before right) and emits one statement per
+# operator node, t<k> = <op>, with a node's domain guard (ln, sqrt, /, and
+# sin, cos and tan, where math raises ValueError at inf) on the line before
+# it, unless that operand passed it already; the first use of an argument
+# coerces it with float() on a line of its own, as _eval does at every use.
 #
-# Nodes are value numbered: an operator node's key is its op plus the names
-# of its operands, and a constant's key is float.hex of its value (never ==,
-# so 0.0 and -0.0 stay apart).  A node whose key is already named reuses that
-# name, so a subtree shared within or across the trees, guard included, runs
-# once, at its first use.  Keys are flat tuples of names built bottom-up,
-# never hashes of subtrees, so a deep tree is keyed without recursion; a node
-# object met again is looked up by identity and not walked twice.
+# A subtree shared within or across the trees is one interned node: met
+# again, it reuses the name it got at its first use and is not walked twice,
+# so it runs once, guard included.  The walk keeps its own stack, so a deep
+# tree needs no recursion.
 #
 # The operations are pure, so the generated code gives every value bit for
 # bit as evaluate does tree by tree and raises the same first error at the
@@ -502,7 +539,7 @@ def compile(e: Expr, args: Sequence[str]) -> Callable[..., float]:
     A variable of e missing from args raises UnboundVariable when the
     evaluation reaches it, as in evaluate.
     """
-    return _generate((e,), args, "value")
+    return _generate((e,), tuple(args), "value")
 
 
 def compile_many(trees: Iterable[Expr], args: Sequence[str]) -> Callable[..., tuple]:
@@ -510,7 +547,7 @@ def compile_many(trees: Iterable[Expr], args: Sequence[str]) -> Callable[..., tu
     every tree's value, each bit for bit what compile(tree, args) gives, and
     raises the error that calling those functions in order raises first.
     A subtree the trees share is evaluated once."""
-    return _generate(tuple(trees), args, "tuple")
+    return _generate(tuple(trees), tuple(args), "tuple")
 
 
 def compile_columns(trees: Iterable[Expr], args: Sequence[str]
@@ -518,10 +555,11 @@ def compile_columns(trees: Iterable[Expr], args: Sequence[str]
     """A function of len(args) equally long columns that returns one list per
     tree: at every index, compile_many(trees, args) of the columns' entries
     there, bit for bit, or at the first index where it raises, its error."""
-    return _generate(tuple(trees), args, "columns")
+    return _generate(tuple(trees), tuple(args), "columns")
 
 
-def _generate(trees: tuple[Expr, ...], args: Sequence[str], form: str) -> Callable:
+@functools.lru_cache(maxsize=1024)
+def _generate(trees: tuple[Expr, ...], args: tuple[str, ...], form: str) -> Callable:
     lines, outputs, consts, _ = _emit(trees, args)
     params = ", ".join(f"a{i}" for i in range(len(args)))
     if form == "columns":  # the statements once per point; list o<i> gathers output i
@@ -553,10 +591,8 @@ def _emit(trees: tuple[Expr, ...], args: Sequence[str]
     position = {name: i for i, name in enumerate(args)}
     consts: list[object] = []
     lines: list[str] = []
-    coerced: set[int] = set()
     guarded: set[str] = set()  # the guards already emitted
-    numbered: dict = {}  # value number key -> the name holding that value
-    seen: dict[int, str] = {}  # id of an operator node already named -> its name
+    seen: dict[int, str] = {}  # id of a node already named -> its name
     names: list[str] = []  # the name holding each evaluated operand
     outputs: list[str] = []
     reach: dict[str, int] = {}  # argument or temporary -> the arguments it reaches
@@ -572,47 +608,39 @@ def _emit(trees: tuple[Expr, ...], args: Sequence[str]
             node, expanded = todo.pop()
             if expanded:
                 arity = 1 if isinstance(node, Unary) else 2
-                key = (node.op, *names[-arity:])
+                operands = names[-arity:]
                 del names[-arity:]
-                name = numbered.get(key)
-                if name is None:
-                    template = (_UNARY_TEMPLATES if arity == 1 else _BINARY_TEMPLATES).get(node.op)
-                    if template is None:
-                        kind = "unary" if arity == 1 else "binary"
-                        raise ValueError(f"bad {kind} op {node.op!r}")
-                    mask = 0
-                    for operand in key[1:]:
-                        mask |= reach.get(operand, 0)
-                    guard = _GUARDS.get(node.op, "").format(*key[1:])
-                    if guard and guard not in guarded:  # it tests the last operand
-                        guarded.add(guard)
-                        lines.append(guard)
-                        reaches.append(reach.get(key[-1], 0))
-                    name = numbered[key] = f"t{len(lines)}"
-                    reach[name] = mask
-                    lines.append(f"{name} = {template.format(*key[1:])}")
-                    reaches.append(mask)
-                seen[id(node)] = name
+                template = (_UNARY_TEMPLATES if arity == 1 else _BINARY_TEMPLATES).get(node.op)
+                if template is None:
+                    kind = "unary" if arity == 1 else "binary"
+                    raise ValueError(f"bad {kind} op {node.op!r}")
+                mask = 0
+                for operand in operands:
+                    mask |= reach.get(operand, 0)
+                guard = _GUARDS.get(node.op, "").format(*operands)
+                if guard and guard not in guarded:  # it tests the last operand
+                    guarded.add(guard)
+                    lines.append(guard)
+                    reaches.append(reach.get(operands[-1], 0))
+                name = seen[id(node)] = f"t{len(lines)}"
+                reach[name] = mask
+                lines.append(f"{name} = {template.format(*operands)}")
+                reaches.append(mask)
             elif (name := seen.get(id(node))) is not None:
                 pass
             elif isinstance(node, Num):
-                key = _constant_key(node.value)
-                name = numbered.get(key)
-                if name is None:
-                    name = numbered[key] = const(node.value)
+                name = seen[id(node)] = const(node.value)
             elif isinstance(node, Var):
                 i = position.get(node.name)
                 if i is None:
+                    name = seen[id(node)] = "None"
                     lines.append(f"raise _unbound({const(node.name)})")
                     reaches.append(0)
-                    name = "None"
                 else:
-                    name = f"a{i}"
-                    if i not in coerced:
-                        coerced.add(i)
-                        lines.append(f"{name} = float({name})")
-                        reach[name] = 1 << i
-                        reaches.append(reach[name])
+                    name = seen[id(node)] = f"a{i}"
+                    reach[name] = 1 << i
+                    lines.append(f"{name} = float({name})")
+                    reaches.append(reach[name])
             else:
                 todo.append((node, True))
                 if isinstance(node, Unary):
@@ -626,39 +654,6 @@ def _emit(trees: tuple[Expr, ...], args: Sequence[str]
             names.append(name)
         outputs.append(names.pop())
     return lines, outputs, consts, reaches
-
-
-def _constant_key(value: object) -> object:
-    """float.hex of a float, never ==, so 0.0 and -0.0 stay apart; the type
-    and value of anything else, so 1 and 1.0 do too."""
-    return value.hex() if type(value) is float else (type(value), value)
-
-
-def _key(trees: Iterable[Expr]) -> str:
-    """The trees as the repr of one flat tuple, walked in prefix order: an
-    operator as its op, a variable as None and its name, a constant as its
-    _constant_key.  Two sequences of as many trees with equal keys get the
-    same statements and constants from _emit.  A string keeps its hash, so
-    a dict looks a kept key up without walking it again."""
-    out: list = []
-    todo = list(trees)[::-1]
-    while todo:
-        node = todo.pop()
-        if isinstance(node, Binary):
-            out.append(node.op)
-            todo.append(node.right)
-            todo.append(node.left)
-        elif isinstance(node, Unary):
-            out.append(node.op)
-            todo.append(node.child)
-        elif isinstance(node, Num):
-            out.append(_constant_key(node.value))
-        elif isinstance(node, Var):
-            out.append(None)
-            out.append(node.name)
-        else:
-            raise TypeError(f"not an expression node: {node!r}")
-    return repr(tuple(out))
 
 
 def _define(params: str, body: Sequence[str], consts: Sequence[object],
@@ -675,10 +670,7 @@ def _define(params: str, body: Sequence[str], consts: Sequence[object],
 
 @functools.lru_cache(maxsize=1024)
 def _bytecode(source: str) -> CodeType:
-    # numbers are closure values, so the source depends only on the trees'
-    # shapes and on which of their constants are equal: systems rebuilt with
-    # new constants (a parameter sweep, a catalog case at other parameters)
-    # reuse the bytecode
+    # constants are closure values: trees with new ones reuse the old source
     return builtins.compile(source, "<delaysym.expr.compile>", "exec")
 
 
@@ -729,24 +721,29 @@ def _is_num(e: Expr, v: float) -> bool:
     return isinstance(e, Num) and e.value == v
 
 
+def _arithmetic(op: str, a: Expr, b: Expr) -> Expr:
+    """a op b, folded to its value when both are constants and it is not NaN."""
+    if isinstance(a, Num) and isinstance(b, Num):
+        value = _BINARY_FN[op](a.value, b.value)
+        if value == value:
+            return Num(value)
+    return Binary(op, a, b)
+
+
 def _add(a: Expr, b: Expr) -> Expr:
     if _is_num(a, 0.0):
         return b
     if _is_num(b, 0.0):
         return a
-    if isinstance(a, Num) and isinstance(b, Num):
-        return Num(a.value + b.value)
-    return Binary("+", a, b)
+    return _arithmetic("+", a, b)
 
 
 def _sub(a: Expr, b: Expr) -> Expr:
     if _is_num(b, 0.0):
         return a
-    if isinstance(a, Num) and isinstance(b, Num):
-        return Num(a.value - b.value)
-    if _is_num(a, 0.0):
+    if _is_num(a, 0.0) and not isinstance(b, Num):
         return _neg(b)
-    return Binary("-", a, b)
+    return _arithmetic("-", a, b)
 
 
 def _neg(a: Expr) -> Expr:
@@ -764,9 +761,7 @@ def _mul(a: Expr, b: Expr) -> Expr:
         return b
     if _is_num(b, 1.0):
         return a
-    if isinstance(a, Num) and isinstance(b, Num):
-        return Num(a.value * b.value)
-    return Binary("*", a, b)
+    return _arithmetic("*", a, b)
 
 
 def _div(a: Expr, b: Expr) -> Expr:
@@ -856,28 +851,28 @@ def is_zero(e: Expr) -> bool:
 def fold(e: Expr) -> Expr:
     """Collapse constant subtrees and unit identities where safe.
 
-    Subtrees whose evaluation raises are left untouched, so folding never
-    changes where an expression is defined.
+    Subtrees whose evaluation raises or gives NaN are left untouched, so
+    folding never changes where an expression is defined, and to_text of a
+    folded tree parses.
     """
     if isinstance(e, (Num, Var)):
         return e
     if isinstance(e, Unary):
-        c = fold(e.child)
-        out: Expr = Unary(e.op, c) if c is not e.child else e
-        if isinstance(c, Num):
-            try:
-                return Num(evaluate(out, {}))
-            except DomainError:
-                return out
-        return out
-    l, r = fold(e.left), fold(e.right)
-    candidate = _BUILD[e.op](l, r)
-    if isinstance(candidate, Binary) and isinstance(candidate.left, Num) and isinstance(candidate.right, Num):
-        try:
-            return Num(evaluate(candidate, {}))
-        except DomainError:
-            return candidate
-    return candidate
+        out: Expr = Unary(e.op, fold(e.child))
+        return _constant(out) if isinstance(out.child, Num) else out
+    out = _BUILD[e.op](fold(e.left), fold(e.right))
+    if isinstance(out, Binary) and isinstance(out.left, Num) and isinstance(out.right, Num):
+        return _constant(out)
+    return out
+
+
+def _constant(e: Expr) -> Expr:
+    """The constant e evaluates to, or e where that raises or is NaN."""
+    try:
+        value = evaluate(e, {})
+    except DomainError:
+        return e
+    return Num(value) if value == value else e
 
 
 # ---------------------------------------------------------------------------

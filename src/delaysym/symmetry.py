@@ -77,7 +77,7 @@ class VectorField(ex.Record):
         if isinstance(eta, AffineEta):
             # p y + r in the order of operations of the per-term formulas
             p, y = eta.p, ex.Var("y")
-            if isinstance(eta.r, PiecewiseSolution):
+            if _computed_r(self) is not None:
                 r, r_x = ex.Var("r"), ex.Var("r_x")
             else:
                 r, r_x = eta.r, _deriv(eta.r, "x")
@@ -88,12 +88,6 @@ class VectorField(ex.Record):
             eta_x, eta_y = _deriv(eta, "x"), _deriv(eta, "y")
         return (self.xi, ex.substitute(self.xi, _AT_DELAYED), eta,
                 ex.substitute(eta, _AT_DELAYED), eta_x, eta_y, _deriv(self.xi, "x"))
-
-    @functools.cached_property
-    def _trees_key(self) -> str:
-        """expr._key of _trees: the field's part of the key under which the
-        kernels and loops built from them are cached."""
-        return ex._key(self._trees)
 
 
 def _computed_r(v: VectorField) -> PiecewiseSolution | None:
@@ -128,9 +122,10 @@ _ARG = {name: f"a{i}" for i, name in enumerate(_KERNEL_ARGS + _OUTSIDE_ARGS)}
 _AT_DELAYED = {"x": ex.Var("xm"), "y": ex.Var("ym"), "r": ex.Var("r_m")}
 
 
-def _kernel_trees(v: VectorField, d: Dods) -> tuple[tuple[ex.Expr, ...], tuple[str, ...]]:
-    """The kernel's twenty trees and its arguments."""
-    partials, trees = d.manifold_partials, v._trees
+def _kernel_trees(partials: tuple[ex.Expr, ...], trees: tuple[ex.Expr, ...], computed: bool
+                  ) -> tuple[tuple[ex.Expr, ...], tuple[str, ...]]:
+    """The kernel's twenty trees from a system's manifold_partials and a
+    field's _trees, and its arguments, the reads of r last when computed."""
     xi, xi_m, eta, eta_m, eta_x, eta_y, xi_prime = trees
     B, ydot = ex.Binary, ex.Var("ydot")
     # the arithmetic of the per-term formulas, in their order of operations
@@ -141,42 +136,25 @@ def _kernel_trees(v: VectorField, d: Dods) -> tuple[tuple[ex.Expr, ...], tuple[s
     pr1 = B("-", zeta, B("+", B("+", B("+", terms[1], terms[2]), terms[3]), terms[4]))
     pr2 = B("-", xi_m, xi_g)
     return (partials + trees + (pr1, pr2) + terms + (xi_m, xi_g),
-            _KERNEL_ARGS if _computed_r(v) is None else _KERNEL_ARGS + _OUTSIDE_ARGS)
+            _KERNEL_ARGS + _OUTSIDE_ARGS if computed else _KERNEL_ARGS)
 
 
-# Kernels and loops are cached by value, not by object: catalog() and a
-# parameter sweep rebuild equal systems and fields, and one field, such as a
-# wrong generator, meets many systems.  The key is the builder's name and
-# ex._key of the system's partials and of the field's trees, each walked once
-# and kept on its object (not pickled).  A computed r shows in the trees as
-# the variables r, r_m and r_x, which no closed form may use.  An entry holds
-# a function and its key only, never a system or a field (a computed r is
-# passed in at each call), and the oldest entry goes once there are
-# _CACHE_SIZE.
-
-_CACHE_SIZE = 256
-_CACHE: dict[tuple, Callable] = {}
-
-
-def _cached(build: Callable[[VectorField, Dods], Callable], v: VectorField, d: Dods
-            ) -> Callable:
-    key = (build.__name__, d._partials_key, v._trees_key)
-    fn = _CACHE.get(key)
-    if fn is None:
-        fn = build(v, d)
-        if len(_CACHE) >= _CACHE_SIZE:
-            del _CACHE[next(iter(_CACHE))]
-        _CACHE[key] = fn
-    return fn
-
-
-def _compile_kernel(v: VectorField, d: Dods) -> Callable[..., tuple[float, ...]]:
-    return ex.compile_many(*_kernel_trees(v, d))
+# Kernels and loops are cached by the interned trees of the system's partials
+# and the field's, not by object: catalog() and a parameter sweep rebuild
+# equal systems and fields, and one field, such as a wrong generator, meets
+# many systems.  _computed_r alone says if r is computed; its reads are passed
+# in at each call, so an entry holds trees and a function, never a system.
 
 
 def _kernel(v: VectorField, d: Dods) -> Callable[..., tuple[float, ...]]:
     """The prolongation kernel of v on d, from the cache."""
-    return _cached(_compile_kernel, v, d)
+    return _compile_kernel(d.manifold_partials, v._trees, _computed_r(v) is not None)
+
+
+@functools.lru_cache(maxsize=256)
+def _compile_kernel(partials: tuple[ex.Expr, ...], trees: tuple[ex.Expr, ...], computed: bool
+                    ) -> Callable[..., tuple[float, ...]]:
+    return ex.compile_many(*_kernel_trees(partials, trees, computed))
 
 
 def prolong_apply(v: VectorField, d: Dods,
@@ -265,12 +243,14 @@ def _perturbations(lines: list[str], outputs: list[str], reaches: list[int], com
                     if reach & mask and line not in coercions], judged)
 
 
-def _loop(v: VectorField, d: Dods) -> Callable[..., tuple[float, Invariance] | None]:
-    """check_invariance of v on d as one function of (random, lo, hi,
-    samples, delayed_point, rhs, derivative), and for a computed r also of
-    (breaks, r_value, r_eval); it returns None when no sample was valid."""
-    lines, outputs, consts, reaches = ex._emit(*_kernel_trees(v, d))
-    computed = _computed_r(v) is not None
+@functools.lru_cache(maxsize=256)
+def _loop(partials: tuple[ex.Expr, ...], trees: tuple[ex.Expr, ...], computed: bool
+          ) -> Callable[..., tuple[float, Invariance] | None]:
+    """check_invariance of a system's partials and a field's trees as one
+    function of (random, lo, hi, samples, delayed_point, rhs, derivative),
+    and for a computed r also of (breaks, r_value, r_eval); it returns None
+    when no sample was valid."""
+    lines, outputs, consts, reaches = ex._emit(*_kernel_trees(partials, trees, computed))
     reads = ["{r} = r_value({x})", "{r_m} = r_value({xm})", "{r_x} = r_eval({x})[2]"]
     source = _LOOP.format(
         **_ARG, pr1=outputs[11], pr2=outputs[12], scale=f"max(abs({'), abs('.join(outputs[13:])}))",
@@ -310,8 +290,9 @@ def check_invariance(v: VectorField, d: Dods, samples: int = 200,
     lo, hi = window if window is not None else _window_for(d.domain)
     r = _computed_r(v)
     reads = () if r is None else (r.mesh.points, r.value, r.eval)
-    judged = _cached(_loop, v, d)(random.Random(7).random, lo, hi, samples,
-                                  d.delay.delayed_point, d.rhs_fn, d.delay.derivative, *reads)
+    judged = _loop(d.manifold_partials, v._trees, r is not None)(
+        random.Random(7).random, lo, hi, samples, d.delay.delayed_point, d.rhs_fn,
+        d.delay.derivative, *reads)
     if judged is None:
         raise DomainError("no valid sample points in the window")
     return judged

@@ -375,6 +375,18 @@ class TestVerify:
         code, out, err = run(capsys, "verify", "--case", "A3_5", "--solution", "2²")
         assert (code, out, err) == (1, "", "ParseError: unexpected character '²' (at index 1)\n")
 
+    @pytest.mark.parametrize("text, position", [
+        ("(" * 200 + "x" + ")" * 200, 100),
+        ("-" * 990 + "x", 100),
+        ("+".join(["x"] * 3000), 201),
+    ], ids=["200-parentheses", "990-minus-signs", "3000-term-sum"])
+    def test_deep_text_is_a_parse_error(self, capsys, text, position):
+        # the 101st level: an opening parenthesis or minus sign, or the
+        # 101st plus sign of a chain; "=" keeps a leading minus a value
+        code, out, err = run(capsys, "verify", "--case", "A3_5", f"--solution={text}")
+        assert (code, out, err) == (1, "", "ParseError: expression nests deeper than 100 "
+                                    f"levels (at index {position})\n")
+
     @pytest.mark.parametrize("edit, message", [
         (lambda text: '{"kind": "solution"}', "the solution lacks the field 'delay'"),
         (lambda text: "not json", "malformed solution: Expecting value: line 1 column 1 (char 0)"),

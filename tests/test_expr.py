@@ -1,7 +1,10 @@
 """Expression language: grammar, evaluation, derivatives, printing."""
 
+import gc
 import math
+import pickle
 import random
+import sys
 
 import pytest
 from hypothesis import given, settings
@@ -157,6 +160,112 @@ class TestEvaluate:
         assert ev("abs(x)", x=-2.5) == 2.5
 
 
+def _frames():
+    depth, frame = 0, sys._getframe()
+    while frame is not None:
+        depth, frame = depth + 1, frame.f_back
+    return depth
+
+
+def _spare(frames, fn, *args):
+    """fn(*args), allowed at most frames more than the caller has."""
+    limit = sys.getrecursionlimit()
+    sys.setrecursionlimit(_frames() + frames)
+    try:
+        return fn(*args)
+    except DomainError:
+        return None
+    finally:
+        sys.setrecursionlimit(limit)
+
+
+class TestDepthBound:
+    """Text gives a tree at most 100 levels deep, or one ParseError."""
+
+    TEXTS = {  # n levels, each for a left chain, a prefix or a right chain
+        "parentheses": lambda n: "(" * n + "x" + ")" * n,
+        "minus signs": lambda n: "-" * n + "x",
+        "calls": lambda n: "sin(" * n + "x" + ")" * n,
+        "sum": lambda n: " + ".join(["x"] * (n + 1)),
+        "quotient": lambda n: " / ".join(["x"] * (n + 1)),
+        "powers": lambda n: "x^" * n + "2",
+        "products in a sum": lambda n: "x" + " * x" * (n // 2) + " - x" * (n - n // 2),
+        "sums in products": lambda n: "(x + 1) * " * (n // 2) + "x" + " + x" * (n - n // 2 - 1),
+    }
+
+    @pytest.mark.parametrize("name", TEXTS)
+    def test_deepest_text_parses_and_one_more_level_does_not(self, name):
+        ex.parse(self.TEXTS[name](100))
+        with pytest.raises(ParseError, match="expression nests deeper than 100 levels"):
+            ex.parse(self.TEXTS[name](101))
+
+    @pytest.mark.parametrize("name", TEXTS)
+    def test_every_walk_has_frames_to_spare_at_the_bound(self, name):
+        # 850 frames: 150 less than the default recursion limit allows
+        text = self.TEXTS[name](100)
+        tree = _spare(850, ex.parse, text)
+        for walk in (lambda: ex.evaluate(tree, {"x": 0.5}),
+                     lambda: ex.fold(ex.differentiate(tree, "x")),
+                     lambda: ex.to_text(tree),
+                     lambda: ex.substitute(tree, {"x": ex.Var("y")}),
+                     lambda: ex.variables_of(tree),
+                     lambda: ex.compile(tree, ("x",))(0.5)):
+            _spare(850, walk)
+
+    def test_shallow_text_keeps_its_tree(self):
+        assert ex.parse("(((x)))") is ex.Var("x")
+        assert ex.parse(" + ".join(["x"] * 101)).left is ex.parse(" + ".join(["x"] * 100))
+
+
+class TestInterning:
+    def test_equal_trees_are_one_object(self):
+        built = ex.Binary("+", ex.Unary("sin", ex.Var("x")), ex.Num(2.0))
+        assert ex.parse("sin(x) + 2") is built
+        assert pickle.loads(pickle.dumps(built)) is built
+        assert ex.substitute(built, {}) is built and hash(built) == hash(("+", built.left,
+                                                                         built.right))
+
+    def test_signed_zero_and_int_constants_stay_apart(self):
+        # == is identity: constants are equal when their bits and types are
+        for a, b in ((0.0, -0.0), (1, 1.0)):
+            assert ex.Num(a) is not ex.Num(b) and ex.Num(a) != ex.Num(b)
+            assert ex.compile(ex.Num(a), ()) is not ex.compile(ex.Num(b), ())
+            assert repr(ex.compile(ex.Num(a), ())()) == repr(a)
+        assert ex.Num(float("nan")) is ex.Num(float("nan"))
+
+    def test_deep_tree_hashes_and_compares_without_recursion(self):
+        tree = ex.Var("x")
+        for i in range(3000):
+            tree = ex.Binary("+", tree, ex.Num(float(i % 7))) if i % 2 else ex.Unary("neg", tree)
+        again = ex.Var("x")
+        for i in range(3000):
+            again = ex.Binary("+", again, ex.Num(float(i % 7))) if i % 2 else ex.Unary("neg", again)
+        assert again is tree and again == tree and hash(again) == hash(tree)
+        assert tree != ex.Unary("neg", tree) and {tree: 1}[again] == 1
+
+    def test_the_table_keeps_only_live_nodes(self):
+        from delaysym.dods import CatalogCase, catalog
+        from delaysym.symmetry import check_invariance
+
+        def build():
+            e = catalog(CatalogCase("A3_5", {"C1": 1.625, "C2": 0.875}))
+            for v in e.algebra:
+                check_invariance(v, e.dods, 7, e.window)
+
+        build()  # caches keep the trees their entries are keyed by
+        gc.collect()
+        start = len(ex._LIVE)
+        build()
+        gc.collect()
+        assert len(ex._LIVE) == start
+        tree = ex.Num(-123.4375)
+        for _ in range(500):
+            tree = ex.Binary("*", tree, ex.Var("unused_name"))
+        assert len(ex._LIVE) == start + 502
+        del tree
+        assert len(ex._LIVE) == start
+
+
 class TestRoundTrip:
     CASES = [
         "x + 1",
@@ -290,6 +399,15 @@ class TestFoldSubstitute:
         for text in ("1e-13", "1e-320", "0/0", "sin(x)^2 + cos(x)^2 - 1", "x - x"):
             assert not ex.is_zero(ex.parse(text)), text
 
+    @pytest.mark.parametrize("text", ["1e999 - 1e999 + x", "x * (1e999 + -1e999)",
+                                      "1e999 / 1e999", "sin(1e999 - 1e999)", "1e999*1e999 - 1e999"])
+    def test_fold_keeps_nan_subtrees(self, text):
+        # NaN has no literal: a subtree whose value is NaN stays, as one that
+        # raises does, so the folded tree prints as text that parses
+        folded = ex.fold(ex.parse(text))
+        assert ex.fold(ex.parse(ex.to_text(folded))) is folded
+        assert math.isnan(ex.evaluate(folded, {"x": 1.0}))
+
     def test_substitute_value(self):
         tree = ex.parse("x^2 + x")
         out = ex.substitute(tree, {"x": ex.Num(3.0)})
@@ -348,6 +466,25 @@ def _agrees(tree, args, values):
     want = _outcome(ex.evaluate, tree, dict(zip(args, values)))
     got = _outcome(ex.compile(tree, args), *values)
     return _same(want, got), (want, got)
+
+
+class TestFoldedTreesPrint:
+    @settings(max_examples=400, deadline=None)
+    @given(st.recursive(
+        st.one_of((_values | st.sampled_from((math.inf, -math.inf))).map(ex.Num),
+                  st.sampled_from(_ARGS).map(ex.Var)),
+        lambda sub: st.one_of(st.builds(ex.Unary, st.sampled_from(_UNARY_OPS), sub),
+                              st.builds(ex.Binary, st.sampled_from(ex.BINARY_OPS), sub, sub)),
+        max_leaves=24))
+    def test_folded_tree_reparses_and_folds_back(self, tree):
+        # a folded constant may be negative, which text spells as a minus
+        # sign on its magnitude, so the reparsed tree folds back to it; with
+        # interned trees that is bit for bit
+        folded = ex.fold(tree)
+        text = ex.to_text(folded)
+        reparsed = ex.parse(text, _ARGS)
+        assert ex.to_text(reparsed) == text
+        assert ex.fold(reparsed) is folded, text
 
 
 class TestCompile:

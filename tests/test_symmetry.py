@@ -582,7 +582,7 @@ class TestKernel:
                           (PiecewiseSolution, "eval"), (PiecewiseSolution, "value")):
             counted(cls, name)
         # the sign line of every loop built from here on, by its code object
-        monkeypatch.setattr(symmetry, "_CACHE", {})
+        symmetry._loop.cache_clear()
         sign_line = {}
         inner_bytecode = ex._bytecode
 
@@ -636,16 +636,13 @@ class TestKernel:
         assert {n for _, n in got[:-2]} == {0, 1, 40}
         assert all(result[1] is Invariance.WEAK and 1 < n < 40 for result, n in got[-2:])
 
-    def test_kernel_source_holds_each_guard_once(self, monkeypatch):
+    def test_kernel_source_holds_each_guard_once(self):
         # A3_7's X3 divides by (x - xm)^C2 in four partials: its kernel
         # tests that divisor once, before the first quotient
         e = catalog("A3_7")
-        sources = []
-        inner = ex._bytecode
-        monkeypatch.setattr(ex, "_bytecode", lambda s: (sources.append(s), inner(s))[1])
-        symmetry._compile_kernel(e.algebra[2], e.dods)
-        guards = [line.strip() for line in sources[0].split("\n")
-                  if line.strip().startswith("if ")]
+        lines = ex._emit(*symmetry._kernel_trees(e.dods.manifold_partials, e.algebra[2]._trees,
+                                                 False))[0]
+        guards = [line for line in lines if line.startswith("if ")]
         assert len(guards) == len(set(guards)) == 5
         assert "if t7 == 0.0: raise _division_by_zero()" in guards
 
@@ -663,7 +660,8 @@ class TestKernel:
         for cid in sorted(EXPECTED):
             e = catalog(cid)
             for v in e.algebra:
-                lines, outputs, _, reaches = ex._emit(*symmetry._kernel_trees(v, e.dods))
+                lines, outputs, _, reaches = ex._emit(
+                    *symmetry._kernel_trees(e.dods.manifold_partials, v._trees, False))
                 blocks = list(symmetry._perturbations(lines, outputs, reaches, False))
                 assert blocks, (cid, v.name)
                 for arg, _, statements, _ in blocks:
@@ -677,9 +675,9 @@ class TestKernel:
                     assert len(statements) == sum(1 for line, reach in zip(lines, reaches)
                                                   if reach & bit and line != coercion)
                     total += len(statements)
-                symmetry._loop(v, e.dods)
+                symmetry._loop.__wrapped__(e.dods.manifold_partials, v._trees, False)
         assert total <= 1868
-        symmetry._loop(_CHI[1], _CHI[2])
+        symmetry._loop.__wrapped__(_CHI[2].manifold_partials, _CHI[1]._trees, True)
         loops = [source for source in sources if "max_on" in source]
         assert len(loops) == 40 and any("r_value(b2)" in source for source in loops)
         assert not any(re.search(r"\bb(\d+) = float\(b\1\)", source) for source in loops)
@@ -772,21 +770,22 @@ class TestKernel:
         before = check_invariance(v, e.dods, samples=40, window=e.window)
         point = (0.5, 1.0, e.dods.delay.delayed_point(0.5), -0.3, 0.7)
         applied = prolong_apply(v, e.dods, point)
-        # the cache keys are kept on the field and the system, not pickled
-        assert "_trees_key" in v.__dict__ and "_partials_key" in e.dods.__dict__
+        # the trees that key the cache are kept on the field and the system,
+        # not pickled
+        assert "_trees" in v.__dict__ and "manifold_partials" in e.dods.__dict__
         data = pickle.dumps((v, e.dods))
         assert data == pickle.dumps((VectorField(v.xi, v.eta, v.name),
                                      Dods(e.dods.rhs, e.dods.delay, e.dods.domain,
                                           e.dods.rhs_manifold)))
         v2, d2 = pickle.loads(data)
         assert (v2, d2) == (v, e.dods)
-        assert "_trees_key" not in v2.__dict__ and "_partials_key" not in d2.__dict__
+        assert "_trees" not in v2.__dict__ and "manifold_partials" not in d2.__dict__
         assert check_invariance(v2, d2, samples=40, window=e.window) == before
         assert prolong_apply(v2, d2, point) == applied
 
 
 class TestCache:
-    """The module cache of kernels and loops, keyed on the trees' values."""
+    """The caches of kernels and loops, keyed on the interned trees."""
 
     def test_rebuilt_entry_generates_no_new_source(self, monkeypatch):
         case = CatalogCase("A3_5", {"C1": 1.25, "C2": 0.75})
@@ -799,32 +798,51 @@ class TestCache:
 
         first = run()
         built = []
-        for name in ("_loop", "_compile_kernel"):
-            inner = getattr(symmetry, name)
-            monkeypatch.setattr(symmetry, name, functools.wraps(inner)(
-                lambda v, d, inner=inner: (built.append(v), inner(v, d))[1]))
-        sources = []
-        inner_bytecode = ex._bytecode
-        monkeypatch.setattr(ex, "_bytecode", lambda s: (sources.append(s), inner_bytecode(s))[1])
+        for name in ("_emit", "_bytecode"):
+            inner = getattr(ex, name)
+            monkeypatch.setattr(ex, name, lambda *a, inner=inner: (built.append(a), inner(*a))[1])
         assert run() == first
         assert built == []
-        assert not any("max_on" in s for s in sources)
+
+    def test_other_constants_reuse_the_bytecode(self, monkeypatch):
+        # constants are closure values: the case at other parameters misses
+        # the caches keyed by trees, but every source it generates is one
+        # already compiled
+        def run(params):
+            e = catalog(CatalogCase("A3_5", params))
+            point = (1.5, 0.3, e.dods.delay.delayed_point(1.5), 0.2, 0.1)
+            return [(check_invariance(v, e.dods, 7, e.window), prolong_apply(v, e.dods, point))
+                    for v in e.algebra + (_WRONG,)]
+
+        run({"C1": 1.25, "C2": 0.75})
+        emitted = []
+        inner = ex._emit
+        monkeypatch.setattr(ex, "_emit", lambda *a: (emitted.append(a), inner(*a))[1])
+        before = ex._bytecode.cache_info()
+        run({"C1": 0.9, "C2": 1.1})
+        after = ex._bytecode.cache_info()
+        assert len(emitted) >= 2 * 4
+        assert after.misses == before.misses and after.hits - before.hits == len(emitted)
 
     def test_keys_are_walked_once_per_object(self, monkeypatch):
+        # the trees are the key: a rebuilt system and field, their trees
+        # built, find the loop by the stored hashes of the key's 11 roots, and
+        # no other node is hashed or compared
         e = catalog("A3_5")
         v = e.algebra[2]
-        check_invariance(v, e.dods, 7, e.window)
-        walks = []
-        inner = ex._key
-        monkeypatch.setattr(ex, "_key", lambda trees: (walks.append(1), inner(trees))[1])
-        point = (1.5, 0.3, e.dods.delay.delayed_point(1.5), 0.2, 0.1)
-        for _ in range(3):
-            check_invariance(v, e.dods, 7, e.window)
-            prolong_apply(v, e.dods, point)
-        assert walks == []
+        want = check_invariance(v, e.dods, 7, e.window)
         rebuilt = catalog("A3_5")
-        check_invariance(rebuilt.algebra[2], rebuilt.dods, 7, e.window)
-        assert len(walks) == 2  # the rebuilt system's partials and field's trees
+        w, d = rebuilt.algebra[2], rebuilt.dods
+        roots = (*d.manifold_partials, *w._trees)
+        assert roots == (*e.dods.manifold_partials, *v._trees)
+        d.rhs_fn, d.delay.delayed_point, d.delay.derivative  # compiled, and kept on d
+        hashed = []
+        inner = ex.Expr.__hash__
+        monkeypatch.setattr(ex.Expr, "__hash__", lambda node: (hashed.append(node), inner(node))[1])
+        misses = symmetry._loop.cache_info().misses
+        assert check_invariance(w, d, 7, e.window) == want
+        assert symmetry._loop.cache_info().misses == misses
+        assert sorted(map(id, hashed)) == sorted(map(id, roots))
 
     def test_signed_zero_and_int_constants_stay_apart(self):
         # x = 0.5 > 0 > xm = -0.5: pr2 = c*xm - (c*x)*g' is -0.0 for c = 0.0
@@ -837,25 +855,24 @@ class TestCache:
             pr2 = prolong_apply(v, d, point)[1]
             assert pr2.hex() == _per_term(v, d)(point)[1].hex()
             assert repr(symmetry._kernel(v, d)(*point, 1.0)[6]) == repr(c)
-            seen[repr(c)] = (symmetry._cached(symmetry._loop, v, d),
-                             symmetry._cached(symmetry._compile_kernel, v, d), pr2.hex())
+            seen[repr(c)] = (symmetry._loop(d.manifold_partials, v._trees, False),
+                             symmetry._kernel(v, d), pr2.hex())
             check_invariance(v, d, 7, (0.5, 1.5))
         assert seen["0.0"][2] == "-0x0.0p+0" and seen["-0.0"][2] == "0x0.0p+0"
         for a, b in (("0.0", "-0.0"), ("1", "1.0")):
             assert seen[a][0] is not seen[b][0] and seen[a][1] is not seen[b][1]
 
-    def test_bound_holds(self, monkeypatch):
-        monkeypatch.setattr(symmetry, "_CACHE", {})
-        monkeypatch.setattr(symmetry, "_CACHE_SIZE", 4)
+    def test_bound_holds(self):
+        assert (symmetry._loop.cache_info().maxsize == symmetry._compile_kernel.cache_info().maxsize
+                == 256)
+        assert ex._generate.cache_info().maxsize == 1024
         d, _ = smoothing_instance()
         fields = [VectorField(ex.Num(0.0), ex.parse(f"{k}*x^2")) for k in range(1, 7)]
         first = [check_invariance(v, d, 7, (0.5, 1.5)) for v in fields]
-        assert len(symmetry._CACHE) == 4
-        # the oldest went first; an evicted loop is built again, alike
-        names = [key[0] for key in symmetry._CACHE]
-        assert names == ["_loop"] * 4
+        # an evicted loop is built again, alike
+        symmetry._loop.cache_clear()
         assert [check_invariance(v, d, 7, (0.5, 1.5)) for v in fields] == first
-        assert len(symmetry._CACHE) == 4
+        assert symmetry._loop.cache_info().currsize == 6
 
     def test_holds_no_system_or_field(self):
         for e in (catalog("A3_7"), catalog("A4_14")):
@@ -865,23 +882,60 @@ class TestCache:
         label, v, d, window = _CHI
         check_invariance(v, d, 7, window)
         prolong_apply(v, d, (0.5, 0.3, -0.5, 0.2, 0.1))
-        # walk everything the cache refers to, except modules, classes and
-        # the globals of the generated functions, checked apart below
+        # walk everything the caches refer to, except modules, classes and
+        # the globals of the generated functions, checked apart below; trees
+        # are what the caches are keyed by
         module_dicts = {id(vars(m)) for m in list(sys.modules.values()) if m is not None}
         skipped = module_dicts | {id(ex._COMPILE_GLOBALS), id(symmetry._LOOP_GLOBALS)}
-        seen, todo = set(), [symmetry._CACHE]
+        seen, todo = set(), [symmetry._loop, symmetry._compile_kernel, ex._generate]
         while todo:
             obj = todo.pop()
             if id(obj) in seen or id(obj) in skipped or isinstance(obj, (type, types.ModuleType)):
                 continue
             seen.add(id(obj))
-            assert not isinstance(obj, (Dods, VectorField, AffineEta, PiecewiseSolution,
-                                        ex.Expr)), obj
+            assert not isinstance(obj, (Dods, VectorField, AffineEta, PiecewiseSolution)), obj
             todo.extend(gc.get_referents(obj))
         assert len(seen) > 100
         for value in (*ex._COMPILE_GLOBALS.values(), *symmetry._LOOP_GLOBALS.values()):
             assert isinstance(value, (types.FunctionType, types.BuiltinFunctionType,
                                       types.ModuleType, tuple, Invariance)), value
+
+
+def _bracket(v, w):
+    """[v, w] of two closed-form fields, as its (xi, eta) trees."""
+    d = ex.differentiate
+    xi = ex.Binary("-", ex.Binary("*", v.xi, d(w.xi, "x")), ex.Binary("*", w.xi, d(v.xi, "x")))
+    eta = ex.Binary("-", ex.Binary("+", ex.Binary("*", v.xi, d(w.eta, "x")),
+                                   ex.Binary("*", v.eta, d(w.eta, "y"))),
+                    ex.Binary("+", ex.Binary("*", w.xi, d(v.eta, "x")),
+                              ex.Binary("*", w.eta, d(v.eta, "y"))))
+    return xi, eta
+
+
+class TestAlgebraCloses:
+    """Each case's listed generators span a Lie algebra: every bracket of two
+    of them is a constant combination of them all."""
+
+    @pytest.mark.parametrize("seed", [None, 1, 2])
+    @pytest.mark.parametrize("key", [variant[0] for variant in _BENCH_VARIANTS])
+    def test_brackets_lie_in_the_span(self, key, seed):
+        np = pytest.importorskip("numpy")
+        variant = next(variant for variant in _BENCH_VARIANTS if variant[0] == key)
+        case = CatalogCase(variant[1], variant[2] or None) if seed is None else _bench_case(key, seed)
+        e = catalog(case)
+        rng = random.Random(f"{key} {seed}")
+        points = [{"x": rng.uniform(*e.window), "y": rng.uniform(-2.0, 2.0)} for _ in range(12)]
+
+        def column(xi, eta):
+            return [ex.evaluate(t, p) for p in points for t in (xi, eta)]
+
+        span = np.array([column(v.xi, v.eta) for v in e.algebra]).T
+        for i, v in enumerate(e.algebra):
+            for w in e.algebra[i + 1:]:
+                target = np.array(column(*_bracket(v, w)))
+                c = np.linalg.lstsq(span, target, rcond=None)[0]
+                scale = max(1.0, np.abs(target).max(), np.abs(span).max())
+                assert np.abs(span @ c - target).max() <= 1e-12 * scale, (v.name, w.name, c)
 
 
 class TestVerticalFromSolution:
