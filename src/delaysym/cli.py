@@ -10,6 +10,7 @@ from __future__ import annotations
 
 import argparse
 import json
+import re
 import sys
 from collections.abc import Sequence
 
@@ -273,9 +274,22 @@ def _build_parser() -> argparse.ArgumentParser:
     return top
 
 
+def _joined(argv: Sequence[str]) -> list[str]:
+    """argv with each --name joined to the word after it as --name=value, so
+    that a value such as -x^2 is not read as an option: every option but
+    --help takes one value, and -h or a word that starts with '--' is none."""
+    out: list[str] = []
+    for arg in argv:
+        if out and re.fullmatch(r"--(?!help$)[^=]+", out[-1]) and not re.match("-h$|--", arg):
+            out[-1] += f"={arg}"
+        else:
+            out.append(arg)
+    return out
+
+
 def main(argv: Sequence[str] | None = None) -> int:
     parser = _build_parser()
-    args = parser.parse_args(argv)
+    args = parser.parse_args(_joined(sys.argv[1:] if argv is None else argv))
     if args.command == "catalog" and args.action == "show" and not args.case:
         parser.error("catalog show needs a case id")
     if args.command == "solve" and not args.spec and (args.phi is None or args.x0 is None):

@@ -208,7 +208,7 @@ class MoebiusDelay(DelayRelation):
 
 
 class GeneralDelay(DelayRelation):
-    """x- = g(x) for user supplied g, declared strictly increasing.
+    """x- = g(x) for a user supplied g, which must be strictly increasing.
 
     delayed_point checks g(x) < x at every call.  advance solves g(x+) = x
     by doubling an initial bracket [x, x + 1] up to 60 times and bisecting;
@@ -216,7 +216,6 @@ class GeneralDelay(DelayRelation):
     """
 
     g: ex.Expr
-    increasing: bool = True
 
     def __post_init__(self) -> None:
         ex.check_variables(self.g, {"x"}, "delay function may only use x")
@@ -236,8 +235,6 @@ class GeneralDelay(DelayRelation):
         return xm
 
     def advance(self, x: float) -> float:
-        if not self.increasing:
-            raise NotMonotone("cannot advance a relation not declared increasing")
         gval = self._g
         lo = x
         width = 1.0
@@ -289,13 +286,13 @@ def scale_delay(c: float) -> DelayRelation:
 
     0 < c < 1 gives the invertible scale relation; negative c still delays
     every positive x but is not increasing, so it is represented as a general
-    relation that cannot be advanced or meshed.
+    relation, which advance finds decreasing at its first bracket step.
     """
     if c == 0.0 or c >= 1.0:
         raise ParameterDomainError(f"scale ratio must satisfy c < 1, c != 0, got {c!r}")
     if c > 0.0:
         return QScaleDelay(c)
-    return GeneralDelay(ex.Binary("*", ex.Num(c), _X), increasing=False)
+    return GeneralDelay(ex.Binary("*", ex.Unary("neg", ex.Num(-c)), _X))  # as its spec parses
 
 
 # ---------------------------------------------------------------------------

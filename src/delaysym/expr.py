@@ -141,6 +141,8 @@ def _forget(ref: _Ref) -> None:
 
 
 def _make(cls: type, key: tuple, fields: tuple) -> Expr:
+    if cls in _OPS and fields[0] not in _OPS[cls]:
+        raise ValueError(f"bad {cls.__name__.lower()} op {fields[0]!r}")
     node = object.__new__(cls)
     for name, value in zip(cls.__slots__, fields):
         object.__setattr__(node, name, value)
@@ -187,6 +189,9 @@ class Binary(Expr):
     def __new__(cls, op: str, left: Expr, right: Expr) -> Binary:
         ref = _LIVE.get(key := (op, id(left), id(right)))
         return ref and ref() or _make(cls, key, (op, left, right))
+
+
+_OPS = {Unary: ("neg",) + FUNCTIONS, Binary: BINARY_OPS}  # checked when a node is made
 
 
 def _constant_key(value: object) -> object:
@@ -449,17 +454,11 @@ def _eval(e: Expr, b: Mapping[str, float]) -> float:
             raise _sqrt_domain(v)
         if op in ("sin", "cos", "tan") and math.isinf(v):
             raise _infinite_angle(op, v)
-        fn = _UNARY_FN.get(op)
-        if fn is None:
-            raise ValueError(f"bad unary op {op!r}")
-        return fn(v)
+        return _UNARY_FN[op](v)
     l, r, op = _eval(e.left, b), _eval(e.right, b), e.op
     if op == "/" and r == 0.0:
         raise _division_by_zero()
-    fn = _BINARY_FN.get(op)
-    if fn is None:
-        raise ValueError(f"bad binary op {op!r}")
-    return fn(l, r)
+    return _BINARY_FN[op](l, r)
 
 
 # ---------------------------------------------------------------------------
@@ -579,9 +578,9 @@ def _emit(trees: tuple[Expr, ...], args: Sequence[str]
           ) -> tuple[list[str], list[str], list[object], list[int]]:
     """The statements that evaluate the trees over the arguments a0, a1, ...,
     the name that holds each tree's value after them, the constants k0, k1,
-    ... they read, and for each statement the arguments it reaches, as a mask
-    with bit i set when its value depends on argument i, read directly or
-    through the names it reads (a guard, through the operand it tests).
+    ... they read, and for each tree the count of statements up to its value:
+    those from one tree's count to the next's are the next tree's nodes that
+    no earlier tree holds.
     Argument i is the variable a<i>.  The statements assign only a<i> and
     t<k>, and read only those, k<i> and the names of _COMPILE_GLOBALS, so
     code around them may use any other name."""
@@ -595,8 +594,7 @@ def _emit(trees: tuple[Expr, ...], args: Sequence[str]
     seen: dict[int, str] = {}  # id of a node already named -> its name
     names: list[str] = []  # the name holding each evaluated operand
     outputs: list[str] = []
-    reach: dict[str, int] = {}  # argument or temporary -> the arguments it reaches
-    reaches: list[int] = []
+    ends: list[int] = []
 
     def const(value: object) -> str:
         consts.append(value)
@@ -610,22 +608,13 @@ def _emit(trees: tuple[Expr, ...], args: Sequence[str]
                 arity = 1 if isinstance(node, Unary) else 2
                 operands = names[-arity:]
                 del names[-arity:]
-                template = (_UNARY_TEMPLATES if arity == 1 else _BINARY_TEMPLATES).get(node.op)
-                if template is None:
-                    kind = "unary" if arity == 1 else "binary"
-                    raise ValueError(f"bad {kind} op {node.op!r}")
-                mask = 0
-                for operand in operands:
-                    mask |= reach.get(operand, 0)
+                template = (_UNARY_TEMPLATES if arity == 1 else _BINARY_TEMPLATES)[node.op]
                 guard = _GUARDS.get(node.op, "").format(*operands)
                 if guard and guard not in guarded:  # it tests the last operand
                     guarded.add(guard)
                     lines.append(guard)
-                    reaches.append(reach.get(operands[-1], 0))
                 name = seen[id(node)] = f"t{len(lines)}"
-                reach[name] = mask
                 lines.append(f"{name} = {template.format(*operands)}")
-                reaches.append(mask)
             elif (name := seen.get(id(node))) is not None:
                 pass
             elif isinstance(node, Num):
@@ -635,12 +624,9 @@ def _emit(trees: tuple[Expr, ...], args: Sequence[str]
                 if i is None:
                     name = seen[id(node)] = "None"
                     lines.append(f"raise _unbound({const(node.name)})")
-                    reaches.append(0)
                 else:
                     name = seen[id(node)] = f"a{i}"
-                    reach[name] = 1 << i
                     lines.append(f"{name} = float({name})")
-                    reaches.append(reach[name])
             else:
                 todo.append((node, True))
                 if isinstance(node, Unary):
@@ -653,7 +639,8 @@ def _emit(trees: tuple[Expr, ...], args: Sequence[str]
                 continue
             names.append(name)
         outputs.append(names.pop())
-    return lines, outputs, consts, reaches
+        ends.append(len(lines))
+    return lines, outputs, consts, ends
 
 
 def _define(params: str, body: Sequence[str], consts: Sequence[object],
@@ -783,6 +770,31 @@ def _pow(a: Expr, b: Expr) -> Expr:
 _BUILD = {"+": _add, "-": _sub, "*": _mul, "/": _div, "^": _pow}
 
 
+# the derivative of op(u) from u and u', and of l op r from l, r, l' and r'
+_UNARY_D = {
+    "neg": lambda u, du: _neg(du),
+    "exp": lambda u, du: _mul(Unary("exp", u), du),
+    "ln": lambda u, du: _div(du, u),
+    "sin": lambda u, du: _mul(Unary("cos", u), du),
+    "cos": lambda u, du: _neg(_mul(Unary("sin", u), du)),
+    "tan": lambda u, du: _div(du, _pow(Unary("cos", u), Num(2.0))),
+    "atan": lambda u, du: _div(du, _add(_ONE, _pow(u, Num(2.0)))),
+    "sqrt": lambda u, du: _div(du, _mul(Num(2.0), Unary("sqrt", u))),
+    "abs": lambda u, du: _mul(Unary("sign", u), du),
+    "sign": lambda u, du: _ZERO,
+}
+_BINARY_D = {
+    "+": lambda l, r, dl, dr: _add(dl, dr),
+    "-": lambda l, r, dl, dr: _sub(dl, dr),
+    "*": lambda l, r, dl, dr: _add(_mul(dl, r), _mul(l, dr)),
+    "/": lambda l, r, dl, dr: _div(_sub(_mul(dl, r), _mul(l, dr)), _pow(r, Num(2.0))),
+    # d(u^c) = c*u^(c-1)*u', and in general d(u^v) = u^v * (v' ln u + v u'/u)
+    "^": lambda l, r, dl, dr: (
+        _mul(_mul(r, _pow(l, _sub(r, _ONE))), dl) if is_constant(r)
+        else _mul(Binary("^", l, r), _add(_mul(dr, Unary("ln", l)), _mul(r, _div(dl, l))))),
+}
+
+
 def differentiate(e: Expr, var: str) -> Expr:
     """Exact symbolic derivative with respect to var.
 
@@ -794,52 +806,9 @@ def differentiate(e: Expr, var: str) -> Expr:
     if isinstance(e, Var):
         return _ONE if e.name == var else _ZERO
     if isinstance(e, Unary):
-        u = e.child
-        du = differentiate(u, var)
-        op = e.op
-        if op == "neg":
-            return _neg(du)
-        if op == "exp":
-            return _mul(Unary("exp", u), du)
-        if op == "ln":
-            return _div(du, u)
-        if op == "sin":
-            return _mul(Unary("cos", u), du)
-        if op == "cos":
-            return _neg(_mul(Unary("sin", u), du))
-        if op == "tan":
-            return _div(du, _pow(Unary("cos", u), Num(2.0)))
-        if op == "atan":
-            return _div(du, _add(_ONE, _pow(u, Num(2.0))))
-        if op == "sqrt":
-            return _div(du, _mul(Num(2.0), Unary("sqrt", u)))
-        if op == "abs":
-            return _mul(Unary("sign", u), du)
-        if op == "sign":
-            return _ZERO
-        raise ValueError(f"bad unary op {op!r}")
-    l, r = e.left, e.right
-    dl = differentiate(l, var)
-    dr = differentiate(r, var)
-    op = e.op
-    if op == "+":
-        return _add(dl, dr)
-    if op == "-":
-        return _sub(dl, dr)
-    if op == "*":
-        return _add(_mul(dl, r), _mul(l, dr))
-    if op == "/":
-        return _div(_sub(_mul(dl, r), _mul(l, dr)), _pow(r, Num(2.0)))
-    if op == "^":
-        if is_constant(r):
-            # d(u^c) = c*u^(c-1)*u'
-            return _mul(_mul(r, _pow(l, _sub(r, _ONE))), dl)
-        # general case via u^v * (v' ln u + v u'/u)
-        return _mul(
-            Binary("^", l, r),
-            _add(_mul(dr, Unary("ln", l)), _mul(r, _div(dl, l))),
-        )
-    raise ValueError(f"bad binary op {op!r}")
+        return _UNARY_D[e.op](e.child, differentiate(e.child, var))
+    return _BINARY_D[e.op](e.left, e.right, differentiate(e.left, var),
+                           differentiate(e.right, var))
 
 
 def is_zero(e: Expr) -> bool:

@@ -20,7 +20,6 @@ import enum
 import functools
 import math
 import random
-import re
 import warnings
 from collections.abc import Callable
 
@@ -114,20 +113,21 @@ class Invariance(enum.Enum):
 # subexpressions.  An eta whose r is a computed solution takes three reads of
 # it, r(x), r(xm) and r'(x), after the six point arguments; p is compiled in
 # the kernel like any other tree.  The kernel's statements hold argument i in
-# the variable a<i> (expr._emit); _ARG names them for the sampling loop.
+# the variable a<i> (expr._emit); _ARG names them, then phase 2's <name>~.
 
 _KERNEL_ARGS = ("x", "y", "xm", "ym", "ydot", "gp")
 _OUTSIDE_ARGS = ("r", "r_m", "r_x")
-_ARG = {name: f"a{i}" for i, name in enumerate(_KERNEL_ARGS + _OUTSIDE_ARGS)}
+_FRESH = ("y~", "ym~", "ydot~", "xm~", "r_m~")
+_ARG = {name: f"a{i}" for i, name in enumerate(_KERNEL_ARGS + _OUTSIDE_ARGS + _FRESH)}
 _AT_DELAYED = {"x": ex.Var("xm"), "y": ex.Var("ym"), "r": ex.Var("r_m")}
 
 
-def _kernel_trees(partials: tuple[ex.Expr, ...], trees: tuple[ex.Expr, ...], computed: bool
-                  ) -> tuple[tuple[ex.Expr, ...], tuple[str, ...]]:
+def _kernel_trees(partials: tuple[ex.Expr, ...], trees: tuple[ex.Expr, ...], computed: bool,
+                  ydot: str = "ydot") -> tuple[tuple[ex.Expr, ...], tuple[str, ...]]:
     """The kernel's twenty trees from a system's manifold_partials and a
-    field's _trees, and its arguments, the reads of r last when computed."""
+    field's _trees, slope ydot, and its arguments, r's reads last if computed."""
     xi, xi_m, eta, eta_m, eta_x, eta_y, xi_prime = trees
-    B, ydot = ex.Binary, ex.Var("ydot")
+    B, ydot = ex.Binary, ex.Var(ydot)
     # the arithmetic of the per-term formulas, in their order of operations
     zeta = B("-", B("+", eta_x, B("*", eta_y, ydot)), B("*", ydot, xi_prime))
     terms = (zeta, B("*", xi, partials[0]), B("*", eta, partials[1]),
@@ -176,9 +176,10 @@ def prolong_apply(v: VectorField, d: Dods,
 # pr1 and pr2 make the seven terms finite, as each enters a sum or
 # difference, so the scale is taken only when worst > 1e-7.  While every
 # sample passes, phase 2 perturbs each as soon as it passes, until one
-# perturbation fails.  A perturbation reruns, renamed, only the statements
-# that reach what it moves: the rest ran without raising at the same values.
-# One that moves no judged value is left out; no call or read of r overflows.
+# perturbation fails.  A perturbation reruns only the nodes that contain
+# its fresh variables: interned, the rest are the point's, which ran without
+# raising at the same values.  One that changes no judged tree is left out;
+# no call or read of r overflows.
 
 _LOOP = """\
 width = hi - lo
@@ -214,8 +215,9 @@ return max_on, _WEAK if weak else _STRONG"""
 _LOOP_GLOBALS = {**ex._COMPILE_GLOBALS, "_SKIPPED": (DomainError, OutOfRange, OverflowError),
                  "_isfinite": math.isfinite, "_STRONG": Invariance.STRONG,
                  "_WEAK": Invariance.WEAK, "_NOT_INVARIANT": Invariance.NOT_INVARIANT}
-_MOVES = (("y", "{y} + sign"), ("ym", "{ym} + sign"), ("ydot", "{ydot} + sign"),
-          ("xm", "{xm} + sign * ({x} - {xm}) / 2.0"))
+# phase 2's moves: each sets <name>~ for each name it moves (r_m if computed)
+_MOVES = ((("y", "{y} + sign"),), (("ym", "{ym} + sign"),), (("ydot", "{ydot} + sign"),),
+          (("xm", "{xm} + sign * ({x} - {xm}) / 2.0"), ("r_m", "r_value({xm~})")))
 
 
 def _block(depth: int, *lines: str) -> str:
@@ -223,24 +225,26 @@ def _block(depth: int, *lines: str) -> str:
     return "".join(f"{'    ' * depth}{line}\n" for line in lines)
 
 
-def _perturbations(lines: list[str], outputs: list[str], reaches: list[int], computed: bool):
-    """Phase 2's perturbations (_MOVES, in order) that move a judged output:
-    the argument moved, the lines that move it (and r_m with xm), the
-    statements that reach it bar its float() coercion, and pr1, pr2 and the
-    terms, each name that moves renamed a<i> to b<i> and t<k> to u<k>."""
-    for arg, value in _MOVES:
-        args = [_ARG[arg]] + ([_ARG["r_m"]] if arg == "xm" and computed else [])
-        mask = sum(1 << int(name[1:]) for name in args)
-        moving = {*args, *(f"t{k}" for k, reach in enumerate(reaches) if reach & mask)}
-        coercions = {f"{a} = float({a})" for a in args}
-        renamed = functools.partial(re.sub, r"\b[at]\d+\b", lambda m: "bu"[m[0][0] == "t"]
-                                    + m[0][1:] if m[0] in moving else m[0])
-        judged = [renamed(name) for name in outputs[11:]]
-        if judged != outputs[11:]:
-            yield (arg, [f"{renamed(args[0])} = {value.format(**_ARG)}",
-                         *(renamed(f"{r_m} = r_value({args[0]})") for r_m in args[1:])],
-                   [renamed(line) for line, reach in zip(lines, reaches)
-                    if reach & mask and line not in coercions], judged)
+def _perturbations(partials: tuple[ex.Expr, ...], trees: tuple[ex.Expr, ...], computed: bool):
+    """The kernel's constants and, for the point and then each move that
+    changes a judged tree (pr1, pr2 or a term), the lines that set its
+    <name>~, the statements of its nodes holding one bar float() coercions,
+    and its nine judged names; one _emit, so untouched nodes keep their name."""
+    kernel = _kernel_trees(partials, trees, computed)[0]
+    roots, moves = list(kernel), [[]]
+    for move in _MOVES:
+        fresh = {name: ex.Var(f"{name}~") for name, _ in move if computed or name != "r_m"}
+        judged = _kernel_trees(*(tuple(ex.substitute(t, fresh) for t in part)
+                                 for part in (partials, trees)), computed,
+                               "ydot~" if "ydot" in fresh else "ydot")[0][11:]
+        if judged != kernel[11:]:
+            roots += judged
+            moves.append([f"{_ARG[name + '~']} = {value.format(**_ARG)}"
+                          for name, value in move if name in fresh])
+    lines, outputs, consts, ends = ex._emit(roots, tuple(_ARG))
+    coerced, cuts = {f"{a} = float({a})" for a in map(_ARG.get, _FRESH)}, ends[len(kernel) - 1::9]
+    return consts, [(moved, [line for line in lines[a:b] if line not in coerced], outputs[i:i + 9])
+                    for moved, a, b, i in zip(moves, [0, *cuts], cuts, range(11, len(outputs), 9))]
 
 
 @functools.lru_cache(maxsize=256)
@@ -250,10 +254,10 @@ def _loop(partials: tuple[ex.Expr, ...], trees: tuple[ex.Expr, ...], computed: b
     function of (random, lo, hi, samples, delayed_point, rhs, derivative),
     and for a computed r also of (breaks, r_value, r_eval); it returns None
     when no sample was valid."""
-    lines, outputs, consts, reaches = ex._emit(*_kernel_trees(partials, trees, computed))
+    consts, ((_, lines, (pr1, pr2, *terms)), *blocks) = _perturbations(partials, trees, computed)
     reads = ["{r} = r_value({x})", "{r_m} = r_value({xm})", "{r_x} = r_eval({x})[2]"]
     source = _LOOP.format(
-        **_ARG, pr1=outputs[11], pr2=outputs[12], scale=f"max(abs({'), abs('.join(outputs[13:])}))",
+        **_ARG, pr1=pr1, pr2=pr2, scale=f"max(abs({'), abs('.join(terms)}))",
         breaks=_block(1, f"if any(abs({_ARG['x']} - b) <= 1e-6 for b in breaks):", "    continue")
         if computed else "",
         statements=_block(2, *(read.format(**_ARG) for read in reads if computed), *lines),
@@ -265,8 +269,7 @@ def _loop(partials: tuple[ex.Expr, ...], trees: tuple[ex.Expr, ...], computed: b
             "        if not (worst <= 1e-7 or worst <= 1e-7 * "
             f"(1.0 + max(abs({'), abs('.join(terms)})))):",
             "            weak = True", "            continue")
-            for _, moves, statements, (p1, p2, *terms)
-            in _perturbations(lines, outputs, reaches, computed)))
+            for moves, statements, (p1, p2, *terms) in blocks))
     params = "random, lo, hi, samples, delayed_point, rhs, derivative"
     return ex._define(params + (", breaks, r_value, r_eval" if computed else ""),
                       source.split("\n"), consts, _LOOP_GLOBALS)

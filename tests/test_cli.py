@@ -402,6 +402,40 @@ class TestVerify:
         assert (code, out, err) == (1, "", f"ParameterDomainError: {message}\n")
 
 
+class TestOptionValues:
+    @pytest.mark.parametrize("argv", [
+        ("verify", "--case", "A3_5", "--solution", "-x^2"),
+        ("solve", "--case", "A3_5", "--phi", "-x", "--x0", "-0.5", "--intervals", "1",
+         "--format", "json"),
+        ("reduce", "--case", "A4_21", "--subalgebra", "Y1", "--params", "C=-0.3"),
+        ("catalog", "show", "A3_1", "--params", "C2=-1"),
+    ])
+    def test_both_spellings_give_the_same_bytes(self, capsys, argv):
+        # every option takes one value, so --name value is --name=value, even
+        # for a value that starts with a minus sign
+        words, joined = list(argv), []
+        while words:
+            word = words.pop(0)
+            joined.append(f"{word}={words.pop(0)}" if word.startswith("--") else word)
+        spaced = run(capsys, *argv)
+        assert spaced[0] == (1 if argv[0] == "catalog" else 0) and spaced[1:] != ("", "")
+        assert run(capsys, *joined) == spaced
+        if argv[0] == "verify":
+            assert spaced == (0, '{"kind": "verify", "max_residual": 20.958076526111547}\n', "")
+
+    @pytest.mark.parametrize("argv", [
+        ("verify", "--case", "A3_5", "--solution"),
+        ("verify", "--solution", "--case", "A3_5"),
+        ("verify", "--case", "-h"),
+        ("solve", "--case", "A3_5", "--x0", "0", "--phi"),
+    ])
+    def test_missing_value_exits_2(self, capsys, argv):
+        with pytest.raises(SystemExit) as info:
+            main(list(argv))
+        assert info.value.code == 2
+        assert "expected one argument" in capsys.readouterr().err
+
+
 class TestDeterminism:
     @pytest.mark.parametrize(
         "argv",

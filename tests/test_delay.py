@@ -169,14 +169,14 @@ class TestGeneral:
             GeneralDelay(ex.parse("x - y", ("x", "y")))
 
     def test_not_monotone_detected(self):
-        r = GeneralDelay(ex.parse("-x"), increasing=True)
-        with pytest.raises(NotMonotone):
+        r = GeneralDelay(ex.parse("-x"))
+        with pytest.raises(NotMonotone, match="decreased between 1.0 and 2.0"):
             r.advance(1.0)
 
-    def test_declared_not_increasing(self):
-        r = GeneralDelay(ex.parse("-0.5*x"), increasing=False)
+    def test_decreasing_g_fails_at_the_first_bracket_step(self):
+        r = GeneralDelay(ex.parse("-0.5*x"))
         assert r.delayed_point(2.0) == -1.0
-        with pytest.raises(NotMonotone):
+        with pytest.raises(NotMonotone, match="^delay function decreased between 2.0 and 3.0$"):
             r.advance(2.0)
 
     def test_no_forward_point_for_bounded_g(self):
@@ -193,8 +193,15 @@ class TestScaleDelayFactory:
     def test_negative_is_general_noninvertible(self):
         r = scale_delay(-0.5)
         assert isinstance(r, GeneralDelay)
-        assert not r.increasing
         assert r.delayed_point(2.0) == -1.0
+        with pytest.raises(NotMonotone, match="decreased between 2.0 and 3.0"):
+            r.advance(2.0)
+
+    def test_negative_survives_its_spec_string(self):
+        r = scale_delay(-0.3)
+        assert parse_delay_spec(r.spec_string()) == r
+        assert repr(r) == ("GeneralDelay(g=Binary(op='*', left=Unary(op='neg', "
+                           "child=Num(value=0.3)), right=Var(name='x')))")
 
     def test_rejects_non_delaying(self):
         for bad in (0.0, 1.0, 2.0):

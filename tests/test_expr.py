@@ -4,6 +4,7 @@ import gc
 import math
 import pickle
 import random
+import re
 import sys
 
 import pytest
@@ -232,6 +233,22 @@ class TestInterning:
             assert ex.compile(ex.Num(a), ()) is not ex.compile(ex.Num(b), ())
             assert repr(ex.compile(ex.Num(a), ())()) == repr(a)
         assert ex.Num(float("nan")) is ex.Num(float("nan"))
+
+    def test_bad_op_is_refused_when_the_node_is_made(self):
+        # every walk indexes its operator tables, so no node may carry an op
+        # outside them; a rejected node leaves nothing in the table
+        x, size = ex.Var("x"), len(ex._LIVE)
+        for build, message in ((lambda: ex.Unary("foo", x), "bad unary op 'foo'"),
+                               (lambda: ex.Unary("+", x), "bad unary op '+'"),
+                               (lambda: ex.Binary("%", x, x), "bad binary op '%'"),
+                               (lambda: ex.Binary("neg", x, x), "bad binary op 'neg'")):
+            with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
+                build()
+        assert len(ex._LIVE) == size
+        for op in ("neg",) + ex.FUNCTIONS:
+            assert ex.parse(ex.to_text(ex.Unary(op, x))) is ex.Unary(op, x)
+        for op in ex.BINARY_OPS:
+            assert ex.parse(ex.to_text(ex.Binary(op, x, x))) is ex.Binary(op, x, x)
 
     def test_deep_tree_hashes_and_compares_without_recursion(self):
         tree = ex.Var("x")

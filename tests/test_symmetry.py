@@ -534,6 +534,25 @@ class TestKernel:
                             ((True, False), Invariance.WEAK)):
             assert _reference_check(v, e.dods, 60, e.window, scaled)[1] is cls, scaled
 
+    @pytest.mark.parametrize("q, want", [
+        ("(xm - x + 1)*(2*xm - 2*x + 1)", Invariance.WEAK),
+        ("(xm - x + 1)*(2*xm - 2*x + 1)*(2*xm - 2*x + 3)", Invariance.STRONG),
+    ], ids=["Q1", "Q2"])
+    def test_phase_two_moves_by_its_sign_and_size(self, q, want):
+        # y' = y - y(x - 1) on the manifold as (y - ym) + y Q, with Q zero at
+        # xm = x - 1: d_y applies -Q, so it holds on the manifold.  Phase 2
+        # moves xm by half the gap, up at odd points and down at even ones.
+        # Q1 vanishes only at the upward move, so d_y turns weak at the second
+        # point; Q2 vanishes at both, so it stays strong.  Every sign +1 would
+        # call Q1 strong, and a move of another size would call Q2 weak
+        manifold = ex.parse(f"(y - ym) + y*({q})", ("x", "y", "xm", "ym"))
+        d = Dods(LinearRhs(ex.Num(1.0), ex.Num(-1.0), ex.Num(0.0)), ConstantDelay(1.0),
+                 (-10.0, 10.0), manifold)
+        v = VectorField(ex.Num(0.0), ex.Num(1.0))
+        got = check_invariance(v, d, 40, (0.0, 3.0))
+        assert got[1] is want and got[0] <= 1e-15
+        assert got == _reference_check(v, d, 40, (0.0, 3.0))
+
     def test_reads_run_once_per_sample(self, monkeypatch):
         # g' is called once for each sample that reaches the judge and never
         # again, and a computed r's r(x), r(xm) and r'(x) likewise; phase 2
@@ -647,12 +666,27 @@ class TestKernel:
         assert "if t7 == 0.0: raise _division_by_zero()" in guards
 
     def test_perturbations_rerun_only_what_they_move(self, monkeypatch):
-        # phase 2's block for y, ym, ydot or xm holds, renamed, exactly the
-        # statements that reach what it moves but the moved argument's own
-        # float() coercion, which the move already gives: 1,868 per point
-        # over the catalog generators, where rerunning every statement that
-        # reaches more than x took 5,008; no generated loop, chi's included,
-        # coerces a moved argument
+        # phase 2's block for y, ym, ydot or xm holds exactly the statements
+        # of the kernel's nodes that contain the moved name (one per node and
+        # one per guard of such an operand), each reading the moved argument
+        # or a name the block set, bar the moved argument's own float()
+        # coercion, which the move already gives: 1,868 per point over the
+        # catalog generators, where rerunning every statement that reaches
+        # more than x took 5,008.  The point's statements are the kernel's,
+        # and no generated loop, chi's included, coerces a moved argument
+        def moving(roots, names):
+            nodes, guards, todo = set(), set(), list(roots)
+            while todo:
+                node = todo.pop()
+                children = [getattr(node, name) for name in ("child", "left", "right")
+                            if hasattr(node, name)]
+                todo += children
+                if children and ex.variables_of(node) & names:
+                    nodes.add(node)
+                    if node.op in ex._GUARDS and ex.variables_of(children[-1]) & names:
+                        guards.add((node.op, children[-1]))
+            return len(nodes) + len(guards)
+
         sources = []
         inner = ex._bytecode
         monkeypatch.setattr(ex, "_bytecode", lambda s: (sources.append(s), inner(s))[1])
@@ -660,27 +694,31 @@ class TestKernel:
         for cid in sorted(EXPECTED):
             e = catalog(cid)
             for v in e.algebra:
-                lines, outputs, _, reaches = ex._emit(
-                    *symmetry._kernel_trees(e.dods.manifold_partials, v._trees, False))
-                blocks = list(symmetry._perturbations(lines, outputs, reaches, False))
+                kernel = symmetry._kernel_trees(e.dods.manifold_partials, v._trees, False)
+                _, ((_, lines, _), *blocks) = symmetry._perturbations(e.dods.manifold_partials,
+                                                                      v._trees, False)
+                assert lines == ex._emit(*kernel)[0]
                 assert blocks, (cid, v.name)
-                for arg, _, statements, _ in blocks:
-                    name = symmetry._ARG[arg]
-                    bit, coercion = 1 << int(name[1:]), f"{name} = float({name})"
-                    assert coercion in lines
+                for moves, statements, _ in blocks:
+                    assert len(moves) == 1
+                    target = moves[0].split(" = ")[0]
+                    arg = next(name[:-1] for name, a in symmetry._ARG.items() if a == target)
+                    assert len(statements) == moving(kernel[0], {arg}), (cid, v.name, arg)
+                    set_here = {target}
                     for statement in statements:
-                        original = re.sub(r"\b([bu])(\d+)\b",
-                                          lambda m: "at"["bu".index(m[1])] + m[2], statement)
-                        assert reaches[lines.index(original)] & bit, (cid, v.name, arg, statement)
-                    assert len(statements) == sum(1 for line, reach in zip(lines, reaches)
-                                                  if reach & bit and line != coercion)
+                        assigned, _, value = statement.rpartition(" = ")
+                        if statement.startswith("if "):
+                            assigned, value = "", statement
+                        assert set(re.findall(r"\b[at]\d+\b", value)) & set_here, statement
+                        set_here.add(assigned)
                     total += len(statements)
                 symmetry._loop.__wrapped__(e.dods.manifold_partials, v._trees, False)
         assert total <= 1868
         symmetry._loop.__wrapped__(_CHI[2].manifold_partials, _CHI[1]._trees, True)
         loops = [source for source in sources if "max_on" in source]
-        assert len(loops) == 40 and any("r_value(b2)" in source for source in loops)
-        assert not any(re.search(r"\bb(\d+) = float\(b\1\)", source) for source in loops)
+        assert len(loops) == 40 and any("a13 = r_value(a12)" in source for source in loops)
+        moved = "|".join(symmetry._ARG[name][1:] for name in symmetry._FRESH)
+        assert not any(re.search(rf"\ba({moved}) = float\(a\1\)", source) for source in loops)
 
     @pytest.mark.parametrize("key", [variant[0] for variant in _BENCH_VARIANTS] + ["extra"])
     def test_bench_variants_match_reference_loop(self, key):
