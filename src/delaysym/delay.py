@@ -88,8 +88,8 @@ class ConstantDelay(_Affine):
     q = 1.0
 
     def __post_init__(self) -> None:
-        if not self.tau > 0.0:
-            raise ParameterDomainError(f"constant delay needs tau > 0, got {self.tau!r}")
+        if not 0.0 < self.tau < math.inf:
+            raise ParameterDomainError(f"constant delay needs a finite tau > 0, got {self.tau!r}")
 
     def delayed_point(self, x: float) -> float:
         return x - self.tau
@@ -108,8 +108,10 @@ class AffineDelay(_Affine):
     tau: float
 
     def __post_init__(self) -> None:
-        if not self.q > 0.0:
-            raise ParameterDomainError(f"affine delay needs q > 0, got {self.q!r}")
+        if not 0.0 < self.q < math.inf:
+            raise ParameterDomainError(f"affine delay needs a finite q > 0, got {self.q!r}")
+        if not math.isfinite(self.tau):
+            raise ParameterDomainError(f"affine delay needs a finite tau, got {self.tau!r}")
         if self.tau == 0.0 and self.q == 1.0:
             raise ParameterDomainError("affine delay with q = 1 and tau = 0 is the identity")
 
@@ -170,8 +172,8 @@ class MoebiusDelay(DelayRelation):
     c: float
 
     def __post_init__(self) -> None:
-        if self.c == 0.0:
-            raise ParameterDomainError("moebius delay needs C != 0")
+        if not (self.c != 0.0 and math.isfinite(self.c)):
+            raise ParameterDomainError(f"moebius delay needs a finite C != 0, got {self.c!r}")
 
     def delayed_point(self, x: float) -> float:
         den = 1.0 + self.c * x
@@ -282,14 +284,14 @@ class GeneralDelay(DelayRelation):
 
 
 def scale_delay(c: float) -> DelayRelation:
-    """Relation x- = c*x on x > 0 for c < 1, c != 0.
+    """Relation x- = c*x on x > 0 for a finite c < 1, c != 0.
 
     0 < c < 1 gives the invertible scale relation; negative c still delays
     every positive x but is not increasing, so it is represented as a general
     relation, which advance finds decreasing at its first bracket step.
     """
-    if c == 0.0 or c >= 1.0:
-        raise ParameterDomainError(f"scale ratio must satisfy c < 1, c != 0, got {c!r}")
+    if c == 0.0 or not -math.inf < c < 1.0:
+        raise ParameterDomainError(f"scale ratio needs a finite c < 1, c != 0, got {c!r}")
     if c > 0.0:
         return QScaleDelay(c)
     return GeneralDelay(ex.Binary("*", ex.Unary("neg", ex.Num(-c)), _X))  # as its spec parses

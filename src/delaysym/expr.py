@@ -417,6 +417,7 @@ def _overflow(exc: OverflowError) -> DomainError:
     return DomainError(f"overflow during evaluation: {exc}")
 
 
+_ANGLES = ("sin", "cos", "tan")  # math raises ValueError for these at inf
 _UNARY_FN = {"neg": operator.neg, "exp": math.exp, "ln": math.log, "sin": math.sin,
              "cos": math.cos, "tan": math.tan, "atan": math.atan, "sqrt": math.sqrt,
              "abs": abs, "sign": _sign}
@@ -452,7 +453,7 @@ def _eval(e: Expr, b: Mapping[str, float]) -> float:
             raise _ln_domain(v)
         if op == "sqrt" and v < 0.0:
             raise _sqrt_domain(v)
-        if op in ("sin", "cos", "tan") and math.isinf(v):
+        if op in _ANGLES and math.isinf(v):
             raise _infinite_angle(op, v)
         return _UNARY_FN[op](v)
     l, r, op = _eval(e.left, b), _eval(e.right, b), e.op
@@ -491,18 +492,9 @@ def _eval(e: Expr, b: Mapping[str, float]) -> float:
 # closure values k0, k1, ... bound to the constants, so no number or variable
 # name is ever spliced in as text.
 
-_UNARY_TEMPLATES = {
-    "neg": "-{0}",
-    "exp": "_exp({0})",
-    "sin": "_sin({0})",
-    "cos": "_cos({0})",
-    "tan": "_tan({0})",
-    "atan": "_atan({0})",
-    "abs": "abs({0})",
-    "ln": "_log({0})",
-    "sqrt": "_sqrt({0})",
-    "sign": "1.0 if {0} > 0.0 else -1.0 if {0} < 0.0 else 0.0",
-}
+# a function is a call of _<op>, bound to _UNARY_FN's own; neg and sign are inline
+_UNARY_TEMPLATES = {op: f"_{op}({{0}})" for op in FUNCTIONS} | {
+    "neg": "-{0}", "sign": "1.0 if {0} > 0.0 else -1.0 if {0} < 0.0 else 0.0"}
 _BINARY_TEMPLATES = {
     "+": "{0} + {1}",
     "-": "{0} - {1}",
@@ -515,14 +507,11 @@ _GUARDS = {
     "ln": "if {0} <= 0.0: raise _ln_domain({0})",
     "sqrt": "if {0} < 0.0: raise _sqrt_domain({0})",
     "/": "if {1} == 0.0: raise _division_by_zero()",
-    "sin": "if _isinf({0}): raise _infinite_angle('sin', {0})",
-    "cos": "if _isinf({0}): raise _infinite_angle('cos', {0})",
-    "tan": "if _isinf({0}): raise _infinite_angle('tan', {0})",
+    **{op: f"if _isinf({{0}}): raise _infinite_angle('{op}', {{0}})" for op in _ANGLES},
 }
 
 _COMPILE_GLOBALS = {
-    "_exp": math.exp, "_sin": math.sin, "_cos": math.cos, "_tan": math.tan,
-    "_atan": math.atan, "_log": math.log, "_sqrt": math.sqrt, "_mpow": math.pow,
+    **{f"_{op}": _UNARY_FN[op] for op in FUNCTIONS}, "_mpow": math.pow,
     "_pow_checked": _pow_checked, "_ln_domain": _ln_domain,
     "_sqrt_domain": _sqrt_domain, "_division_by_zero": _division_by_zero,
     "_isinf": math.isinf, "_infinite_angle": _infinite_angle,

@@ -71,12 +71,13 @@ def scan_bracket(f: Callable[[float], float], lo: float, hi: float) -> tuple[flo
 def hybrid_root(f: Callable[[float], float], lo: float, hi: float) -> float:
     """Root of f inside a bracketing interval.
 
-    Bisection narrows the bracket; once it is small a guarded secant step
-    takes over and runs until the bracket cannot shrink any further (or 200
-    evaluations are spent).  Steps that would leave the bracket fall back to
-    bisection, so the search cannot escape [lo, hi].  The point with the
-    smallest |f| is returned when that is within 1e-13, else NonConvergence
-    is raised, naming the final bracket and the evaluations used.
+    One loop takes the midpoint while the bracket [a, b] is wider than
+    1e-6 (1 + |a| + |b|), and a guarded secant step after that, until the
+    bracket cannot shrink any further (or 200 evaluations are spent).  A
+    secant step that would leave the bracket falls back to the midpoint, so
+    the search cannot escape [lo, hi].  The point with the smallest |f| is
+    returned when that is within 1e-13, else NonConvergence is raised,
+    naming the final bracket and the evaluations used.
     """
     flo, fhi = f(lo), f(hi)
     if flo == 0.0:
@@ -88,32 +89,18 @@ def hybrid_root(f: Callable[[float], float], lo: float, hi: float) -> float:
     a, fa, b, fb = lo, flo, hi, fhi
     best_x, best_f = (a, fa) if abs(fa) < abs(fb) else (b, fb)
     used = 0
-    # phase one: bisection down to a narrow interval
-    while b - a > 1e-6 * (1.0 + abs(a) + abs(b)) and used < 200:
-        m = 0.5 * (a + b)
-        fm = f(m)
-        used += 1
-        if abs(fm) < abs(best_f):
-            best_x, best_f = m, fm
-        if fm == 0.0:
-            return m
-        if (fa < 0.0) != (fm < 0.0):
-            b, fb = m, fm
-        else:
-            a, fa = m, fm
-    # phase two: guarded secant inside the bracket, where f is near linear,
-    # until the bracket is exhausted at machine precision.  Stopping at
-    # 1e-13 instead would leave an absolute error that callers multiply by
-    # large factors
     while used < 200:
-        if fb != fa:
-            x = b - fb * (b - a) / (fb - fa)
-        else:
-            x = 0.5 * (a + b)
-        if not (a < x < b):
-            x = 0.5 * (a + b)
-        if x == a or x == b:  # interval exhausted at machine precision
-            break
+        x = 0.5 * (a + b)
+        if not b - a > 1e-6 * (1.0 + abs(a) + abs(b)):
+            # a narrow bracket, where f is near linear: a guarded secant step,
+            # until the bracket is exhausted at machine precision.  Stopping
+            # at 1e-13 instead would leave an absolute error that callers
+            # multiply by large factors
+            s = b - fb * (b - a) / (fb - fa) if fb != fa else x
+            if a < s < b:
+                x = s
+            if x == a or x == b:
+                break
         fx = f(x)
         used += 1
         if abs(fx) < abs(best_f):

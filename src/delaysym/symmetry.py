@@ -204,7 +204,7 @@ for _ in range(80 * samples):
     worst = max(abs({pr1}), abs({pr2}))
     accepted += 1
     max_on = max(max_on, worst)
-    on_ok = on_ok and (worst <= 1e-7 or worst <= 1e-7 * (1.0 + {scale}))
+    on_ok = on_ok and ({passes})
     if on_ok and not weak:
         sign = 1.0 if accepted % 2 else -1.0
 {perturb}if not accepted:
@@ -212,6 +212,8 @@ for _ in range(80 * samples):
 if not on_ok:
     return max_on, _NOT_INVARIANT
 return max_on, _WEAK if weak else _STRONG"""
+# the test a judged point passes: worst within 1e-7, absolute or relative to its terms
+_PASSES = "worst <= 1e-7 or worst <= 1e-7 * (1.0 + max(abs({})))"
 _LOOP_GLOBALS = {**ex._COMPILE_GLOBALS, "_SKIPPED": (DomainError, OutOfRange, OverflowError),
                  "_isfinite": math.isfinite, "_STRONG": Invariance.STRONG,
                  "_WEAK": Invariance.WEAK, "_NOT_INVARIANT": Invariance.NOT_INVARIANT}
@@ -257,7 +259,7 @@ def _loop(partials: tuple[ex.Expr, ...], trees: tuple[ex.Expr, ...], computed: b
     consts, ((_, lines, (pr1, pr2, *terms)), *blocks) = _perturbations(partials, trees, computed)
     reads = ["{r} = r_value({x})", "{r_m} = r_value({xm})", "{r_x} = r_eval({x})[2]"]
     source = _LOOP.format(
-        **_ARG, pr1=pr1, pr2=pr2, scale=f"max(abs({'), abs('.join(terms)}))",
+        **_ARG, pr1=pr1, pr2=pr2, passes=_PASSES.format("), abs(".join(terms)),
         breaks=_block(1, f"if any(abs({_ARG['x']} - b) <= 1e-6 for b in breaks):", "    continue")
         if computed else "",
         statements=_block(2, *(read.format(**_ARG) for read in reads if computed), *lines),
@@ -266,8 +268,7 @@ def _loop(partials: tuple[ex.Expr, ...], trees: tuple[ex.Expr, ...], computed: b
             "except _SKIPPED:", "    pass", "else:",
             f"    if _isfinite({p1}) and _isfinite({p2}):",
             f"        worst = max(abs({p1}), abs({p2}))",
-            "        if not (worst <= 1e-7 or worst <= 1e-7 * "
-            f"(1.0 + max(abs({'), abs('.join(terms)})))):",
+            f"        if not ({_PASSES.format('), abs('.join(terms))}):",
             "            weak = True", "            continue")
             for moves, statements, (p1, p2, *terms) in blocks))
     params = "random, lo, hi, samples, delayed_point, rhs, derivative"

@@ -223,6 +223,14 @@ class TestMesh:
         assert code == 1
         assert "ParameterDomainError" in err
 
+    @pytest.mark.parametrize("spec", ["constant(inf)", "affine(1, inf)", "affine(2, nan)",
+                                      "affine(inf, 1)", "moebius(nan)", "moebius(inf)"])
+    def test_non_finite_delay_is_one_error_line(self, capsys, spec):
+        code, out, err = run(capsys, "mesh", "--delay", spec, "--x0", "0.5", "--n", "2")
+        assert (code, out) == (1, "")
+        assert err.startswith("ParameterDomainError: ") and err.count("\n") == 1
+        assert "finite" in err
+
 
 class TestRoots:
     def test_shape_and_residuals(self, capsys):

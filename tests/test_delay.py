@@ -209,6 +209,25 @@ class TestScaleDelayFactory:
                 scale_delay(bad)
 
 
+@pytest.mark.parametrize("build, parameter", [
+    (lambda: ConstantDelay(INF), "tau"),
+    (lambda: ConstantDelay(math.nan), "tau"),
+    (lambda: AffineDelay(1.0, INF), "tau"),
+    (lambda: AffineDelay(2.0, math.nan), "tau"),
+    (lambda: AffineDelay(INF, 1.0), "q"),
+    (lambda: MoebiusDelay(math.nan), "C"),
+    (lambda: MoebiusDelay(INF), "C"),
+    (lambda: MoebiusDelay(-INF), "C"),
+    (lambda: scale_delay(math.nan), "c"),
+    (lambda: scale_delay(-INF), "c"),
+])
+def test_non_finite_parameters_are_refused_when_built(build, parameter):
+    # they used to fail later: a mesh that does not increase, a DomainError at
+    # x = 0.5 or x = inf, or a spec string that does not parse
+    with pytest.raises(ParameterDomainError, match=rf"needs a finite {parameter}\b"):
+        build()
+
+
 class TestDefaultDomain:
     def test_each_family(self):
         assert ConstantDelay(1.0).default_domain() == (-INF, INF)

@@ -250,6 +250,21 @@ class TestInterning:
         for op in ex.BINARY_OPS:
             assert ex.parse(ex.to_text(ex.Binary(op, x, x))) is ex.Binary(op, x, x)
 
+    def test_every_operator_table_has_the_vocabulary_as_its_keys(self):
+        # evaluation, code generation, differentiation and printing each look
+        # an op up in a table, so a table may neither miss nor add an op; a
+        # generated call of a function is the evaluator's own function
+        unary, binary = {"neg", *ex.FUNCTIONS}, set(ex.BINARY_OPS)
+        for table in (ex._UNARY_FN, ex._UNARY_TEMPLATES, ex._UNARY_D):
+            assert table.keys() == unary
+        for table in (ex._BINARY_FN, ex._BINARY_TEMPLATES, ex._BINARY_D):
+            assert table.keys() == binary
+        assert ex._PREC.keys() == binary | {"neg"}
+        for op in ex.FUNCTIONS:
+            if op != "sign":  # inline, as is neg
+                assert ex._UNARY_TEMPLATES[op] == f"_{op}({{0}})"
+                assert ex._COMPILE_GLOBALS[f"_{op}"] is ex._UNARY_FN[op]
+
     def test_deep_tree_hashes_and_compares_without_recursion(self):
         tree = ex.Var("x")
         for i in range(3000):
@@ -672,7 +687,7 @@ class TestCompileMany:
     ])
     def test_shared_guarded_subtree_runs_once(self, monkeypatch, shared, x, message):
         calls = []
-        for name in ("_log", "_sqrt"):
+        for name in ("_ln", "_sqrt"):
             inner = ex._COMPILE_GLOBALS[name]
             monkeypatch.setitem(ex._COMPILE_GLOBALS, name,
                                 lambda v, inner=inner: calls.append(v) or inner(v))

@@ -70,3 +70,27 @@ class TestHybridRoot:
         assert str(raised.value) == (
             f"root refinement stalled on the bracket [{below!r}, {above!r}] after "
             f"{len(calls)} evaluations; the smallest residual was 1.0")
+
+    @pytest.mark.parametrize("f, lo, hi, evaluations, midpoints, root", [
+        (lambda x: x ** 3 - 2.0, 0.0, 2.0, 24, 20, "0x1.428a2f98d728bp+0"),
+        (lambda x: math.exp(x) - 3.0, -1.0, 4.0, 26, 21, "0x1.193ea7aad030bp+0"),
+    ])
+    def test_midpoints_while_wide_then_steps_inside(self, f, lo, hi, evaluations, midpoints,
+                                                     root):
+        # while the bracket is wider than 1e-6 (1 + |a| + |b|) every point is
+        # its exact midpoint, and every later one lies strictly inside it
+        calls = []
+        found = hybrid_root(lambda x: calls.append(x) or f(x), lo, hi)
+        assert calls[:2] == [lo, hi]
+        a, fa, b, wide = lo, f(lo), hi, 0
+        for x in calls[2:]:
+            if b - a > 1e-6 * (1.0 + abs(a) + abs(b)):
+                assert x == 0.5 * (a + b)
+                wide += 1
+            else:
+                assert a < x < b
+            if (fa < 0.0) != (f(x) < 0.0):
+                b = x
+            else:
+                a, fa = x, f(x)
+        assert (len(calls), wide, found.hex()) == (evaluations, midpoints, root)
