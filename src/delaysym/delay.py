@@ -34,6 +34,8 @@ _GUARD = 1e-12
 
 
 class DelayRelation(ex.Record):
+    kind = None  # spec_string's kind(field, ...), unannotated: Record makes annotations fields
+
     def delayed_point(self, x: float) -> float:
         raise NotImplementedError
 
@@ -63,7 +65,9 @@ class DelayRelation(ex.Record):
         return (-math.inf, math.inf)
 
     def spec_string(self) -> str:
-        raise NotImplementedError
+        if self.kind is None:
+            raise NotImplementedError
+        return f"{self.kind}({', '.join(map(repr, self._values()))})"
 
 
 class _Affine(DelayRelation):
@@ -84,6 +88,7 @@ class _Affine(DelayRelation):
 
 
 class ConstantDelay(_Affine):
+    kind = "constant"
     tau: float
     q = 1.0
 
@@ -97,13 +102,11 @@ class ConstantDelay(_Affine):
     def gap_expr(self) -> ex.Expr:
         return ex.Num(self.tau)
 
-    def spec_string(self) -> str:
-        return f"constant({self.tau!r})"
-
 
 class AffineDelay(_Affine):
     """x- = q*x - tau with q > 0.  Valid where (q - 1)*x < tau."""
 
+    kind = "affine"
     q: float
     tau: float
 
@@ -130,13 +133,11 @@ class AffineDelay(_Affine):
             return (-tau / (1.0 - q), math.inf)
         return (-math.inf, tau / (q - 1.0))
 
-    def spec_string(self) -> str:
-        return f"affine({self.q!r}, {self.tau!r})"
-
 
 class QScaleDelay(_Affine):
     """x- = q*x with 0 < q < 1, valid on x > 0."""
 
+    kind = "qscale"
     q: float
     tau = 0.0
 
@@ -157,9 +158,6 @@ class QScaleDelay(_Affine):
     def default_domain(self) -> tuple[float, float]:
         return (0.0, math.inf)
 
-    def spec_string(self) -> str:
-        return f"qscale({self.q!r})"
-
 
 class MoebiusDelay(DelayRelation):
     """x- = (x - C)/(1 + C*x), valid where C/(1 + C*x) > 0.
@@ -169,6 +167,7 @@ class MoebiusDelay(DelayRelation):
     forward point exists.
     """
 
+    kind = "moebius"
     c: float
 
     def __post_init__(self) -> None:
@@ -204,9 +203,6 @@ class MoebiusDelay(DelayRelation):
 
     def default_domain(self) -> tuple[float, float]:
         return (-1.0 / self.c, math.inf)
-
-    def spec_string(self) -> str:
-        return f"moebius({self.c!r})"
 
 
 class GeneralDelay(DelayRelation):
@@ -372,6 +368,7 @@ def closed_form_point(relation: DelayRelation, x0: float, x_minus1: float, n: in
 # textual form used by the CLI and system files
 
 _DELAY_RE = re.compile(r"^\s*([a-z]+)\s*\(\s*(.*?)\s*\)\s*$", re.S)
+_KINDS = {c.kind: c for c in (ConstantDelay, AffineDelay, QScaleDelay, MoebiusDelay)}
 
 
 def _unquote(raw: str) -> str:
@@ -394,12 +391,7 @@ def parse_delay_spec(text: str) -> DelayRelation:
         args = [float(p) for p in body.split(",")] if body else []
     except ValueError:
         raise ParameterDomainError(f"bad numeric arguments in delay spec {text!r}") from None
-    if kind == "constant" and len(args) == 1:
-        return ConstantDelay(args[0])
-    if kind == "affine" and len(args) == 2:
-        return AffineDelay(args[0], args[1])
-    if kind == "qscale" and len(args) == 1:
-        return QScaleDelay(args[0])
-    if kind == "moebius" and len(args) == 1:
-        return MoebiusDelay(args[0])
-    raise ParameterDomainError(f"unknown delay specification {text!r}")
+    cls = _KINDS.get(kind)
+    if cls is None or len(args) != len(cls._fields):
+        raise ParameterDomainError(f"unknown delay specification {text!r}")
+    return cls(*args)

@@ -239,25 +239,35 @@ def _parse_domain(raw: str) -> tuple[float, float]:
     return _number("domain", parts[0]), _number("domain", parts[1])
 
 
-def load_spec(text: str) -> tuple[Dods, InitialCondition | None]:
-    """Parse a key = value system file.
+_KEYS = ("rhs.kind", "alpha", "beta", "gamma", "f", "delay", "domain", "phi", "x0")
 
-    Recognized keys: rhs.kind (linear or general), alpha, beta, gamma, f,
-    delay, domain, phi, x0.  Lines starting with # and blank lines are
-    ignored.  Returns the system and, when phi and x0 are present, the
+
+def load_spec(text: str) -> tuple[Dods, InitialCondition | None]:
+    """Parse a key = value system file; lines starting with # and blank
+    lines are ignored.  Each key of _KEYS may appear once: alpha, beta and
+    gamma only where rhs.kind is linear (the default), f only where it is
+    general.  Returns the system and, when phi and x0 are present, the
     initial condition; a file that sets only one of them is rejected.
     """
     fields: dict[str, str] = {}
+    lines: dict[str, int] = {}
     for lineno, line in enumerate(text.splitlines(), start=1):
         stripped = line.strip()
         if not stripped or stripped.startswith("#"):
             continue
         if "=" not in stripped:
             raise ParameterDomainError(f"line {lineno}: expected key = value, got {line!r}")
-        key, _, value = stripped.partition("=")
-        fields[key.strip()] = value.strip()
+        key, _, value = (part.strip() for part in stripped.partition("="))
+        if key not in _KEYS or key in fields:
+            problem = "is set twice" if key in fields else f"is not one of {', '.join(_KEYS)}"
+            raise ParameterDomainError(f"line {lineno}: key {key!r} {problem}")
+        fields[key], lines[key] = value, lineno
 
     kind = _unquote(fields.get("rhs.kind", "linear")).lower()
+    for key in {"linear": ("f",), "general": ("alpha", "beta", "gamma")}.get(kind, ()):
+        if key in fields:
+            raise ParameterDomainError(
+                f"line {lines[key]}: key {key!r} does not belong in a {kind} system file")
     if "delay" not in fields:
         raise ParameterDomainError("system file is missing the delay key")
     relation = parse_delay_spec(_unquote(fields["delay"]))

@@ -1,18 +1,18 @@
 """A small closed expression language over scalar doubles.
 
-Grammar (whitespace insensitive):
+Grammar (whitespace insensitive), read by precedence climbing over _PREC,
+the table the printer reads:
 
-    sum     := product (('+' | '-') product)*
-    product := signed (('*' | '/') signed)*
-    signed  := '-' signed | power
-    power   := atom ('^' signed)?          right associative
-    atom    := NUMBER | IDENT | IDENT '(' sum ')' | '(' sum ')'
+    expr(p) := prefix (op expr(q))*   each op with _PREC[op] > p, where q is
+                                      _PREC[op], or _PREC['neg'] after '^'
+    prefix  := '-' expr(_PREC['neg']) | NUMBER | IDENT | IDENT '(' expr(0) ')'
+             | '(' expr(0) ')'
 
-'^' binds tighter than a unary minus on its right operand, so -x^2 reads as
--(x^2) while 2^-3 reads as 2^(-3).  Unary '+' is not part of the language.
-The reserved identifiers pi and e fold to their double precision values at
-parse time.  Everything else must be one of the nine function names or a
-declared variable.
+So '+' '-' bind loosest, then '*' '/', then a unary minus, then '^', which
+alone is right associative: -x^2 reads as -(x^2) while 2^-3 reads as 2^(-3).
+Unary '+' is not part of the language.  The reserved identifiers pi and e
+fold to their double precision values at parse time.  Everything else must
+be one of the nine function names or a declared variable.
 
 Trees are immutable, interned records (Expr, below): equal trees, with
 bit-equal constants, are one object, which is what the round trip guarantee
@@ -58,6 +58,9 @@ __all__ = [
 FUNCTIONS = ("exp", "ln", "sin", "cos", "tan", "atan", "sqrt", "abs", "sign")
 CONSTANTS = {"pi": math.pi, "e": math.e}
 BINARY_OPS = ("+", "-", "*", "/", "^")
+# the precedence the parser climbs and the printer reads; neg sits between
+# '*' and '^' because a leading minus applies to a whole power but not to a product
+_PREC = {"+": 1, "-": 1, "*": 2, "/": 2, "neg": 2.5, "^": 3}
 
 
 class Record:
@@ -254,7 +257,7 @@ _DEPTH = 100  # the deepest tree text may give, and its deepest nesting
 
 
 class _Parser:
-    """Recursive descent over the tokens.  Each rule returns its tree and the
+    """Precedence climbing over _PREC.  Each rule returns its tree and the
     tree's depth, the operator nodes on its longest path; a tree deeper than
     _DEPTH, or text that opens more than _DEPTH parentheses, calls, minus
     signs and powers around a point, is a ParseError, so no walk of a parsed
@@ -285,60 +288,46 @@ class _Parser:
             raise ParseError(f"expression nests deeper than {_DEPTH} levels", pos)
         return depth
 
-    def nested(self, rule: Callable[[], tuple[Expr, int]], pos: int) -> tuple[Expr, int]:
+    def nested(self, floor: float, pos: int) -> tuple[Expr, int]:
         self.open = self.deeper(self.open + 1, pos)
-        out = rule()
+        out = self.expr(floor)
         self.open -= 1
         return out
 
     def parse(self) -> Expr:
-        e, _ = self.chain()
+        e, _ = self.expr(0)
         tok = self.peek()
         if tok[0] != "end":
             raise ParseError(f"unexpected trailing input {tok[1]!r}", tok[2])
         return e
 
-    def chain(self, ops: tuple[str, ...] = ("+", "-")) -> tuple[Expr, int]:
-        """A sum of products, or with ops ('*', '/') a product of signed
-        values: left associative, so n operators make a chain n deep."""
-        operand = functools.partial(self.chain, ("*", "/")) if ops[0] == "+" else self.signed
-        e, depth = operand()
-        while self.peek()[0] in ops:
-            op, _, pos = self.advance()
-            right, right_depth = operand()
+    def expr(self, floor: float) -> tuple[Expr, int]:
+        """A prefix and every binary operator after it that binds tighter
+        than floor.  The right operand of a left associative operator stops
+        at its own precedence; that of '^' is signed, as a minus's operand."""
+        e, depth = self.prefix()
+        while _PREC.get(op := self.peek()[0], 0) > floor:
+            pos = self.advance()[2]
+            right, right_depth = (self.nested(_PREC["neg"], pos) if op == "^"
+                                  else self.expr(_PREC[op]))
             e, depth = Binary(op, e, right), self.deeper(max(depth, right_depth) + 1, pos)
         return e, depth
 
-    def signed(self) -> tuple[Expr, int]:
-        if self.peek()[0] == "-":
-            pos = self.advance()[2]
-            e, depth = self.nested(self.signed, pos)
+    def prefix(self) -> tuple[Expr, int]:
+        kind, textval, pos = self.advance()
+        if kind == "-":
+            e, depth = self.nested(_PREC["neg"], pos)
             return Unary("neg", e), self.deeper(depth + 1, pos)
-        return self.power()
-
-    def power(self) -> tuple[Expr, int]:
-        base, depth = self.atom()
-        if self.peek()[0] == "^":
-            pos = self.advance()[2]
-            exponent, exponent_depth = self.nested(self.signed, pos)
-            return Binary("^", base, exponent), self.deeper(max(depth, exponent_depth) + 1, pos)
-        return base, depth
-
-    def atom(self) -> tuple[Expr, int]:
-        kind, textval, pos = self.peek()
         if kind == "num":
-            self.advance()
             return Num(float(textval)), 0
         if kind == "(":
-            self.advance()
-            out = self.nested(self.chain, pos)
+            out = self.nested(0, pos)
             self.expect(")")
             return out
         if kind == "ident":
-            self.advance()
             if textval in FUNCTIONS:
                 self.expect("(")
-                arg, depth = self.nested(self.chain, pos)
+                arg, depth = self.nested(0, pos)
                 self.expect(")")
                 return Unary(textval, arg), self.deeper(depth + 1, pos)
             if textval in CONSTANTS:
@@ -836,9 +825,6 @@ def _constant(e: Expr) -> Expr:
 # ---------------------------------------------------------------------------
 # serialization
 
-# precedence used by the printer; neg sits between '*' and '^' because the
-# grammar applies a leading minus to a whole power but not to a product
-_PREC = {"+": 1, "-": 1, "*": 2, "/": 2, "neg": 2.5, "^": 3}
 _ATOM_PREC = 4.0
 
 

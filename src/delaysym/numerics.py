@@ -7,9 +7,10 @@ results.
 
 from __future__ import annotations
 
+import math
 from collections.abc import Callable
 
-from .errors import BracketNotFound, NonConvergence
+from .errors import BracketNotFound, NonConvergence, ParameterDomainError
 
 __all__ = ["adaptive_simpson", "scan_bracket", "hybrid_root"]
 
@@ -51,8 +52,10 @@ def adaptive_simpson(f: Callable[[float], float], a: float, b: float,
 
 
 def scan_bracket(f: Callable[[float], float], lo: float, hi: float) -> tuple[float, float]:
-    """Locate the first sign change of f on [lo, hi] by a uniform scan of
-    200 cells."""
+    """Locate the first sign change of f on the finite [lo, hi] by a
+    uniform scan of 200 cells."""
+    if not (math.isfinite(lo) and math.isfinite(hi)):
+        raise ParameterDomainError(f"scan_bracket needs a finite bracket, got [{lo!r}, {hi!r}]")
     prev_x = lo
     prev_f = f(lo)
     if prev_f == 0.0:
@@ -69,7 +72,7 @@ def scan_bracket(f: Callable[[float], float], lo: float, hi: float) -> tuple[flo
 
 
 def hybrid_root(f: Callable[[float], float], lo: float, hi: float) -> float:
-    """Root of f inside a bracketing interval.
+    """Root of f inside a finite bracketing interval.
 
     One loop takes the midpoint while the bracket [a, b] is wider than
     1e-6 (1 + |a| + |b|), and a guarded secant step after that, until the
@@ -79,6 +82,8 @@ def hybrid_root(f: Callable[[float], float], lo: float, hi: float) -> float:
     returned when that is within 1e-13, else NonConvergence is raised,
     naming the final bracket and the evaluations used.
     """
+    if not (math.isfinite(lo) and math.isfinite(hi)):
+        raise ParameterDomainError(f"hybrid_root needs a finite bracket, got [{lo!r}, {hi!r}]")
     flo, fhi = f(lo), f(hi)
     if flo == 0.0:
         return lo

@@ -182,6 +182,14 @@ class TestSolve:
         assert (code, out) == (1, "")
         assert err == f"ParameterDomainError: {message}; an initial condition needs both\n"
 
+    def test_system_file_with_a_misspelt_key_is_one_error_line(self, capsys, tmp_path):
+        spec = tmp_path / "typo.dods"
+        spec.write_text(SPEC + "alhpa = 2\n")
+        code, out, err = run(capsys, "solve", "--spec", str(spec), "--phi", "x", "--x0", "0")
+        assert (code, out) == (1, "")
+        assert err == ("ParameterDomainError: line 7: key 'alhpa' is not one of rhs.kind, "
+                       "alpha, beta, gamma, f, delay, domain, phi, x0\n")
+
 
 def test_listing_and_meshing_compile_nothing(capsys, monkeypatch):
     # trees compile on first evaluation in a hot path, never while a

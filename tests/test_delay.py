@@ -11,6 +11,7 @@ import delaysym.expr as ex
 from delaysym.delay import (
     AffineDelay,
     ConstantDelay,
+    DelayRelation,
     GeneralDelay,
     Mesh,
     MoebiusDelay,
@@ -350,3 +351,28 @@ class TestParseDelaySpec:
             parse_delay_spec("constant()")
         with pytest.raises((ParseError, ParameterDomainError)):
             parse_delay_spec("constant(-1)")
+
+    @pytest.mark.parametrize("relation,text", [
+        (ConstantDelay(1), "constant(1)"),
+        (AffineDelay(2, 1), "affine(2, 1)"),
+        (QScaleDelay(0.5), "qscale(0.5)"),
+        (MoebiusDelay(-3), "moebius(-3)"),
+        (ConstantDelay(0.1), "constant(0.1)"),
+    ])
+    def test_each_kind_prints_its_fields_and_reads_back(self, relation, text):
+        assert relation.spec_string() == text
+        assert parse_delay_spec(text) == relation
+
+    @pytest.mark.parametrize("text", ["constant()", "constant(1, 2)", "affine(1)",
+                                      "qscale(0.5, 1)", "moebius()"])
+    def test_wrong_argument_count(self, text):
+        with pytest.raises(ParameterDomainError, match="unknown delay specification"):
+            parse_delay_spec(text)
+
+    def test_a_subclass_prints_its_parent_kind(self):
+        class Late(ConstantDelay):
+            pass
+
+        assert Late(0.5).spec_string() == "constant(0.5)"
+        with pytest.raises(NotImplementedError):
+            DelayRelation().spec_string()

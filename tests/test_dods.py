@@ -143,6 +143,34 @@ class TestLoadSpec:
         with pytest.raises(ParameterDomainError):
             load_spec("beta = 1\ndelay = constant(1)\ndomain = [0, 1]")
 
+    KEYS = "rhs.kind, alpha, beta, gamma, f, delay, domain, phi, x0"
+
+    @pytest.mark.parametrize("text, message", [
+        ("alhpa = 1\ndelay = constant(1)", f"line 1: key 'alhpa' is not one of {KEYS}"),
+        ("beta = 1\n\n# x\ndelay = constant(1)\nBeta = 2",
+         f"line 5: key 'Beta' is not one of {KEYS}"),
+        ("= 1\ndelay = constant(1)", f"line 1: key '' is not one of {KEYS}"),
+        ("beta = 1\ndelay = constant(1)\nbeta = 2", "line 3: key 'beta' is set twice"),
+        ("delay = constant(1)\ndelay = constant(2)", "line 2: key 'delay' is set twice"),
+        ("rhs.kind = general\nrhs.kind = linear\nf = y\ndelay = constant(1)",
+         "line 2: key 'rhs.kind' is set twice"),
+        ("f = y\ndelay = constant(1)", "line 1: key 'f' does not belong in a linear system file"),
+        ("rhs.kind = linear\nbeta = 1\nf = y\ndelay = constant(1)",
+         "line 3: key 'f' does not belong in a linear system file"),
+        ("rhs.kind = general\nf = y\nalpha = 1\ndelay = constant(1)",
+         "line 3: key 'alpha' does not belong in a general system file"),
+        ("beta = 1\nrhs.kind = General\nf = y\ndelay = constant(1)",
+         "line 1: key 'beta' does not belong in a general system file"),
+        ("rhs.kind = general\nf = y\ngamma = 0\ndelay = constant(1)",
+         "line 3: key 'gamma' does not belong in a general system file"),
+    ], ids=("misspelt", "capitalized", "empty", "beta-twice", "delay-twice", "kind-twice",
+            "f-in-linear-by-default", "f-in-linear", "alpha-in-general", "beta-in-general",
+            "gamma-in-general"))
+    def test_a_key_that_would_be_dropped_is_refused(self, text, message):
+        with pytest.raises(ParameterDomainError) as info:
+            load_spec(text)
+        assert str(info.value) == message
+
     def test_domain_bound_not_a_number(self):
         with pytest.raises(ParameterDomainError) as raised:
             load_spec("beta = 1\ndelay = constant(1)\ndomain = (0, zz)")

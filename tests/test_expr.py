@@ -114,6 +114,46 @@ class TestParse:
         tree = ex.parse("x + 1")
         assert ex.as_expr(tree) is tree
 
+    @pytest.mark.parametrize("text,printed", [
+        ("-x^2*y", "-x^2.0 * y"),
+        ("2^-3^2", "2.0^(-3.0^2.0)"),
+        ("-2^-x*y", "-2.0^(-x) * y"),
+        ("x/-y^2", "x / -y^2.0"),
+        ("--x", "-(-x)"),
+        ("(x)^2^3", "x^2.0^3.0"),
+        ("x - y - x", "x - y - x"),
+        ("x - (y - x)", "x - (y - x)"),
+        ("x/y*x", "x / y * x"),
+        ("-(x*y)", "-(x * y)"),
+        ("sin(-x)^2", "sin(-x)^2.0"),
+        ("2*-x", "2.0 * -x"),
+        ("-x - -y", "-x - -y"),
+        ("(-x)^2", "(-x)^2.0"),
+        ("x^y*-x^2", "x^y * -x^2.0"),
+        ("-x^-y^-2", "-x^(-y^(-2.0))"),
+        ("x + y*x^2/y - 1", "x + y * x^2.0 / y - 1.0"),
+    ])
+    def test_precedence_and_associativity_table(self, text, printed):
+        tree = ex.parse(text, ("x", "y"))
+        assert ex.to_text(tree) == printed
+        assert ex.parse(printed, ("x", "y")) is tree
+
+    @pytest.mark.parametrize("text,message", [
+        ("x^-", "expected a value, found 'end of input' (at index 3)"),
+        ("2^^3", "expected a value, found '^' (at index 2)"),
+        ("x^-+y", "expected a value, found '+' (at index 3)"),
+        ("sin x", "expected '(', found 'x' (at index 4)"),
+        ("x*/y", "expected a value, found '/' (at index 2)"),
+        ("x^(y", "expected ')', found 'end of input' (at index 4)"),
+        ("x y", "unexpected trailing input 'y' (at index 2)"),
+        ("sin()", "expected a value, found ')' (at index 4)"),
+        ("+x", "expected a value, found '+' (at index 0)"),
+    ])
+    def test_error_messages_and_indices(self, text, message):
+        with pytest.raises(ParseError) as info:
+            ex.parse(text, ("x", "y"))
+        assert str(info.value) == message
+
 
 class TestEvaluate:
     def test_unbound_variable(self):
@@ -212,6 +252,12 @@ class TestDepthBound:
                      lambda: ex.variables_of(tree),
                      lambda: ex.compile(tree, ("x",))(0.5)):
             _spare(850, walk)
+
+    @pytest.mark.parametrize("name", TEXTS)
+    def test_parser_needs_at_most_400_frames_at_the_bound(self, name):
+        # precedence climbing spends three frames per parenthesis, call or
+        # minus sign, and two per power
+        _spare(400, ex.parse, self.TEXTS[name](100))
 
     def test_shallow_text_keeps_its_tree(self):
         assert ex.parse("(((x)))") is ex.Var("x")

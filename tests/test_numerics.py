@@ -4,7 +4,7 @@ import math
 
 import pytest
 
-from delaysym.errors import BracketNotFound, NonConvergence
+from delaysym.errors import BracketNotFound, NonConvergence, ParameterDomainError
 from delaysym.numerics import hybrid_root, scan_bracket
 
 
@@ -94,3 +94,15 @@ class TestHybridRoot:
             else:
                 a, fa = x, f(x)
         assert (len(calls), wide, found.hex()) == (evaluations, midpoints, root)
+
+
+@pytest.mark.parametrize("search", [scan_bracket, hybrid_root])
+@pytest.mark.parametrize("lo, hi", [(0.0, math.inf), (-math.inf, math.inf), (-math.inf, 2.0),
+                                    (math.nan, 2.0), (0.0, math.nan)])
+def test_a_bracket_end_that_is_not_finite_is_refused_before_f_runs(search, lo, hi):
+    def f(x):
+        raise AssertionError(f"f was called at {x!r}")
+
+    with pytest.raises(ParameterDomainError) as info:
+        search(f, lo, hi)
+    assert str(info.value) == f"{search.__name__} needs a finite bracket, got [{lo!r}, {hi!r}]"
