@@ -16,8 +16,7 @@ from collections.abc import Sequence
 
 from . import expr as ex
 from .delay import build_mesh, parse_delay_spec
-from .dods import (CatalogCase, catalog, initial_condition, list_cases,
-                   load_spec, _window_for)
+from .dods import CatalogCase, catalog, initial_condition, list_cases, load_spec
 from .errors import DelaySymError, ParameterDomainError
 from .reduction import Status, build_solution, solve_constraints, verify
 from .steps import (Scheme, SolverConfig, residual_scan, solution_from_json,
@@ -56,15 +55,13 @@ def _case_from_args(args: argparse.Namespace) -> CatalogCase:
 
 
 def _system_from_args(args: argparse.Namespace):
-    """(dods, window, history) from either --case or --spec; the history is
-    the system file's initial condition, or None."""
+    """(dods, history) from either --case or --spec; the history is the
+    system file's initial condition, or None."""
     if getattr(args, "case", None):
-        entry = catalog(_case_from_args(args))
-        return entry.dods, entry.window, None
+        return catalog(_case_from_args(args)).dods, None
     if getattr(args, "spec", None):
         with open(args.spec, "r", encoding="utf-8") as fh:
-            d, history = load_spec(fh.read())
-        return d, _window_for(d.domain), history
+            return load_spec(fh.read())
     raise ParameterDomainError("pass either --case or --spec")
 
 
@@ -112,7 +109,7 @@ def _cmd_catalog(args: argparse.Namespace) -> int:
 
 
 def _cmd_solve(args: argparse.Namespace) -> int:
-    d, _, history = _system_from_args(args)
+    d, history = _system_from_args(args)
     phi, x0 = args.phi, args.x0  # --phi and --x0 override the system file's
     if history is not None:
         phi = history.phi if phi is None else phi
@@ -179,14 +176,12 @@ def _cmd_reduce(args: argparse.Namespace) -> int:
     }
     if sol.status is Status.SOLVED:
         y, b = build_solution(fam, sol)
-        window = entry.window
         if "C" in sol.params and sol.params.get("C") != (entry.case.params or {}).get("C"):
             # the existence condition moved the delay ratio; verify there
             entry = catalog(CatalogCase(entry.case.id, {"C": sol.params["C"]}))
-            window = entry.window
         obj["y"] = ex.to_text(y)
         obj["B"] = b
-        obj["max_residual"] = verify(y, entry.dods, window)
+        obj["max_residual"] = verify(y, entry.dods)
     _emit(json.dumps(obj) + "\n", args.out)
     return 0
 
@@ -196,13 +191,13 @@ def _norm_label(label: str) -> str:
 
 
 def _cmd_verify(args: argparse.Namespace) -> int:
-    d, window, _ = _system_from_args(args)
+    d, _ = _system_from_args(args)
     if args.solution_file:
         with open(args.solution_file, "r", encoding="utf-8") as fh:
             s = solution_from_json(fh.read())
         worst = residual_scan(s, d)
     elif args.solution:
-        worst = verify(args.solution, d, window)
+        worst = verify(args.solution, d)
     else:
         raise ParameterDomainError("pass --solution or --solution-file")
     _emit(json.dumps({"kind": "verify", "max_residual": worst}) + "\n", args.out)

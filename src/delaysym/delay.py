@@ -115,8 +115,8 @@ class AffineDelay(_Affine):
             raise ParameterDomainError(f"affine delay needs a finite q > 0, got {self.q!r}")
         if not math.isfinite(self.tau):
             raise ParameterDomainError(f"affine delay needs a finite tau, got {self.tau!r}")
-        if self.tau == 0.0 and self.q == 1.0:
-            raise ParameterDomainError("affine delay with q = 1 and tau = 0 is the identity")
+        if self.q == 1.0 and not self.tau > 0.0:
+            raise ParameterDomainError(f"affine delay with q = 1 needs tau > 0, got {self.tau!r}")
 
     def delayed_point(self, x: float) -> float:
         xm = self.q * x - self.tau

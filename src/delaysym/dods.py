@@ -61,12 +61,13 @@ class LinearRhs(ex.Record):
         for name, e in (("alpha", self.alpha), ("beta", self.beta), ("gamma", self.gamma)):
             ex.check_variables(e, {"x"}, f"{name} may only depend on x")
 
+    def _tree(self) -> ex.Expr:
+        """alpha*y + beta*ym + gamma in that order of operations, unfolded."""
+        return ex.Binary("+", ex.Binary("+", ex.Binary("*", self.alpha, _Y),
+                                        ex.Binary("*", self.beta, _YM)), self.gamma)
+
     def as_expr(self) -> ex.Expr:
-        return ex.fold(ex.Binary(
-            "+",
-            ex.Binary("+", ex.Binary("*", self.alpha, _Y), ex.Binary("*", self.beta, _YM)),
-            self.gamma,
-        ))
+        return ex.fold(self._tree())
 
 
 class GeneralRhs(ex.Record):
@@ -79,6 +80,8 @@ class GeneralRhs(ex.Record):
 
     def as_expr(self) -> ex.Expr:
         return self.f
+
+    _tree = as_expr
 
 
 class Dods(ex.Record):
@@ -110,15 +113,8 @@ class Dods(ex.Record):
 
     @functools.cached_property
     def rhs_fn(self) -> Callable[[float, float, float], float]:
-        """f(x, y, ym) compiled; for a linear right hand side the order of
-        operations is alpha*y + beta*ym + gamma."""
-        r = self.rhs
-        if isinstance(r, LinearRhs):
-            tree = ex.Binary("+", ex.Binary("+", ex.Binary("*", r.alpha, _Y),
-                                            ex.Binary("*", r.beta, _YM)), r.gamma)
-        else:
-            tree = r.f
-        return ex.compile(tree, ("x", "y", "ym"))
+        """f(x, y, ym) compiled from the right hand side's unfolded tree."""
+        return ex.compile(self.rhs._tree(), ("x", "y", "ym"))
 
     @functools.cached_property
     def _rk4_columns(self) -> Callable[..., tuple[list[float], ...]]:

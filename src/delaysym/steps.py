@@ -26,6 +26,7 @@ import bisect
 import enum
 import json
 import math
+import operator
 from collections.abc import Callable, Iterable, Sequence
 
 from . import expr as ex
@@ -54,13 +55,18 @@ class Scheme(enum.Enum):
     RK4 = "rk4"
 
 
+def _check_step_count(m: int) -> None:
+    """A step count is an integer (anything operator.index takes) >= 1."""
+    if not (hasattr(type(m), "__index__") and operator.index(m) >= 1):
+        raise ParameterDomainError(f"step_count must be an integer >= 1, got {m!r}")
+
+
 class SolverConfig(ex.Record):
     scheme: Scheme = Scheme.EXACT_LINEAR
     step_count: int = 64
 
     def __post_init__(self) -> None:
-        if self.step_count < 1:
-            raise ParameterDomainError(f"step_count must be >= 1, got {self.step_count!r}")
+        _check_step_count(self.step_count)
 
 
 class Segment(ex.Record):
@@ -169,19 +175,19 @@ class PiecewiseSolution(ex.Record):
 
     def _segment_index(self, x: float) -> int:
         lo, hi = self.x_start, self.x_end
-        if x < lo - _TOL * (1.0 + abs(lo)) or x > hi + _TOL * (1.0 + abs(hi)):
+        if not lo - _TOL * (1.0 + abs(lo)) <= x <= hi + _TOL * (1.0 + abs(hi)):
             raise OutOfRange(f"x = {x!r} outside the solution range [{lo!r}, {hi!r}]")
         j = bisect.bisect_right(self.mesh.points, x) - 1
         return min(max(j, 0), len(self.segments) - 1)
 
-    def _node_index(self, x: float) -> int | None:
-        pts = self.mesh.points
-        j = bisect.bisect_left(pts, x)
-        # x lies in (pts[j - 1], pts[j]]; only those two can be within _TOL
-        for i in (j - 1, j):
-            if 0 <= i < len(pts) and abs(x - pts[i]) <= _TOL * (1.0 + abs(pts[i])):
-                return i
-        return None
+    def _at_point(self, i: int) -> tuple[float, float, float, float]:
+        """(x, y, ydot_left, ydot_right) at mesh point i as the segments store
+        them: the left slope ends segment i - 1 and the right one starts
+        segment i; x_-1 and the last point repeat their one slope."""
+        segs = self.segments
+        seg, k = (segs[i - 1], -1) if i else (segs[0], 0)
+        dl = seg.derivs[k]
+        return seg.nodes[k], seg.values[k], dl, segs[i].derivs[0] if 0 < i < len(segs) else dl
 
     def value(self, x: float) -> float:
         return self.segments[self._segment_index(x)].value(x)
@@ -189,19 +195,13 @@ class PiecewiseSolution(ex.Record):
     def eval(self, x: float) -> tuple[float, float, float]:
         """(y, ydot from the left, ydot from the right); the one-sided slopes
         differ only at mesh points."""
-        i = self._node_index(x)
-        if i is None:
-            j = self._segment_index(x)
-            y, d = self.segments[j].evaluate(x)
-            return y, d, d
-        if i == 0:
-            seg = self.segments[0]
-            return seg.values[0], seg.derivs[0], seg.derivs[0]
-        left = self.segments[i - 1]
-        y, dl = left.values[-1], left.derivs[-1]
-        if i == len(self.mesh.points) - 1:
-            return y, dl, dl
-        return y, dl, self.segments[i].derivs[0]
+        j = self._segment_index(x)
+        pts = self.mesh.points
+        for i in (j, j + 1):  # x lies in segment j, so no other point is within _TOL
+            if abs(x - pts[i]) <= _TOL * (1.0 + abs(pts[i])):
+                return self._at_point(i)[1:]
+        y, d = self.segments[j].evaluate(x)
+        return y, d, d
 
     def derivative(self, x: float, side: str = "+") -> float:
         y, dl, dr = self.eval(x)
@@ -214,7 +214,8 @@ class PiecewiseSolution(ex.Record):
         if not 0 <= n < len(self.segments) - 1:
             raise OutOfRange(
                 f"mesh index {n!r} out of range 0..{len(self.segments) - 2}")
-        return self.segments[n + 1].derivs[0] - self.segments[n].derivs[-1]
+        _, _, dl, dr = self._at_point(n + 1)
+        return dr - dl
 
     def shifted(self, dx: float) -> "PiecewiseSolution":
         """The graph translated by dx in x (delay relation permitting)."""
@@ -234,22 +235,13 @@ class PiecewiseSolution(ex.Record):
         return PiecewiseSolution(self.mesh, tuple(segs))
 
     def to_csv(self) -> str:
-        def fmt(v: float) -> str:
-            return format(v, ".17g")
-
-        rows = ["x,y,ydot_left,ydot_right"]
-        first = self.segments[0]
-        rows.append(",".join((fmt(first.nodes[0]), fmt(first.values[0]),
-                              fmt(first.derivs[0]), fmt(first.derivs[0]))))
-        for i, seg in enumerate(self.segments):
-            for j in range(1, len(seg.nodes) - 1):
-                rows.append(",".join((fmt(seg.nodes[j]), fmt(seg.values[j]),
-                                      fmt(seg.derivs[j]), fmt(seg.derivs[j]))))
-            dl = seg.derivs[-1]
-            dr = self.segments[i + 1].derivs[0] if i + 1 < len(self.segments) else dl
-            rows.append(",".join((fmt(seg.nodes[-1]), fmt(seg.values[-1]),
-                                  fmt(dl), fmt(dr))))
-        return "\n".join(rows) + "\n"
+        rows = [self._at_point(0)]
+        for i, seg in enumerate(self.segments, 1):
+            d = seg.derivs[1:-1]
+            rows += zip(seg.nodes[1:-1], seg.values[1:-1], d, d)
+            rows.append(self._at_point(i))
+        return "x,y,ydot_left,ydot_right\n" + "".join(
+            ",".join(format(v, ".17g") for v in row) + "\n" for row in rows)
 
     def to_json(self) -> str:
         obj = {
@@ -299,6 +291,7 @@ def from_exprs(relation: DelayRelation, pieces: Sequence["ex.Expr | str"], x0: f
                step_count: int = 64) -> PiecewiseSolution:
     """Sample closed forms into a piecewise solution; pieces[0] is the
     history on [g(x0), x0], the rest cover successive intervals."""
+    _check_step_count(step_count)
     if len(pieces) < 2:
         raise ParameterDomainError("need a history piece and at least one interval piece")
     exprs = [ex.as_expr(p, ("x",)) for p in pieces]

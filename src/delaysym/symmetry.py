@@ -367,7 +367,7 @@ def flow(v: VectorField, eps: float, s: PiecewiseSolution, d: Dods
         last = len(seg.nodes) - 1
         for j, (u, y, dyv) in enumerate(zip(seg.nodes, seg.values, seg.derivs)):
             rv, rdl, rdr = r.eval(u)
-            rd = rdr if j == 0 else rdl if j == last else rdr
+            rd = rdl if j == last else rdr
             values.append(grow * y + gain * rv)
             derivs.append(grow * dyv + gain * rd)
         segs.append(Segment(seg.nodes, tuple(values), tuple(derivs)))

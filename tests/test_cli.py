@@ -60,6 +60,11 @@ class TestCatalog:
         assert "ParameterDomainError" in err
         assert out == ""
 
+    def test_unit_affine_delay_without_a_positive_tau_is_one_error_line(self, capsys):
+        code, out, err = run(capsys, "catalog", "show", "A2_1", "--delay", "affine(1, -1)")
+        assert (code, out) == (1, "")
+        assert err == "ParameterDomainError: affine delay with q = 1 needs tau > 0, got -1.0\n"
+
     def test_case_without_system(self, capsys):
         code, _, err = run(capsys, "catalog", "show", "A3_11")
         assert code == 1

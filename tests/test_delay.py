@@ -75,6 +75,13 @@ class TestAffine:
         with pytest.raises(ParameterDomainError):
             AffineDelay(-0.5, 1.0)
 
+    @pytest.mark.parametrize("tau", [-1.0, -0.0, 0.0])
+    def test_unit_q_needs_a_positive_tau(self, tau):
+        # with q = 1 and tau <= 0 the relation delays nowhere
+        with pytest.raises(ParameterDomainError,
+                           match=rf"^affine delay with q = 1 needs tau > 0, got {tau!r}$"):
+            AffineDelay(1.0, tau)
+
     def test_q1_is_constant_shift(self):
         r = AffineDelay(1.0, 0.75)
         assert r.delayed_point(3.0) == 2.25

@@ -209,6 +209,13 @@ class TestPiecewiseSolution:
                     y, dl, dr = s.eval(x)
                     assert dl == dr and y == s.value(x), (offset, p)
 
+    def test_nan_abscissa_is_out_of_range(self):
+        s = sample_expr(ConstantDelay(1.0), "x^2", 0.0, 2)
+        for read in (s.value, s.eval, s.derivative):
+            with pytest.raises(OutOfRange,
+                               match=r"^x = nan outside the solution range \[-1\.0, 2\.0\]$"):
+                read(math.nan)
+
     def test_derivative_sides(self):
         d, init = smoothing_instance()
         s = solve(d, init, 1, SolverConfig(Scheme.EXACT_LINEAR))
@@ -264,6 +271,29 @@ class TestSerialization:
         _, _, dl, dr = (float(v) for v in joint.split(","))
         assert dl == pytest.approx(2.0, abs=1e-10)
         assert dr == pytest.approx(1.0, abs=1e-10)
+
+    @pytest.mark.parametrize("source", ["exact-linear", "rk4", "solution_a4_5.json"])
+    def test_csv_rows_are_the_stored_nodes_and_eval_at_mesh_points(self, source):
+        if source.endswith(".json"):
+            s = solution_from_json(
+                (pathlib.Path(__file__).with_name("data") / source).read_text(encoding="utf-8"))
+        else:
+            d, init = smoothing_instance()
+            s = solve(d, init, 3, SolverConfig(Scheme(source), step_count=8))
+
+        def row(*values):
+            return ",".join(format(v, ".17g") for v in values)
+
+        # inside a segment the one stored slope fills both columns; a mesh
+        # point's row is eval there, with its two one-sided slopes
+        x = s.segments[0].nodes[0]
+        want = ["x,y,ydot_left,ydot_right", row(x, *s.eval(x))]
+        for seg in s.segments:
+            want += [row(u, y, d, d) for u, y, d in
+                     zip(seg.nodes[1:-1], seg.values[1:-1], seg.derivs[1:-1])]
+            want.append(row(seg.nodes[-1], *s.eval(seg.nodes[-1])))
+        assert s.to_csv() == "\n".join(want) + "\n"
+        assert len(want) == 2 + sum(len(seg.nodes) - 1 for seg in s.segments)
 
     def test_csv_ends_with_newline(self):
         s = sample_expr(ConstantDelay(1.0), "x", 0.0, 1, step_count=2)
@@ -474,6 +504,17 @@ class TestSolve:
     def test_step_count_validation(self):
         with pytest.raises(ParameterDomainError):
             SolverConfig(Scheme.RK4, step_count=0)
+
+    @pytest.mark.parametrize("m", [0, -1, 2.5])
+    @pytest.mark.parametrize("build", [
+        lambda m: SolverConfig(Scheme.RK4, step_count=m),
+        lambda m: from_exprs(ConstantDelay(1.0), ["x", "x"], 0.0, step_count=m),
+        lambda m: sample_expr(ConstantDelay(1.0), "x", 0.0, 1, step_count=m),
+    ], ids=["SolverConfig", "from_exprs", "sample_expr"])
+    def test_step_count_is_an_integer_of_at_least_one(self, build, m):
+        with pytest.raises(ParameterDomainError,
+                           match=rf"^step_count must be an integer >= 1, got {m!r}$"):
+            build(m)
 
 
 class TestExactLinearQuadrature:

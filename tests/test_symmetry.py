@@ -1025,6 +1025,23 @@ class TestFlow:
             moved = flow(v, eps, self.s1, self.d)
             assert residual_scan(moved, self.d) <= 1e-9
 
+    def test_computed_r_is_read_one_sided_at_mesh_points(self):
+        # r solves A4_12's homogeneous y' = y - y- from the history x^2, and its
+        # slope jumps by -1 at x0: a segment ends on r's left slope and the
+        # next starts on its right one
+        d = catalog("A4_12").dods
+        r = solve(d, initial_condition("x^2", d.delay, 0.5), 2,
+                  SolverConfig(Scheme.EXACT_LINEAR, step_count=512))
+        assert r.derivative_jump(0) == pytest.approx(-1.0, abs=1e-9)
+        s = solve(d, initial_condition("1 + x", d.delay, 0.5), 2,
+                  SolverConfig(Scheme.EXACT_LINEAR, step_count=16))
+        eps = 0.3
+        moved = flow(vertical_from_solution(r, d), eps, s, d)
+        grow, gain = 1.0, eps  # p = 0
+        for seg, before in zip(moved.segments, s.segments):
+            assert seg.derivs[-1] == grow * before.derivs[-1] + gain * r.eval(seg.hi)[1]
+            assert seg.derivs[0] == grow * before.derivs[0] + gain * r.eval(seg.lo)[2]
+
     def test_scaling_flow(self):
         v = VectorField(ex.Num(0.0), AffineEta(ex.Num(1.0), ex.Num(0.0)))
         moved = flow(v, 0.5, self.s1, self.d)
