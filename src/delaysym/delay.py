@@ -10,6 +10,7 @@ from __future__ import annotations
 
 import functools
 import math
+import operator
 import re
 
 from . import expr as ex
@@ -320,14 +321,19 @@ class Mesh(ex.Record):
         return len(self.points) - 2
 
 
+def _check_count(name: str, n: int) -> None:
+    """A step or interval count is an integer (operator.index takes it) >= 1."""
+    if not (hasattr(type(n), "__index__") and operator.index(n) >= 1):
+        raise ParameterDomainError(f"{name} must be an integer >= 1, got {n!r}")
+
+
 def build_mesh(relation: DelayRelation, x0: float, intervals: int) -> Mesh:
     """Mesh [g(x0), x0, advance(x0), ...] with the requested interval count.
 
     NoForwardPoint propagates when the chain cannot be continued, carrying
     how far it got; the mesh is never silently shortened.
     """
-    if intervals < 1:
-        raise ParameterDomainError(f"interval count must be >= 1, got {intervals!r}")
+    _check_count("intervals", intervals)
     points = [relation.delayed_point(x0), x0]
     x = x0
     for n in range(intervals):

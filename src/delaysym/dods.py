@@ -117,12 +117,6 @@ class Dods(ex.Record):
         return ex.compile(self.rhs._tree(), ("x", "y", "ym"))
 
     @functools.cached_property
-    def _rk4_columns(self) -> Callable[..., tuple[list[float], ...]]:
-        """rhs_fn's terms alpha, beta*ym and gamma over columns of x and ym."""
-        r = self.rhs
-        return ex.compile_columns((r.alpha, ex.Binary("*", r.beta, _YM), r.gamma), ("x", "ym"))
-
-    @functools.cached_property
     def _exact_columns(self) -> tuple[Callable[..., tuple[list[float], ...]], ...]:
         """Column kernels of alpha over x, the forcing beta*ym + gamma over
         (x, ym) and the slope alpha*y + (beta*ym + gamma) over (x, y, ym)."""

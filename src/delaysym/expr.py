@@ -460,13 +460,14 @@ def _eval(e: Expr, b: Mapping[str, float]) -> float:
 # once per point of its argument columns.  _generate() caches each function by
 # the interned trees, so a rebuilt system finds it without walking a tree.
 # _emit() gives the statements and _define() turns lines into a function;
-# symmetry's invariance loop wraps a kernel's statements in its own template
-# the same way.  The emitter walks each tree in the order _eval visits it
-# (child before parent, left before right) and emits one statement per
-# operator node, t<k> = <op>, with a node's domain guard (ln, sqrt, /, and
-# sin, cos and tan, where math raises ValueError at inf) on the line before
-# it, unless that operand passed it already; the first use of an argument
-# coerces it with float() on a line of its own, as _eval does at every use.
+# symmetry's invariance loop and steps' RK4 loop wrap statements in their
+# own templates the same way.  The emitter walks each tree in the order
+# _eval visits it (child before parent, left before right) and emits one
+# statement per operator node, t<k> = <op>, with a node's domain guard (ln,
+# sqrt, /, and sin, cos and tan, where math raises ValueError at inf) on the
+# line before it, unless that operand passed it already; the first use of an
+# argument coerces it with float() on a line of its own, as _eval does at
+# every use.
 #
 # A subtree shared within or across the trees is one interned node: met
 # again, it reuses the name it got at its first use and is not walked twice,

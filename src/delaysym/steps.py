@@ -15,8 +15,9 @@ interval reads y(g(x)) at all of them from the previous segment before it
 steps.  Under an affine g, step j of an interval maps onto step j of the
 previous segment at the same fraction t, so both schemes read the previous
 steps' Hermite data at fixed t (_span_reads) and compute no g(x); any other g
-is read in one sweep (Segment.values_at).  A linear right hand side then
-takes its coefficients there from column kernels (expr.compile_columns, see
+is read in one sweep (Segment.values_at).  RK4 then steps any right hand
+side in one loop generated from its tree (_rk4_loop); exact-linear takes a
+linear one's coefficients from column kernels (expr.compile_columns, see
 solve).
 """
 
@@ -24,13 +25,13 @@ from __future__ import annotations
 
 import bisect
 import enum
+import functools
 import json
 import math
-import operator
 from collections.abc import Callable, Iterable, Sequence
 
 from . import expr as ex
-from .delay import DelayRelation, Mesh, build_mesh, parse_delay_spec
+from .delay import DelayRelation, Mesh, _check_count, build_mesh, parse_delay_spec
 from .dods import Dods, InitialCondition, LinearRhs, _golden_points, _max_residual, _with_slope
 from .errors import (DomainError, MeshRangeError, OutOfRange, ParameterDomainError,
                      SchemeMismatch)
@@ -55,18 +56,12 @@ class Scheme(enum.Enum):
     RK4 = "rk4"
 
 
-def _check_step_count(m: int) -> None:
-    """A step count is an integer (anything operator.index takes) >= 1."""
-    if not (hasattr(type(m), "__index__") and operator.index(m) >= 1):
-        raise ParameterDomainError(f"step_count must be an integer >= 1, got {m!r}")
-
-
 class SolverConfig(ex.Record):
     scheme: Scheme = Scheme.EXACT_LINEAR
     step_count: int = 64
 
     def __post_init__(self) -> None:
-        _check_step_count(self.step_count)
+        _check_count("step_count", self.step_count)
 
 
 class Segment(ex.Record):
@@ -291,7 +286,7 @@ def from_exprs(relation: DelayRelation, pieces: Sequence["ex.Expr | str"], x0: f
                step_count: int = 64) -> PiecewiseSolution:
     """Sample closed forms into a piecewise solution; pieces[0] is the
     history on [g(x0), x0], the rest cover successive intervals."""
-    _check_step_count(step_count)
+    _check_count("step_count", step_count)
     if len(pieces) < 2:
         raise ParameterDomainError("need a history piece and at least one interval piece")
     exprs = [ex.as_expr(p, ("x",)) for p in pieces]
@@ -305,6 +300,7 @@ def from_exprs(relation: DelayRelation, pieces: Sequence["ex.Expr | str"], x0: f
 def sample_expr(relation: DelayRelation, e: "ex.Expr | str", x0: float, intervals: int,
                 step_count: int = 64) -> PiecewiseSolution:
     """Sample one global closed form over the whole mesh."""
+    _check_count("intervals", intervals)
     return from_exprs(relation, [ex.as_expr(e, ("x",))] * (intervals + 1), x0, step_count)
 
 
@@ -359,8 +355,9 @@ def solve(d: Dods, init: InitialCondition, intervals: int,
     gamma(s)) ds with A' = alpha, on fixed Gauss-Legendre points, so a step
     costs the same whatever the solution's size; column kernel calls take
     alpha, then the forcing, at every Gauss point, and one pass steps.  RK4
-    uses fixed steps; on a linear right hand side one column kernel call
-    gives alpha, beta*ym and gamma at every node and midpoint (rhs_fn's bits).
+    uses fixed steps on any right hand side, linear or general, in one loop
+    generated from its tree that gives four rhs_fn calls' bits per step and
+    takes a subtree of x and ym alone once per abscissa.
     Either scheme reads an interval's delayed values before stepping it.  An
     affine delay is read from the previous segment's steps at fixed
     fractions, which differ by a few ulps from reads at g(x) where g(x)
@@ -386,10 +383,9 @@ def solve(d: Dods, init: InitialCondition, intervals: int,
     m = config.step_count
     segments = [_sample_segment(init._phi_with_slope, mesh.points[0], mesh.points[1], m)]
 
-    linear = isinstance(d.rhs, LinearRhs)
     if config.scheme is Scheme.RK4:
-        step = _rk4_linear_interval if linear else _rk4_interval
-    elif linear:
+        step = _rk4_interval
+    elif isinstance(d.rhs, LinearRhs):
         step = _exact_linear_interval
     else:
         raise SchemeMismatch("the ExactLinear scheme requires a linear right hand side")
@@ -423,53 +419,55 @@ def _delayed_abscissae(d: Dods, prev: Segment, nodes: tuple[float, ...],
     return xs, yms
 
 
+# RK4 steps an interval in one function generated per right hand side tree
+# f from k2 = f(xh, y2, ymh), k3 = f(xh, y3, ymh), k4 = f(x1, y4, ym1) and
+# the next node's slope k1 = f(x1, y, ym1).  One _emit takes all four, so a
+# subtree of x and ym alone, such as beta(x1)*ym1, is one interned node run
+# once per abscissa, and every bit and first error is four rhs_fn calls'.
+# Every argument is a float, so _emit's float() lines go; k<i> are its
+# constants, so the slope k1 is s1.
+
+_RK4_ARGS = ("xh", "ymh", "x1", "ym1", "y2", "y3", "y4", "y")
+_RK4_STAGES = (("xh", "y2", "ymh"), ("xh", "y3", "ymh"), ("x1", "y4", "ym1"), ("x1", "y", "ym1"))
+_RK4_LOOP = """\
+half, sixth = 0.5 * h, h / 6.0
+values, derivs = [a7], []
+try:
+    for a0, a1, a2, a3 in zip(xs[1::2], yms[1::2], xs[2::2], yms[2::2]):
+        a4 = a7 + half * s1
+{0}        a5 = a7 + half * {4}
+{1}        a6 = a7 + h * {5}
+{2}        a7 = a7 + sixth * (s1 + 2.0 * {4} + 2.0 * {5} + {6})
+        values.append(a7)
+        derivs.append(s1)
+{3}        s1 = {7}
+except OverflowError as exc:
+    raise _overflow(exc) from exc
+derivs.append(s1)
+return values, derivs"""
+_COERCED = {f"a{i} = float(a{i})" for i in range(len(_RK4_ARGS))}
+
+
+@functools.lru_cache(maxsize=256)
+def _rk4_loop(tree: ex.Expr) -> Callable[..., tuple[list[float], list[float]]]:
+    """RK4 on the tree f(x, y, ym) as a function of the abscissae, their
+    delayed values, the first node's value and slope k1, and the step, that
+    returns the node values and slopes; cached by the interned tree."""
+    trees = tuple(ex.substitute(tree, dict(zip(("x", "y", "ym"), map(ex.Var, stage))))
+                  for stage in _RK4_STAGES)
+    lines, outputs, consts, ends = ex._emit(trees, _RK4_ARGS)
+    stages = ("".join(f"        {line}\n" for line in lines[a:b] if line not in _COERCED)
+              for a, b in zip([0, *ends], ends))
+    return ex._define("xs, yms, a7, s1, h", _RK4_LOOP.format(*stages, *outputs).split("\n"),
+                      consts)
+
+
 def _rk4_interval(d: Dods, prev: Segment, nodes: tuple[float, ...], h: float) -> Segment:
-    """Classical RK4 with step h for any right hand side.  k2 and k3 share
-    the midpoint read, k4's abscissa is the next k1's, and k1 is the node
-    slope."""
-    rhs_fn = d.rhs_fn
+    """Classical RK4 with step h (see _rk4_loop).  k2 and k3 share the
+    midpoint read, k4's abscissa is the next k1's, and k1 is the node slope."""
     xs, yms = _delayed_abscissae(d, prev, nodes, h)
     y = prev.values[-1]
-    values = [y]
-    derivs = []
-    for j in range(0, len(xs) - 1, 2):
-        x, xh, x1 = xs[j], xs[j + 1], xs[j + 2]
-        k1 = rhs_fn(x, y, yms[j])
-        k2 = rhs_fn(xh, y + 0.5 * h * k1, yms[j + 1])
-        k3 = rhs_fn(xh, y + 0.5 * h * k2, yms[j + 1])
-        k4 = rhs_fn(x1, y + h * k3, yms[j + 2])
-        y = y + h / 6.0 * (k1 + 2.0 * k2 + 2.0 * k3 + k4)
-        values.append(y)
-        derivs.append(k1)
-    derivs.append(rhs_fn(xs[-1], y, yms[-1]))
-    return Segment(nodes, tuple(values), tuple(derivs))
-
-
-def _rk4_linear_interval(d: Dods, prev: Segment, nodes: tuple[float, ...],
-                         h: float) -> Segment:
-    """_rk4_interval for alpha*y + beta*ym + gamma, bit for bit: one column
-    kernel call gives alpha, beta*ym and gamma at every abscissa, in rhs_fn's
-    order, and each slope is rhs_fn's (alpha*y + beta*ym) + gamma.  Kept
-    apart from _rk4_interval because that loop's four rhs_fn calls per step
-    make the benchmark's march round ~10 % slower."""
-    xs, yms = _delayed_abscissae(d, prev, nodes, h)
-    alphas, byms, gammas = d._rk4_columns(xs, yms)
-    half, sixth = 0.5 * h, h / 6.0
-    y = prev.values[-1]
-    values = [y]
-    derivs = []
-    a, bym, c = alphas[0], byms[0], gammas[0]
-    for ah, bymh, ch, a1, bym1, c1 in zip(alphas[1::2], byms[1::2], gammas[1::2],
-                                          alphas[2::2], byms[2::2], gammas[2::2]):
-        k1 = (a * y + bym) + c
-        k2 = (ah * (y + half * k1) + bymh) + ch
-        k3 = (ah * (y + half * k2) + bymh) + ch
-        k4 = (a1 * (y + h * k3) + bym1) + c1
-        a, bym, c = a1, bym1, c1
-        y = y + sixth * (k1 + 2.0 * k2 + 2.0 * k3 + k4)
-        values.append(y)
-        derivs.append(k1)
-    derivs.append((a * y + bym) + c)
+    values, derivs = _rk4_loop(d.rhs._tree())(xs, yms, y, d.rhs_fn(xs[0], y, yms[0]), h)
     return Segment(nodes, tuple(values), tuple(derivs))
 
 

@@ -25,6 +25,7 @@ from delaysym.dods import (
     LinearRhs,
     catalog,
     initial_condition,
+    load_spec,
 )
 from delaysym.errors import (
     DomainError,
@@ -436,9 +437,9 @@ class TestSolve:
 
     @pytest.mark.parametrize("case", ["A3_5", "A3_14", "A3_7"])
     def test_rk4_linear_rhs_matches_the_generic_loop(self, case):
-        # RK4 takes alpha, beta*ym and gamma once per abscissa for a linear
-        # right hand side; the same system written as a general f gives the
-        # same bits
+        # a linear right hand side and the same system written as a general
+        # f have one tree, so RK4 runs one generated loop for both and gives
+        # the same bits
         e = catalog(case)
         r = e.dods.rhs
         f = ex.Binary("+", ex.Binary("+", ex.Binary("*", r.alpha, ex.Var("y")),
@@ -516,6 +517,17 @@ class TestSolve:
                            match=rf"^step_count must be an integer >= 1, got {m!r}$"):
             build(m)
 
+    @pytest.mark.parametrize("n", [0, -1, 2.5])
+    @pytest.mark.parametrize("build", [
+        lambda n: build_mesh(ConstantDelay(1.0), 0.0, n),
+        lambda n: sample_expr(ConstantDelay(1.0), "x", 0.0, n),
+        lambda n: solve(*smoothing_instance(), n),
+    ], ids=["build_mesh", "sample_expr", "solve"])
+    def test_interval_count_is_an_integer_of_at_least_one(self, build, n):
+        with pytest.raises(ParameterDomainError,
+                           match=rf"^intervals must be an integer >= 1, got {n!r}$"):
+            build(n)
+
 
 class TestExactLinearQuadrature:
     @pytest.mark.parametrize(
@@ -585,6 +597,9 @@ def _abscissae_read_at_g(d, prev, nodes, h):
     xs[::2] = nodes
     xs[1::2] = [x + 0.5 * h for x in nodes[:-1]]
     return xs, prev.values_at(map(d.delay.delayed_point, xs))
+
+
+_GENERAL_RHS = pathlib.Path(__file__).with_name("data") / "general_rhs.txt"
 
 
 def _affine_system(kind, general, seed):
@@ -687,9 +702,29 @@ class TestAffineReads:
         assert len(points) >= 2 * 31 and reads >= 2
 
 
-# The linear steppers as they were before the column kernels: alpha, beta and
-# gamma compiled one by one and called point by point, the integrating
-# factors summed in list passes.  They are the bit-for-bit reference.
+# The steppers as they were before the generated loops: RK4 as four rhs_fn
+# calls per step, and for a linear right hand side alpha, beta and gamma
+# compiled one by one and called point by point, the integrating factors
+# summed in list passes.  They are the bit-for-bit reference.
+
+
+def _rk4_per_point(d, prev, nodes, h):
+    rhs_fn = d.rhs_fn
+    xs, yms = steps._delayed_abscissae(d, prev, nodes, h)
+    y = prev.values[-1]
+    values = [y]
+    derivs = []
+    for j in range(0, len(xs) - 1, 2):
+        x, xh, x1 = xs[j], xs[j + 1], xs[j + 2]
+        k1 = rhs_fn(x, y, yms[j])
+        k2 = rhs_fn(xh, y + 0.5 * h * k1, yms[j + 1])
+        k3 = rhs_fn(xh, y + 0.5 * h * k2, yms[j + 1])
+        k4 = rhs_fn(x1, y + h * k3, yms[j + 2])
+        y = y + h / 6.0 * (k1 + 2.0 * k2 + 2.0 * k3 + k4)
+        values.append(y)
+        derivs.append(k1)
+    derivs.append(rhs_fn(xs[-1], y, yms[-1]))
+    return Segment(nodes, tuple(values), tuple(derivs))
 
 
 def _coefficient_fns(d):
@@ -758,8 +793,9 @@ def _exact_linear_per_point(d, prev, nodes, h):
 
 def _per_point_outcome(d, init, n, config):
     """solve's to_json, or its error, with the per-point steppers."""
+    rk4 = _rk4_linear_per_point if isinstance(d.rhs, LinearRhs) else _rk4_per_point
     with pytest.MonkeyPatch.context() as mp:
-        mp.setattr(steps, "_rk4_linear_interval", _rk4_linear_per_point)
+        mp.setattr(steps, "_rk4_interval", rk4)
         mp.setattr(steps, "_exact_linear_interval", _exact_linear_per_point)
         return _solve_outcome(d, init, n, config)
 
@@ -886,18 +922,25 @@ class TestColumnKernels:
     def test_one_kernel_set_per_scheme(self):
         e = catalog("A3_14")
         init = initial_condition("x + 4", e.dods.delay, 1.0)
+        general, _ = load_spec(_GENERAL_RHS.read_text())
+        general_init = initial_condition("x + 4", general.delay, 0.0)
         seen = []
         inner = ex._bytecode
-        ex._generate.cache_clear()  # count every build from an empty cache
+        ex._generate.cache_clear()  # count every build from empty caches
+        steps._rk4_loop.cache_clear()
         with pytest.MonkeyPatch.context() as mp:
             mp.setattr(ex, "_bytecode", lambda s: (seen.append(s), inner(s))[1])
             for scheme in (Scheme.RK4, Scheme.RK4, Scheme.EXACT_LINEAR, Scheme.EXACT_LINEAR):
                 solve(e.dods, init, 2, SolverConfig(scheme, step_count=16))
+            for _ in range(2):
+                solve(general, general_init, 3, SolverConfig(Scheme.RK4, step_count=16))
         # two column kernels for the history and its slope, kept on the
-        # history record, then one rk4 kernel and three exact-linear kernels,
-        # each built once
-        assert len(seen) == 2 + 1 + 3
-        assert sum(" in zip(" in s or " in c0:" in s for s in seen) == 6
+        # history record, then rhs_fn and one rk4 loop and three exact-linear
+        # kernels for A3_14, and rhs_fn and one rk4 loop for the general
+        # system, each built once and the loops reused across intervals
+        assert len(seen) == 2 + 2 + 3 + 2
+        assert sum(" in zip(" in s or " in c0:" in s for s in seen) == 2 + 1 + 3 + 1
+        assert sum("derivs.append(s1)" in s for s in seen) == 2
 
     def test_generated_source_does_not_depend_on_hash_order(self):
         # record every source that solves of three systems generate under
@@ -920,10 +963,11 @@ class TestColumnKernels:
                 for seed in ("0", "12345")}
         assert len(outs) == 1
         count, columns, _ = outs.pop().split()
-        # each set of trees compiles once: one kernel over two or three
-        # columns per scheme and system, and four over one, the history
-        # x + 4 and its slope, which all six solves share, and two alphas
-        assert int(count) == 3 * 3 + 4 and int(columns) == 3 * 3
+        # each set of trees compiles once: per system the rk4 loop and the
+        # two exact-linear kernels over two or three columns, and rhs_fn;
+        # and four over one column, the history x + 4 and its slope, which
+        # all six solves share, and two alphas
+        assert int(count) == 3 * 3 + 3 + 4 and int(columns) == 3 * 3
 
 
 def _residual_scan_per_sample(s, d):
@@ -1029,3 +1073,73 @@ class TestResidualScan:
         d, _ = smoothing_instance()
         s = sample_expr(d.delay, "x^2", 0.0, 2)
         assert residual_scan(s, d) >= 0.9
+
+
+def _general(text):
+    return GeneralRhs(ex.parse(text, ("x", "y", "ym")))
+
+
+def _general_systems():
+    """(system, history, x0) of general right hand sides on every delay kind."""
+    d, _ = load_spec(_GENERAL_RHS.read_text())
+    yield pytest.param(d, "1 + x", 0.0, id="general_rhs.txt")
+    for kind in ("constant", "affine q < 1", "affine q > 1", "qscale", "moebius", "general"):
+        for seed in range(5):
+            d, x0 = _scan_system(kind, True, seed)
+            yield pytest.param(d, "sin(2*x) + 1", x0, id=f"{kind} {seed}")
+    # sin(y) and exp(-y^2) take another y at every stage: each stage must
+    # run its own copy, not an earlier stage's
+    for delay, x0 in ((ConstantDelay(0.7), 0.3), (QScaleDelay(0.6), 0.4),
+                      (GeneralDelay(ex.parse("x - 1 - sin(x)/10")), 0.3)):
+        yield pytest.param(Dods(_general("sin(y)*ym + exp(-y^2)"), delay), "sin(2*x) + 1", x0,
+                           id=f"y alone {delay.kind}")
+    # a -0.0 history and a -0.0 term: every stored value and slope is a zero
+    # whose sign the order of operations sets
+    f = ex.Binary("+", ex.parse("sin(y) + ym*y", ("y", "ym")), ex.Num(-0.0))
+    yield pytest.param(Dods(GeneralRhs(f), ConstantDelay(1.0)), ex.Num(-0.0), 0.0,
+                       id="signed zeros")
+
+
+class TestGeneralRk4Loop:
+    """RK4 on a general right hand side gives the bits, or the error, of
+    four rhs_fn calls per step."""
+
+    @pytest.mark.parametrize("d, phi, x0", list(_general_systems()))
+    @pytest.mark.parametrize("m", [1, 7, 64])
+    def test_solves_equal_the_per_point_stepper(self, d, phi, x0, m):
+        init = initial_condition(phi, d.delay, x0)
+        config = SolverConfig(Scheme.RK4, step_count=m)
+        want = _per_point_outcome(d, init, 2, config)
+        assert want[0] == "value"
+        assert _solve_outcome(d, init, 2, config) == want
+
+    @pytest.mark.parametrize("f, m, message", [
+        # one step from y = 1: ln meets y2, y3 or y4 <= 0, never a node value
+        ("ln(y) - 3*ym", 1, "ln of non-positive value -0.5"),
+        ("ln(y) - 1.5*ym", 1, "ln of non-positive value -0.4431471805599454"),
+        ("ln(y) - ym", 1, "ln of non-positive value -1.8745342424159492"),
+        # exp overflows, x - 0.5625 is zero at a step midpoint, sqrt meets y > 1.2
+        ("exp(40*y) - ym", 8, "overflow during evaluation: math range error"),
+        ("y/(x - 0.5625)", 8, "division by zero"),
+        ("sqrt(1.2 - y) + x", 8, "sqrt of negative value -0.018457535222198063"),
+    ])
+    def test_errors_equal_the_per_point_stepper(self, f, m, message):
+        d = Dods(_general(f), ConstantDelay(1.0))
+        init = initial_condition("1", d.delay, 0.0)
+        config = SolverConfig(Scheme.RK4, step_count=m)
+        want = _per_point_outcome(d, init, 2, config)
+        assert want == (DomainError, message)
+        assert _solve_outcome(d, init, 2, config) == want
+
+    @settings(max_examples=100, deadline=None)
+    @given(st.tuples(*[st.floats(-4.0, 4.0)] * 3), st.integers(1, 8), st.integers(1, 4))
+    def test_coarse_steps_equal_the_per_point_stepper(self, coefficients, m, n):
+        # large coefficients on coarse steps, so a stage can overflow exp as
+        # well as give a value; a general delay reads at g(x)
+        wave = ex.parse("a*y*exp(y) + b*sqrt(1 + ym^2) + c*sin(5*x)",
+                        ("a", "b", "c", "x", "y", "ym"))
+        f = ex.substitute(wave, dict(zip("abc", map(ex.Num, coefficients))))
+        d = Dods(GeneralRhs(f), GeneralDelay(ex.parse("x - 1 - sin(x)/10")))
+        init = initial_condition("sin(2*x) + 1", d.delay, 0.3)
+        config = SolverConfig(Scheme.RK4, step_count=m)
+        assert _solve_outcome(d, init, n, config) == _per_point_outcome(d, init, n, config)
