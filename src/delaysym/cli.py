@@ -287,6 +287,10 @@ def main(argv: Sequence[str] | None = None) -> int:
     args = parser.parse_args(_joined(sys.argv[1:] if argv is None else argv))
     if args.command == "catalog" and args.action == "show" and not args.case:
         parser.error("catalog show needs a case id")
+    if getattr(args, "spec", None) is not None and any(
+            getattr(args, name) is not None for name in ("case", "params", "fn", "delay")):
+        parser.exit(2, f"{parser.prog} {args.command}: error: --spec cannot be combined "
+                       "with --case, --params, --fn or --delay\n")
     if args.command == "solve" and not args.spec and (args.phi is None or args.x0 is None):
         parser.error("solve needs --phi and --x0 unless a --spec file sets them")
     try:

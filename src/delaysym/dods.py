@@ -20,8 +20,8 @@ from collections.abc import Callable, Iterable, Mapping
 from . import expr as ex
 from .delay import (ConstantDelay, DelayRelation, MoebiusDelay, _unquote,
                     parse_delay_spec, scale_delay)
-from .errors import (BracketNotFound, DomainError, NoDodsError, NonConvergence,
-                     ParameterDomainError, SchemeMismatch)
+from .errors import (BracketNotFound, DelaySymError, DomainError, NoDodsError,
+                     NonConvergence, ParameterDomainError, SchemeMismatch)
 from .numerics import hybrid_root, scan_bracket
 
 __all__ = [
@@ -117,25 +117,41 @@ class Dods(ex.Record):
         return ex.compile(self.rhs._tree(), ("x", "y", "ym"))
 
     @functools.cached_property
-    def _exact_columns(self) -> tuple[Callable[..., tuple[list[float], ...]], ...]:
-        """Column kernels of alpha over x, the forcing beta*ym + gamma over
-        (x, ym) and the slope alpha*y + (beta*ym + gamma) over (x, y, ym)."""
-        r = self.rhs
-        forcing = ex.Binary("+", ex.Binary("*", r.beta, _YM), r.gamma)
-        slope = ex.Binary("+", ex.Binary("*", r.alpha, _Y), forcing)
-        return tuple(ex.compile_columns((tree,), args) for tree, args in (
-            (r.alpha, ("x",)), (forcing, ("x", "ym")), (slope, ("x", "y", "ym"))))
-
-    @functools.cached_property
     def manifold_partials(self) -> tuple[ex.Expr, ...]:
         """Partial derivatives of the manifold form with respect to x, y, xm
         and ym, as trees over (x, y, xm, ym).  Without a manifold form the
-        substituted right hand side stands in, with no xm dependence left."""
+        substituted right hand side stands in, with no xm dependence left; a
+        manifold form that disagrees with it raises (_check_manifold)."""
+        if self.rhs_manifold is not None:
+            _check_manifold(self)
         m = self.rhs_manifold if self.rhs_manifold is not None else self.rhs.as_expr()
         return tuple(ex.fold(ex.differentiate(m, v)) for v in ("x", "y", "xm", "ym"))
 
     def rhs_value(self, x: float, y: float, ym: float) -> float:
         return self.rhs_fn(x, y, ym)
+
+
+_AGREE = 1e-7  # values agree within it, absolute or relative; symmetry._PASSES too
+
+
+def _check_manifold(d: Dods) -> None:
+    """Raise ParameterDomainError at the first of 8 golden points x of the
+    window, each with three (y, ym), where the manifold form at (x, y, g(x),
+    ym) and rhs_fn at (x, y, ym) disagree; a sample that raises is skipped."""
+    manifold = ex.compile(d.rhs_manifold, ("x", "y", "xm", "ym"))
+    g, rhs = d.delay.delayed_point, d.rhs_fn
+    for x in _golden_points(*_window_for(d.domain), 8):
+        for y, ym in ((0.5, -1.25), (1.75, 0.5), (-1.5, 1.0)):
+            try:
+                xm = g(x)
+                got, want = manifold(x, y, xm, ym), rhs(x, y, ym)
+            except DelaySymError:
+                continue
+            gap = abs(got - want)  # the scale is taken only past the absolute test
+            if gap > _AGREE and gap > _AGREE * (1.0 + max(abs(got), abs(want))):
+                raise ParameterDomainError(
+                    f"the manifold form gives {got!r} at (x, y, xm, ym) = ({x!r}, {y!r}, "
+                    f"{xm!r}, {ym!r}), the right hand side {want!r}")
 
 
 def homogenized(d: Dods) -> Dods:

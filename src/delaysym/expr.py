@@ -460,8 +460,8 @@ def _eval(e: Expr, b: Mapping[str, float]) -> float:
 # once per point of its argument columns.  _generate() caches each function by
 # the interned trees, so a rebuilt system finds it without walking a tree.
 # _emit() gives the statements and _define() turns lines into a function;
-# symmetry's invariance loop and steps' RK4 loop wrap statements in their
-# own templates the same way.  The emitter walks each tree in the order
+# symmetry's invariance loop and steps' one loop per scheme wrap statements
+# in their own templates the same way.  The emitter walks each tree in the order
 # _eval visits it (child before parent, left before right) and emits one
 # statement per operator node, t<k> = <op>, with a node's domain guard (ln,
 # sqrt, /, and sin, cos and tan, where math raises ValueError at inf) on the

@@ -12,13 +12,12 @@ in slope.
 
 The delayed points of an interval do not depend on its solution, so each
 interval reads y(g(x)) at all of them from the previous segment before it
-steps.  Under an affine g, step j of an interval maps onto step j of the
-previous segment at the same fraction t, so both schemes read the previous
-steps' Hermite data at fixed t (_span_reads) and compute no g(x); any other g
-is read in one sweep (Segment.values_at).  RK4 then steps any right hand
-side in one loop generated from its tree (_rk4_loop); exact-linear takes a
-linear one's coefficients from column kernels (expr.compile_columns, see
-solve).
+steps (_delayed_abscissae).  Under an affine g, step j of an interval maps
+onto step j of the previous segment at the same fraction t, so both schemes
+read the previous steps' Hermite data at fixed t (_span_reads) and compute
+no g(x); any other g is read in one sweep (Segment.values_at).  Either
+scheme then steps the interval in one loop generated from the right hand
+side's trees (_loop, see solve).
 """
 
 from __future__ import annotations
@@ -32,7 +31,8 @@ from collections.abc import Callable, Iterable, Sequence
 
 from . import expr as ex
 from .delay import DelayRelation, Mesh, _check_count, build_mesh, parse_delay_spec
-from .dods import Dods, InitialCondition, LinearRhs, _golden_points, _max_residual, _with_slope
+from .dods import (Dods, InitialCondition, LinearRhs, _Y, _YM, _golden_points, _max_residual,
+                   _with_slope)
 from .errors import (DomainError, MeshRangeError, OutOfRange, ParameterDomainError,
                      SchemeMismatch)
 
@@ -331,11 +331,6 @@ def _hermite(t: float) -> tuple[float, float, float, float]:
     return 2.0 * t3 - 3.0 * t2 + 1.0, t3 - 2.0 * t2 + t, -2.0 * t3 + 3.0 * t2, t3 - t2
 
 
-# the basis at t = c_i, for reading a step of the previous segment
-_GL_HERMITE = tuple(map(_hermite, _GL_C))
-_MIDPOINT = (_hermite(0.5),)
-
-
 def _span_reads(prev: Segment, rows: Iterable[tuple[float, ...]]) -> list[float]:
     """prev read at the same fraction t of every step, for each row of
     weights _hermite(t), one row after another; bit for bit Segment._read
@@ -353,19 +348,22 @@ def solve(d: Dods, init: InitialCondition, intervals: int,
     ExactLinear advances each step [t0, t1] with the integrating factor,
     y(t1) = e^(A(t1)-A(t0)) y(t0) + int e^(A(t1)-A(s)) (beta(s) y(g(s)) +
     gamma(s)) ds with A' = alpha, on fixed Gauss-Legendre points, so a step
-    costs the same whatever the solution's size; column kernel calls take
-    alpha, then the forcing, at every Gauss point, and one pass steps.  RK4
-    uses fixed steps on any right hand side, linear or general, in one loop
-    generated from its tree that gives four rhs_fn calls' bits per step and
-    takes a subtree of x and ym alone once per abscissa.
-    Either scheme reads an interval's delayed values before stepping it.  An
-    affine delay is read from the previous segment's steps at fixed
-    fractions, which differ by a few ulps from reads at g(x) where g(x)
-    rounds; any other delay is read at g(x) in one sweep, so when both the
-    delay and a coefficient fail inside one interval, the delay's DomainError
-    is the one raised.  An interval that ends on a value or slope that is not
-    finite, or whose integrating factor overflows, raises DomainError naming
-    it.
+    costs the same whatever the solution's size.  RK4 uses fixed steps on
+    any right hand side, linear or general.  Each runs one loop generated
+    from the right hand side's trees, which takes a subtree of x and ym
+    alone once per abscissa and gives the bits, and the first error, of
+    evaluating the trees point by point in this order.  Either scheme first
+    reads the interval's delayed values: an affine delay from the previous
+    segment's steps at fixed fractions, which differ by a few ulps from
+    reads at g(x) where g(x) rounds, any other at g(x) in one sweep in
+    marching order, so where the delay and a coefficient both fail, the
+    delay's DomainError is raised.  RK4 then takes per step k1 (the node
+    slope), k2, k3 and k4.  Exact-linear takes alpha at every step's first
+    Gauss point, then second, then third; then the first node's slope; then
+    per step the forcing beta*ym + gamma at its three Gauss points, the
+    integrating factors and the next node's slope.  An interval that ends on
+    a value or slope that is not finite, or whose integrating factor
+    overflows, raises DomainError naming it.
     """
     mesh = build_mesh(d.delay, init.x0, intervals)
     if abs(init.x_minus1 - mesh.points[0]) > _TOL * (1.0 + abs(mesh.points[0])):
@@ -383,12 +381,9 @@ def solve(d: Dods, init: InitialCondition, intervals: int,
     m = config.step_count
     segments = [_sample_segment(init._phi_with_slope, mesh.points[0], mesh.points[1], m)]
 
-    if config.scheme is Scheme.RK4:
-        step = _rk4_interval
-    elif isinstance(d.rhs, LinearRhs):
-        step = _exact_linear_interval
-    else:
+    if config.scheme is Scheme.EXACT_LINEAR and not isinstance(d.rhs, LinearRhs):
         raise SchemeMismatch("the ExactLinear scheme requires a linear right hand side")
+    step = _rk4_interval if config.scheme is Scheme.RK4 else _exact_linear_interval
     for n in range(1, intervals + 1):
         a, b = mesh.points[n], mesh.points[n + 1]
         nodes = tuple(a + (b - a) * j / m for j in range(m + 1))
@@ -401,116 +396,131 @@ def solve(d: Dods, init: InitialCondition, intervals: int,
     return PiecewiseSolution(mesh, tuple(segments))
 
 
-def _delayed_abscissae(d: Dods, prev: Segment, nodes: tuple[float, ...],
-                       h: float) -> tuple[list[float], list[float]]:
-    """RK4's abscissae, the nodes with each step's midpoint between them,
-    and y(g(x)) at each, read from the previous interval: under an affine g
-    its node values and step midpoints (t = 1/2), with no g(x) computed;
-    under any other g in one sweep in marching order, so the first x the
-    delay rejects is the one a point-by-point march meets first."""
-    xs = [0.0] * (2 * len(nodes) - 1)
-    xs[::2] = nodes
-    xs[1::2] = [x + 0.5 * h for x in nodes[:-1]]
+def _delayed_abscissae(d: Dods, prev: Segment, nodes: tuple[float, ...], h: float,
+                       fractions: tuple[float, ...]) -> tuple[list[float], list[float]]:
+    """The nodes with each step's points node + h*c, c in fractions, between
+    them, in marching order, and y(g(x)) at each, read from the previous
+    interval: under an affine g its node values and its steps at the same
+    fractions (_span_reads), with no g(x) computed; under any other g in one
+    sweep in marching order, so the first x the delay rejects is the one a
+    point-by-point march meets first."""
+    k, n = len(fractions) + 1, len(nodes) - 1
+    xs = [0.0] * (k * n + 1)
+    xs[::k] = nodes
+    for i, c in enumerate(fractions, 1):
+        xs[i::k] = [x + h * c for x in nodes[:-1]]
     if d.delay.affine_parameters() is None:
         return xs, prev.values_at(map(d.delay.delayed_point, xs))
-    yms = [0.0] * len(xs)
-    yms[::2] = prev.values
-    yms[1::2] = _span_reads(prev, _MIDPOINT)
+    yms, reads = xs[:], _span_reads(prev, map(_hermite, fractions))
+    yms[::k] = prev.values
+    for i in range(1, k):
+        yms[i::k] = reads[(i - 1) * n:i * n]
     return xs, yms
 
 
-# RK4 steps an interval in one function generated per right hand side tree
-# f from k2 = f(xh, y2, ymh), k3 = f(xh, y3, ymh), k4 = f(x1, y4, ym1) and
-# the next node's slope k1 = f(x1, y, ym1).  One _emit takes all four, so a
+# Each scheme steps an interval in one function generated by one _emit over
+# its stages, each a tree with the stage's names put for x, y and ym: a
 # subtree of x and ym alone, such as beta(x1)*ym1, is one interned node run
-# once per abscissa, and every bit and first error is four rhs_fn calls'.
-# Every argument is a float, so _emit's float() lines go; k<i> are its
-# constants, so the slope k1 is s1.
+# once per abscissa, and every bit and first error is that of the stages
+# evaluated one by one.  Stage 0, the first node's slope, runs before the
+# loop on names of its own (with y for y0, a subtree of y alone would be one
+# node with the last stage's, read stale), so it shares only constants with
+# the rest, which then run once; the rest run in the loop, cut at _emit's
+# ends.  Arguments are floats, so _emit's float() lines go; the templates'
+# own names avoid its a<i>, t<k> and k<i>.
 
-_RK4_ARGS = ("xh", "ymh", "x1", "ym1", "y2", "y3", "y4", "y")
-_RK4_STAGES = (("xh", "y2", "ymh"), ("xh", "y3", "ymh"), ("x1", "y4", "ym1"), ("x1", "y", "ym1"))
-_RK4_LOOP = """\
+_RK4 = """\
 half, sixth = 0.5 * h, h / 6.0
-values, derivs = [a7], []
+{x0}, {ym0}, {y} = xs[0], yms[0], {y0}
+values, derivs = [{y}], []
 try:
-    for a0, a1, a2, a3 in zip(xs[1::2], yms[1::2], xs[2::2], yms[2::2]):
-        a4 = a7 + half * s1
-{0}        a5 = a7 + half * {4}
-{1}        a6 = a7 + h * {5}
-{2}        a7 = a7 + sixth * (s1 + 2.0 * {4} + 2.0 * {5} + {6})
-        values.append(a7)
+{0}    s1 = {o0}
+    for {xh}, {ymh}, {x1}, {ym1} in zip(xs[1::2], yms[1::2], xs[2::2], yms[2::2]):
+        {y2} = {y} + half * s1
+{1}        {y3} = {y} + half * {o1}
+{2}        {y4} = {y} + h * {o2}
+{3}        {y} = {y} + sixth * (s1 + 2.0 * {o1} + 2.0 * {o2} + {o3})
+        values.append({y})
         derivs.append(s1)
-{3}        s1 = {7}
+{4}        s1 = {o4}
 except OverflowError as exc:
     raise _overflow(exc) from exc
 derivs.append(s1)
-return values, derivs"""
-_COERCED = {f"a{i} = float(a{i})" for i in range(len(_RK4_ARGS))}
+return tuple(values), tuple(derivs)"""
+# e_i = e^(A(t1) - A(s_i)); every sum starts from 0.0, which sets a zero's sign
+_EXACT_LINEAR = """\
+(w00, w01, w02), (w10, w11, w12), (w20, w21, w22), (b0, b1, b2) = _weights
+exp, n = _exp, len(alphas) // 3
+{x0}, {ym0}, {y} = xs[0], yms[0], {y0}
+values = [{y}]
+try:
+{0}    derivs = [{o0}]
+    for {xa}, {yma}, {xb}, {ymb}, {xc}, {ymc}, {x1}, {ym1}, al0, al1, al2 in zip(
+            xs[1::4], yms[1::4], xs[2::4], yms[2::4], xs[3::4], yms[3::4], xs[4::4], yms[4::4],
+            alphas[:n], alphas[n:2 * n], alphas[2 * n:]):
+{1}{2}{3}        try:
+            e0 = exp(h * (((0.0 + w00 * al0) + w01 * al1) + w02 * al2))
+            e1 = exp(h * (((0.0 + w10 * al0) + w11 * al1) + w12 * al2))
+            e2 = exp(h * (((0.0 + w20 * al0) + w21 * al1) + w22 * al2))
+            s = ((0.0 + b0 * e0 * {o1}) + b1 * e1 * {o2}) + b2 * e2 * {o3}
+            {y} = exp(h * (((0.0 + b0 * al0) + b1 * al1) + b2 * al2)) * {y} + h * s
+        except OverflowError:
+            raise DomainError("the integrating factor overflows on the interval "
+                              f"[{{xs[0]!r}}, {{xs[-1]!r}}]") from None
+        values.append({y})
+{4}        derivs.append({o4})
+except OverflowError as exc:
+    raise _overflow(exc) from exc
+return tuple(values), tuple(derivs)"""
+# per scheme its parameters, its stages as (tree, names for x, y, ym) and its
+# template: RK4's k1 = f(x0, y0, ym0), k2, k3, k4 and the next k1; exact-linear's
+# slope alpha*y + (beta*ym + gamma), the forcing at s_0, s_1, s_2, the next slope
+_SCHEMES = {
+    Scheme.RK4: ("xs, yms, {y0}, h", ((0, "x0", "y0", "ym0"), (0, "xh", "y2", "ymh"),
+                 (0, "xh", "y3", "ymh"), (0, "x1", "y4", "ym1"), (0, "x1", "y", "ym1")), _RK4),
+    Scheme.EXACT_LINEAR: ("xs, yms, alphas, {y0}, h", ((1, "x0", "y0", "ym0"),
+                          (0, "xa", "y", "yma"), (0, "xb", "y", "ymb"), (0, "xc", "y", "ymc"),
+                          (1, "x1", "y", "ym1")), _EXACT_LINEAR),
+}
+_STEP_GLOBALS = {**ex._COMPILE_GLOBALS, "_weights": (*_GL_TAIL, _GL_B), "DomainError": DomainError}
 
 
 @functools.lru_cache(maxsize=256)
-def _rk4_loop(tree: ex.Expr) -> Callable[..., tuple[list[float], list[float]]]:
-    """RK4 on the tree f(x, y, ym) as a function of the abscissae, their
-    delayed values, the first node's value and slope k1, and the step, that
-    returns the node values and slopes; cached by the interned tree."""
-    trees = tuple(ex.substitute(tree, dict(zip(("x", "y", "ym"), map(ex.Var, stage))))
-                  for stage in _RK4_STAGES)
-    lines, outputs, consts, ends = ex._emit(trees, _RK4_ARGS)
-    stages = ("".join(f"        {line}\n" for line in lines[a:b] if line not in _COERCED)
-              for a, b in zip([0, *ends], ends))
-    return ex._define("xs, yms, a7, s1, h", _RK4_LOOP.format(*stages, *outputs).split("\n"),
-                      consts)
+def _loop(scheme: Scheme, trees: tuple[ex.Expr, ...]
+          ) -> Callable[..., tuple[tuple[float, ...], tuple[float, ...]]]:
+    """The scheme's steps over its trees (RK4's f, exact-linear's forcing and
+    slope) as a function of its parameters; cached by the interned trees."""
+    params, stages, template = _SCHEMES[scheme]
+    arg = {name: f"a{i}" for i, name in enumerate(
+        dict.fromkeys(name for _, *names in stages for name in names))}
+    lines, outputs, consts, ends = ex._emit(
+        [ex.substitute(trees[i], {v: ex.Var(name) for v, name in zip(("x", "y", "ym"), names)})
+         for i, *names in stages], tuple(arg))
+    coerced = {f"{a} = float({a})" for a in arg.values()}
+    blocks = ("".join(f"{'        ' if i else '    '}{line}\n"
+                      for line in lines[a:b] if line not in coerced)
+              for i, (a, b) in enumerate(zip([0, *ends], ends)))
+    source = template.format(*blocks, **arg, **{f"o{i}": o for i, o in enumerate(outputs)})
+    return ex._define(params.format(**arg), source.split("\n"), consts, _STEP_GLOBALS)
 
 
 def _rk4_interval(d: Dods, prev: Segment, nodes: tuple[float, ...], h: float) -> Segment:
-    """Classical RK4 with step h (see _rk4_loop).  k2 and k3 share the
-    midpoint read, k4's abscissa is the next k1's, and k1 is the node slope."""
-    xs, yms = _delayed_abscissae(d, prev, nodes, h)
-    y = prev.values[-1]
-    values, derivs = _rk4_loop(d.rhs._tree())(xs, yms, y, d.rhs_fn(xs[0], y, yms[0]), h)
-    return Segment(nodes, tuple(values), tuple(derivs))
+    """Classical RK4 with step h (see _loop).  k2 and k3 share the midpoint
+    read, k4's abscissa is the next k1's, and k1 is the node slope."""
+    xs, yms = _delayed_abscissae(d, prev, nodes, h, (0.5,))
+    return Segment(nodes, *_loop(Scheme.RK4, (d.rhs._tree(),))(xs, yms, prev.values[-1], h))
 
 
 def _exact_linear_interval(d: Dods, prev: Segment, nodes: tuple[float, ...],
                            h: float) -> Segment:
-    """Integrating-factor steps on the Gauss-Legendre points (see solve).
-    pts, delayed, alphas and forcing run over every step's first Gauss
-    point, then second, then third; alpha is taken before the forcing."""
-    alpha_col, forcing_col, slope_col = d._exact_columns
-    delayed_point, lookup = d.delay.delayed_point, prev.values_at
-    n = len(nodes) - 1
-    pts = [t0 + h * c for c in _GL_C for t0 in nodes[:-1]]
-    pv = prev.values
-    if d.delay.affine_parameters() is not None:
-        # an affine g maps step j onto step j of the previous segment, with
-        # each Gauss point at the same fraction c_i of it
-        delayed = _span_reads(prev, _GL_HERMITE)
-        at_nodes = pv
-    else:
-        delayed = lookup(map(delayed_point, pts))
-        at_nodes = lookup(map(delayed_point, nodes))
-    (alphas,) = alpha_col(pts)
-    (forcing,) = forcing_col(pts, delayed)
-    # e_i = e^(A(t1) - A(s_i)); every sum starts from 0.0, which sets a zero's sign
-    (t00, t01, t02), (t10, t11, t12), (t20, t21, t22) = _GL_TAIL
-    b0, b1, b2 = _GL_B
-    exp = math.exp
-    y = pv[-1]
-    values = [y]
-    try:
-        for a0, a1, a2, f0, f1, f2 in zip(alphas[:n], alphas[n:2 * n], alphas[2 * n:],
-                                          forcing[:n], forcing[n:2 * n], forcing[2 * n:]):
-            e0 = exp(h * (((0.0 + t00 * a0) + t01 * a1) + t02 * a2))
-            e1 = exp(h * (((0.0 + t10 * a0) + t11 * a1) + t12 * a2))
-            e2 = exp(h * (((0.0 + t20 * a0) + t21 * a1) + t22 * a2))
-            s = ((0.0 + b0 * e0 * f0) + b1 * e1 * f1) + b2 * e2 * f2
-            y = exp(h * (((0.0 + b0 * a0) + b1 * a1) + b2 * a2)) * y + h * s
-            values.append(y)
-    except OverflowError:
-        raise DomainError(f"the integrating factor overflows on the interval "
-                          f"[{nodes[0]!r}, {nodes[-1]!r}]") from None
-    (derivs,) = slope_col(nodes, values, at_nodes)
-    return Segment(nodes, tuple(values), tuple(derivs))
+    """Integrating-factor steps on the Gauss-Legendre points (see solve and _loop)."""
+    r = d.rhs
+    forcing = ex.Binary("+", ex.Binary("*", r.beta, _YM), r.gamma)
+    slope = ex.Binary("+", ex.Binary("*", r.alpha, _Y), forcing)
+    xs, yms = _delayed_abscissae(d, prev, nodes, h, _GL_C)
+    (alphas,) = ex.compile_columns((r.alpha,), ("x",))(xs[1::4] + xs[2::4] + xs[3::4])
+    return Segment(nodes, *_loop(Scheme.EXACT_LINEAR, (forcing, slope))(
+        xs, yms, alphas, prev.values[-1], h))
 
 
 def residual_scan(s: PiecewiseSolution, d: Dods) -> float:

@@ -24,7 +24,7 @@ import warnings
 from collections.abc import Callable
 
 from . import expr as ex
-from .dods import Dods, homogenized, _expr_with, _window_for
+from .dods import _AGREE, Dods, homogenized, _expr_with, _window_for
 from .errors import (DegenerateRoot, DivergenceWarning, DomainError, NonConvergence,
                      NotASolution, OutOfRange, ParameterDomainError, UnsupportedFlow)
 from .steps import PiecewiseSolution, Segment, residual_scan
@@ -174,7 +174,7 @@ def prolong_apply(v: VectorField, d: Dods,
 # DomainError or OutOfRange or overflow is skipped, and so is one whose pr1
 # or pr2 is not finite: max() drops NaN, so it would read as zero.  Finite
 # pr1 and pr2 make the seven terms finite, as each enters a sum or
-# difference, so the scale is taken only when worst > 1e-7.  While every
+# difference, so the scale is taken only when worst > _AGREE.  While every
 # sample passes, phase 2 perturbs each as soon as it passes, until one
 # perturbation fails.  A perturbation reruns only the nodes that contain
 # its fresh variables: interned, the rest are the point's, which ran without
@@ -212,8 +212,8 @@ for _ in range(80 * samples):
 if not on_ok:
     return max_on, _NOT_INVARIANT
 return max_on, _WEAK if weak else _STRONG"""
-# the test a judged point passes: worst within 1e-7, absolute or relative to its terms
-_PASSES = "worst <= 1e-7 or worst <= 1e-7 * (1.0 + max(abs({})))"
+# the test a judged point passes: worst within _AGREE, absolute or relative to its terms
+_PASSES = f"worst <= {_AGREE!r} or worst <= {_AGREE!r} * (1.0 + max(abs({{}})))"
 _LOOP_GLOBALS = {**ex._COMPILE_GLOBALS, "_SKIPPED": (DomainError, OutOfRange, OverflowError),
                  "_isfinite": math.isfinite, "_STRONG": Invariance.STRONG,
                  "_WEAK": Invariance.WEAK, "_NOT_INVARIANT": Invariance.NOT_INVARIANT}

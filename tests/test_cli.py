@@ -457,6 +457,24 @@ class TestOptionValues:
         assert "expected one argument" in capsys.readouterr().err
 
 
+class TestSpecAlone:
+    """--spec names the whole system, so no catalog option may come with it."""
+
+    @pytest.mark.parametrize("command", [("solve", "--phi", "(x + 1)^2", "--x0", "0"),
+                                         ("verify", "--solution", "x")])
+    @pytest.mark.parametrize("option", [("--case", "A3_5"), ("--params", "C1=2"),
+                                        ("--fn", "f=x"), ("--delay", "constant(2)")])
+    def test_spec_with_a_catalog_option_is_an_argument_error(self, capsys, spec_file,
+                                                             command, option):
+        with pytest.raises(SystemExit) as info:
+            main([command[0], *option, "--spec", spec_file, *command[1:]])
+        assert info.value.code == 2
+        out, err = capsys.readouterr()
+        assert out == "" and err == (
+            f"delaysym {command[0]}: error: --spec cannot be combined with --case, "
+            "--params, --fn or --delay\n")
+
+
 class TestDeterminism:
     @pytest.mark.parametrize(
         "argv",

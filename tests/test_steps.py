@@ -448,7 +448,16 @@ class TestSolve:
         lo, hi = e.window
         init = initial_condition("x + 4", e.dods.delay, lo + 0.08 * (hi - lo))
         config = SolverConfig(Scheme.RK4, step_count=32)
+        steps._loop.cache_clear()
         assert bits(solve(e.dods, init, 2, config)) == bits(solve(general, init, 2, config))
+        assert steps._loop.cache_info().currsize == 1
+
+    @pytest.mark.parametrize("scheme", list(Scheme))
+    def test_solve_compiles_no_rhs_fn(self, scheme):
+        # each loop takes the first node's slope itself
+        d = Dods(LinearRhs(ex.parse("sin(x)"), ex.Num(-1.0), ex.Num(0.5)), ConstantDelay(1.0))
+        solve(d, initial_condition("x + 1", d.delay, 0.0), 2, SolverConfig(scheme, step_count=8))
+        assert "rhs_fn" not in vars(d)
 
     @pytest.mark.parametrize("scheme", list(Scheme))
     def test_moebius_pole_raises(self, scheme):
@@ -484,6 +493,20 @@ class TestSolve:
         if isinstance(rhs, LinearRhs):
             with pytest.raises(DomainError, match="not a delay"):
                 solve(d, init, 1, SolverConfig(Scheme.EXACT_LINEAR, step_count=m))
+
+    def test_exact_linear_delay_failing_names_the_first_abscissa_in_marching_order(self):
+        # exact-linear reads g at each node and then its step's three Gauss
+        # points, step after step, as RK4 reads its nodes and midpoints
+        d = Dods(LinearRhs(ex.Num(-1.0), ex.Num(0.5), ex.Num(0.0)), self._BUMP)
+        a, b = build_mesh(d.delay, 0.0, 1).points[1:]
+        m = 64
+        h = (b - a) / m
+        nodes = [a + (b - a) * j / m for j in range(m + 1)]
+        marching = [x for t0 in nodes[:-1] for x in (t0, *(t0 + h * c for c in steps._GL_C))]
+        first = next(x for x in marching if not d.delay._g(x) < x)
+        with pytest.raises(DomainError, match=f"not a delay at x = {first!r}:"):
+            solve(d, initial_condition("1", d.delay, 0.0), 1,
+                  SolverConfig(Scheme.EXACT_LINEAR, step_count=m))
 
     @pytest.mark.parametrize("general", [False, True])
     def test_coefficient_leaving_its_domain_names_the_first_abscissa(self, general):
@@ -590,9 +613,10 @@ class TestExactLinearQuadrature:
             assert s.value(x) == pytest.approx(A * math.exp(x), rel=1e-9)
 
 
-def _abscissae_read_at_g(d, prev, nodes, h):
-    """RK4's abscissae with every delayed value read at g(x) through
-    Segment.values_at, as for a delay that is not affine."""
+def _abscissae_read_at_g(d, prev, nodes, h, fractions):
+    """RK4's abscissae (fractions are (0.5,)) with every delayed value read
+    at g(x) through Segment.values_at, as for a delay that is not affine."""
+    assert fractions == (0.5,)
     xs = [0.0] * (2 * len(nodes) - 1)
     xs[::2] = nodes
     xs[1::2] = [x + 0.5 * h for x in nodes[:-1]]
@@ -710,7 +734,7 @@ class TestAffineReads:
 
 def _rk4_per_point(d, prev, nodes, h):
     rhs_fn = d.rhs_fn
-    xs, yms = steps._delayed_abscissae(d, prev, nodes, h)
+    xs, yms = steps._delayed_abscissae(d, prev, nodes, h, (0.5,))
     y = prev.values[-1]
     values = [y]
     derivs = []
@@ -734,7 +758,7 @@ def _coefficient_fns(d):
 
 def _rk4_linear_per_point(d, prev, nodes, h):
     alpha_f, beta_f, gamma_f = _coefficient_fns(d)
-    xs, yms = steps._delayed_abscissae(d, prev, nodes, h)
+    xs, yms = steps._delayed_abscissae(d, prev, nodes, h, (0.5,))
     terms = [(alpha_f(x), beta_f(x) * ym, gamma_f(x)) for x, ym in zip(xs, yms)]
     half, sixth = 0.5 * h, h / 6.0
     y = prev.values[-1]
@@ -756,39 +780,48 @@ def _rk4_linear_per_point(d, prev, nodes, h):
 
 
 def _exact_linear_per_point(d, prev, nodes, h):
+    """In solve's order: every delayed value, in marching order; alpha at
+    every step's first Gauss point, then second, then third; the first
+    node's slope; then per step the forcing at its Gauss points, the
+    integrating factors, y and the next node's slope."""
     alpha_f, beta_f, gamma_f = _coefficient_fns(d)
-    delayed_point, lookup = d.delay.delayed_point, prev.values_at
-    pts = [[t0 + h * c for t0 in nodes[:-1]] for c in steps._GL_C]
+    n = len(nodes) - 1
+    pts = [[t0 + h * c for c in steps._GL_C] for t0 in nodes[:-1]]
     pn, pv, pd = prev.nodes, prev.values, prev.derivs
     if d.delay.affine_parameters() is not None:
         spans = list(zip(pv, pv[1:], pd, pd[1:], [t1 - t0 for t0, t1 in zip(pn, pn[1:])]))
         delayed = [[w0 * v0 + w1 * hp * d0 + w2 * v1 + w3 * hp * d1
-                    for v0, v1, d0, d1, hp in spans] for w0, w1, w2, w3 in steps._GL_HERMITE]
+                    for w0, w1, w2, w3 in map(steps._hermite, steps._GL_C)]
+                   for v0, v1, d0, d1, hp in spans]
         at_nodes = pv
     else:
-        delayed = [lookup(map(delayed_point, col)) for col in pts]
-        at_nodes = lookup(map(delayed_point, nodes))
-    alphas = [list(map(alpha_f, col)) for col in pts]
-    forcing = [[beta_f(u) * ym + gamma_f(u) for u, ym in zip(col, ycol)]
-               for col, ycol in zip(pts, delayed)]
+        marching = [x for t0, row in zip(nodes, pts) for x in (t0, *row)] + [nodes[-1]]
+        reads = prev.values_at(map(d.delay.delayed_point, marching))
+        delayed = [reads[4 * j + 1:4 * j + 4] for j in range(n)]
+        at_nodes = reads[::4]
+    alphas = [list(map(alpha_f, col)) for col in zip(*pts)]
 
-    def factors(weights):
-        rise = [0.0] * (len(nodes) - 1)
+    def factors(weights, j):
+        rise = 0.0
         for w, col in zip(weights, alphas):
-            rise = [r + w * a for r, a in zip(rise, col)]
-        return [math.exp(h * r) for r in rise]
+            rise = rise + w * col[j]
+        return math.exp(h * rise)
 
-    duhamel = [0.0] * (len(nodes) - 1)
-    for weight, tail, col in zip(steps._GL_B, steps._GL_TAIL, forcing):
-        duhamel = [s + weight * e * f for s, e, f in zip(duhamel, factors(tail), col)]
+    def slope(u, yv, ym):
+        return alpha_f(u) * yv + (beta_f(u) * ym + gamma_f(u))
+
     y = pv[-1]
     values = [y]
-    for growth, s in zip(factors(steps._GL_B), duhamel):
-        y = growth * y + h * s
+    derivs = [slope(nodes[0], y, at_nodes[0])]
+    for j in range(n):
+        forcing = [beta_f(u) * ym + gamma_f(u) for u, ym in zip(pts[j], delayed[j])]
+        duhamel = 0.0
+        for weight, tail, f in zip(steps._GL_B, steps._GL_TAIL, forcing):
+            duhamel = duhamel + weight * factors(tail, j) * f
+        y = factors(steps._GL_B, j) * y + h * duhamel
         values.append(y)
-    derivs = tuple(alpha_f(u) * yv + (beta_f(u) * ym + gamma_f(u))
-                   for u, yv, ym in zip(nodes, values, at_nodes))
-    return Segment(nodes, tuple(values), derivs)
+        derivs.append(slope(nodes[j + 1], y, at_nodes[j + 1]))
+    return Segment(nodes, tuple(values), tuple(derivs))
 
 
 def _per_point_outcome(d, init, n, config):
@@ -798,6 +831,13 @@ def _per_point_outcome(d, init, n, config):
         mp.setattr(steps, "_rk4_interval", rk4)
         mp.setattr(steps, "_exact_linear_interval", _exact_linear_per_point)
         return _solve_outcome(d, init, n, config)
+
+
+# coefficients that leave their domain or overflow inside the first
+# intervals of _scan_system's delays, and coefficients that do not
+_FAILING = ("sqrt(0.6 - x)", "ln(0.7 - x)", "exp(1000*x)", "1/(x - 0.5)", "sqrt(x - 0.3)",
+            "ln(x - 0.2)", "tan(x)", "exp(300*x) - 1")
+_FINE = ("0.5", "sin(x)", "-1 + x/4", "cos(3*x)", "1e5", "-2")
 
 
 def _solve_outcome(d, init, n, config):
@@ -850,6 +890,44 @@ class TestColumnKernels:
         want = _per_point_outcome(d, init, 1, config)
         assert want[0] is DomainError
         assert _solve_outcome(d, init, 1, config) == want
+
+    @pytest.mark.parametrize("alpha, beta, message", [
+        # ln(0.7 - x) fails first at the third Gauss point of the step from
+        # 0.6875, before the first Gauss point of the step from 0.703125
+        # that a forcing taken over the whole interval would meet first
+        ("0.5", "-1/(x - 0.4)", "ln of non-positive value -0.001364036478449182"),
+        # the first step's integrating factors overflow before any forcing
+        # past x = 0.7 is taken
+        ("1e5", "0.5", "the integrating factor overflows on the interval [0.0, 1.0]"),
+    ])
+    def test_exact_linear_takes_the_forcing_step_by_step(self, alpha, beta, message):
+        d = Dods(LinearRhs(ex.parse(alpha), ex.parse(beta), ex.parse("ln(0.7 - x)")),
+                 ConstantDelay(1.0))
+        init = initial_condition("1", d.delay, 0.0)
+        config = SolverConfig(Scheme.EXACT_LINEAR, step_count=64)
+        assert _solve_outcome(d, init, 1, config) == (DomainError, message)
+
+    @pytest.mark.parametrize("kind", ["constant", "affine q < 1", "affine q > 1", "qscale",
+                                      "moebius", "general"])
+    @pytest.mark.parametrize("seed", range(12))
+    def test_failing_coefficients_equal_the_per_point_steppers(self, kind, seed):
+        # random linear systems with at least one coefficient that leaves its
+        # domain or overflows somewhere on the first intervals
+        rng = random.Random(seed)
+        picks = [rng.choice(_FAILING if rng.random() < 0.45 else _FINE) for _ in range(3)]
+        if not set(picks) & set(_FAILING):
+            picks[rng.randrange(3)] = rng.choice(_FAILING)
+        base, x0 = _scan_system(kind, False, seed)
+        d = Dods(LinearRhs(*map(ex.parse, picks)), base.delay)
+        init = initial_condition(rng.choice(["1", "sin(2*x) + 1", "x"]), d.delay, x0)
+        m, n = rng.choice([1, 3, 16, 64]), rng.randint(1, 3)
+        for scheme in Scheme:
+            config = SolverConfig(scheme, step_count=m)
+            got, want = _solve_outcome(d, init, n, config), _per_point_outcome(d, init, n, config)
+            if want == (OverflowError, "math range error"):  # the reference's bare factor exp
+                want = (DomainError, got[1])
+                assert got[1].startswith("the integrating factor overflows on the interval")
+            assert got == want, (picks, scheme)
 
     @pytest.mark.parametrize("scheme", list(Scheme))
     def test_signed_zeros_equal_the_per_point_steppers(self, scheme):
@@ -927,7 +1005,7 @@ class TestColumnKernels:
         seen = []
         inner = ex._bytecode
         ex._generate.cache_clear()  # count every build from empty caches
-        steps._rk4_loop.cache_clear()
+        steps._loop.cache_clear()
         with pytest.MonkeyPatch.context() as mp:
             mp.setattr(ex, "_bytecode", lambda s: (seen.append(s), inner(s))[1])
             for scheme in (Scheme.RK4, Scheme.RK4, Scheme.EXACT_LINEAR, Scheme.EXACT_LINEAR):
@@ -935,11 +1013,12 @@ class TestColumnKernels:
             for _ in range(2):
                 solve(general, general_init, 3, SolverConfig(Scheme.RK4, step_count=16))
         # two column kernels for the history and its slope, kept on the
-        # history record, then rhs_fn and one rk4 loop and three exact-linear
-        # kernels for A3_14, and rhs_fn and one rk4 loop for the general
-        # system, each built once and the loops reused across intervals
-        assert len(seen) == 2 + 2 + 3 + 2
-        assert sum(" in zip(" in s or " in c0:" in s for s in seen) == 2 + 1 + 3 + 1
+        # history record, then for A3_14 one rk4 loop, and alpha's column
+        # kernel and one exact-linear loop, and one rk4 loop for the general
+        # system, each built once and the loops reused across intervals;
+        # no rhs_fn
+        assert len(seen) == 2 + 1 + 2 + 1
+        assert sum(" in zip(" in s or " in c0:" in s for s in seen) == 2 + 1 + 2 + 1
         assert sum("derivs.append(s1)" in s for s in seen) == 2
 
     def test_generated_source_does_not_depend_on_hash_order(self):
@@ -964,10 +1043,9 @@ class TestColumnKernels:
         assert len(outs) == 1
         count, columns, _ = outs.pop().split()
         # each set of trees compiles once: per system the rk4 loop and the
-        # two exact-linear kernels over two or three columns, and rhs_fn;
-        # and four over one column, the history x + 4 and its slope, which
-        # all six solves share, and two alphas
-        assert int(count) == 3 * 3 + 3 + 4 and int(columns) == 3 * 3
+        # exact-linear loop; and four over one column, the history x + 4 and
+        # its slope, which all six solves share, and two alphas
+        assert int(count) == 3 * 2 + 4 and int(columns) == 3 * 2
 
 
 def _residual_scan_per_sample(s, d):

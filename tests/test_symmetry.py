@@ -20,6 +20,7 @@ import pytest
 import delaysym.expr as ex
 from delaysym.delay import AffineDelay, ConstantDelay, MoebiusDelay, QScaleDelay
 from delaysym.dods import (
+    CASE_IDS,
     CatalogCase,
     Dods,
     GeneralRhs,
@@ -632,6 +633,7 @@ class TestKernel:
             return local
         got = []
         for v, d, window in cases:
+            d.manifold_partials  # built, and checked against rhs_fn at g(x), uncounted
             calls.clear()
             runs.clear()
             reads.clear()
@@ -1244,3 +1246,57 @@ class TestBernoulliGf:
             bernoulli_gf(1.0, 41)
         with pytest.raises(ParameterDomainError):
             bernoulli_gf(1.0, -1)
+
+
+class TestManifoldAgreement:
+    """A system's manifold form at (x, y, g(x), ym) must give its right hand
+    side's f(x, y, ym); it is checked when the partials are first built."""
+
+    @staticmethod
+    def _with_manifold(text, d=None):
+        d = d or catalog("A3_5").dods
+        return Dods(d.rhs, d.delay, d.domain, ex.parse(text, ("x", "y", "xm", "ym")))
+
+    @pytest.mark.parametrize("call", [
+        lambda d: check_invariance(VectorField(ex.Num(0.0), ex.parse("exp(x)")), d),
+        lambda d: prolong_apply(catalog("A3_5").algebra[2], d, (0.5, 1.0, -0.5, 0.3, 0.2)),
+    ], ids=["check_invariance", "prolong_apply"])
+    def test_a_manifold_form_of_another_system_raises(self, call):
+        # y + exp(x) is not A3_5's right hand side; before the check,
+        # check_invariance called exp(x) d_y STRONG on it
+        d = self._with_manifold("y + exp(x)")
+        with pytest.raises(ParameterDomainError) as raised:
+            call(d)
+        assert str(raised.value) == (
+            "the manifold form gives 1.0010832592258778 at (x, y, xm, ym) = "
+            "(-0.6909830056250525, 0.5, -1.6909830056250525, -1.25), "
+            "the right hand side 2.2510832592258776")
+
+    def test_agreement_is_absolute_or_relative(self):
+        # off by 5e-8, or by 5e-8 of the value, passes; by 1e-6 it does not
+        base = ex.to_text(catalog("A3_5").dods.rhs_manifold)
+        assert self._with_manifold(f"{base} + 5e-8").manifold_partials
+        large = catalog(CatalogCase("A3_5", {"C1": 1000.0})).dods  # f ~ 1000 exp(x)
+        scaled = f"({ex.to_text(large.rhs_manifold)})*(1 + 5e-8)"
+        assert self._with_manifold(scaled, large).manifold_partials
+        with pytest.raises(ParameterDomainError, match="the manifold form gives"):
+            self._with_manifold(f"{base} + 1e-6").manifold_partials
+
+    def test_samples_that_raise_are_skipped(self):
+        # ln(x) raises left of 0, inside the window (-1, 3) of an unbounded
+        # domain; the samples right of it agree
+        d = Dods(LinearRhs(ex.parse("ln(x)"), ex.Num(-1.0), ex.Num(0.0)), ConstantDelay(1.0))
+        assert self._with_manifold("ln(x)*y - ym", d).manifold_partials
+        with pytest.raises(ParameterDomainError, match=r"^the manifold form gives .* = \(0\.30901699437494745, "):
+            self._with_manifold("ln(x)*y + ym", d).manifold_partials
+
+    @pytest.mark.parametrize("cid", [c for c in CASE_IDS if c != "A3_11"])
+    def test_every_catalog_system_agrees(self, cid):
+        d = catalog(cid).dods
+        assert d.rhs_manifold is not None and d.manifold_partials
+
+    @pytest.mark.parametrize("key", [variant[0] for variant in _BENCH_VARIANTS])
+    @pytest.mark.parametrize("seed", [1, 2, 7])
+    def test_every_bench_variant_agrees(self, key, seed):
+        d = catalog(_bench_case(key, seed)).dods
+        assert d.rhs_manifold is not None and d.manifold_partials
