@@ -12,6 +12,7 @@ import functools
 import math
 import operator
 import re
+from collections.abc import Sequence
 
 from . import expr as ex
 from .errors import DomainError, NoForwardPoint, NotMonotone, ParameterDomainError
@@ -39,6 +40,10 @@ class DelayRelation(ex.Record):
 
     def delayed_point(self, x: float) -> float:
         raise NotImplementedError
+
+    def delayed_points(self, xs: Sequence[float]) -> list[float]:
+        """[delayed_point(x) for x in xs], bit for bit, or the first error it raises."""
+        return list(map(self.delayed_point, xs))
 
     def advance(self, x: float) -> float:
         raise NotImplementedError
@@ -184,6 +189,12 @@ class MoebiusDelay(DelayRelation):
                 f"moebius relation is not a delay at x = {x!r}: needs C/(1+Cx) > 0")
         return (x - self.c) / den
 
+    def delayed_points(self, xs: Sequence[float]) -> list[float]:
+        c = self.c  # delayed_point's guards inline; a point that fails them is met again there
+        xms = [(x - c) / den for x in xs
+               if abs(den := 1.0 + c * x) > _GUARD * (1.0 + abs(c * x)) and c / den > 0.0]
+        return xms if len(xms) == len(xs) else super().delayed_points(xs)
+
     def advance(self, x: float) -> float:
         den = 1.0 - self.c * x
         if den <= _GUARD * (1.0 + abs(self.c * x)):
@@ -232,6 +243,13 @@ class GeneralDelay(DelayRelation):
         if not xm < x:
             raise DomainError(f"supplied relation is not a delay at x = {x!r}: g(x) = {xm!r}")
         return xm
+
+    def delayed_points(self, xs: Sequence[float]) -> list[float]:
+        try:  # g in one column pass; delayed_point meets a failing x again
+            (xms,) = ex.compile_columns((self.g,), ("x",))(xs)
+        except DomainError:
+            return super().delayed_points(xs)
+        return xms if all(map(operator.lt, xms, xs)) else super().delayed_points(xs)
 
     def advance(self, x: float) -> float:
         gval = self._g

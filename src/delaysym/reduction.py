@@ -90,7 +90,7 @@ def verify(y: "ex.Expr | str", d: Dods,
     go in turn (g, y with y', y at g(x), f), so an error can be a later x's."""
     e = ex.as_expr(y, ("x",))
     xs = _golden_points(*(window if window is not None else _window_for(d.domain)), 240)
-    xms = list(map(d.delay.delayed_point, xs))
+    xms = d.delay.delayed_points(xs)
     ys, dys = ex.compile_columns((e, ex.fold(ex.differentiate(e, "x"))), ("x",))(xs)
     (yms,) = ex.compile_columns((e,), ("x",))(xms)
     return _max_residual(d, xs, ys, dys, yms)

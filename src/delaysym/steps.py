@@ -15,7 +15,8 @@ interval reads y(g(x)) at all of them from the previous segment before it
 steps (_delayed_abscissae).  Under an affine g, step j of an interval maps
 onto step j of the previous segment at the same fraction t, so both schemes
 read the previous steps' Hermite data at fixed t (_span_reads) and compute
-no g(x); any other g is read in one sweep (Segment.values_at).  Either
+no g(x); any other g is taken in one pass (DelayRelation.delayed_points)
+and read in one sweep (Segment.values_at).  Either
 scheme then steps the interval in one loop generated from the right hand
 side's trees (_loop, see solve).
 """
@@ -104,27 +105,28 @@ class Segment(ex.Record):
     def _read(self, xs: Iterable[float], slopes: bool) -> list:
         """The value, or with slopes the (value, slope) pair, at each of xs.
         x lies t*h past node j, with h = nodes[j+1] - nodes[j]; the end spans
-        extend past either end, so xs need not be sorted or inside [lo, hi]."""
+        extend past either end, so xs need not be sorted or inside [lo, hi].
+        Only an x outside the span last used, [nodes[j], nodes[j+1]), bisects."""
         nodes, values, derivs = self.nodes, self.values, self.derivs
         hi = len(nodes) - 1
         right = bisect.bisect_right
         out = []
+        x0 = x1 = math.nan  # no span yet
         for x in xs:
-            j = right(nodes, x, 1, hi) - 1
-            x0 = nodes[j]
-            h = nodes[j + 1] - x0
+            if not x0 <= x < x1:
+                j = right(nodes, x, 1, hi) - 1
+                x0, x1 = nodes[j], nodes[j + 1]
+                h = x1 - x0
+                v0, v1, d0, d1 = values[j], values[j + 1], derivs[j], derivs[j + 1]
             # _hermite(t), inline: a call per point made values_at 1.2-1.8x slower
             t = (x - x0) / h
             t2 = t * t
             t3 = t2 * t
-            y = ((2.0 * t3 - 3.0 * t2 + 1.0) * values[j]
-                 + (t3 - 2.0 * t2 + t) * h * derivs[j]
-                 + (-2.0 * t3 + 3.0 * t2) * values[j + 1]
-                 + (t3 - t2) * h * derivs[j + 1])
+            y = ((2.0 * t3 - 3.0 * t2 + 1.0) * v0 + (t3 - 2.0 * t2 + t) * h * d0
+                 + (-2.0 * t3 + 3.0 * t2) * v1 + (t3 - t2) * h * d1)
             if slopes:
-                y = y, ((6.0 * t2 - 6.0 * t) * (values[j] - values[j + 1]) / h
-                        + (3.0 * t2 - 4.0 * t + 1.0) * derivs[j]
-                        + (3.0 * t2 - 2.0 * t) * derivs[j + 1])
+                y = y, ((6.0 * t2 - 6.0 * t) * (v0 - v1) / h + (3.0 * t2 - 4.0 * t + 1.0) * d0
+                        + (3.0 * t2 - 2.0 * t) * d1)
             out.append(y)
         return out
 
@@ -358,10 +360,12 @@ def solve(d: Dods, init: InitialCondition, intervals: int,
     reads at g(x) where g(x) rounds, any other at g(x) in one sweep in
     marching order, so where the delay and a coefficient both fail, the
     delay's DomainError is raised.  RK4 then takes per step k1 (the node
-    slope), k2, k3 and k4.  Exact-linear takes alpha at every step's first
-    Gauss point, then second, then third; then the first node's slope; then
-    per step the forcing beta*ym + gamma at its three Gauss points, the
-    integrating factors and the next node's slope.  An interval that ends on
+    slope), k2, k3 and k4.  Exact-linear takes the first node's slope; then
+    per step alpha and the forcing beta*ym + gamma at its three Gauss points,
+    the integrating factors and the next node's slope.  Where that raises
+    DomainError, alpha is taken at every step's first Gauss point, then
+    second, then third, and its first failure, if any, is raised instead, so
+    alpha's error still comes first.  An interval that ends on
     a value or slope that is not finite, or whose integrating factor
     overflows, raises DomainError naming it.
     """
@@ -402,15 +406,15 @@ def _delayed_abscissae(d: Dods, prev: Segment, nodes: tuple[float, ...], h: floa
     them, in marching order, and y(g(x)) at each, read from the previous
     interval: under an affine g its node values and its steps at the same
     fractions (_span_reads), with no g(x) computed; under any other g in one
-    sweep in marching order, so the first x the delay rejects is the one a
-    point-by-point march meets first."""
+    pass and one sweep in marching order, so the first x the delay rejects is
+    the one a point-by-point march meets first."""
     k, n = len(fractions) + 1, len(nodes) - 1
     xs = [0.0] * (k * n + 1)
     xs[::k] = nodes
     for i, c in enumerate(fractions, 1):
         xs[i::k] = [x + h * c for x in nodes[:-1]]
     if d.delay.affine_parameters() is None:
-        return xs, prev.values_at(map(d.delay.delayed_point, xs))
+        return xs, prev.values_at(d.delay.delayed_points(xs))
     yms, reads = xs[:], _span_reads(prev, map(_hermite, fractions))
     yms[::k] = prev.values
     for i in range(1, k):
@@ -450,37 +454,37 @@ return tuple(values), tuple(derivs)"""
 # e_i = e^(A(t1) - A(s_i)); every sum starts from 0.0, which sets a zero's sign
 _EXACT_LINEAR = """\
 (w00, w01, w02), (w10, w11, w12), (w20, w21, w22), (b0, b1, b2) = _weights
-exp, n = _exp, len(alphas) // 3
+exp = _exp
 {x0}, {ym0}, {y} = xs[0], yms[0], {y0}
 values = [{y}]
 try:
 {0}    derivs = [{o0}]
-    for {xa}, {yma}, {xb}, {ymb}, {xc}, {ymc}, {x1}, {ym1}, al0, al1, al2 in zip(
-            xs[1::4], yms[1::4], xs[2::4], yms[2::4], xs[3::4], yms[3::4], xs[4::4], yms[4::4],
-            alphas[:n], alphas[n:2 * n], alphas[2 * n:]):
-{1}{2}{3}        try:
-            e0 = exp(h * (((0.0 + w00 * al0) + w01 * al1) + w02 * al2))
-            e1 = exp(h * (((0.0 + w10 * al0) + w11 * al1) + w12 * al2))
-            e2 = exp(h * (((0.0 + w20 * al0) + w21 * al1) + w22 * al2))
-            s = ((0.0 + b0 * e0 * {o1}) + b1 * e1 * {o2}) + b2 * e2 * {o3}
-            {y} = exp(h * (((0.0 + b0 * al0) + b1 * al1) + b2 * al2)) * {y} + h * s
+    for {xa}, {yma}, {xb}, {ymb}, {xc}, {ymc}, {x1}, {ym1} in zip(
+            xs[1::4], yms[1::4], xs[2::4], yms[2::4], xs[3::4], yms[3::4], xs[4::4], yms[4::4]):
+{1}{2}{3}{4}{5}{6}        try:
+            e0 = exp(h * (((0.0 + w00 * {o1}) + w01 * {o2}) + w02 * {o3}))
+            e1 = exp(h * (((0.0 + w10 * {o1}) + w11 * {o2}) + w12 * {o3}))
+            e2 = exp(h * (((0.0 + w20 * {o1}) + w21 * {o2}) + w22 * {o3}))
+            s = ((0.0 + b0 * e0 * {o4}) + b1 * e1 * {o5}) + b2 * e2 * {o6}
+            {y} = exp(h * (((0.0 + b0 * {o1}) + b1 * {o2}) + b2 * {o3})) * {y} + h * s
         except OverflowError:
             raise DomainError("the integrating factor overflows on the interval "
                               f"[{{xs[0]!r}}, {{xs[-1]!r}}]") from None
         values.append({y})
-{4}        derivs.append({o4})
+{7}        derivs.append({o7})
 except OverflowError as exc:
     raise _overflow(exc) from exc
 return tuple(values), tuple(derivs)"""
 # per scheme its parameters, its stages as (tree, names for x, y, ym) and its
 # template: RK4's k1 = f(x0, y0, ym0), k2, k3, k4 and the next k1; exact-linear's
-# slope alpha*y + (beta*ym + gamma), the forcing at s_0, s_1, s_2, the next slope
+# slope alpha*y + (beta*ym + gamma), alpha and forcing at s_0, s_1, s_2, next slope
 _SCHEMES = {
     Scheme.RK4: ("xs, yms, {y0}, h", ((0, "x0", "y0", "ym0"), (0, "xh", "y2", "ymh"),
                  (0, "xh", "y3", "ymh"), (0, "x1", "y4", "ym1"), (0, "x1", "y", "ym1")), _RK4),
-    Scheme.EXACT_LINEAR: ("xs, yms, alphas, {y0}, h", ((1, "x0", "y0", "ym0"),
-                          (0, "xa", "y", "yma"), (0, "xb", "y", "ymb"), (0, "xc", "y", "ymc"),
-                          (1, "x1", "y", "ym1")), _EXACT_LINEAR),
+    Scheme.EXACT_LINEAR: ("xs, yms, {y0}, h", ((1, "x0", "y0", "ym0"), (2, "xa", "y", "yma"),
+                          (2, "xb", "y", "ymb"), (2, "xc", "y", "ymc"), (0, "xa", "y", "yma"),
+                          (0, "xb", "y", "ymb"), (0, "xc", "y", "ymc"), (1, "x1", "y", "ym1")),
+                          _EXACT_LINEAR),
 }
 _STEP_GLOBALS = {**ex._COMPILE_GLOBALS, "_weights": (*_GL_TAIL, _GL_B), "DomainError": DomainError}
 
@@ -488,8 +492,8 @@ _STEP_GLOBALS = {**ex._COMPILE_GLOBALS, "_weights": (*_GL_TAIL, _GL_B), "DomainE
 @functools.lru_cache(maxsize=256)
 def _loop(scheme: Scheme, trees: tuple[ex.Expr, ...]
           ) -> Callable[..., tuple[tuple[float, ...], tuple[float, ...]]]:
-    """The scheme's steps over its trees (RK4's f, exact-linear's forcing and
-    slope) as a function of its parameters; cached by the interned trees."""
+    """The scheme's steps over its trees (RK4's f, exact-linear's forcing,
+    slope and alpha) as a function of its parameters; cached by the interned trees."""
     params, stages, template = _SCHEMES[scheme]
     arg = {name: f"a{i}" for i, name in enumerate(
         dict.fromkeys(name for _, *names in stages for name in names))}
@@ -518,9 +522,12 @@ def _exact_linear_interval(d: Dods, prev: Segment, nodes: tuple[float, ...],
     forcing = ex.Binary("+", ex.Binary("*", r.beta, _YM), r.gamma)
     slope = ex.Binary("+", ex.Binary("*", r.alpha, _Y), forcing)
     xs, yms = _delayed_abscissae(d, prev, nodes, h, _GL_C)
-    (alphas,) = ex.compile_columns((r.alpha,), ("x",))(xs[1::4] + xs[2::4] + xs[3::4])
-    return Segment(nodes, *_loop(Scheme.EXACT_LINEAR, (forcing, slope))(
-        xs, yms, alphas, prev.values[-1], h))
+    try:
+        return Segment(nodes, *_loop(Scheme.EXACT_LINEAR, (forcing, slope, r.alpha))(
+            xs, yms, prev.values[-1], h))
+    except DomainError:  # alpha's first failure over every Gauss point, column by column, wins
+        ex.compile_columns((r.alpha,), ("x",))(xs[1::4] + xs[2::4] + xs[3::4])
+        raise
 
 
 def residual_scan(s: PiecewiseSolution, d: Dods) -> float:
@@ -535,7 +542,7 @@ def residual_scan(s: PiecewiseSolution, d: Dods) -> float:
     worst = 0.0
     for n in range(1, len(segs)):
         xs = _golden_points(pts[n], pts[n + 1], 48)  # inside segment n, on no mesh point
-        xms = list(map(d.delay.delayed_point, xs))
+        xms = d.delay.delayed_points(xs)
         ys, dys = zip(*segs[n]._read(xs, True))
         inside = all(pts[n - 1] <= xm < pts[n] for xm in xms)
         yms = segs[n - 1].values_at(xms) if inside else list(map(s.value, xms))

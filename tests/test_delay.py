@@ -194,6 +194,68 @@ class TestGeneral:
             r.advance(1.0)
 
 
+def _points_outcome(delay, xs, batched):
+    """delayed_points(xs) or the per-point map, as hex strings, or the type and
+    message of the error raised."""
+    try:
+        got = delay.delayed_points(xs) if batched else list(map(delay.delayed_point, xs))
+    except Exception as exc:
+        return type(exc), str(exc)
+    assert type(got) is list
+    return [v.hex() for v in got]
+
+
+_FIVE_KINDS = [ConstantDelay(0.75), AffineDelay(0.5, 0.25), QScaleDelay(0.5), MoebiusDelay(1.0),
+               GeneralDelay(ex.parse("x - 1 - 0.1*sin(x)"))]
+
+
+class TestDelayedPoints:
+    """delayed_points(xs) is list(map(delayed_point, xs)) bit for bit, and
+    raises its first error."""
+
+    @settings(max_examples=60, deadline=None)
+    @given(st.sampled_from(_FIVE_KINDS),
+           st.lists(st.floats(0.01, 50.0) | st.floats(-0.99, 50.0), max_size=40))
+    def test_equals_the_per_point_map(self, delay, xs):
+        want = _points_outcome(delay, xs, False)
+        assert _points_outcome(delay, xs, True) == want
+
+    @pytest.mark.parametrize("delay", _FIVE_KINDS, ids=lambda d: type(d).__name__)
+    @pytest.mark.parametrize("at", [0, 3, 7])
+    def test_a_nan_abscissa_as_the_per_point_map(self, delay, at):
+        xs = [0.5 + 0.25 * i for i in range(8)]
+        xs[at] = math.nan
+        want = _points_outcome(delay, xs, False)
+        assert _points_outcome(delay, xs, True) == want
+        # a constant delay takes NaN to NaN; every other kind refuses it
+        assert (want[at] == "nan") if isinstance(delay, ConstantDelay) else want[0] is DomainError
+
+    @pytest.mark.parametrize("xs, message", [
+        ([0.5, 2.0, -1.0, -2.0, 3.0], "moebius relation has a pole at x = -1.0"),
+        ([0.5, 2.0, -2.0, -1.0, 3.0],
+         "moebius relation is not a delay at x = -2.0: needs C/(1+Cx) > 0"),
+        # within the guard of the pole, not on it
+        ([0.5, math.nextafter(-1.0, 0.0)],
+         f"moebius relation has a pole at x = {math.nextafter(-1.0, 0.0)!r}"),
+    ])
+    def test_moebius_names_the_first_failing_point(self, xs, message):
+        delay = MoebiusDelay(1.0)
+        assert _points_outcome(delay, xs, True) == (DomainError, message)
+        assert _points_outcome(delay, xs, False) == (DomainError, message)
+
+    @pytest.mark.parametrize("xs, message", [
+        # g(3) > 3 before ln(-1) fails: the column pass meets ln first, the
+        # per-point order the delay check
+        ([0.5, 3.0, -1.0], "supplied relation is not a delay at x = 3.0: g(x) = "),
+        ([0.5, -1.0, 3.0], "ln of non-positive value -1.0"),
+    ])
+    def test_general_names_the_first_failing_point(self, xs, message):
+        delay = GeneralDelay(ex.parse("x - 1 + 2*ln(x)"))
+        want = _points_outcome(delay, xs, False)
+        assert want[0] is DomainError and want[1].startswith(message)
+        assert _points_outcome(delay, xs, True) == want
+
+
 class TestScaleDelayFactory:
     def test_positive_fraction_is_qscale(self):
         assert isinstance(scale_delay(0.25), QScaleDelay)

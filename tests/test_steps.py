@@ -74,6 +74,18 @@ def hermite_value(seg, x):
             + w2 * seg.values[j + 1] + w3 * h * seg.derivs[j + 1])
 
 
+def hermite_slope(seg, x):
+    """The cubic Hermite slope at x, point by point in Segment._read's order
+    of operations, on hermite_value's span."""
+    n, v, d = seg.nodes, seg.values, seg.derivs
+    j = min(max(bisect.bisect_right(n, x) - 1, 0), len(n) - 2)
+    h = n[j + 1] - n[j]
+    t = (x - n[j]) / h
+    t2 = t * t
+    return ((6.0 * t2 - 6.0 * t) * (v[j] - v[j + 1]) / h + (3.0 * t2 - 4.0 * t + 1.0) * d[j]
+            + (3.0 * t2 - 2.0 * t) * d[j + 1])
+
+
 def bits(sol):
     """Every stored float of a solution, as exact hex strings."""
     return [[tuple(v.hex() for v in seq) for seq in (seg.nodes, seg.values, seg.derivs)]
@@ -98,6 +110,31 @@ def segments_and_points(draw):
     points = st.one_of(st.sampled_from(nodes), st.floats(lo - 1.0, hi + 1.0), near)
     xs = draw(st.lists(points, max_size=30))
     return seg, xs + xs[:3]  # unsorted, with repeats
+
+
+@st.composite
+def batches_over_spans(draw):
+    """A segment of a few spans and a batch read in one pass: many points per
+    span, sorted, reversed or in clusters, with node hits, points one ulp
+    below a node, and NaN and +-inf at the start, middle or end."""
+    m = draw(st.integers(1, 6))
+    start = draw(st.floats(-3.0, 3.0))
+    nodes = tuple(start + 0.5 * j for j in range(m + 1))
+    seg = Segment(nodes, tuple(draw(st.lists(_finite, min_size=m + 1, max_size=m + 1))),
+                  tuple(draw(st.lists(_finite, min_size=m + 1, max_size=m + 1))))
+    lo, hi = nodes[0] - 0.5, nodes[-1] + 0.5
+    xs = draw(st.lists(st.floats(lo, hi), min_size=1, max_size=60))
+    xs += [u for u in nodes for u in (u, math.nextafter(u, -math.inf))]
+    order = draw(st.sampled_from(["sorted", "reversed", "clustered", "drawn"]))
+    if order == "sorted":
+        xs.sort()
+    elif order == "reversed":
+        xs.sort(reverse=True)
+    elif order == "clustered":  # runs of points about a drawn centre, in turn
+        xs = [c + k * 1e-3 * (hi - lo) for c in xs[:8] for k in range(-3, 4)]
+    for special in draw(st.lists(st.sampled_from([math.nan, math.inf, -math.inf]), max_size=3)):
+        xs.insert(draw(st.sampled_from([0, len(xs) // 2, len(xs)])), special)
+    return seg, xs
 
 
 class TestSegment:
@@ -147,6 +184,16 @@ class TestSegment:
         assert [v.hex() for v in seg.values_at(iter(xs))] == want
         assert [seg.value(x).hex() for x in xs] == want
         assert [seg.evaluate(x)[0].hex() for x in xs] == want
+
+    @settings(max_examples=300, deadline=None)
+    @given(batches_over_spans())
+    def test_a_batch_keeps_the_span_a_bisect_would_find(self, case):
+        # _read bisects only when x leaves the span last used; every value
+        # and slope must be the one read at the span bisect gives for x alone
+        seg, xs = case
+        want = [(hermite_value(seg, x).hex(), hermite_slope(seg, x).hex()) for x in xs]
+        assert [(y.hex(), d.hex()) for y, d in seg._read(xs, True)] == want
+        assert [y.hex() for y in seg.values_at(xs)] == [y for y, _ in want]
 
     @settings(max_examples=100, deadline=None)
     @given(st.lists(_finite, min_size=6, max_size=6), st.lists(_finite, min_size=6, max_size=6),
@@ -688,32 +735,40 @@ class TestAffineReads:
 
     @staticmethod
     def _counted(d, init, config):
-        """The points solve passes to g that are not mesh points (the mesh
-        checks its own links), and how many times it reads a segment through
+        """The points solve passes to g one by one (delayed_point) and in a
+        batch (delayed_points) that are not mesh points (the mesh checks its
+        own links), and how many times it reads a segment through
         Segment._read."""
-        points, reads = [], []
-        delayed_point, read = type(d.delay).delayed_point, Segment._read
+        points, batched, reads = [], [], []
+        cls = type(d.delay)
+        delayed_point, delayed_points, read = cls.delayed_point, cls.delayed_points, Segment._read
 
         def counting_point(self, x):
             points.append(x)
             return delayed_point(self, x)
+
+        def counting_points(self, xs):
+            batched.extend(xs)
+            return delayed_points(self, xs)
 
         def counting_read(self, xs, slopes):
             reads.append(None)
             return read(self, xs, slopes)
 
         with pytest.MonkeyPatch.context() as mp:
-            mp.setattr(type(d.delay), "delayed_point", counting_point)
+            mp.setattr(cls, "delayed_point", counting_point)
+            mp.setattr(cls, "delayed_points", counting_points)
             mp.setattr(Segment, "_read", counting_read)
             mesh = solve(d, init, 2, config).mesh.points
-        return [x for x in points if x not in mesh], len(reads)
+        return ([x for x in points if x not in mesh], [x for x in batched if x not in mesh],
+                len(reads))
 
     @pytest.mark.parametrize("kind", ["constant", "affine q < 1", "affine q > 1", "qscale"])
     @pytest.mark.parametrize("general", [False, True])
     def test_affine_solve_takes_no_delayed_point_past_the_history(self, kind, general):
         d, x0, m = _affine_system(kind, general, 1)
         init = initial_condition("sin(2*x) + 1", d.delay, x0)
-        assert self._counted(d, init, SolverConfig(Scheme.RK4, step_count=m)) == ([], 0)
+        assert self._counted(d, init, SolverConfig(Scheme.RK4, step_count=m)) == ([], [], 0)
 
     @pytest.mark.parametrize("delay, x0", [(MoebiusDelay(1.0), -0.3),
                                            (GeneralDelay(ex.parse("x - 1 - sin(x)/10")), 0.3)])
@@ -721,9 +776,11 @@ class TestAffineReads:
     def test_other_delays_still_read_at_g(self, delay, x0, general):
         d = Dods(_affine_system("constant", general, 1)[0].rhs, delay)
         init = initial_condition("sin(2*x) + 1", delay, x0)
-        points, reads = self._counted(d, init, SolverConfig(Scheme.RK4, step_count=16))
-        # each interval's 17 nodes and 16 midpoints, but those that are mesh points
-        assert len(points) >= 2 * 31 and reads >= 2
+        points, batched, reads = self._counted(d, init, SolverConfig(Scheme.RK4, step_count=16))
+        # each interval's 17 nodes and 16 midpoints, but those that are mesh
+        # points, go to g in one delayed_points batch, which takes none of
+        # them through delayed_point
+        assert points == [] and len(batched) >= 2 * 31 and reads >= 2
 
 
 # The steppers as they were before the generated loops: RK4 as four rhs_fn
@@ -997,6 +1054,111 @@ class TestColumnKernels:
             ex.compile(alpha, ("x",))(first)
         assert str(raised.value) == str(expected.value)
 
+    @staticmethod
+    def _non_affine(kind, alpha, beta):
+        """A system on a Moebius or a general delay, its history from x0 and
+        its first interval [a, b]; alpha and beta are templates in a and b."""
+        delay, x0 = ((MoebiusDelay(1.0), -0.3) if kind == "moebius"
+                     else (GeneralDelay(ex.parse("x - 1 - sin(x)/10")), 0.3))
+        a, b = build_mesh(delay, x0, 1).points[1:]
+        rhs = LinearRhs(*(ex.parse(c.format(a=a, b=b)) for c in (alpha, beta, "cos(x)")))
+        return Dods(rhs, delay), initial_condition("sin(2*x) + 1", delay, x0), a, b
+
+    @pytest.mark.parametrize("kind", ["moebius", "general"])
+    def test_alpha_failing_late_beats_an_earlier_forcing_failure(self, kind):
+        # beta leaves its domain 30 % into the first interval, alpha only at
+        # 80 %: the loop meets beta first, and alpha, taken over every Gauss
+        # point after it fails, raises its first failure in column order
+        d, init, a, b = self._non_affine(kind, "sqrt(({a!r} + 0.8*({b!r} - {a!r})) - x)",
+                                         "sqrt(({a!r} + 0.3*({b!r} - {a!r})) - x)")
+        m, h = 16, (b - a) / 16
+        nodes = [a + (b - a) * j / m for j in range(m + 1)]
+        gauss = [t0 + h * c for c in steps._GL_C for t0 in nodes[:-1]]
+        first = next(x for x in gauss if (a + 0.8 * (b - a)) - x < 0.0)
+        with pytest.raises(DomainError) as expected:
+            ex.compile(d.rhs.alpha, ("x",))(first)
+        config = SolverConfig(Scheme.EXACT_LINEAR, step_count=m)
+        want = (DomainError, str(expected.value))
+        assert _per_point_outcome(d, init, 1, config) == want
+        assert _solve_outcome(d, init, 1, config) == want
+
+    @pytest.mark.parametrize("kind", ["moebius", "general"])
+    def test_alpha_fails_at_its_first_point_column_by_column(self, kind):
+        # alpha leaves its domain only about the third Gauss point of step 1
+        # and the second of step 5: the loop meets step 1's first, but alpha
+        # is taken at every first Gauss point, then every second, then every
+        # third, so step 5's failure is raised
+        d, init, a, b = self._non_affine(kind, "0.5", "0.5")
+        m, h = 16, (b - a) / 16
+        nodes = [a + (b - a) * j / m for j in range(m + 1)]
+        late, early = nodes[1] + h * steps._GL_C[2], nodes[5] + h * steps._GL_C[1]
+        alpha = ex.parse(" + ".join(f"sqrt((x - {p - 0.05 * h!r})*(x - {p + 0.05 * h!r}))"
+                                    for p in (late, early)))
+        d = Dods(LinearRhs(alpha, d.rhs.beta, d.rhs.gamma), d.delay)
+        with pytest.raises(DomainError) as expected:
+            ex.compile(alpha, ("x",))(early)
+        config = SolverConfig(Scheme.EXACT_LINEAR, step_count=m)
+        want = (DomainError, str(expected.value))
+        assert _per_point_outcome(d, init, 1, config) == want
+        assert _solve_outcome(d, init, 1, config) == want
+
+    @pytest.mark.parametrize("kind", ["moebius", "general"])
+    def test_a_loop_error_is_reraised_when_alpha_is_fine(self, kind):
+        # alpha is real everywhere, so the loop's own error, beta's at its
+        # first abscissa in marching order, comes out as it was raised
+        d, init, a, b = self._non_affine(kind, "sin(x)", "ln(({a!r} + 0.45*({b!r} - {a!r})) - x)")
+        config = SolverConfig(Scheme.EXACT_LINEAR, step_count=16)
+        raised, loop = [], steps._loop
+
+        def recording(scheme, trees):
+            stepper = loop(scheme, trees)
+
+            def run(*args):
+                try:
+                    return stepper(*args)
+                except DomainError as exc:
+                    raised.append(exc)
+                    raise
+            return run
+
+        with pytest.MonkeyPatch.context() as mp:
+            mp.setattr(steps, "_loop", recording)
+            with pytest.raises(DomainError) as got:
+                solve(d, init, 1, config)
+        assert raised == [got.value] and str(got.value).startswith("ln of non-positive value")
+        assert _per_point_outcome(d, init, 1, config) == (DomainError, str(got.value))
+
+    @pytest.mark.parametrize("kind", ["moebius", "general"])
+    def test_alpha_kernel_compiled_only_after_a_loop_error(self, kind):
+        # alpha 1/(x + 5) on a Moebius or a general delay: a solve that
+        # succeeds compiles the history's two kernels, the loop and, for the
+        # general delay, g's column pass; one whose forcing fails compiles
+        # its own loop and alpha's column kernel as well, and nothing else
+        fine, init, a, b = self._non_affine(kind, "1/(x + 5)", "0.5")
+        beta = ex.parse(f"ln({b!r} - 0.01 - x)")
+        failing = Dods(LinearRhs(fine.rhs.alpha, beta, fine.rhs.gamma), fine.delay)
+        config = SolverConfig(Scheme.EXACT_LINEAR, step_count=16)
+
+        def sources(action):
+            seen, inner = [], ex._bytecode
+            ex._generate.cache_clear()
+            steps._loop.cache_clear()
+            with pytest.MonkeyPatch.context() as mp:
+                mp.setattr(ex, "_bytecode", lambda s: (seen.append(s), inner(s))[1])
+                action()
+            return seen
+
+        def solving(d):
+            return lambda: _solve_outcome(d, initial_condition("sin(2*x) + 1", d.delay, init.x0),
+                                          1, config)
+
+        ok, failed = sources(solving(fine)), sources(solving(failing))
+        assert _solve_outcome(failing, init, 1, config)[0] is DomainError
+        assert len(ok) == 2 + 1 + (kind == "general")
+        assert sum("the integrating factor overflows" in s for s in ok) == 1
+        (alpha_kernel,) = sources(lambda: ex.compile_columns((fine.rhs.alpha,), ("x",)))
+        assert alpha_kernel not in ok and len(failed) == len(ok) + 1 and alpha_kernel in failed
+
     def test_one_kernel_set_per_scheme(self):
         e = catalog("A3_14")
         init = initial_condition("x + 4", e.dods.delay, 1.0)
@@ -1013,13 +1175,15 @@ class TestColumnKernels:
             for _ in range(2):
                 solve(general, general_init, 3, SolverConfig(Scheme.RK4, step_count=16))
         # two column kernels for the history and its slope, kept on the
-        # history record, then for A3_14 one rk4 loop, and alpha's column
-        # kernel and one exact-linear loop, and one rk4 loop for the general
+        # history record, then for A3_14 one rk4 loop and one exact-linear
+        # loop, which takes alpha itself, and one rk4 loop for the general
         # system, each built once and the loops reused across intervals;
-        # no rhs_fn
-        assert len(seen) == 2 + 1 + 2 + 1
-        assert sum(" in zip(" in s or " in c0:" in s for s in seen) == 2 + 1 + 2 + 1
+        # no rhs_fn, and no column kernel for alpha
+        assert len(seen) == 2 + 1 + 1 + 1
+        assert sum(" in zip(" in s or " in c0:" in s for s in seen) == 2 + 1 + 1 + 1
+        assert sum(" in c0:" in s for s in seen) == 2
         assert sum("derivs.append(s1)" in s for s in seen) == 2
+        assert sum("the integrating factor overflows" in s for s in seen) == 1
 
     def test_generated_source_does_not_depend_on_hash_order(self):
         # record every source that solves of three systems generate under
@@ -1043,9 +1207,9 @@ class TestColumnKernels:
         assert len(outs) == 1
         count, columns, _ = outs.pop().split()
         # each set of trees compiles once: per system the rk4 loop and the
-        # exact-linear loop; and four over one column, the history x + 4 and
-        # its slope, which all six solves share, and two alphas
-        assert int(count) == 3 * 2 + 4 and int(columns) == 3 * 2
+        # exact-linear loop, which takes alpha itself; and two over one
+        # column, the history x + 4 and its slope, which all six solves share
+        assert int(count) == 3 * 2 + 2 and int(columns) == 3 * 2
 
 
 def _residual_scan_per_sample(s, d):
