@@ -345,13 +345,21 @@ def _check_count(name: str, n: int) -> None:
         raise ParameterDomainError(f"{name} must be an integer >= 1, got {n!r}")
 
 
+def _check_x0(x0: float) -> None:
+    """A start x0 is finite, checked before any relation takes g(x0)."""
+    if not math.isfinite(x0):
+        raise ParameterDomainError(f"x0 must be finite, got {x0!r}")
+
+
 def build_mesh(relation: DelayRelation, x0: float, intervals: int) -> Mesh:
     """Mesh [g(x0), x0, advance(x0), ...] with the requested interval count.
 
     NoForwardPoint propagates when the chain cannot be continued, carrying
-    how far it got; the mesh is never silently shortened.
+    how far it got; the mesh is never silently shortened.  A non-finite x0
+    raises ParameterDomainError.
     """
     _check_count("intervals", intervals)
+    _check_x0(x0)
     points = [relation.delayed_point(x0), x0]
     x = x0
     for n in range(intervals):

@@ -15,10 +15,10 @@ from __future__ import annotations
 import enum
 import functools
 import math
-from collections.abc import Callable, Iterable, Mapping
+from collections.abc import Callable, Iterable, Mapping, Sequence
 
 from . import expr as ex
-from .delay import (ConstantDelay, DelayRelation, MoebiusDelay, _unquote,
+from .delay import (ConstantDelay, DelayRelation, MoebiusDelay, _check_x0, _unquote,
                     parse_delay_spec, scale_delay)
 from .errors import (BracketNotFound, DelaySymError, DomainError, NoDodsError,
                      NonConvergence, ParameterDomainError, SchemeMismatch)
@@ -179,20 +179,35 @@ class InitialCondition(ex.Record):
         ex.check_variables(self.phi, {"x"}, "phi may only depend on x")
 
     @functools.cached_property
-    def _phi_with_slope(self) -> tuple[Callable[..., tuple[list[float]]], ...]:
+    def _phi_with_slope(self) -> Callable[..., tuple[list[float], list[float]]]:
         """_with_slope(phi), made once per record (not pickled): every solve
         from this history samples it on the first segment."""
         return _with_slope(self.phi)
 
 
-def _with_slope(e: ex.Expr) -> tuple[Callable[..., tuple[list[float]]], ...]:
-    """Column kernels of e and of its x-derivative over x; two, not one pair,
-    so that e is taken at every point before e' and raises first."""
-    return tuple(ex.compile_columns((t,), ("x",)) for t in (e, ex.differentiate(e, "x")))
+def _with_slope(e: ex.Expr) -> Callable[..., tuple[list[float], list[float]]]:
+    """A function of an x column that returns e's values and those of its
+    x-derivative e' there, from one column kernel, so the subtrees they
+    share run once.  Where that kernel raises DomainError, e is taken at
+    every point and then e', each by a kernel of its own compiled then, so
+    e's first failure is raised before any of e'."""
+    de = ex.differentiate(e, "x")
+    both = ex.compile_columns((e, de), ("x",))
+
+    def with_slope(xs: Sequence[float]) -> tuple[list[float], list[float]]:
+        try:
+            return both(xs)
+        except DomainError:
+            for t in (e, de):
+                ex.compile_columns((t,), ("x",))(xs)
+            raise
+    return with_slope
 
 
 def initial_condition(phi: "ex.Expr | str", relation: DelayRelation, x0: float) -> InitialCondition:
-    """Build the history record with x_minus1 = g(x0)."""
+    """Build the history record with x_minus1 = g(x0); a non-finite x0
+    raises ParameterDomainError."""
+    _check_x0(x0)
     return InitialCondition(ex.as_expr(phi, ("x",)), relation.delayed_point(x0), x0)
 
 

@@ -467,7 +467,8 @@ def _eval(e: Expr, b: Mapping[str, float]) -> float:
 # sqrt, /, and sin, cos and tan, where math raises ValueError at inf) on the
 # line before it, unless that operand passed it already; the first use of an
 # argument coerces it with float() on a line of its own, as _eval does at
-# every use.
+# every use.  A power calls _pow_checked below a positive base, except under
+# a constant positive integer exponent, which needs no call (_WHOLE_POWER).
 #
 # A subtree shared within or across the trees is one interned node: met
 # again, it reuses the name it got at its first use and is not walked twice,
@@ -492,6 +493,10 @@ _BINARY_TEMPLATES = {
     "/": "{0} / {1}",
     "^": "_mpow({0}, {1}) if {0} > 0.0 else _pow_checked({0}, {1})",
 }
+# a^k for a constant positive integer k (_whole_power): math.pow's bits, as
+# _pow_checked gives them without the call, but at a zero, where math.pow
+# keeps -0.0's sign for an odd k and _pow_checked returns 0.0
+_WHOLE_POWER = "_mpow({0}, {1}) if {0} != 0.0 else 0.0"
 # statements that run once the operands are known, before the operation
 _GUARDS = {
     "ln": "if {0} <= 0.0: raise _ln_domain({0})",
@@ -588,6 +593,8 @@ def _emit(trees: tuple[Expr, ...], args: Sequence[str]
                 operands = names[-arity:]
                 del names[-arity:]
                 template = (_UNARY_TEMPLATES if arity == 1 else _BINARY_TEMPLATES)[node.op]
+                if node.op == "^" and _whole_power(node.right):
+                    template = _WHOLE_POWER
                 guard = _GUARDS.get(node.op, "").format(*operands)
                 if guard and guard not in guarded:  # it tests the last operand
                     guarded.add(guard)
@@ -622,6 +629,11 @@ def _emit(trees: tuple[Expr, ...], args: Sequence[str]
     return lines, outputs, consts, ends
 
 
+def _whole_power(e: Expr) -> bool:
+    """Whether e is a constant positive integer float (see _WHOLE_POWER)."""
+    return isinstance(e, Num) and type(e.value) is float and e.value > 0.0 and e.value.is_integer()
+
+
 def _define(params: str, body: Sequence[str], consts: Sequence[object],
             namespace: Mapping[str, object] = _COMPILE_GLOBALS) -> Callable:
     """The function compiled(params) whose body is the given lines, run with
@@ -636,7 +648,8 @@ def _define(params: str, body: Sequence[str], consts: Sequence[object],
 
 @functools.lru_cache(maxsize=1024)
 def _bytecode(source: str) -> CodeType:
-    # constants are closure values: trees with new ones reuse the old source
+    # constants are closure values: trees with new ones reuse the old source,
+    # but for an exponent that becomes or stops being a whole number
     return builtins.compile(source, "<delaysym.expr.compile>", "exec")
 
 

@@ -18,7 +18,9 @@ read the previous steps' Hermite data at fixed t (_span_reads) and compute
 no g(x); any other g is taken in one pass (DelayRelation.delayed_points)
 and read in one sweep (Segment.values_at).  Either
 scheme then steps the interval in one loop generated from the right hand
-side's trees (_loop, see solve).
+side's trees (_loop, see solve), which takes what cannot change within
+the interval, exact-linear's integrating factors under an alpha without
+x, once before its steps.
 """
 
 from __future__ import annotations
@@ -223,11 +225,12 @@ class PiecewiseSolution(ex.Record):
 
     def mapped(self, scale: float, offset: "ex.Expr | str | float") -> "PiecewiseSolution":
         """Pointwise map y(x) -> scale*y(x) + offset(x)."""
-        off, doff = _with_slope(ex.as_expr(offset, ("x",)))
+        with_slope = _with_slope(ex.as_expr(offset, ("x",)))
         segs = []
         for s in self.segments:
-            vals = tuple(scale * y + o for y, o in zip(s.values, off(s.nodes)[0]))
-            ders = tuple(scale * d + o for d, o in zip(s.derivs, doff(s.nodes)[0]))
+            off, doff = with_slope(s.nodes)
+            vals = tuple(scale * y + o for y, o in zip(s.values, off))
+            ders = tuple(scale * d + o for d, o in zip(s.derivs, doff))
             segs.append(Segment(s.nodes, vals, ders))
         return PiecewiseSolution(self.mesh, tuple(segs))
 
@@ -275,12 +278,17 @@ def solution_from_json(text: str) -> PiecewiseSolution:
     return PiecewiseSolution(mesh, segments)
 
 
-def _sample_segment(fns: tuple[Callable[..., tuple[list[float]]], ...],
+def _nodes(a: float, b: float, m: int) -> tuple[float, ...]:
+    """The m + 1 nodes a + (b - a)*j/m of m steps of [a, b]."""
+    w = b - a
+    return tuple([a + w * j / m for j in range(m + 1)])
+
+
+def _sample_segment(with_slope: Callable[..., tuple[list[float], list[float]]],
                     lo: float, hi: float, m: int) -> Segment:
-    """m steps of [lo, hi] sampled by _with_slope's kernels: every value, then every slope."""
-    f, df = fns
-    nodes = tuple(lo + (hi - lo) * j / m for j in range(m + 1))
-    (values,), (derivs,) = f(nodes), df(nodes)
+    """m steps of [lo, hi] sampled by a _with_slope function."""
+    nodes = _nodes(lo, hi, m)
+    values, derivs = with_slope(nodes)
     return Segment(nodes, tuple(values), tuple(derivs))
 
 
@@ -293,8 +301,9 @@ def from_exprs(relation: DelayRelation, pieces: Sequence["ex.Expr | str"], x0: f
         raise ParameterDomainError("need a history piece and at least one interval piece")
     exprs = [ex.as_expr(p, ("x",)) for p in pieces]
     mesh = build_mesh(relation, x0, len(pieces) - 1)
+    with_slope = functools.cache(_with_slope)  # a piece met again reuses its kernel
     segments = tuple(
-        _sample_segment(_with_slope(e), mesh.points[i], mesh.points[i + 1], step_count)
+        _sample_segment(with_slope(e), mesh.points[i], mesh.points[i + 1], step_count)
         for i, e in enumerate(exprs))
     return PiecewiseSolution(mesh, segments)
 
@@ -362,7 +371,9 @@ def solve(d: Dods, init: InitialCondition, intervals: int,
     delay's DomainError is raised.  RK4 then takes per step k1 (the node
     slope), k2, k3 and k4.  Exact-linear takes the first node's slope; then
     per step alpha and the forcing beta*ym + gamma at its three Gauss points,
-    the integrating factors and the next node's slope.  Where that raises
+    the integrating factors and the next node's slope; where alpha has no x,
+    the factors are taken once, before the steps, and their overflow is
+    raised at the first step, after its forcing.  Where that raises
     DomainError, alpha is taken at every step's first Gauss point, then
     second, then third, and its first failure, if any, is raised instead, so
     alpha's error still comes first.  An interval that ends on
@@ -390,8 +401,7 @@ def solve(d: Dods, init: InitialCondition, intervals: int,
     step = _rk4_interval if config.scheme is Scheme.RK4 else _exact_linear_interval
     for n in range(1, intervals + 1):
         a, b = mesh.points[n], mesh.points[n + 1]
-        nodes = tuple(a + (b - a) * j / m for j in range(m + 1))
-        seg = step(d, segments[-1], nodes, (b - a) / m)
+        seg = step(d, segments[-1], _nodes(a, b, m), (b - a) / m)
         # a value that is not finite stays so through every later step
         if not (math.isfinite(seg.values[-1]) and math.isfinite(seg.derivs[-1])):
             raise DomainError(f"the solution is not finite on the interval [{a!r}, {b!r}]")
@@ -451,25 +461,33 @@ except OverflowError as exc:
     raise _overflow(exc) from exc
 derivs.append(s1)
 return tuple(values), tuple(derivs)"""
-# e_i = e^(A(t1) - A(s_i)); every sum starts from 0.0, which sets a zero's sign
+# e_i = e^(A(t1) - A(s_i)) and e3 = e^(A(t1) - A(t0)), each sum from 0.0,
+# which sets a zero's sign.  A step takes them after its forcing ({each});
+# where alpha has no x they are the interval's, taken once before the loop
+# ({once}).  Either way their overflow is raised after the forcing of the
+# first step that uses them.
+_FACTORS = """\
+try:
+    e0 = exp(h * (((0.0 + w00 * {o1}) + w01 * {o2}) + w02 * {o3}))
+    e1 = exp(h * (((0.0 + w10 * {o1}) + w11 * {o2}) + w12 * {o3}))
+    e2 = exp(h * (((0.0 + w20 * {o1}) + w21 * {o2}) + w22 * {o3}))
+    e3 = exp(h * (((0.0 + b0 * {o1}) + b1 * {o2}) + b2 * {o3}))
+except OverflowError:
+    overflows = True"""
 _EXACT_LINEAR = """\
 (w00, w01, w02), (w10, w11, w12), (w20, w21, w22), (b0, b1, b2) = _weights
 exp = _exp
 {x0}, {ym0}, {y} = xs[0], yms[0], {y0}
 values = [{y}]
 try:
-{0}    derivs = [{o0}]
-    for {xa}, {yma}, {xb}, {ymb}, {xc}, {ymc}, {x1}, {ym1} in zip(
+{0}    derivs, overflows = [{o0}], False
+{once}    for {xa}, {yma}, {xb}, {ymb}, {xc}, {ymc}, {x1}, {ym1} in zip(
             xs[1::4], yms[1::4], xs[2::4], yms[2::4], xs[3::4], yms[3::4], xs[4::4], yms[4::4]):
-{1}{2}{3}{4}{5}{6}        try:
-            e0 = exp(h * (((0.0 + w00 * {o1}) + w01 * {o2}) + w02 * {o3}))
-            e1 = exp(h * (((0.0 + w10 * {o1}) + w11 * {o2}) + w12 * {o3}))
-            e2 = exp(h * (((0.0 + w20 * {o1}) + w21 * {o2}) + w22 * {o3}))
-            s = ((0.0 + b0 * e0 * {o4}) + b1 * e1 * {o5}) + b2 * e2 * {o6}
-            {y} = exp(h * (((0.0 + b0 * {o1}) + b1 * {o2}) + b2 * {o3})) * {y} + h * s
-        except OverflowError:
+{1}{2}{3}{4}{5}{6}{each}        if overflows:
             raise DomainError("the integrating factor overflows on the interval "
-                              f"[{{xs[0]!r}}, {{xs[-1]!r}}]") from None
+                              f"[{{xs[0]!r}}, {{xs[-1]!r}}]")
+        s = ((0.0 + b0 * e0 * {o4}) + b1 * e1 * {o5}) + b2 * e2 * {o6}
+        {y} = e3 * {y} + h * s
         values.append({y})
 {7}        derivs.append({o7})
 except OverflowError as exc:
@@ -493,7 +511,11 @@ _STEP_GLOBALS = {**ex._COMPILE_GLOBALS, "_weights": (*_GL_TAIL, _GL_B), "DomainE
 def _loop(scheme: Scheme, trees: tuple[ex.Expr, ...]
           ) -> Callable[..., tuple[tuple[float, ...], tuple[float, ...]]]:
     """The scheme's steps over its trees (RK4's f, exact-linear's forcing,
-    slope and alpha) as a function of its parameters; cached by the interned trees."""
+    slope and alpha) as a function of its parameters; cached by the interned
+    trees.  Exact-linear's alpha has no x exactly when its three stages add
+    no line (stage 0 took its value; an x is a first use of that stage's
+    abscissa, whose float() line counts), and its factors then go before
+    the loop (_FACTORS)."""
     params, stages, template = _SCHEMES[scheme]
     arg = {name: f"a{i}" for i, name in enumerate(
         dict.fromkeys(name for _, *names in stages for name in names))}
@@ -504,7 +526,13 @@ def _loop(scheme: Scheme, trees: tuple[ex.Expr, ...]
     blocks = ("".join(f"{'        ' if i else '    '}{line}\n"
                       for line in lines[a:b] if line not in coerced)
               for i, (a, b) in enumerate(zip([0, *ends], ends)))
-    source = template.format(*blocks, **arg, **{f"o{i}": o for i, o in enumerate(outputs)})
+    fields = {**arg, **{f"o{i}": o for i, o in enumerate(outputs)}}
+    if scheme is Scheme.EXACT_LINEAR:
+        once = ends[0] == ends[3]
+        pad = "    " if once else "        "
+        factors = "".join(f"{pad}{line}\n" for line in _FACTORS.format(**fields).split("\n"))
+        fields |= {"once": factors if once else "", "each": "" if once else factors}
+    source = template.format(*blocks, **fields)
     return ex._define(params.format(**arg), source.split("\n"), consts, _STEP_GLOBALS)
 
 

@@ -244,6 +244,13 @@ class TestMesh:
         assert err.startswith("ParameterDomainError: ") and err.count("\n") == 1
         assert "finite" in err
 
+    @pytest.mark.parametrize("argv", [
+        ("mesh", "--delay", "moebius(1)", "--n", "2"),
+        ("solve", "--case", "A3_5", "--phi", "x + 1", "--intervals", "1")])
+    def test_non_finite_x0_is_one_error_line(self, capsys, argv):
+        code, out, err = run(capsys, *argv, "--x0", "nan")
+        assert (code, out, err) == (1, "", "ParameterDomainError: x0 must be finite, got nan\n")
+
 
 class TestRoots:
     def test_shape_and_residuals(self, capsys):

@@ -445,3 +445,21 @@ class TestParseDelaySpec:
         assert Late(0.5).spec_string() == "constant(0.5)"
         with pytest.raises(NotImplementedError):
             DelayRelation().spec_string()
+
+
+_KINDS = [ConstantDelay(1.0), AffineDelay(0.8, 0.5), QScaleDelay(0.5), MoebiusDelay(1.0),
+          GeneralDelay(ex.parse("x - 1"))]
+
+
+class TestNonFiniteStart:
+    # every delay kind refuses a start that is not finite before it takes
+    # g(x0), with one message, where each used to fail its own way
+    @pytest.mark.parametrize("relation", _KINDS, ids=lambda r: r.spec_string())
+    @pytest.mark.parametrize("x0", [math.nan, INF, -INF], ids=repr)
+    def test_build_mesh_and_initial_condition_refuse_it(self, relation, x0):
+        from delaysym.dods import initial_condition
+        for build in (lambda: build_mesh(relation, x0, 2),
+                      lambda: initial_condition("x + 1", relation, x0)):
+            with pytest.raises(ParameterDomainError) as caught:
+                build()
+            assert str(caught.value) == f"x0 must be finite, got {x0!r}"

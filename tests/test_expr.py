@@ -606,6 +606,30 @@ class TestCompile:
             assert got == want and math.copysign(1.0, got) == math.copysign(1.0, want)
         assert _agrees(tree, ("x",), (x,))[0]
 
+    _POWER_BASES = (-0.0, 0.0, 1.5, -1.5, math.nan, math.inf, -math.inf, -1e200)
+
+    @pytest.mark.parametrize("k", [1.0, 2.0, 3.0, 4.0, 2.0 ** 53, 1e300, 0.0, -2.0, 0.5])
+    def test_constant_powers_match_evaluate_by_hex(self, k):
+        # a positive integer k is math.pow inline, with 0.0 at a zero (math.pow
+        # keeps -0.0 for an odd k); the other exponents go through _pow_checked
+        tree = ex.Binary("^", ex.Var("x"), ex.Num(k))
+        f = ex.compile(tree, ("x",))
+        for x in self._POWER_BASES:
+            assert _hex_outcome(f, x) == _hex_outcome(ex.evaluate, tree, {"x": x}), x
+
+    @pytest.mark.parametrize("k, calls", [(1.0, 0), (2.0, 0), (3.0, 0), (1e300, 0),
+                                          (0.0, 6), (-2.0, 6), (0.5, 6), (1, 6)])
+    def test_only_a_positive_integer_power_skips_the_helper(self, k, calls, monkeypatch):
+        # six of the bases are not above 0.0; a Num holding the int 1 is not
+        # a float, so it keeps the helper as evaluate's math.pow would see it
+        seen, checked = [], ex._pow_checked
+        monkeypatch.setitem(ex._COMPILE_GLOBALS, "_pow_checked",
+                            lambda a, b: (seen.append(a), checked(a, b))[1])
+        f = ex.compile_columns((ex.Binary("^", ex.Var("x"), ex.Num(k)),), ("x",))
+        for x in self._POWER_BASES:
+            _outcome(f, [x])
+        assert len(seen) == calls
+
     def test_infinite_literal(self):
         # 1e999 parses to Num(inf), whose repr is not a Python literal
         tree = ex.parse("1e999 * x")

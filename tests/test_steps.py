@@ -881,13 +881,14 @@ def _exact_linear_per_point(d, prev, nodes, h):
     return Segment(nodes, tuple(values), tuple(derivs))
 
 
-def _per_point_outcome(d, init, n, config):
-    """solve's to_json, or its error, with the per-point steppers."""
+def _per_point_outcome(d, init, n, config, outcome=None):
+    """solve's to_json, or its error, or what outcome gives, with the
+    per-point steppers."""
     rk4 = _rk4_linear_per_point if isinstance(d.rhs, LinearRhs) else _rk4_per_point
     with pytest.MonkeyPatch.context() as mp:
         mp.setattr(steps, "_rk4_interval", rk4)
         mp.setattr(steps, "_exact_linear_interval", _exact_linear_per_point)
-        return _solve_outcome(d, init, n, config)
+        return (outcome or _solve_outcome)(d, init, n, config)
 
 
 # coefficients that leave their domain or overflow inside the first
@@ -902,6 +903,25 @@ def _solve_outcome(d, init, n, config):
         return "value", solve(d, init, n, config).to_json()
     except Exception as exc:
         return type(exc), str(exc)
+
+
+def _solve_bits(d, init, n, config):
+    """bits() of solve, or its error's class and message."""
+    try:
+        return "value", bits(solve(d, init, n, config))
+    except Exception as exc:
+        return type(exc), str(exc)
+
+
+def _sources(action):
+    """The generated sources that action compiles from empty caches."""
+    seen, inner = [], ex._bytecode
+    ex._generate.cache_clear()
+    steps._loop.cache_clear()
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(ex, "_bytecode", lambda s: (seen.append(s), inner(s))[1])
+        action()
+    return seen
 
 
 class TestColumnKernels:
@@ -1131,7 +1151,7 @@ class TestColumnKernels:
     @pytest.mark.parametrize("kind", ["moebius", "general"])
     def test_alpha_kernel_compiled_only_after_a_loop_error(self, kind):
         # alpha 1/(x + 5) on a Moebius or a general delay: a solve that
-        # succeeds compiles the history's two kernels, the loop and, for the
+        # succeeds compiles the history's one kernel, the loop and, for the
         # general delay, g's column pass; one whose forcing fails compiles
         # its own loop and alpha's column kernel as well, and nothing else
         fine, init, a, b = self._non_affine(kind, "1/(x + 5)", "0.5")
@@ -1139,24 +1159,15 @@ class TestColumnKernels:
         failing = Dods(LinearRhs(fine.rhs.alpha, beta, fine.rhs.gamma), fine.delay)
         config = SolverConfig(Scheme.EXACT_LINEAR, step_count=16)
 
-        def sources(action):
-            seen, inner = [], ex._bytecode
-            ex._generate.cache_clear()
-            steps._loop.cache_clear()
-            with pytest.MonkeyPatch.context() as mp:
-                mp.setattr(ex, "_bytecode", lambda s: (seen.append(s), inner(s))[1])
-                action()
-            return seen
-
         def solving(d):
             return lambda: _solve_outcome(d, initial_condition("sin(2*x) + 1", d.delay, init.x0),
                                           1, config)
 
-        ok, failed = sources(solving(fine)), sources(solving(failing))
+        ok, failed = _sources(solving(fine)), _sources(solving(failing))
         assert _solve_outcome(failing, init, 1, config)[0] is DomainError
-        assert len(ok) == 2 + 1 + (kind == "general")
+        assert len(ok) == 1 + 1 + (kind == "general")
         assert sum("the integrating factor overflows" in s for s in ok) == 1
-        (alpha_kernel,) = sources(lambda: ex.compile_columns((fine.rhs.alpha,), ("x",)))
+        (alpha_kernel,) = _sources(lambda: ex.compile_columns((fine.rhs.alpha,), ("x",)))
         assert alpha_kernel not in ok and len(failed) == len(ok) + 1 and alpha_kernel in failed
 
     def test_one_kernel_set_per_scheme(self):
@@ -1164,24 +1175,22 @@ class TestColumnKernels:
         init = initial_condition("x + 4", e.dods.delay, 1.0)
         general, _ = load_spec(_GENERAL_RHS.read_text())
         general_init = initial_condition("x + 4", general.delay, 0.0)
-        seen = []
-        inner = ex._bytecode
-        ex._generate.cache_clear()  # count every build from empty caches
-        steps._loop.cache_clear()
-        with pytest.MonkeyPatch.context() as mp:
-            mp.setattr(ex, "_bytecode", lambda s: (seen.append(s), inner(s))[1])
+
+        def solving():
             for scheme in (Scheme.RK4, Scheme.RK4, Scheme.EXACT_LINEAR, Scheme.EXACT_LINEAR):
                 solve(e.dods, init, 2, SolverConfig(scheme, step_count=16))
             for _ in range(2):
                 solve(general, general_init, 3, SolverConfig(Scheme.RK4, step_count=16))
-        # two column kernels for the history and its slope, kept on the
+
+        seen = _sources(solving)  # every build from empty caches
+        # one column kernel for the history and its slope, kept on the
         # history record, then for A3_14 one rk4 loop and one exact-linear
         # loop, which takes alpha itself, and one rk4 loop for the general
         # system, each built once and the loops reused across intervals;
         # no rhs_fn, and no column kernel for alpha
-        assert len(seen) == 2 + 1 + 1 + 1
-        assert sum(" in zip(" in s or " in c0:" in s for s in seen) == 2 + 1 + 1 + 1
-        assert sum(" in c0:" in s for s in seen) == 2
+        assert len(seen) == 1 + 1 + 1 + 1
+        assert sum(" in zip(" in s or " in c0:" in s for s in seen) == 1 + 1 + 1 + 1
+        assert sum(" in c0:" in s for s in seen) == 1
         assert sum("derivs.append(s1)" in s for s in seen) == 2
         assert sum("the integrating factor overflows" in s for s in seen) == 1
 
@@ -1207,9 +1216,130 @@ class TestColumnKernels:
         assert len(outs) == 1
         count, columns, _ = outs.pop().split()
         # each set of trees compiles once: per system the rk4 loop and the
-        # exact-linear loop, which takes alpha itself; and two over one
-        # column, the history x + 4 and its slope, which all six solves share
-        assert int(count) == 3 * 2 + 2 and int(columns) == 3 * 2
+        # exact-linear loop, which takes alpha itself; and one over one
+        # column, the history x + 4 with its slope, which all six solves share
+        assert int(count) == 3 * 2 + 1 and int(columns) == 3 * 2
+
+
+class TestLoopInvariants:
+    """Work that cannot change inside an interval or a node set is done once:
+    exact-linear's factors under an alpha without x, the history with its
+    slope, integer powers inline and the node tuples; every bit and first
+    error as before."""
+
+    _DELAYS = {"constant": (ConstantDelay(1.0), 0.0), "qscale": (QScaleDelay(0.5), 0.6),
+               "general": (GeneralDelay(ex.parse("x - 1 - sin(x)/10")), 0.3)}
+
+    @pytest.mark.parametrize("kind", list(_DELAYS))
+    @pytest.mark.parametrize("alpha", ["0.75", "-2", "2*3", "-0.5", "0"])
+    def test_constant_alpha_equals_the_per_point_stepper(self, kind, alpha):
+        delay, x0 = self._DELAYS[kind]
+        d = Dods(LinearRhs(ex.parse(alpha), ex.parse("0.5 + x/4"), ex.parse("cos(3*x)")), delay)
+        init = initial_condition("sin(2*x) + 1", delay, x0)
+        for m, n in ((1, 1), (7, 2), (64, 3)):
+            config = SolverConfig(Scheme.EXACT_LINEAR, step_count=m)
+            want = _per_point_outcome(d, init, n, config, _solve_bits)
+            assert want[0] == "value"
+            assert _solve_bits(d, init, n, config) == want
+
+    @pytest.mark.parametrize("alpha, once", [("0.75", True), ("2*3", True), ("-0.5", True),
+                                             ("sin(2)", True), ("sin(x)", False),
+                                             ("x - x", False), ("x", False)])
+    def test_factors_leave_the_loop_only_for_an_alpha_without_x(self, alpha, once):
+        # by structure: alpha's three Gauss-point stages add no statement; a
+        # bare x adds none of its own but the float() line of its first use
+        r = LinearRhs(ex.parse(alpha), ex.Num(0.5), ex.parse("cos(x)"))
+        forcing = ex.Binary("+", ex.Binary("*", r.beta, steps._YM), r.gamma)
+        slope = ex.Binary("+", ex.Binary("*", r.alpha, steps._Y), forcing)
+        (source,) = _sources(lambda: steps._loop(Scheme.EXACT_LINEAR, (forcing, slope, r.alpha)))
+        assert (source.index("e0 = exp") < source.index(" for ")) is once
+        assert source.count("e0 = exp") == 1
+
+    @pytest.mark.parametrize("gamma, message", [
+        # the factors of h*alpha = 1e5/64 overflow, and the first step's
+        # forcing is fine: the overflow is raised at step 1
+        ("1", "the integrating factor overflows on the interval [0.0, 1.0]"),
+        # the forcing fails at step 1's first Gauss point: its error comes
+        # before the factors', hoisted or not
+        ("ln(0.001 - x)", "ln of non-positive value -0.0007609635215509109"),
+        # the forcing fails only at step 2: step 1's factors overflow first
+        ("ln(0.02 - x)", "the integrating factor overflows on the interval [0.0, 1.0]"),
+    ])
+    @pytest.mark.parametrize("alpha", ["1e5", "5e4*2"])
+    def test_overflowing_constant_alpha_raises_after_the_first_forcing(self, alpha, gamma,
+                                                                       message):
+        d = Dods(LinearRhs(ex.parse(alpha), ex.Num(0.5), ex.parse(gamma)), ConstantDelay(1.0))
+        init = initial_condition("1", d.delay, 0.0)
+        config = SolverConfig(Scheme.EXACT_LINEAR, step_count=64)
+        want = _per_point_outcome(d, init, 1, config, _solve_bits)
+        if want == (OverflowError, "math range error"):  # the reference's bare factor exp
+            want = (DomainError, "the integrating factor overflows on the interval [0.0, 1.0]")
+        assert _solve_bits(d, init, 1, config) == want == (DomainError, message)
+
+    _FAILING_PHI = "sqrt(x + 1) + ln(-0.5 - x)"  # phi' fails at x = -1, phi only at -0.5
+
+    def _phi_error(self, xs):
+        with pytest.raises(DomainError) as caught:
+            ex.compile_columns((ex.parse(self._FAILING_PHI),), ("x",))(xs)
+        return DomainError, str(caught.value)
+
+    def _outcome(self, action):
+        try:
+            return "value", action()
+        except Exception as exc:
+            return type(exc), str(exc)
+
+    def test_history_raises_phi_before_an_earlier_slope_failure(self):
+        d, _ = smoothing_instance()
+        init = initial_condition(self._FAILING_PHI, d.delay, 0.0)
+        nodes = steps._nodes(-1.0, 0.0, 16)
+        want = self._phi_error(nodes)
+        assert want == (DomainError, "ln of non-positive value 0.0")
+        for scheme in Scheme:
+            assert self._outcome(lambda: solve(d, init, 1, SolverConfig(scheme, 16))) == want
+        assert self._outcome(lambda: sample_expr(d.delay, self._FAILING_PHI, 0.0, 1, 16)) == want
+        assert self._outcome(
+            lambda: from_exprs(d.delay, [self._FAILING_PHI, "1"], 0.0, 16)) == want
+        sol = sample_expr(d.delay, "x", 0.0, 1, 16)
+        assert self._outcome(lambda: sol.mapped(2.0, self._FAILING_PHI)) == want
+
+    def test_history_compiles_one_kernel_unless_it_fails(self):
+        d, _ = smoothing_instance()
+        config = SolverConfig(Scheme.RK4, 16)
+
+        def solving(phi):
+            return lambda: self._outcome(
+                lambda: solve(d, initial_condition(phi, d.delay, 0.0), 1, config))
+
+        # one kernel of phi with phi'; where it fails, phi's own, and phi''s
+        # only if phi's passes
+        for phi, kernels in (("x^3 + ln(2 - x)", 1), (self._FAILING_PHI, 2), ("sqrt(x + 1)", 3)):
+            assert sum(" in c0:" in s for s in _sources(solving(phi))) == kernels
+
+    @pytest.mark.parametrize("phi", ["(x + 1)^3 - x^2", "x^4*sin(x) + (x - 0.5)^1",
+                                     "sqrt(1 + x^2)*exp(atan(x))"])
+    def test_history_with_its_slope_equals_two_kernels(self, phi):
+        e = ex.parse(phi)
+        xs = [-0.0, 0.0, -1.5, 0.5, -1e200, math.nan, -math.inf, *steps._nodes(-1.0, 0.5, 9)]
+        got = self._outcome(lambda: [list(map(float.hex, c)) for c in steps._with_slope(e)(xs)])
+        want = self._outcome(lambda: [list(map(float.hex, ex.compile_columns((t,), ("x",))(xs)[0]))
+                                      for t in (e, ex.differentiate(e, "x"))])
+        assert got == want
+
+    def test_a_repeated_piece_builds_its_history_function_once(self, monkeypatch):
+        built, inner = [], steps._with_slope
+        monkeypatch.setattr(steps, "_with_slope", lambda e: (built.append(e), inner(e))[1])
+        one = sample_expr(ConstantDelay(1.0), "x", 0.0, 3, 8)
+        two = from_exprs(ConstantDelay(1.0), ["x", "x^3", "x"], 0.0, 8)
+        assert built == [ex.parse("x"), ex.parse("x"), ex.parse("x^3")]
+        assert two.segments[::2] == one.segments[:3:2]
+
+    @settings(max_examples=300, deadline=None)
+    @given(st.floats(-1e6, 1e6), st.floats(1e-9, 1e6), st.integers(1, 300))
+    def test_nodes_are_the_step_fractions_bit_for_bit(self, a, w, m):
+        b = a + w
+        want = tuple(a + (b - a) * j / m for j in range(m + 1))
+        assert list(map(float.hex, steps._nodes(a, b, m))) == list(map(float.hex, want))
 
 
 def _residual_scan_per_sample(s, d):
