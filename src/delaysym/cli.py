@@ -57,12 +57,10 @@ def _case_from_args(args: argparse.Namespace) -> CatalogCase:
 def _system_from_args(args: argparse.Namespace):
     """(dods, history) from either --case or --spec; the history is the
     system file's initial condition, or None."""
-    if getattr(args, "case", None):
+    if args.case:
         return catalog(_case_from_args(args)).dods, None
-    if getattr(args, "spec", None):
-        with open(args.spec, "r", encoding="utf-8") as fh:
-            return load_spec(fh.read())
-    raise ParameterDomainError("pass either --case or --spec")
+    with open(args.spec, "r", encoding="utf-8") as fh:
+        return load_spec(fh.read())
 
 
 def _emit(text: str, out: str | None) -> None:
@@ -196,10 +194,8 @@ def _cmd_verify(args: argparse.Namespace) -> int:
         with open(args.solution_file, "r", encoding="utf-8") as fh:
             s = solution_from_json(fh.read())
         worst = residual_scan(s, d)
-    elif args.solution:
-        worst = verify(args.solution, d)
     else:
-        raise ParameterDomainError("pass --solution or --solution-file")
+        worst = verify(args.solution, d)
     _emit(json.dumps({"kind": "verify", "max_residual": worst}) + "\n", args.out)
     return 0
 
@@ -285,14 +281,22 @@ def _joined(argv: Sequence[str]) -> list[str]:
 def main(argv: Sequence[str] | None = None) -> int:
     parser = _build_parser()
     args = parser.parse_args(_joined(sys.argv[1:] if argv is None else argv))
+    error = None
     if args.command == "catalog" and args.action == "show" and not args.case:
-        parser.error("catalog show needs a case id")
-    if getattr(args, "spec", None) is not None and any(
+        error = "catalog show needs a case id"
+    elif getattr(args, "spec", None) is not None and any(
             getattr(args, name) is not None for name in ("case", "params", "fn", "delay")):
-        parser.exit(2, f"{parser.prog} {args.command}: error: --spec cannot be combined "
-                       "with --case, --params, --fn or --delay\n")
-    if args.command == "solve" and not args.spec and (args.phi is None or args.x0 is None):
-        parser.error("solve needs --phi and --x0 unless a --spec file sets them")
+        error = "--spec cannot be combined with --case, --params, --fn or --delay"
+    elif args.command in ("solve", "verify") and not (args.case or args.spec):
+        error = f"{args.command} needs --case or --spec"
+    elif args.command == "reduce" and not args.case:
+        error = "reduce needs --case"
+    elif args.command == "verify" and not (args.solution or args.solution_file):
+        error = "verify needs --solution or --solution-file"
+    elif args.command == "solve" and not args.spec and (args.phi is None or args.x0 is None):
+        error = "solve needs --phi and --x0 unless a --spec file sets them"
+    if error:
+        parser.exit(2, f"{parser.prog} {args.command}: error: {error}\n")
     try:
         return args.run(args)
     except DelaySymError as e:

@@ -441,23 +441,24 @@ class Role(enum.Enum):
 
 class InvariantFamily(ex.Record):
     """One subalgebra of the optimal system with its ansatz y = h(x; params)
-    and delay x- = k(x; B).  solver maps the pinned parameters to the
-    constraint solution; generator_fn gives (xi, eta) at solved parameters."""
+    and delay x- = k(x; B).  Its constraint solver and generator stay in
+    the case table, in the row _row() reads."""
 
-    _hidden = ("solver", "generator_fn")  # not a field: the fields left out of repr
     case_id: str
     label: str
     case_params: Mapping[str, float]
     reduction_h: ex.Expr
     reduction_k: ex.Expr
     roles: Mapping[str, Role]
-    solver: Callable[[dict], ConstraintSolution]
-    generator_fn: Callable[[Mapping[str, float]], tuple[ex.Expr, ex.Expr]]
     notes: str = ""
+
+    def _row(self) -> tuple:
+        """(h, roles, solver, generator, notes) of the family's case row."""
+        return _CASES[self.case_id].families(self.case_params)[self.label]
 
     def generator(self, params: Mapping[str, float]) -> "VectorField":
         from .symmetry import VectorField
-        return VectorField(*self.generator_fn(params), name=self.label)
+        return VectorField(*self._row()[3](params), name=self.label)
 
 
 def _sol(status: Status, params: Mapping[str, float], free: tuple[str, ...] = (),
@@ -596,9 +597,10 @@ class _Case(ex.Record):
     and free_delay says when the caller supplies the delay.  system builds
     the Dods from (constants, f, delay); generators gives the algebra's
     (xi, eta) pairs, named X1, X2, ... in order; k is the delay x- = k(x; B)
-    of every family.  families(constants, fam) gives the InvariantFamily
-    rows; fam(label, h, roles, solver, generator_fn, notes) fills in the
-    case id, the constants and k.
+    of every family.  families(constants) maps each family's label, in
+    catalog order, to its row (h, roles, solver, generator, notes): solver
+    maps the pinned parameters to the ConstraintSolution, generator the
+    solved parameters to (xi, eta).
     """
 
     info: CaseInfo
@@ -609,7 +611,7 @@ class _Case(ex.Record):
     system: Callable[[dict, ex.Expr | None, DelayRelation | None], Dods] | None = None
     generators: Callable[[dict], tuple] = lambda p: ()
     k: ex.Expr | None = None
-    families: Callable[..., tuple[InvariantFamily, ...]] = lambda p, fam: ()
+    families: Callable[[dict], dict[str, tuple]] = lambda p: {}
 
 
 # (xi, eta) of d_x, d_y, x d_y and y d_y
@@ -640,12 +642,12 @@ _CASES = {c.info.id: c for c in (
           {"C1": 1.0, "C2": 1.0}, (_C2_POSITIVE,),
           system=lambda p, f, g: _slope_system(ConstantDelay(p["C2"]), ex.Num(p["C1"])),
           generators=lambda p: (_DY, _XDY, _DX), k=_K_CONST,
-          families=lambda p, fam: (fam(
-              "aX2+X3", _parsed("(a/2)*x^2 + A", ("x", "a", "A")),
+          families=lambda p: {"aX2+X3": (
+              _parsed("(a/2)*x^2 + A", ("x", "a", "A")),
               {"a": Role.DETERMINED, "A": Role.FREE, "B": Role.DETERMINED},
               _slope_rate(p, p["C2"] / 2.0, "a*C2/2 = C1"),
               lambda m: (_ONE, _expr_with("a*x", {"a": m["a"]}, ("x", "y"))),
-              "parabolas drifting at the forcing rate"),)),
+              "parabolas drifting at the forcing rate")}),
     _Case(CaseInfo("A3_3", "y' = (y - y-)/(x - x-) + C1 x^(a/(1-a)); for a = 1 the "
                    "forcing drops and the delay is free",
                    "x- = C2 x on x > 0 (a != 1); user supplied (a = 1)",
@@ -661,13 +663,13 @@ _CASES = {c.info.id: c for c in (
           generators=lambda p: (_DY, _XDY, _YDY if p["a"] == 1.0 else
                                 (_expr_with("(1 - a)*x", {"a": p["a"]}), _Y)),
           k=_K_SCALE,
-          families=lambda p, fam: () if p["a"] == 1.0 else (fam(
-              "X3", _expr_with("A * x^p", {"p": 1.0 / (1.0 - p["a"])}, ("x", "A")),
+          families=lambda p: {} if p["a"] == 1.0 else {"X3": (
+              _expr_with("A * x^p", {"p": 1.0 / (1.0 - p["a"])}, ("x", "A")),
               {"A": Role.DETERMINED, "B": Role.DETERMINED},
               _amplitude(p, p["C2"], _power_gap(1.0 / (1.0 - p["a"]), p["C2"]),
                          p["C1"], "power"),
               lambda m: (_expr_with("(1 - a)*x", {"a": p["a"]}), _Y),
-              "pure powers matched to the power law forcing"),)),
+              "pure powers matched to the power law forcing")}),
     _Case(CaseInfo("A3_5", "y' = (y - y-)/(x - x-) + C1 exp(x)",
                    "x - x- = C2 > 0",
                    "C1 (default 1), C2 (default 1)"),
@@ -675,13 +677,13 @@ _CASES = {c.info.id: c for c in (
           system=lambda p, f, g: _slope_system(
               ConstantDelay(p["C2"]), _expr_with("C1 * exp(x)", {"C1": p["C1"]})),
           generators=lambda p: (_DY, _XDY, (_ONE, _Y)), k=_K_CONST,
-          families=lambda p, fam: (fam(
-              "X3", _parsed("A*exp(x)", ("x", "A")),
+          families=lambda p: {"X3": (
+              _parsed("A*exp(x)", ("x", "A")),
               {"A": Role.DETERMINED, "B": Role.DETERMINED},
               _amplitude(p, p["C2"], p["C2"] - 1.0 + math.exp(-p["C2"]),
                          p["C1"] * p["C2"]),
               lambda m: (_ONE, _Y),
-              "exponentials matched to the exponential forcing"),)),
+              "exponentials matched to the exponential forcing")}),
     _Case(CaseInfo("A3_7", "y' = (y - y-)/(x - x-) + C1 exp(b atan(x))/sqrt(1 + x^2)",
                    "x- = (x - C2)/(1 + C2 x) on x > -1/C2",
                    "b >= 0 (default 1), C1 (default 1), C2 > 0 (default 1)"),
@@ -692,14 +694,13 @@ _CASES = {c.info.id: c for c in (
           generators=lambda p: (_DY, _XDY, (
               _parsed("1 + x^2"), _expr_with("(x + b)*y", {"b": p["b"]}, ("x", "y")))),
           k=_K_MOEBIUS,
-          families=lambda p, fam: (fam(
-              "X3", _expr_with("A*sqrt(1 + x^2)*exp(b*atan(x))", {"b": p["b"]},
-                               ("x", "A")),
+          families=lambda p: {"X3": (
+              _expr_with("A*sqrt(1 + x^2)*exp(b*atan(x))", {"b": p["b"]}, ("x", "A")),
               {"A": Role.DETERMINED, "B": Role.DETERMINED},
               _amplitude(p, p["C2"], _spiral_gap(p["b"], p["C2"]), p["C1"], "spiral"),
               lambda m: (_parsed("1 + x^2"),
                          _expr_with("(x + b)*y", {"b": p["b"]}, ("x", "y"))),
-              "the projective orbit curves"),)),
+              "the projective orbit curves")}),
     _Case(CaseInfo("A3_11", "none: every equation admitting this algebra reduces to "
                    "an ordinary differential equation", "-", "-", admits_system=False)),
     _Case(CaseInfo("A3_13", "y' = C1 (y - y-)/(x - x-)",
@@ -710,12 +711,12 @@ _CASES = {c.info.id: c for c in (
           system=lambda p, f, g: _slope_system(ConstantDelay(p["C2"]),
                                                factor=ex.Num(p["C1"])),
           generators=lambda p: (_DX, _DY, _YDY), k=_K_CONST,
-          families=lambda p, fam: (
-              fam("X1±X2", _parsed("x + A", ("x", "A")),
+          families=lambda p: {
+              "X1±X2": (_parsed("x + A", ("x", "A")),
                   {"A": Role.FREE, "B": Role.DETERMINED, "C1": Role.EXISTENCE},
                   lambda pins: _unit_gain(p), lambda m: (_ONE, _ONE),
                   "unit slope lines; the mirrored sign works identically"),
-              fam("X1+aX3", _parsed("A*exp(a*x)", ("x", "A", "a")),
+              "X1+aX3": (_parsed("A*exp(a*x)", ("x", "A", "a")),
                   {"a": Role.EXISTENCE, "A": Role.FREE, "B": Role.DETERMINED},
                   _existence_rate(
                       p, p["C2"], lambda a: _exp_gap(a, p["C2"], p["C1"]), _BOTH_SIGNS,
@@ -725,7 +726,7 @@ _CASES = {c.info.id: c for c in (
                           "no nonzero rate satisfies the existence equation; "
                           "the family degenerates to constants")),
                   lambda m: (_ONE, _expr_with("a*y", {"a": m["a"]}, ("x", "y"))),
-                  "exponentials whose rate solves a transcendental equation"))),
+                  "exponentials whose rate solves a transcendental equation")}),
     _Case(CaseInfo("A3_14", "y' = (y - y-)/(x - x-) + C1",
                    "x- = C2 x on x > 0",
                    "C1 (default 1), C2 in (0, 1) (default 0.5)"),
@@ -733,13 +734,13 @@ _CASES = {c.info.id: c for c in (
           (("C2 in (0, 1)", lambda p: 0.0 < p["C2"] < 1.0, "C2"),),
           system=lambda p, f, g: _slope_system(scale_delay(p["C2"]), ex.Num(p["C1"])),
           generators=lambda p: (_XDY, _DY, (_X, _Y)), k=_K_SCALE,
-          families=lambda p, fam: (fam(
-              "aX1+X3", _parsed("a*x*ln(x) + A*x", ("x", "a", "A")),
+          families=lambda p: {"aX1+X3": (
+              _parsed("a*x*ln(x) + A*x", ("x", "a", "A")),
               {"a": Role.DETERMINED, "A": Role.FREE, "B": Role.DETERMINED},
               _slope_rate(p, 1.0 + p["C2"] * math.log(p["C2"]) / (1.0 - p["C2"]),
                           "the slope constraint"),
               lambda m: (_X, _expr_with("a*x + y", {"a": m["a"]}, ("x", "y"))),
-              "logarithmic spirals of the scaling group"),)),
+              "logarithmic spirals of the scaling group")}),
     _Case(CaseInfo("A3_15", "y' = (y - y-)/(x - x-) + f(x)",
                    "x- = g(x), user supplied",
                    "f(x); defaults f = x, delay constant(1)"),
@@ -758,18 +759,18 @@ _CASES = {c.info.id: c for c in (
           {"C": 1.0}, (_C_POSITIVE,),
           system=lambda p, f, g: _slope_system(ConstantDelay(p["C"])),
           generators=lambda p: (_DX, _XDY, _DY, _YDY), k=_K_CONST,
-          families=lambda p, fam: (
-              fam("X1", _parsed("A", ("x", "A")), {"A": Role.FREE, "B": Role.DETERMINED},
+          families=lambda p: {
+              "X1": (_parsed("A", ("x", "A")), {"A": Role.FREE, "B": Role.DETERMINED},
                   lambda pins: _sol(Status.SOLVED, {**p, "B": p["C"]}, ("A",)),
                   lambda m: _DX, "constants"),
-              fam("X1±X2", _parsed("x^2/2 + A", ("x", "A")),
+              "X1±X2": (_parsed("x^2/2 + A", ("x", "A")),
                   {"A": Role.FREE, "B": Role.DETERMINED},
                   lambda pins: _sol(Status.NO_SOLUTION, p, residuals=(p["C"],), note=(
                       "the parabola ansatz needs a vanishing delay spacing, but "
                       f"the delay fixes B = {p['C']!r}")),
                   lambda m: (_ONE, _X),
                   "incompatible: two constraints pin B to different values"),
-              fam("aX1+X4", _parsed("A*exp(x/a)", ("x", "A", "a")),
+              "aX1+X4": (_parsed("A*exp(x/a)", ("x", "A", "a")),
                   {"a": Role.EXISTENCE, "A": Role.FREE, "B": Role.DETERMINED},
                   _existence_rate(
                       p, p["C"], lambda lam: _exp_gap(lam, p["C"]), _BOTH_SIGNS,
@@ -778,7 +779,7 @@ _CASES = {c.info.id: c for c in (
                           "nonzero real solution; only y = 0 remains")),
                       invert=True),
                   lambda m: (_expr_with("a", {"a": m["a"]}), _Y),
-                  "the exponential rate equation has no real nonzero root"))),
+                  "the exponential rate equation has no real nonzero root")}),
     _Case(CaseInfo("A4_14", "y' = (y - y-)/(x - x-)",
                    "x- = (x - C)/(1 + C x) on x > -1/C",
                    "C > 0 (default 1)"),
@@ -787,8 +788,8 @@ _CASES = {c.info.id: c for c in (
           generators=lambda p: (_DY, _XDY, _YDY,
                                 (_parsed("1 + x^2"), _parsed("x*y", ("x", "y")))),
           k=_K_MOEBIUS,
-          families=lambda p, fam: (fam(
-              "aX3+X4", _parsed("A*sqrt(1 + x^2)*exp(a*atan(x))", ("x", "A", "a")),
+          families=lambda p: {"aX3+X4": (
+              _parsed("A*sqrt(1 + x^2)*exp(a*atan(x))", ("x", "A", "a")),
               {"a": Role.EXISTENCE, "A": Role.FREE, "B": Role.DETERMINED},
               _existence_rate(
                   p, p["C"], lambda a: _spiral_gap(a, p["C"]), ((-10.0, 10.0),),
@@ -797,7 +798,7 @@ _CASES = {c.info.id: c for c in (
                       "only y = 0 remains"))),
               lambda m: (_parsed("1 + x^2"),
                          _expr_with("(a + x)*y", {"a": m["a"]}, ("x", "y"))),
-              "the projective spiral rate equation has no real root"),)),
+              "the projective spiral rate equation has no real root")}),
     _Case(CaseInfo("A4_21", "y' = (y - y-)/(x - x-)",
                    "x- = C x on x > 0",
                    "C with 0 < |C| < 1 (default 0.5)"),
@@ -805,15 +806,15 @@ _CASES = {c.info.id: c for c in (
           system=lambda p, f, g: _slope_system(scale_delay(p["C"]),
                                                domain=(0.0, math.inf)),
           generators=lambda p: (_DY, (_X, _Y), _XDY, (_X, _ZERO)), k=_K_SCALE,
-          families=lambda p, fam: (
-              fam("Y1", _parsed("A", ("x", "A")), {"A": Role.FREE, "B": Role.DETERMINED},
+          families=lambda p: {
+              "Y1": (_parsed("A", ("x", "A")), {"A": Role.FREE, "B": Role.DETERMINED},
                   lambda pins: _sol(Status.SOLVED, {**p, "B": p["C"]}, ("A",)),
                   lambda m: (_X, _ZERO), "constants"),
-              fam("Y1±Y2", _parsed("ln(abs(x)) + A", ("x", "A")),
+              "Y1±Y2": (_parsed("ln(abs(x)) + A", ("x", "A")),
                   {"A": Role.FREE, "C": Role.EXISTENCE, "B": Role.DETERMINED},
                   lambda pins: _log_ratio(p), lambda m: (_X, _ONE),
                   "logarithms; they pin the delay ratio itself"),
-              fam("aY1+Y4", _parsed("A*x^(1/a)", ("x", "A", "a")),
+              "aY1+Y4": (_parsed("A*x^(1/a)", ("x", "A", "a")),
                   {"a": Role.EXISTENCE, "A": Role.FREE, "B": Role.DETERMINED},
                   _existence_rate(
                       p, p["C"], lambda pw: _power_gap(pw, p["C"]),
@@ -829,7 +830,7 @@ _CASES = {c.info.id: c for c in (
                                (abs(gap(1.0)),), note="linear branch")),
                       invert=True, word="exponent"),
                   lambda m: (_expr_with("a*x", {"a": m["a"]}), _Y),
-                  "power laws of the scaling group"))),
+                  "power laws of the scaling group")}),
 )}
 
 CASE_IDS = tuple(_CASES)
@@ -894,8 +895,8 @@ def families(case: CatalogCase | str) -> tuple[InvariantFamily, ...]:
 def _families(rcase: CatalogCase) -> tuple[InvariantFamily, ...]:
     spec = _CASES[rcase.id]
     p = dict(rcase.params or {})
-    return spec.families(p, lambda label, h, roles, solver, generator_fn, notes: InvariantFamily(
-        rcase.id, label, p, h, spec.k, roles, solver, generator_fn, notes))
+    return tuple(InvariantFamily(rcase.id, label, p, h, spec.k, roles, notes)
+                 for label, (h, roles, _, _, notes) in spec.families(p).items())
 
 
 def catalog(case: CatalogCase | str) -> CatalogEntry:

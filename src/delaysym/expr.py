@@ -66,10 +66,10 @@ _PREC = {"+": 1, "-": 1, "*": 2, "/": 2, "neg": 2.5, "^": 3}
 class Record:
     """Immutable value whose fields, its annotations in MRO order, are set by
     position or keyword before __post_init__ runs.  It equals, hashes, prints
-    (but for the names in _hidden) and pickles as the tuple of its fields."""
+    and pickles as the tuple of its fields."""
 
     __slots__ = ()
-    _fields = __match_args__ = _hidden = ()
+    _fields = __match_args__ = ()
 
     def __init_subclass__(cls) -> None:
         names = (n for k in reversed(cls.__mro__) for n in vars(k).get("__annotations__", ()))
@@ -101,7 +101,7 @@ class Record:
         return hash(self._values())
 
     def __repr__(self) -> str:
-        shown = (f"{n}={getattr(self, n)!r}" for n in self._fields if n not in self._hidden)
+        shown = (f"{n}={getattr(self, n)!r}" for n in self._fields)
         return f"{type(self).__qualname__}({', '.join(shown)})"
 
     def __setattr__(self, name: str, *value: object) -> None:

@@ -7,9 +7,9 @@ constraints linking the ansatz parameters to the case constants.  Solving
 them classifies each parameter as free, determined, or pinned by an
 existence condition, and classifies the family as solved, trivial only
 (the zero function is the only member), or without solutions.  Each
-family, with its constraint solver, is an InvariantFamily row of the catalog
-table in dods; this module keeps solve_constraints, build_solution and
-verify, and re-exports the records and families from dods.
+family is an InvariantFamily built from a row of the catalog table in
+dods, which keeps the constraint solver; this module keeps solve_constraints,
+build_solution and verify, and re-exports the records and families from dods.
 """
 
 from __future__ import annotations
@@ -48,7 +48,7 @@ def solve_constraints(fam: InvariantFamily,
             raise ParameterDomainError(f"only {allowed} can be pinned here, not {key!r}")
         if not math.isfinite(value):
             raise ParameterDomainError(f"{fam.case_id} needs a finite pinned {key}, got {value!r}")
-    return fam.solver(pins)
+    return fam._row()[2](pins)
 
 
 def build_solution(fam: InvariantFamily, sol: ConstraintSolution,

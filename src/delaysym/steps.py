@@ -512,10 +512,8 @@ def _loop(scheme: Scheme, trees: tuple[ex.Expr, ...]
           ) -> Callable[..., tuple[tuple[float, ...], tuple[float, ...]]]:
     """The scheme's steps over its trees (RK4's f, exact-linear's forcing,
     slope and alpha) as a function of its parameters; cached by the interned
-    trees.  Exact-linear's alpha has no x exactly when its three stages add
-    no line (stage 0 took its value; an x is a first use of that stage's
-    abscissa, whose float() line counts), and its factors then go before
-    the loop (_FACTORS)."""
+    trees.  Where exact-linear's alpha has no x, its factors go before the
+    loop (_FACTORS)."""
     params, stages, template = _SCHEMES[scheme]
     arg = {name: f"a{i}" for i, name in enumerate(
         dict.fromkeys(name for _, *names in stages for name in names))}
@@ -528,7 +526,7 @@ def _loop(scheme: Scheme, trees: tuple[ex.Expr, ...]
               for i, (a, b) in enumerate(zip([0, *ends], ends)))
     fields = {**arg, **{f"o{i}": o for i, o in enumerate(outputs)}}
     if scheme is Scheme.EXACT_LINEAR:
-        once = ends[0] == ends[3]
+        once = "x" not in ex.variables_of(trees[2])
         pad = "    " if once else "        "
         factors = "".join(f"{pad}{line}\n" for line in _FACTORS.format(**fields).split("\n"))
         fields |= {"once": factors if once else "", "each": "" if once else factors}

@@ -313,17 +313,6 @@ def vertical_from_solution(s: PiecewiseSolution, d: Dods) -> VectorField:
     return VectorField(ex.Num(0.0), AffineEta(ex.Num(0.0), s), name="chi d_y")
 
 
-def _affine_parts(eta: ex.Expr | AffineEta
-                  ) -> tuple[ex.Expr, ex.Expr | PiecewiseSolution]:
-    if isinstance(eta, AffineEta):
-        return eta.p, eta.r
-    p = _deriv(eta, "y")
-    if "y" in ex.variables_of(p):
-        raise UnsupportedFlow("eta is not affine in y; no closed flow")
-    r = ex.fold(ex.substitute(eta, {"y": ex.Num(0.0)}))
-    return p, r
-
-
 def flow(v: VectorField, eps: float, s: PiecewiseSolution, d: Dods
          ) -> PiecewiseSolution:
     """Transport a solution along the one parameter group of v.
@@ -337,9 +326,10 @@ def flow(v: VectorField, eps: float, s: PiecewiseSolution, d: Dods
     if not ex.is_constant(v.xi):
         raise UnsupportedFlow("xi must be constant to move the mesh rigidly")
     xi0 = ex.evaluate(v.xi, {})
+    eta, p = v._trees[2], v._trees[5]  # eta(x, y) and its slope in y
 
     if xi0 != 0.0:
-        if not _is_zero(v.eta):
+        if not ex.is_zero(eta):
             raise UnsupportedFlow("mixed xi and eta flows are not available")
         qt = d.delay.affine_parameters()
         if qt is None or qt[0] != 1.0:
@@ -349,15 +339,17 @@ def flow(v: VectorField, eps: float, s: PiecewiseSolution, d: Dods
                 "x translation needs a right hand side independent of x")
         return s.shifted(eps * xi0)
 
-    p, r = _affine_parts(v.eta)
+    if "y" in ex.variables_of(p):
+        raise UnsupportedFlow("eta is not affine in y; no closed flow")
     if not ex.is_constant(p):
         raise UnsupportedFlow("the flow is closed form only for constant p")
     p0 = ex.evaluate(p, {})
     grow = math.exp(eps * p0)
     gain = eps if p0 == 0.0 else (grow - 1.0) / p0
 
-    if not isinstance(r, PiecewiseSolution):
-        offset = ex.fold(ex.Binary("*", ex.Num(gain), r))
+    r = _computed_r(v)
+    if r is None:
+        offset = ex.fold(ex.Binary("*", ex.Num(gain), ex.substitute(eta, {"y": ex.Num(0.0)})))
         return s.mapped(grow, offset)
 
     segs = []
@@ -372,12 +364,6 @@ def flow(v: VectorField, eps: float, s: PiecewiseSolution, d: Dods
             derivs.append(grow * dyv + gain * rd)
         segs.append(Segment(seg.nodes, tuple(values), tuple(derivs)))
     return PiecewiseSolution(s.mesh, tuple(segs))
-
-
-def _is_zero(eta: ex.Expr | AffineEta) -> bool:
-    if isinstance(eta, AffineEta):
-        return _is_zero(eta.p) and not isinstance(eta.r, PiecewiseSolution) and _is_zero(eta.r)
-    return ex.is_zero(eta)
 
 
 # ---------------------------------------------------------------------------

@@ -359,6 +359,21 @@ class TestReduce:
         assert code == 1
         assert "available" in err
 
+    def test_power_ansatz_at_a_vanishing_gap(self, capsys):
+        # a = 1e-13 puts the power gap of A3_3's X3 under 1e-12: the forcing
+        # C1 then has no member, and without forcing the amplitude is free
+        code, out, _ = run(capsys, "reduce", "--case", "A3_3", "--subalgebra", "X3",
+                           "--params", "a=1e-13")
+        obj = json.loads(out)
+        assert code == 0 and obj["status"] == "no-solution" and obj["y"] is None
+        assert obj["note"] == "the power ansatz cannot carry the forcing"
+        code, out, _ = run(capsys, "reduce", "--case", "A3_3", "--subalgebra", "X3",
+                           "--params", "a=1e-13,C1=0")
+        obj = json.loads(out)
+        assert code == 0 and obj["status"] == "solved" and obj["free"] == ["A"]
+        assert obj["note"] == "degenerate: the amplitude stays free"
+        assert obj["max_residual"] <= 1e-10
+
 
 class TestVerify:
     def test_closed_form(self, capsys):
@@ -395,9 +410,11 @@ class TestVerify:
         assert reported == pytest.approx(direct, abs=1e-12)
 
     def test_requires_candidate(self, capsys, spec_file):
-        code, _, err = run(capsys, "verify", "--spec", spec_file)
-        assert code == 1
-        assert "ParameterDomainError" in err
+        with pytest.raises(SystemExit) as info:
+            main(["verify", "--spec", spec_file])
+        assert info.value.code == 2
+        assert capsys.readouterr() == (
+            "", "delaysym verify: error: verify needs --solution or --solution-file\n")
 
     def test_superscript_digit_is_a_parse_error(self, capsys):
         code, out, err = run(capsys, "verify", "--case", "A3_5", "--solution", "2²")
@@ -462,6 +479,40 @@ class TestOptionValues:
             main(list(argv))
         assert info.value.code == 2
         assert "expected one argument" in capsys.readouterr().err
+
+
+class TestMissingOptions:
+    """A subcommand without the options it needs is bad usage: exit 2, one
+    line on stderr naming them, nothing on stdout."""
+
+    @pytest.mark.parametrize("argv, error", [
+        (("reduce", "--subalgebra", "X3"), "reduce needs --case"),
+        (("solve", "--phi", "x", "--x0", "0"), "solve needs --case or --spec"),
+        (("verify", "--solution", "x"), "verify needs --case or --spec"),
+        (("verify",), "verify needs --case or --spec"),
+        (("verify", "--case", "A3_5"), "verify needs --solution or --solution-file"),
+        (("solve", "--case", "A3_5", "--phi", "x"),
+         "solve needs --phi and --x0 unless a --spec file sets them"),
+        (("catalog", "show"), "catalog show needs a case id"),
+    ])
+    def test_exits_2_with_one_line(self, capsys, argv, error):
+        with pytest.raises(SystemExit) as info:
+            main(list(argv))
+        assert info.value.code == 2
+        out, err = capsys.readouterr()
+        assert out == "" and err == f"delaysym {argv[0]}: error: {error}\n"
+
+
+class TestCaseOptions:
+    @pytest.mark.parametrize("option, error", [
+        (("--params", "C1"), "parameters look like NAME=VALUE, got 'C1'"),
+        (("--params", "C1=abc"), "'C1' needs a number, got 'abc'"),
+        (("--fn", "sin(x)"), 'user functions are passed as --fn "f=<expr>"'),
+    ])
+    def test_malformed_value_exits_1(self, capsys, option, error):
+        case = "A2_1" if option[0] == "--fn" else "A3_5"
+        assert run(capsys, "catalog", "show", case, *option) == (
+            1, "", f"ParameterDomainError: {error}\n")
 
 
 class TestSpecAlone:

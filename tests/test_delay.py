@@ -432,6 +432,15 @@ class TestParseDelaySpec:
         assert relation.spec_string() == text
         assert parse_delay_spec(text) == relation
 
+    @pytest.mark.parametrize("text, error", [
+        ("constant1", "cannot parse delay specification 'constant1'"),
+        ("constant(x)", "bad numeric arguments in delay spec 'constant(x)'"),
+    ])
+    def test_malformed_spec_names_its_fault(self, text, error):
+        with pytest.raises(ParameterDomainError) as raised:
+            parse_delay_spec(text)
+        assert str(raised.value) == error
+
     @pytest.mark.parametrize("text", ["constant()", "constant(1, 2)", "affine(1)",
                                       "qscale(0.5, 1)", "moebius()"])
     def test_wrong_argument_count(self, text):

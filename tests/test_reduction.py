@@ -1,6 +1,7 @@
 """Invariant solution families: constraints, statuses, verification."""
 
 import math
+import pickle
 
 import pytest
 
@@ -77,10 +78,23 @@ class TestOneFamilyRecord:
 
     @pytest.mark.parametrize("case", INVARIANCE_CASES, ids=repr)
     def test_catalog_and_families_give_equal_records(self, case):
-        def visible(fam):
-            return [getattr(fam, n) for n in fam.__match_args__ if n not in fam._hidden]
+        entry = catalog(case)
+        assert entry == catalog(case)
+        assert families(case) == families(case) == entry.families
 
-        assert [visible(f) for f in catalog(case).families] == [visible(f) for f in families(case)]
+    @pytest.mark.parametrize("case", INVARIANCE_CASES, ids=repr)
+    def test_entry_and_families_pickle_as_their_fields(self, case):
+        entry = catalog(case)
+        back = pickle.loads(pickle.dumps(entry))
+        assert back == entry and type(back) is type(entry)
+        for fam in entry.families:
+            again = pickle.loads(pickle.dumps(fam))
+            assert again == fam and type(again) is type(fam)
+            sol = solve_constraints(again)
+            assert sol == solve_constraints(fam)
+            if sol.status is Status.SOLVED:
+                params = {**sol.params, **dict.fromkeys(sol.free, 1.0)}
+                assert again.generator(params) == fam.generator(params)
 
     def test_only_a_family_rate_can_be_pinned(self):
         with pytest.raises(ParameterDomainError) as raised:

@@ -138,6 +138,13 @@ def batches_over_spans(draw):
 
 
 class TestSegment:
+    @pytest.mark.parametrize("nodes", [(0.0, 0.0), (1.0, 0.5), (0.0, 1.0, 1.0)])
+    def test_nodes_must_increase(self, nodes):
+        a, b = next((a, b) for a, b in zip(nodes, nodes[1:]) if not a < b)
+        with pytest.raises(ParameterDomainError) as raised:
+            Segment(nodes, (0.0,) * len(nodes), (1.0,) * len(nodes))
+        assert str(raised.value) == f"segment nodes must increase, got {a!r}, {b!r}"
+
     def test_hermite_reproduces_cubics(self):
         # 2 point cubic Hermite data of a cubic is exact everywhere
         poly = ex.parse("x^3 - 2*x^2 + x - 1")
@@ -222,8 +229,9 @@ class TestPiecewiseSolution:
         mesh = Mesh((-1.0, 0.0, 1.0), ConstantDelay(1.0))
         a = Segment((-1.0, 0.0), (0.0, 1.0), (1.0, 1.0))
         b = Segment((0.0, 1.0), (5.0, 6.0), (1.0, 1.0))  # jumps in value
-        with pytest.raises(ParameterDomainError):
+        with pytest.raises(ParameterDomainError) as raised:
             PiecewiseSolution(mesh, (a, b))
+        assert str(raised.value) == "solution is discontinuous at mesh point 0.0: 1.0 vs 5.0"
 
     def test_eval_inside_and_bounds(self):
         s = sample_expr(ConstantDelay(1.0), "x^2", 0.0, 2)
