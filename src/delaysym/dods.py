@@ -227,15 +227,18 @@ def _max_residual(d: Dods, xs: Iterable[float], ys: Iterable[float],
                   dys: Iterable[float], yms: Iterable[float]) -> float:
     """Largest |dy - f(x, y, ym)| over columns of a candidate's value y and
     slope dy at x and its value ym at g(x), all read before f is taken.  A
-    residual that is not finite raises DomainError naming the first such x:
-    max() would drop a NaN and read it as zero."""
+    residual that is not finite (r - r is not 0.0) raises DomainError naming
+    the first such x: a NaN fails every comparison, so it would read as zero."""
     rhs = d.rhs_fn
     worst = 0.0
     for x, y, dy, ym in zip(xs, ys, dys, yms):
-        r = abs(dy - rhs(x, y, ym))
-        if not math.isfinite(r):
-            raise DomainError(f"the residual at x = {x!r} is {r!r}, not finite")
-        worst = max(worst, r)
+        r = dy - rhs(x, y, ym)
+        if not r - r == 0.0:
+            raise DomainError(f"the residual at x = {x!r} is {abs(r)!r}, not finite")
+        if r > worst:
+            worst = r
+        elif -r > worst:
+            worst = -r
     return worst
 
 

@@ -172,14 +172,17 @@ def prolong_apply(v: VectorField, d: Dods,
 # kernel's statements inline.  It draws as random.Random.uniform does, so the
 # draw stream is the caller's.  A sample whose calls or statements raise
 # DomainError or OutOfRange or overflow is skipped, and so is one whose pr1
-# or pr2 is not finite: max() drops NaN, so it would read as zero.  Finite
-# pr1 and pr2 make the seven terms finite, as each enters a sum or
-# difference, so the scale is taken only when worst > _AGREE.  While every
-# sample passes, phase 2 perturbs each as soon as it passes, until one
-# perturbation fails.  A perturbation reruns only the nodes that contain
-# its fresh variables: interned, the rest are the point's, which ran without
-# raising at the same values.  One that changes no judged tree is left out;
-# no call or read of r overflows.
+# or pr2 is not finite (p - p is not 0.0): a NaN fails every comparison, so
+# it would read as zero.  The judge calls no builtin, yet worst and max_on
+# have the bits of abs and max: 0.0 - p makes -0.0 +0.0, and max keeps its
+# first argument unless the second is larger.  Finite pr1 and pr2 make the
+# seven terms finite, as each enters a sum or difference, so the scale is
+# taken only when worst > _AGREE.  While every sample passes, phase 2
+# perturbs each as soon as it passes, until one perturbation fails.  A
+# perturbation reruns only the nodes that contain its fresh variables:
+# interned, the rest are the point's, which ran without raising at the same
+# values.  One that changes no judged tree is left out; no call or read of r
+# overflows.
 
 _LOOP = """\
 width = hi - lo
@@ -199,11 +202,10 @@ for _ in range(80 * samples):
         {gp} = derivative({x})
 {statements}    except _SKIPPED:
         continue
-    if not (_isfinite({pr1}) and _isfinite({pr2})):
+    if not ({finite}):
         continue
-    worst = max(abs({pr1}), abs({pr2}))
-    accepted += 1
-    max_on = max(max_on, worst)
+{worst}    accepted += 1
+    if worst > max_on: max_on = worst
     on_ok = on_ok and ({passes})
     if on_ok and not weak:
         sign = 1.0 if accepted % 2 else -1.0
@@ -212,10 +214,14 @@ for _ in range(80 * samples):
 if not on_ok:
     return max_on, _NOT_INVARIANT
 return max_on, _WEAK if weak else _STRONG"""
-# the test a judged point passes: worst within _AGREE, absolute or relative to its terms
+# the judge of a point: pr1 and pr2 finite, worst = max(abs(pr1), abs(pr2)),
+# and the test it passes: worst within _AGREE, absolute or relative to its terms
+_FINITE = "{0} - {0} == 0.0 and {1} - {1} == 0.0"
+_WORST = ("worst = {0} if {0} > 0.0 else 0.0 - {0}\nother = {1} if {1} > 0.0 else 0.0 - {1}\n"
+          "if other > worst: worst = other")
 _PASSES = f"worst <= {_AGREE!r} or worst <= {_AGREE!r} * (1.0 + max(abs({{}})))"
 _LOOP_GLOBALS = {**ex._COMPILE_GLOBALS, "_SKIPPED": (DomainError, OutOfRange, OverflowError),
-                 "_isfinite": math.isfinite, "_STRONG": Invariance.STRONG,
+                 "_STRONG": Invariance.STRONG,
                  "_WEAK": Invariance.WEAK, "_NOT_INVARIANT": Invariance.NOT_INVARIANT}
 # phase 2's moves: each sets <name>~ for each name it moves (r_m if computed)
 _MOVES = ((("y", "{y} + sign"),), (("ym", "{ym} + sign"),), (("ydot", "{ydot} + sign"),),
@@ -259,15 +265,16 @@ def _loop(partials: tuple[ex.Expr, ...], trees: tuple[ex.Expr, ...], computed: b
     consts, ((_, lines, (pr1, pr2, *terms)), *blocks) = _perturbations(partials, trees, computed)
     reads = ["{r} = r_value({x})", "{r_m} = r_value({xm})", "{r_x} = r_eval({x})[2]"]
     source = _LOOP.format(
-        **_ARG, pr1=pr1, pr2=pr2, passes=_PASSES.format("), abs(".join(terms)),
+        **_ARG, finite=_FINITE.format(pr1, pr2), passes=_PASSES.format("), abs(".join(terms)),
+        worst=_block(1, *_WORST.format(pr1, pr2).split("\n")),
         breaks=_block(1, f"if any(abs({_ARG['x']} - b) <= 1e-6 for b in breaks):", "    continue")
         if computed else "",
         statements=_block(2, *(read.format(**_ARG) for read in reads if computed), *lines),
         perturb="".join(_block(
             2, "try:", *(f"    {line}" for line in moves + statements),
             "except _SKIPPED:", "    pass", "else:",
-            f"    if _isfinite({p1}) and _isfinite({p2}):",
-            f"        worst = max(abs({p1}), abs({p2}))",
+            f"    if {_FINITE.format(p1, p2)}:",
+            *(f"        {line}" for line in _WORST.format(p1, p2).split("\n")),
             f"        if not ({_PASSES.format('), abs('.join(terms))}):",
             "            weak = True", "            continue")
             for moves, statements, (p1, p2, *terms) in blocks))

@@ -20,6 +20,7 @@ from delaysym.dods import (
     load_spec,
     resolve_case,
     validate_beta,
+    _max_residual,
 )
 from delaysym.errors import DomainError, NoDodsError, ParameterDomainError, SchemeMismatch
 
@@ -418,3 +419,23 @@ class TestCatalog:
         for case in cases:
             catalog(case)
         assert parsed == []
+
+
+class TestMaxResidual:
+    # y' = y - y(x - 1) with y = ym = 1, so f is 0.0 and each residual is dy
+
+    def test_largest_magnitude_has_the_bits_of_abs_and_max(self):
+        d = linear("1", "-1")
+        for dys in ([-0.0, -0.0], [-3.0, 2.0], [2.0, -2.0], [0.5, -0.0, 1e-300], [],
+                    [-1e308, 1e308]):
+            ones = [1.0] * len(dys)
+            got = _max_residual(d, [0.5 * i for i in range(len(dys))], ones, dys, ones)
+            want = max([0.0] + [abs(dy - 0.0) for dy in dys])
+            assert got.hex() == want.hex(), dys
+
+    @pytest.mark.parametrize("dy, text", [(-math.inf, "inf"), (math.inf, "inf"),
+                                          (math.nan, "nan")], ids=["-inf", "inf", "nan"])
+    def test_residual_that_is_not_finite_raises_with_its_magnitude(self, dy, text):
+        with pytest.raises(DomainError) as raised:
+            _max_residual(linear("1", "-1"), [0.5, 0.25], [1.0, 1.0], [-2.0, dy], [1.0, 1.0])
+        assert str(raised.value) == f"the residual at x = 0.25 is {text}, not finite"

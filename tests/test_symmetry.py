@@ -35,6 +35,7 @@ from delaysym.errors import (
     DivergenceWarning,
     DomainError,
     MeshRangeError,
+    NoDodsError,
     NotASolution,
     OutOfRange,
     ParameterDomainError,
@@ -329,6 +330,20 @@ def _fields_and_systems():
 _FIELDS = _fields_and_systems()
 
 
+def _buildable():
+    """The catalog entry of every case that admits a delay system."""
+    out = []
+    for cid in CASE_IDS:
+        try:
+            out.append(catalog(cid))
+        except NoDodsError:
+            pass
+    return out
+
+
+_BUILDABLE = _buildable()
+
+
 def _bench_catalog():
     """bench/catalog.py, which draws the benchmark's catalog cases."""
     bench = pathlib.Path(__file__).parents[1] / "bench"
@@ -554,6 +569,32 @@ class TestKernel:
         assert got[1] is want and got[0] <= 1e-15
         assert got == _reference_check(v, d, 40, (0.0, 3.0))
 
+    @pytest.mark.parametrize("delay, window", [
+        (ConstantDelay(1.0), (0.0, 3.0)), (AffineDelay(0.8, 0.5), (0.5, 3.0)),
+        (QScaleDelay(0.5), (0.5, 3.0)), (MoebiusDelay(1.0), (0.0, 3.0)),
+    ], ids=["constant", "affine", "qscale", "moebius"])
+    def test_phase_two_results_follow_its_moves_on_every_relation(self, delay, window):
+        # as above, with Q built from the relation's own g: the half gap
+        # (x - xm)/2 varies with x off a constant delay.  Q_up vanishes at
+        # xm = g and at the upward move (x + g)/2, so d_y turns weak at the
+        # first downward move; Q_both also vanishes at the downward move
+        # (3g - x)/2, so d_y stays strong.  Every sign +1 would call Q_up
+        # strong, and a move of another size would call Q_both weak: either
+        # breaks the equality with the reference loop
+        g = delay.as_expr()
+        q_up = "(xm - g)*(2*xm - x - g)"
+        v = VectorField(ex.Num(0.0), ex.Num(1.0))
+        got = []
+        for q in (q_up, f"{q_up}*(2*xm + x - 3*g)"):
+            extra = ex.substitute(ex.parse(q, ("x", "xm", "g")), {"g": g})
+            manifold = ex.Binary("+", ex.parse("y - ym", ("y", "ym")),
+                                 ex.Binary("*", ex.Var("y"), extra))
+            d = Dods(LinearRhs(ex.Num(1.0), ex.Num(-1.0), ex.Num(0.0)), delay,
+                     delay.default_domain(), manifold)
+            got.append(check_invariance(v, d, 40, window))
+            assert got[-1] == _reference_check(v, d, 40, window), q
+        assert [cls for _, cls in got] == [Invariance.WEAK, Invariance.STRONG]
+
     def test_reads_run_once_per_sample(self, monkeypatch):
         # g' is called once for each sample that reaches the judge and never
         # again, and a computed r's r(x), r(xm) and r'(x) likewise; phase 2
@@ -656,6 +697,50 @@ class TestKernel:
         assert {result[1] for result, _ in got} == set(Invariance)
         assert {n for _, n in got[:-2]} == {0, 1, 40}
         assert all(result[1] is Invariance.WEAK and 1 < n < 40 for result, n in got[-2:])
+
+    def test_zero_fields_read_positive_zero(self):
+        # every applied value of 0 d_x + 0 d_y, and of 0.0 x d_x + 0.0 y d_y,
+        # whose products turn -0.0 where x, y or a partial is negative, is a
+        # zero; the judge reads each as +0.0, as abs does, so on every
+        # buildable catalog system max_on is +0.0 and no perturbation fails
+        fields = (VectorField(ex.Num(0.0), ex.Num(0.0)),
+                  VectorField(ex.parse("0.0*x"), ex.parse("0.0*y", ("x", "y"))))
+        negative = 0
+        for e in _BUILDABLE:
+            for v in fields:
+                mx, cls = check_invariance(v, e.dods, 40, e.window)
+                assert mx == 0.0 and math.copysign(1.0, mx) == 1.0, (e.dods, v)
+                assert cls is Invariance.STRONG
+                assert _checked(_reference_check, v, e.dods, 40, e.window) == (
+                    "0x0.0p+0", "strong")
+            kernel = _through_kernel(fields[1], e.dods)
+            for point in _points(e.dods, e.window, 5, 10):
+                try:
+                    negative += any(math.copysign(1.0, p) < 0.0 for p in kernel(point)[:2])
+                except DelaySymError:
+                    pass
+        assert negative
+
+    def test_points_that_overflow_without_raising_are_skipped(self):
+        # each catalog generator scaled by 1e308: its terms overflow to inf
+        # at some points and not at others, and inf - inf is NaN, none of it
+        # raising.  The judge skips a point whose pr1 or pr2 is not finite
+        # exactly as the reference loop does, and judges the rest
+        B, big = ex.Binary, ex.Num(1e308)
+        skipped = classes = 0
+        for e in _BUILDABLE:
+            for v in e.algebra:
+                w = VectorField(B("*", big, v.xi), B("*", big, v.eta))
+                got = _checked(check_invariance, w, e.dods, 40, e.window)
+                assert got == _checked(_reference_check, w, e.dods, 40, e.window), v.name
+                classes += got[1] in ("strong", "weak")
+                kernel = _through_kernel(w, e.dods)
+                for point in _points(e.dods, e.window, 5, 10):
+                    try:
+                        skipped += not all(map(math.isfinite, kernel(point)[:2]))
+                    except DelaySymError:
+                        pass
+        assert skipped and classes
 
     def test_kernel_source_holds_each_guard_once(self):
         # A3_7's X3 divides by (x - xm)^C2 in four partials: its kernel
