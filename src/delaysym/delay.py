@@ -339,10 +339,10 @@ class Mesh(ex.Record):
         return len(self.points) - 2
 
 
-def _check_count(name: str, n: int) -> None:
-    """A step or interval count is an integer (operator.index takes it) >= 1."""
-    if not (hasattr(type(n), "__index__") and operator.index(n) >= 1):
-        raise ParameterDomainError(f"{name} must be an integer >= 1, got {n!r}")
+def _check_count(name: str, n: int, least: int = 1) -> None:
+    """A count or index is an integer (operator.index takes it) >= least."""
+    if not (hasattr(type(n), "__index__") and operator.index(n) >= least):
+        raise ParameterDomainError(f"{name} must be an integer >= {least}, got {n!r}")
 
 
 def _check_x0(x0: float) -> None:
@@ -377,15 +377,17 @@ def closed_form_point(relation: DelayRelation, x0: float, x_minus1: float, n: in
 
     For x- = q*x - tau the chain is x_n = x0/q**n + tau/(1-q)*(q**-n - 1)
     when q != 1 and x_n = x0 + n*tau when q = 1.  For q > 1 the points
-    accumulate at tau/(q - 1).
+    accumulate at tau/(q - 1).  n >= -1, and x0 is checked as in build_mesh.
     """
+    _check_count("n", n, -1)
+    _check_x0(x0)
     qt = relation.affine_parameters()
     if qt is None:
         raise ParameterDomainError(
             f"closed form mesh points exist only for affine family relations, "
             f"got {type(relation).__name__}")
     q, tau = qt
-    expected = q * x0 - tau
+    expected = relation.delayed_point(x0)
     if abs(x_minus1 - expected) > 1e-9 * (1.0 + abs(expected)):
         raise ParameterDomainError(
             f"x_minus1 = {x_minus1!r} does not match the relation at x0 = {x0!r}")

@@ -178,19 +178,14 @@ class InitialCondition(ex.Record):
                 f"history interval is empty: [{self.x_minus1!r}, {self.x0!r}]")
         ex.check_variables(self.phi, {"x"}, "phi may only depend on x")
 
-    @functools.cached_property
-    def _phi_with_slope(self) -> Callable[..., tuple[list[float], list[float]]]:
-        """_with_slope(phi), made once per record (not pickled): every solve
-        from this history samples it on the first segment."""
-        return _with_slope(self.phi)
 
-
+@functools.lru_cache(maxsize=256)
 def _with_slope(e: ex.Expr) -> Callable[..., tuple[list[float], list[float]]]:
     """A function of an x column that returns e's values and those of its
     x-derivative e' there, from one column kernel, so the subtrees they
-    share run once.  Where that kernel raises DomainError, e is taken at
-    every point and then e', each by a kernel of its own compiled then, so
-    e's first failure is raised before any of e'."""
+    share run once; cached by the interned tree.  Where that kernel raises
+    DomainError, e is taken at every point and then e', each by a kernel of
+    its own compiled then, so e's first failure is raised before any of e'."""
     de = ex.differentiate(e, "x")
     both = ex.compile_columns((e, de), ("x",))
 

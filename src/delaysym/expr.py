@@ -459,7 +459,8 @@ def _eval(e: Expr, b: Mapping[str, float]) -> float:
 # case and returns the value itself; compile_columns() runs the same statements
 # once per point of its argument columns.  _generate() caches each function by
 # the interned trees, so a rebuilt system finds it without walking a tree.
-# _emit() gives the statements and _define() turns lines into a function;
+# _emit() gives the statements and _define() turns lines into a function
+# that raises an OverflowError out of them as DomainError, as evaluate does;
 # symmetry's invariance loop and steps' one loop per scheme wrap statements
 # in their own templates the same way.  The emitter walks each tree in the order
 # _eval visits it (child before parent, left before right) and emits one
@@ -553,9 +554,7 @@ def _generate(trees: tuple[Expr, ...], args: tuple[str, ...], form: str) -> Call
                  f"for {params or '()'} in {points}:", *(f"    {line}" for line in loop)]
         params, outputs = columns, [f"o{i}" for i in range(len(outputs))]
     returned = outputs[0] if form == "value" else f"({''.join(f'{name}, ' for name in outputs)})"
-    return _define(params, ["try:", *(f"    {line}" for line in lines), f"    return {returned}",
-                            "except OverflowError as exc:", "    raise _overflow(exc) from exc"],
-                   consts)
+    return _define(params, [*lines, f"return {returned}"], consts)
 
 
 def _emit(trees: tuple[Expr, ...], args: Sequence[str]
@@ -636,11 +635,13 @@ def _whole_power(e: Expr) -> bool:
 
 def _define(params: str, body: Sequence[str], consts: Sequence[object],
             namespace: Mapping[str, object] = _COMPILE_GLOBALS) -> Callable:
-    """The function compiled(params) whose body is the given lines, run with
-    the names of namespace as globals and k0, k1, ... bound to consts."""
+    """The function compiled(params) that runs the lines with namespace as its globals and
+    k0, k1, ... bound to consts, and raises their OverflowError as _overflow's DomainError."""
     cells = ", ".join(f"k{i}" for i in range(len(consts)))
-    lines = "".join(f"        {line}\n" for line in body)
-    source = f"def _make({cells}):\n    def compiled({params}):\n{lines}    return compiled\n"
+    lines = "".join(f"            {line}\n" for line in body)
+    source = (f"def _make({cells}):\n    def compiled({params}):\n        try:\n{lines}"
+              "        except OverflowError as exc:\n            raise _overflow(exc) from exc\n"
+              "    return compiled\n")
     scope: dict = {}
     exec(_bytecode(source), namespace, scope)
     return scope["_make"](*consts)

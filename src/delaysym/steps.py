@@ -301,9 +301,8 @@ def from_exprs(relation: DelayRelation, pieces: Sequence["ex.Expr | str"], x0: f
         raise ParameterDomainError("need a history piece and at least one interval piece")
     exprs = [ex.as_expr(p, ("x",)) for p in pieces]
     mesh = build_mesh(relation, x0, len(pieces) - 1)
-    with_slope = functools.cache(_with_slope)  # a piece met again reuses its kernel
     segments = tuple(
-        _sample_segment(with_slope(e), mesh.points[i], mesh.points[i + 1], step_count)
+        _sample_segment(_with_slope(e), mesh.points[i], mesh.points[i + 1], step_count)
         for i, e in enumerate(exprs))
     return PiecewiseSolution(mesh, segments)
 
@@ -394,7 +393,7 @@ def solve(d: Dods, init: InitialCondition, intervals: int,
                 f"mesh point {p!r} leaves the domain ({lo!r}, {hi!r})")
 
     m = config.step_count
-    segments = [_sample_segment(init._phi_with_slope, mesh.points[0], mesh.points[1], m)]
+    segments = [_sample_segment(_with_slope(init.phi), mesh.points[0], mesh.points[1], m)]
 
     if config.scheme is Scheme.EXACT_LINEAR and not isinstance(d.rhs, LinearRhs):
         raise SchemeMismatch("the ExactLinear scheme requires a linear right hand side")
@@ -441,24 +440,22 @@ def _delayed_abscissae(d: Dods, prev: Segment, nodes: tuple[float, ...], h: floa
 # node with the last stage's, read stale), so it shares only constants with
 # the rest, which then run once; the rest run in the loop, cut at _emit's
 # ends.  Arguments are floats, so _emit's float() lines go; the templates'
-# own names avoid its a<i>, t<k> and k<i>.
+# own names avoid its a<i>, t<k> and k<i>.  ex._define raises an
+# OverflowError out of a template as DomainError.
 
 _RK4 = """\
 half, sixth = 0.5 * h, h / 6.0
 {x0}, {ym0}, {y} = xs[0], yms[0], {y0}
 values, derivs = [{y}], []
-try:
-{0}    s1 = {o0}
-    for {xh}, {ymh}, {x1}, {ym1} in zip(xs[1::2], yms[1::2], xs[2::2], yms[2::2]):
-        {y2} = {y} + half * s1
-{1}        {y3} = {y} + half * {o1}
-{2}        {y4} = {y} + h * {o2}
-{3}        {y} = {y} + sixth * (s1 + 2.0 * {o1} + 2.0 * {o2} + {o3})
-        values.append({y})
-        derivs.append(s1)
-{4}        s1 = {o4}
-except OverflowError as exc:
-    raise _overflow(exc) from exc
+{0}s1 = {o0}
+for {xh}, {ymh}, {x1}, {ym1} in zip(xs[1::2], yms[1::2], xs[2::2], yms[2::2]):
+    {y2} = {y} + half * s1
+{1}    {y3} = {y} + half * {o1}
+{2}    {y4} = {y} + h * {o2}
+{3}    {y} = {y} + sixth * (s1 + 2.0 * {o1} + 2.0 * {o2} + {o3})
+    values.append({y})
+    derivs.append(s1)
+{4}    s1 = {o4}
 derivs.append(s1)
 return tuple(values), tuple(derivs)"""
 # e_i = e^(A(t1) - A(s_i)) and e3 = e^(A(t1) - A(t0)), each sum from 0.0,
@@ -479,19 +476,16 @@ _EXACT_LINEAR = """\
 exp = _exp
 {x0}, {ym0}, {y} = xs[0], yms[0], {y0}
 values = [{y}]
-try:
-{0}    derivs, overflows = [{o0}], False
-{once}    for {xa}, {yma}, {xb}, {ymb}, {xc}, {ymc}, {x1}, {ym1} in zip(
-            xs[1::4], yms[1::4], xs[2::4], yms[2::4], xs[3::4], yms[3::4], xs[4::4], yms[4::4]):
-{1}{2}{3}{4}{5}{6}{each}        if overflows:
-            raise DomainError("the integrating factor overflows on the interval "
-                              f"[{{xs[0]!r}}, {{xs[-1]!r}}]")
-        s = ((0.0 + b0 * e0 * {o4}) + b1 * e1 * {o5}) + b2 * e2 * {o6}
-        {y} = e3 * {y} + h * s
-        values.append({y})
-{7}        derivs.append({o7})
-except OverflowError as exc:
-    raise _overflow(exc) from exc
+{0}derivs, overflows = [{o0}], False
+{once}for {xa}, {yma}, {xb}, {ymb}, {xc}, {ymc}, {x1}, {ym1} in zip(
+        xs[1::4], yms[1::4], xs[2::4], yms[2::4], xs[3::4], yms[3::4], xs[4::4], yms[4::4]):
+{1}{2}{3}{4}{5}{6}{each}    if overflows:
+        raise DomainError("the integrating factor overflows on the interval "
+                          f"[{{xs[0]!r}}, {{xs[-1]!r}}]")
+    s = ((0.0 + b0 * e0 * {o4}) + b1 * e1 * {o5}) + b2 * e2 * {o6}
+    {y} = e3 * {y} + h * s
+    values.append({y})
+{7}    derivs.append({o7})
 return tuple(values), tuple(derivs)"""
 # per scheme its parameters, its stages as (tree, names for x, y, ym) and its
 # template: RK4's k1 = f(x0, y0, ym0), k2, k3, k4 and the next k1; exact-linear's
@@ -521,13 +515,13 @@ def _loop(scheme: Scheme, trees: tuple[ex.Expr, ...]
         [ex.substitute(trees[i], {v: ex.Var(name) for v, name in zip(("x", "y", "ym"), names)})
          for i, *names in stages], tuple(arg))
     coerced = {f"{a} = float({a})" for a in arg.values()}
-    blocks = ("".join(f"{'        ' if i else '    '}{line}\n"
+    blocks = ("".join(f"{'    ' if i else ''}{line}\n"
                       for line in lines[a:b] if line not in coerced)
               for i, (a, b) in enumerate(zip([0, *ends], ends)))
     fields = {**arg, **{f"o{i}": o for i, o in enumerate(outputs)}}
     if scheme is Scheme.EXACT_LINEAR:
         once = "x" not in ex.variables_of(trees[2])
-        pad = "    " if once else "        "
+        pad = "" if once else "    "
         factors = "".join(f"{pad}{line}\n" for line in _FACTORS.format(**fields).split("\n"))
         fields |= {"once": factors if once else "", "each": "" if once else factors}
     source = template.format(*blocks, **fields)

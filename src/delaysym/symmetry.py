@@ -24,6 +24,7 @@ import warnings
 from collections.abc import Callable
 
 from . import expr as ex
+from .delay import _check_count
 from .dods import _AGREE, Dods, homogenized, _expr_with, _window_for
 from .errors import (DegenerateRoot, DivergenceWarning, DomainError, NonConvergence,
                      NotASolution, OutOfRange, ParameterDomainError, UnsupportedFlow)
@@ -296,8 +297,7 @@ def check_invariance(v: VectorField, d: Dods, samples: int = 200,
     cancellation is measured relative to what was cancelled.  A point that
     cannot be evaluated, or whose terms are not finite, is not counted.
     """
-    if samples < 1:
-        raise ParameterDomainError("need at least one sample")
+    _check_count("samples", samples)
     lo, hi = window if window is not None else _window_for(d.domain)
     r = _computed_r(v)
     reads = () if r is None else (r.mesh.points, r.value, r.eval)

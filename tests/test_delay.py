@@ -350,6 +350,23 @@ class TestClosedFormPoint:
         with pytest.raises(ParameterDomainError):
             closed_form_point(r, 0.0, -0.5, 3)
 
+    @pytest.mark.parametrize("relation, x0, x_minus1, n, error, message", [
+        (QScaleDelay(0.5), -1.0, -0.5, 2, DomainError,
+         "scale relation delays only on x > 0, got x = -1.0"),
+        (AffineDelay(2.0, 1.0), 5.0, 9.0, 2, DomainError,
+         "affine relation is not a delay at x = 5.0: needs (q-1)*x < tau"),
+        (AffineDelay(0.5, 1.0), math.inf, math.inf, 2, ParameterDomainError,
+         "x0 must be finite, got inf"),
+        (AffineDelay(0.5, 1.0), 2.0, 0.0, 2.5, ParameterDomainError,
+         "n must be an integer >= -1, got 2.5"),
+        (AffineDelay(0.5, 1.0), 2.0, 0.0, -2, ParameterDomainError,
+         "n must be an integer >= -1, got -2"),
+    ])
+    def test_rejects_what_build_mesh_rejects(self, relation, x0, x_minus1, n, error, message):
+        with pytest.raises(error) as caught:
+            closed_form_point(relation, x0, x_minus1, n)
+        assert type(caught.value) is error and str(caught.value) == message
+
     def test_rejects_non_affine(self):
         with pytest.raises(ParameterDomainError):
             closed_form_point(MoebiusDelay(1.0), 0.5, MoebiusDelay(1.0).delayed_point(0.5), 2)

@@ -588,10 +588,14 @@ class TestCompile:
         ("(0-0.5)^x", -2e16, "overflow during evaluation: math range error"),
     ])
     def test_domain_errors(self, text, x, message):
-        f = ex.compile(ex.parse(text), ("x",))
-        with pytest.raises(DomainError) as caught:
-            f(x)
-        assert str(caught.value) == message
+        # every form of _generate, so each goes through _define's one overflow rule
+        tree = ex.parse(text)
+        for call in (lambda: ex.compile(tree, ("x",))(x),
+                     lambda: ex.compile_many((tree,), ("x",))(x),
+                     lambda: ex.compile_columns((tree,), ("x",))([x])):
+            with pytest.raises(DomainError) as caught:
+                call()
+            assert str(caught.value) == message
         assert _agrees(ex.parse(text), ("x",), (x,))[0]
 
     @pytest.mark.parametrize("x, want", [

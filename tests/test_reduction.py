@@ -9,6 +9,7 @@ import delaysym.expr as ex
 from delaysym.dods import CatalogCase, catalog
 from delaysym.errors import DomainError, ParameterDomainError, StatusError
 from delaysym.reduction import (
+    ConstraintSolution,
     Role,
     Status,
     build_solution,
@@ -263,6 +264,21 @@ class TestBuildSolution:
         sol = solve_constraints(fam)
         with pytest.raises(StatusError):
             build_solution(fam, sol)
+
+    def test_unresolved_parameter_rejected(self):
+        # a hand-built solution that never assigns the rate a of A exp(a x)
+        fam = family("A3_13", "X1+aX3")
+        sol = ConstraintSolution(Status.SOLVED, {"C1": 1.0, "C2": 1.0, "B": 1.0}, ("A",))
+        with pytest.raises(StatusError, match=r"^unresolved parameters \['a'\] in the ansatz$"):
+            build_solution(fam, sol)
+
+    def test_delay_constant_must_match_the_case(self):
+        fam = family("A3_13", "X1+aX3")
+        sol = ConstraintSolution(Status.SOLVED, {"C1": 1.0, "C2": 1.0, "a": 0.0, "B": 1.5},
+                                 ("A",))
+        with pytest.raises(StatusError) as caught:
+            build_solution(fam, sol)
+        assert str(caught.value) == "delay constant B = 1.5 disagrees with the case delay 1.0"
 
 
 ALL_SOLVED = [

@@ -926,6 +926,7 @@ def _sources(action):
     seen, inner = [], ex._bytecode
     ex._generate.cache_clear()
     steps._loop.cache_clear()
+    steps._with_slope.cache_clear()
     with pytest.MonkeyPatch.context() as mp:
         mp.setattr(ex, "_bytecode", lambda s: (seen.append(s), inner(s))[1])
         action()
@@ -1334,12 +1335,12 @@ class TestLoopInvariants:
                                       for t in (e, ex.differentiate(e, "x"))])
         assert got == want
 
-    def test_a_repeated_piece_builds_its_history_function_once(self, monkeypatch):
-        built, inner = [], steps._with_slope
-        monkeypatch.setattr(steps, "_with_slope", lambda e: (built.append(e), inner(e))[1])
+    def test_a_repeated_piece_builds_its_history_function_once(self):
+        steps._with_slope.cache_clear()
         one = sample_expr(ConstantDelay(1.0), "x", 0.0, 3, 8)
+        assert steps._with_slope.cache_info().misses == 1
         two = from_exprs(ConstantDelay(1.0), ["x", "x^3", "x"], 0.0, 8)
-        assert built == [ex.parse("x"), ex.parse("x"), ex.parse("x^3")]
+        assert steps._with_slope.cache_info().misses == 2
         assert two.segments[::2] == one.segments[:3:2]
 
     @settings(max_examples=300, deadline=None)

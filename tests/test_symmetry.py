@@ -24,11 +24,12 @@ from delaysym.dods import (
     CatalogCase,
     Dods,
     GeneralRhs,
+    InitialCondition,
     LinearRhs,
     catalog,
     initial_condition,
 )
-from delaysym import symmetry
+from delaysym import steps, symmetry
 from delaysym.errors import (
     DegenerateRoot,
     DelaySymError,
@@ -227,6 +228,13 @@ class TestCheckInvariance:
         e = catalog("A3_5")
         with pytest.raises(ParameterDomainError):
             check_invariance(e.algebra[0], e.dods, samples=0, window=e.window)
+
+    @pytest.mark.parametrize("samples", [2.5, 0, "3"])
+    def test_sample_count_is_an_integer(self, samples):
+        e = catalog("A3_5")
+        with pytest.raises(ParameterDomainError) as caught:
+            check_invariance(e.algebra[0], e.dods, samples=samples, window=e.window)
+        assert str(caught.value) == f"samples must be an integer >= 1, got {samples!r}"
 
     def test_overflowing_samples_are_not_counted(self):
         # inf * x^2 is NaN at x = 0 and inf elsewhere; x^2 d_y is no symmetry,
@@ -989,7 +997,7 @@ class TestCache:
 
     def test_bound_holds(self):
         assert (symmetry._loop.cache_info().maxsize == symmetry._compile_kernel.cache_info().maxsize
-                == 256)
+                == steps._with_slope.cache_info().maxsize == 256)
         assert ex._generate.cache_info().maxsize == 1024
         d, _ = smoothing_instance()
         fields = [VectorField(ex.Num(0.0), ex.parse(f"{k}*x^2")) for k in range(1, 7)]
@@ -1007,18 +1015,21 @@ class TestCache:
         label, v, d, window = _CHI
         check_invariance(v, d, 7, window)
         prolong_apply(v, d, (0.5, 0.3, -0.5, 0.2, 0.1))
+        solve(*smoothing_instance(), 1, SolverConfig(step_count=8))
         # walk everything the caches refer to, except modules, classes and
         # the globals of the generated functions, checked apart below; trees
         # are what the caches are keyed by
         module_dicts = {id(vars(m)) for m in list(sys.modules.values()) if m is not None}
         skipped = module_dicts | {id(ex._COMPILE_GLOBALS), id(symmetry._LOOP_GLOBALS)}
-        seen, todo = set(), [symmetry._loop, symmetry._compile_kernel, ex._generate]
+        seen, todo = set(), [symmetry._loop, symmetry._compile_kernel, ex._generate,
+                             steps._with_slope]
         while todo:
             obj = todo.pop()
             if id(obj) in seen or id(obj) in skipped or isinstance(obj, (type, types.ModuleType)):
                 continue
             seen.add(id(obj))
-            assert not isinstance(obj, (Dods, VectorField, AffineEta, PiecewiseSolution)), obj
+            assert not isinstance(obj, (Dods, VectorField, AffineEta, PiecewiseSolution,
+                                        InitialCondition)), obj
             todo.extend(gc.get_referents(obj))
         assert len(seen) > 100
         for value in (*ex._COMPILE_GLOBALS.values(), *symmetry._LOOP_GLOBALS.values()):
