@@ -339,7 +339,7 @@ class Mesh(ex.Record):
         return len(self.points) - 2
 
 
-def _check_count(name: str, n: int, least: int = 1) -> None:
+def _check_count(name: str, n: int, least: float = 1) -> None:
     """A count or index is an integer (operator.index takes it) >= least."""
     if not (hasattr(type(n), "__index__") and operator.index(n) >= least):
         raise ParameterDomainError(f"{name} must be an integer >= {least}, got {n!r}")
@@ -354,9 +354,9 @@ def _check_x0(x0: float) -> None:
 def build_mesh(relation: DelayRelation, x0: float, intervals: int) -> Mesh:
     """Mesh [g(x0), x0, advance(x0), ...] with the requested interval count.
 
-    NoForwardPoint propagates when the chain cannot be continued, carrying
-    how far it got; the mesh is never silently shortened.  A non-finite x0
-    raises ParameterDomainError.
+    NoForwardPoint propagates when the chain cannot be continued or its next
+    point is not finite, carrying how far it got; the mesh is never silently
+    shortened.  A non-finite x0 raises ParameterDomainError.
     """
     _check_count("intervals", intervals)
     _check_x0(x0)
@@ -365,6 +365,8 @@ def build_mesh(relation: DelayRelation, x0: float, intervals: int) -> Mesh:
     for n in range(intervals):
         try:
             x = relation.advance(x)
+            if not math.isfinite(x):
+                raise NoForwardPoint(f"the forward point of {points[-1]!r} is {x!r}")
         except NoForwardPoint as exc:
             raise NoForwardPoint(
                 f"mesh truncated after {n} of {intervals} forward points: {exc}") from exc
@@ -377,7 +379,8 @@ def closed_form_point(relation: DelayRelation, x0: float, x_minus1: float, n: in
 
     For x- = q*x - tau the chain is x_n = x0/q**n + tau/(1-q)*(q**-n - 1)
     when q != 1 and x_n = x0 + n*tau when q = 1.  For q > 1 the points
-    accumulate at tau/(q - 1).  n >= -1, and x0 is checked as in build_mesh.
+    accumulate at tau/(q - 1).  n >= -1, and x0 is checked as in build_mesh;
+    a point that overflows or is not finite raises NoForwardPoint.
     """
     _check_count("n", n, -1)
     _check_x0(x0)
@@ -391,11 +394,16 @@ def closed_form_point(relation: DelayRelation, x0: float, x_minus1: float, n: in
     if abs(x_minus1 - expected) > 1e-9 * (1.0 + abs(expected)):
         raise ParameterDomainError(
             f"x_minus1 = {x_minus1!r} does not match the relation at x0 = {x0!r}")
-    if q == 1.0:
-        return x0 + n * tau
     # q**-n - 1 through expm1: subtracting 1 cancels nearly every digit when
     # q is close to 1, and tau/(1 - q) then magnifies what is left
-    return x0 * q ** (-n) + tau / (1.0 - q) * math.expm1(-n * math.log(q))
+    try:
+        x = (x0 + n * tau if q == 1.0
+             else x0 * q ** (-n) + tau / (1.0 - q) * math.expm1(-n * math.log(q)))
+    except OverflowError:
+        x = math.inf
+    if not math.isfinite(x):
+        raise NoForwardPoint(f"mesh point {n} from x0 = {x0!r} is not finite: {x!r}")
+    return x
 
 
 # ---------------------------------------------------------------------------

@@ -166,16 +166,12 @@ def homogenized(d: Dods) -> Dods:
 
 
 class InitialCondition(ex.Record):
-    """History function phi on the primer interval [x_minus1, x0]."""
+    """History function phi on [g(x0), x0], where g is the solved system's delay."""
 
     phi: ex.Expr
-    x_minus1: float
     x0: float
 
     def __post_init__(self) -> None:
-        if not self.x_minus1 < self.x0:
-            raise ParameterDomainError(
-                f"history interval is empty: [{self.x_minus1!r}, {self.x0!r}]")
         ex.check_variables(self.phi, {"x"}, "phi may only depend on x")
 
 
@@ -200,10 +196,11 @@ def _with_slope(e: ex.Expr) -> Callable[..., tuple[list[float], list[float]]]:
 
 
 def initial_condition(phi: "ex.Expr | str", relation: DelayRelation, x0: float) -> InitialCondition:
-    """Build the history record with x_minus1 = g(x0); a non-finite x0
-    raises ParameterDomainError."""
+    """The history record of phi from x0; a non-finite x0 raises
+    ParameterDomainError, and one where g(x0) fails raises its error."""
     _check_x0(x0)
-    return InitialCondition(ex.as_expr(phi, ("x",)), relation.delayed_point(x0), x0)
+    relation.delayed_point(x0)
+    return InitialCondition(ex.as_expr(phi, ("x",)), x0)
 
 
 def validate_beta(d: Dods) -> None:

@@ -210,6 +210,7 @@ class PiecewiseSolution(ex.Record):
 
     def derivative_jump(self, n: int) -> float:
         """Right minus left slope at mesh point x_n (n = 0 is x_0)."""
+        _check_count("n", n, -math.inf)  # any integer; its range raises OutOfRange below
         if not 0 <= n < len(self.segments) - 1:
             raise OutOfRange(
                 f"mesh index {n!r} out of range 0..{len(self.segments) - 2}")
@@ -380,10 +381,6 @@ def solve(d: Dods, init: InitialCondition, intervals: int,
     overflows, raises DomainError naming it.
     """
     mesh = build_mesh(d.delay, init.x0, intervals)
-    if abs(init.x_minus1 - mesh.points[0]) > _TOL * (1.0 + abs(mesh.points[0])):
-        raise ParameterDomainError(
-            f"initial interval starts at {init.x_minus1!r} but the delay puts "
-            f"g(x0) = {mesh.points[0]!r}")
     lo, hi = d.domain
     # the history start g(x0) may precede the domain; only forward points
     # are evaluation sites for the equation

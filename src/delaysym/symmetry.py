@@ -397,8 +397,7 @@ def char_roots(C: float, kmax: int) -> tuple[CharacteristicRoot, ...]:
     """
     if not 0.0 < C < math.inf:
         raise ParameterDomainError(f"delay spacing must be positive and finite, got {C!r}")
-    if kmax < 0:
-        raise ParameterDomainError(f"kmax must be >= 0, got {kmax!r}")
+    _check_count("kmax", kmax, 0)
     roots = [CharacteristicRoot(C, 0j, 0j, 0)]
     for k in range(1, kmax + 1):
         centre = 2.0 * math.pi * k
@@ -454,7 +453,8 @@ def _bernoulli_numbers(n: int = 40) -> tuple[Fraction, ...]:
 def bernoulli_gf(z: float, n: int) -> float:
     """Partial sum sum_{m=0}^{n} B_m (-z)^m / m!, converging to
     z/(1 - exp(-z)) for |z| < 2 pi."""
-    if not 0 <= n <= 40:
+    _check_count("n", n, 0)
+    if n > 40:
         raise ParameterDomainError(f"truncation order must be in 0..40, got {n!r}")
     if abs(z) >= 2.0 * math.pi:
         warnings.warn(

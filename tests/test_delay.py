@@ -325,6 +325,18 @@ class TestMesh:
         with pytest.raises(NoForwardPoint):
             build_mesh(MoebiusDelay(1.0), 0.9, 3)
 
+    @pytest.mark.parametrize("relation, x0, intervals, message", [
+        (ConstantDelay(1e308), 0.0, 10,
+         "mesh truncated after 1 of 10 forward points: the forward point of 1e+308 is inf"),
+        (AffineDelay(0.5, 1.0), 1.0, 1100,
+         "mesh truncated after 1022 of 1100 forward points: "
+         "the forward point of 1.348269851146737e+308 is inf"),
+    ])
+    def test_overflowing_chain_has_no_forward_point(self, relation, x0, intervals, message):
+        with pytest.raises(NoForwardPoint) as caught:
+            build_mesh(relation, x0, intervals)
+        assert str(caught.value) == message
+
 
 class TestClosedFormPoint:
     def test_history_point(self):
@@ -361,6 +373,12 @@ class TestClosedFormPoint:
          "n must be an integer >= -1, got 2.5"),
         (AffineDelay(0.5, 1.0), 2.0, 0.0, -2, ParameterDomainError,
          "n must be an integer >= -1, got -2"),
+        (AffineDelay(0.5, 1.0), 1.0, -0.5, 1100, NoForwardPoint,  # q**-n overflows
+         "mesh point 1100 from x0 = 1.0 is not finite: inf"),
+        (QScaleDelay(0.5), 1.0, 0.5, 2000, NoForwardPoint,
+         "mesh point 2000 from x0 = 1.0 is not finite: inf"),
+        (ConstantDelay(1e308), 0.0, -1e308, 10, NoForwardPoint,  # x0 + n*tau rounds to inf
+         "mesh point 10 from x0 = 0.0 is not finite: inf"),
     ])
     def test_rejects_what_build_mesh_rejects(self, relation, x0, x_minus1, n, error, message):
         with pytest.raises(error) as caught:

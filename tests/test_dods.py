@@ -42,7 +42,7 @@ class TestContainers:
     @pytest.mark.parametrize("build", [
         lambda: LinearRhs("x", ex.Num(1.0), ex.Num(0.0)),
         lambda: GeneralRhs("y"),
-        lambda: InitialCondition("x", 0.0, 1.0),
+        lambda: InitialCondition("x", 1.0),
     ])
     def test_text_is_not_a_tree(self, build):
         with pytest.raises(ParameterDomainError, match="expected an expression tree"):
@@ -80,9 +80,13 @@ class TestContainers:
             homogenized(d)
 
     def test_initial_condition_links_history(self):
+        # the record is phi and x0; the solved system's delay fixes g(x0), so
+        # the relation given here only checks that it delays at x0
         init = initial_condition("x^2", ConstantDelay(0.5), 1.0)
-        assert init.x_minus1 == 0.5
-        assert init.x0 == 1.0
+        assert init == InitialCondition(ex.parse("x^2"), 1.0)
+        assert initial_condition("x^2", ConstantDelay(2.0), 1.0) == init
+        with pytest.raises(DomainError, match="scale relation delays only on x > 0"):
+            initial_condition("x^2", QScaleDelay(0.5), -1.0)
 
     def test_validate_beta(self):
         validate_beta(linear(beta="sin(x) + 2"))
@@ -105,7 +109,7 @@ class TestLoadSpec:
         )
         assert isinstance(d.rhs, LinearRhs)
         assert d.delay == ConstantDelay(1.0)
-        assert init is not None and init.x0 == 0.0 and init.x_minus1 == -1.0
+        assert init == InitialCondition(ex.parse("(x + 1)^2"), 0.0)
 
     def test_coefficients_default_to_zero(self):
         d, init = load_spec("beta = 1\ndelay = constant(2)")

@@ -117,9 +117,9 @@ def test_pickle_drops_cached_callables():
     assert back.rhs_value(0.5, 1.0, 2.0) == d.rhs_value(0.5, 1.0, 2.0)
     init = RECORDS["InitialCondition"]
     first = solve(d, init, 1, SolverConfig(step_count=8))
-    assert list(vars(init)) == ["phi", "x_minus1", "x0"]
+    assert list(vars(init)) == ["phi", "x0"]
     back = pickle.loads(pickle.dumps(init))
-    assert back == init and list(vars(back)) == ["phi", "x_minus1", "x0"]
+    assert back == init and list(vars(back)) == ["phi", "x0"]
     assert solve(d, back, 1, SolverConfig(step_count=8)) == first
 
 
@@ -158,7 +158,7 @@ def test_equality_is_by_class_and_fields():
     lambda: LinearRhs(ex.Var("y"), ex.Num(1.0), ex.Num(0.0)),
     lambda: GeneralRhs(ex.Var("z")),
     lambda: Dods(RECORDS["LinearRhs"], ConstantDelay(1.0), domain=(1.0, 0.0)),
-    lambda: InitialCondition(ex.Num(1.0), 1.0, 0.0),
+    lambda: InitialCondition(ex.Var("y"), 0.0),
     lambda: SolverConfig(step_count=0),
     lambda: Segment((0.0, 1.0), (0.0,), (0.0, 0.0)),
     lambda: PiecewiseSolution(RECORDS["Mesh"], ()),

@@ -2,11 +2,13 @@
 
 import math
 import pickle
+import random
+import re
 
 import pytest
 
 import delaysym.expr as ex
-from delaysym.dods import CatalogCase, catalog
+from delaysym.dods import CASE_IDS, CatalogCase, catalog
 from delaysym.errors import DomainError, ParameterDomainError, StatusError
 from delaysym.reduction import (
     ConstraintSolution,
@@ -60,6 +62,35 @@ class TestFamilyTables:
     def test_a3_3_scaling_branch_only(self):
         assert families(CatalogCase("A3_3", {"a": 1.0})) == ()
         assert len(families(CatalogCase("A3_3", {"a": -1.0}))) == 1
+
+    # each label names a combination of the case's listed generators X1,
+    # X2, ...; A4_21's labels use the paper's basis Y1 = X4 (x d_x),
+    # Y2 = X1 (d_y) and Y4 = X2 - X4 (y d_y)
+    _PAPER_BASIS = {"Y1": {"X4": 1.0}, "Y2": {"X1": 1.0}, "Y4": {"X2": 1.0, "X4": -1.0}}
+
+    @pytest.mark.parametrize("case, label", [
+        (cid, f.label) for cid in CASE_IDS if cid != "A3_11" for f in families(cid)])
+    def test_generator_is_the_labelled_combination(self, case, label):
+        entry = catalog(case)
+        fam = family(case, label)
+        listed = {v.name: v for v in entry.algebra}
+        terms = re.findall(r"([+±]?)(a?)([XY]\d)", label)
+        assert "".join(map("".join, terms)) == label
+        rng = random.Random(label)
+        rate = rng.uniform(-2.0, 2.0)  # a, the family's rate; ± takes the plus sign
+        params = {**fam.case_params, "a": rate} if "a" in label else fam.case_params
+        got = fam.generator(params)
+        for _ in range(20):
+            point = {"x": rng.uniform(0.1, 2.0), "y": rng.uniform(-2.0, 2.0)}
+            want = [0.0, 0.0]
+            for _, a, name in terms:
+                for basis, weight in self._PAPER_BASIS.get(name, {name: 1.0}).items():
+                    v = listed[basis]
+                    scale = (rate if a else 1.0) * weight
+                    want[0] += scale * ex.evaluate(v.xi, point)
+                    want[1] += scale * ex.evaluate(v.eta, point)
+            for g, w in zip((ex.evaluate(got.xi, point), ex.evaluate(got.eta, point)), want):
+                assert abs(g - w) <= 1e-14 * (1.0 + abs(w)), (point, g, w)
 
     def test_roles(self):
         fam = family("A3_13", "X1+aX3")

@@ -289,6 +289,13 @@ class TestPiecewiseSolution:
         with pytest.raises(OutOfRange):
             s.derivative_jump(-1)
 
+    @pytest.mark.parametrize("n", [2.5, "3"])
+    def test_derivative_jump_index_is_an_integer(self, n):
+        d, init = smoothing_instance()
+        s = solve(d, init, 3, SolverConfig(Scheme.EXACT_LINEAR))
+        with pytest.raises(ParameterDomainError, match=f"^n must be an integer >= -inf, got {n!r}$"):
+            s.derivative_jump(n)
+
     def test_smoothing_ladder(self):
         # the slope mismatch lives at x0 only; one interval later the first
         # derivative is already continuous and the kink has moved to y''
@@ -399,12 +406,6 @@ class TestFromExprs:
 
 
 class TestSolve:
-    def test_history_must_match_mesh(self):
-        d, _ = smoothing_instance()
-        bad = initial_condition("x", ConstantDelay(2.0), 0.0)
-        with pytest.raises(ParameterDomainError):
-            solve(d, bad, 1, SolverConfig(Scheme.EXACT_LINEAR))
-
     def test_smoothing_value_accuracy(self):
         d, init = smoothing_instance()
         s = solve(d, init, 1, SolverConfig(Scheme.EXACT_LINEAR))
@@ -517,11 +518,20 @@ class TestSolve:
     @pytest.mark.parametrize("scheme", list(Scheme))
     def test_moebius_pole_raises(self, scheme):
         # x0 = -1 is the pole of A3_7's x- = (x - 1)/(1 + x); every forward
-        # point lies right of x0, so the pole can only meet the history start
+        # point lies right of x0, so the pole can only meet the history start,
+        # which build_mesh takes as g(x0)
         e = catalog("A3_7")
-        init = InitialCondition(ex.Num(1.0), -3.0, -1.0)
+        init = InitialCondition(ex.Num(1.0), -1.0)
         with pytest.raises(DomainError, match="pole at x = -1.0"):
             solve(e.dods, init, 1, SolverConfig(scheme))
+
+    def test_a_start_the_delay_does_not_move_is_refused_by_the_mesh(self):
+        # 1e20 - 1 rounds to 1e20, so the history interval [g(x0), x0] is empty
+        d, _ = smoothing_instance()
+        init = initial_condition("x", d.delay, 1e20)
+        with pytest.raises(ParameterDomainError,
+                           match=r"^mesh points must increase, got 1e\+20 then 1e\+20$"):
+            solve(d, init, 1)
 
     # g(x) >= x on |x - 0.6| < 0.059, inside the first interval [0, ~1]
     _BUMP = GeneralDelay(ex.parse("x - 1 + 2*exp(-200*(x - 0.6)^2)"))

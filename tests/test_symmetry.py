@@ -1291,6 +1291,11 @@ class TestCharRoots:
             char_roots(1e-320, 1)
         assert char_roots(1e-320, 0)[0].lam == 0j  # branch 0 needs no division
 
+    @pytest.mark.parametrize("kmax", [2.5, "3"])
+    def test_kmax_is_an_integer(self, kmax):
+        with pytest.raises(ParameterDomainError, match=f"^kmax must be an integer >= 0, got {kmax!r}$"):
+            char_roots(1.0, kmax)
+
 
 class TestExpSymmetryFields:
     def test_fields_are_weak_symmetries(self):
@@ -1342,6 +1347,11 @@ class TestBernoulliGf:
             bernoulli_gf(1.0, 41)
         with pytest.raises(ParameterDomainError):
             bernoulli_gf(1.0, -1)
+
+    @pytest.mark.parametrize("n", [2.5, "3"])
+    def test_order_is_an_integer(self, n):
+        with pytest.raises(ParameterDomainError, match=f"^n must be an integer >= 0, got {n!r}$"):
+            bernoulli_gf(0.5, n)
 
 
 class TestManifoldAgreement:
