@@ -354,18 +354,20 @@ def _check_x0(x0: float) -> None:
 def build_mesh(relation: DelayRelation, x0: float, intervals: int) -> Mesh:
     """Mesh [g(x0), x0, advance(x0), ...] with the requested interval count.
 
-    NoForwardPoint propagates when the chain cannot be continued or its next
-    point is not finite, carrying how far it got; the mesh is never silently
-    shortened.  A non-finite x0 raises ParameterDomainError.
+    NoForwardPoint, carrying how far the chain got, propagates when it cannot
+    be continued or its next point is not finite and past the last.  An x0
+    that is not finite or that g does not move raises ParameterDomainError.
     """
     _check_count("intervals", intervals)
     _check_x0(x0)
     points = [relation.delayed_point(x0), x0]
+    if not points[0] < x0:
+        raise ParameterDomainError(f"mesh points must increase, got {points[0]!r} then {x0!r}")
     x = x0
     for n in range(intervals):
         try:
             x = relation.advance(x)
-            if not math.isfinite(x):
+            if not points[-1] < x < math.inf:
                 raise NoForwardPoint(f"the forward point of {points[-1]!r} is {x!r}")
         except NoForwardPoint as exc:
             raise NoForwardPoint(

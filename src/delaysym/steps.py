@@ -10,17 +10,13 @@ Solved segments store (x, y, ydot) nodes and interpolate with cubic Hermite
 polynomials (_hermite), so interpolation error is O(h^4) in value and O(h^3)
 in slope.
 
-The delayed points of an interval do not depend on its solution, so each
-interval reads y(g(x)) at all of them from the previous segment before it
-steps (_delayed_abscissae).  Under an affine g, step j of an interval maps
-onto step j of the previous segment at the same fraction t, so both schemes
-read the previous steps' Hermite data at fixed t (_span_reads) and compute
-no g(x); any other g is taken in one pass (DelayRelation.delayed_points)
-and read in one sweep (Segment.values_at).  Either
-scheme then steps the interval in one loop generated from the right hand
-side's trees (_loop, see solve), which takes what cannot change within
-the interval, exact-linear's integrating factors under an alpha without
-x, once before its steps.
+Either scheme steps an interval in one loop generated from the right hand
+side's trees (_loop, see solve), which takes what cannot change within the
+interval, exact-linear's integrating factors under an alpha without x, once
+before its steps.  Under an affine g, step j of an interval maps onto step j
+of the previous segment at the same fraction t, which the loop reads there;
+any other g is taken at all of the interval's points in one pass and read in
+one sweep before the steps (_delayed_abscissae).
 """
 
 from __future__ import annotations
@@ -279,10 +275,15 @@ def solution_from_json(text: str) -> PiecewiseSolution:
     return PiecewiseSolution(mesh, segments)
 
 
+@functools.lru_cache(maxsize=8)
+def _counts(m: int) -> tuple[float, ...]:
+    return tuple(map(float, range(m + 1)))
+
+
 def _nodes(a: float, b: float, m: int) -> tuple[float, ...]:
-    """The m + 1 nodes a + (b - a)*j/m of m steps of [a, b]."""
-    w = b - a
-    return tuple([a + w * j / m for j in range(m + 1)])
+    """The m + 1 nodes a + (b - a)*j/m of m steps of [a, b], j and m as exact floats."""
+    w, mf = b - a, float(m)
+    return tuple([a + w * j / mf for j in _counts(m)])
 
 
 def _sample_segment(with_slope: Callable[..., tuple[list[float], list[float]]],
@@ -342,16 +343,6 @@ def _hermite(t: float) -> tuple[float, float, float, float]:
     return 2.0 * t3 - 3.0 * t2 + 1.0, t3 - 2.0 * t2 + t, -2.0 * t3 + 3.0 * t2, t3 - t2
 
 
-def _span_reads(prev: Segment, rows: Iterable[tuple[float, ...]]) -> list[float]:
-    """prev read at the same fraction t of every step, for each row of
-    weights _hermite(t), one row after another; bit for bit Segment._read
-    at x = node + t*h wherever that x is exact."""
-    pn, pv, pd = prev.nodes, prev.values, prev.derivs
-    spans = list(zip(pv, pv[1:], pd, pd[1:], [t1 - t0 for t0, t1 in zip(pn, pn[1:])]))
-    return [w0 * v0 + w1 * hp * d0 + w2 * v1 + w3 * hp * d1
-            for w0, w1, w2, w3 in rows for v0, v1, d0, d1, hp in spans]
-
-
 def solve(d: Dods, init: InitialCondition, intervals: int,
           config: SolverConfig = SolverConfig()) -> PiecewiseSolution:
     """March the DODS forward for the requested number of intervals.
@@ -363,10 +354,10 @@ def solve(d: Dods, init: InitialCondition, intervals: int,
     any right hand side, linear or general.  Each runs one loop generated
     from the right hand side's trees, which takes a subtree of x and ym
     alone once per abscissa and gives the bits, and the first error, of
-    evaluating the trees point by point in this order.  Either scheme first
-    reads the interval's delayed values: an affine delay from the previous
-    segment's steps at fixed fractions, which differ by a few ulps from
-    reads at g(x) where g(x) rounds, any other at g(x) in one sweep in
+    evaluating the trees point by point in this order.  An affine delay is
+    read per step from the previous segment's matching step at fixed
+    fractions, which differ by a few ulps from reads at g(x) where g(x)
+    rounds; any other is read at g(x) before the steps, in one sweep in
     marching order, so where the delay and a coefficient both fail, the
     delay's DomainError is raised.  RK4 then takes per step k1 (the node
     slope), k2, k3 and k4.  Exact-linear takes the first node's slope; then
@@ -376,9 +367,8 @@ def solve(d: Dods, init: InitialCondition, intervals: int,
     raised at the first step, after its forcing.  Where that raises
     DomainError, alpha is taken at every step's first Gauss point, then
     second, then third, and its first failure, if any, is raised instead, so
-    alpha's error still comes first.  An interval that ends on
-    a value or slope that is not finite, or whose integrating factor
-    overflows, raises DomainError naming it.
+    alpha's error still comes first.  An interval that ends on a value or slope that is
+    not finite, or whose integrating factor overflows, raises DomainError naming it.
     """
     mesh = build_mesh(d.delay, init.x0, intervals)
     lo, hi = d.domain
@@ -410,22 +400,14 @@ def _delayed_abscissae(d: Dods, prev: Segment, nodes: tuple[float, ...], h: floa
                        fractions: tuple[float, ...]) -> tuple[list[float], list[float]]:
     """The nodes with each step's points node + h*c, c in fractions, between
     them, in marching order, and y(g(x)) at each, read from the previous
-    interval: under an affine g its node values and its steps at the same
-    fractions (_span_reads), with no g(x) computed; under any other g in one
-    pass and one sweep in marching order, so the first x the delay rejects is
-    the one a point-by-point march meets first."""
+    interval in one pass and one sweep in marching order, so the first x the
+    delay rejects is the one a point-by-point march meets first."""
     k, n = len(fractions) + 1, len(nodes) - 1
     xs = [0.0] * (k * n + 1)
     xs[::k] = nodes
     for i, c in enumerate(fractions, 1):
         xs[i::k] = [x + h * c for x in nodes[:-1]]
-    if d.delay.affine_parameters() is None:
-        return xs, prev.values_at(d.delay.delayed_points(xs))
-    yms, reads = xs[:], _span_reads(prev, map(_hermite, fractions))
-    yms[::k] = prev.values
-    for i in range(1, k):
-        yms[i::k] = reads[(i - 1) * n:i * n]
-    return xs, yms
+    return xs, prev.values_at(d.delay.delayed_points(xs))
 
 
 # Each scheme steps an interval in one function generated by one _emit over
@@ -438,15 +420,22 @@ def _delayed_abscissae(d: Dods, prev: Segment, nodes: tuple[float, ...], h: floa
 # the rest, which then run once; the rest run in the loop, cut at _emit's
 # ends.  Arguments are floats, so _emit's float() lines go; the templates'
 # own names avoid its a<i>, t<k> and k<i>.  ex._define raises an
-# OverflowError out of a template as DomainError.
-
+# OverflowError out of a template as DomainError.  A step starts with its points
+# x + h*c and their delayed values ({head}): under an affine g, the previous
+# segment's step read at c in Segment._read's order, with _hermite(c) (_AFFINE).
+_AFFINE = """\
+for x, {x1}, p0, p1, v0, {ym1}, d0, d1 in zip(
+        nodes, nodes[1:], pn, pn[1:], pv, pv[1:], pd, pd[1:]):
+    hp = p1 - p0
+"""
+_AFFINE_READ = ("    {x}, {ym} = x + h * {c!r}, "
+                "{w[0]!r} * v0 + {w[1]!r} * hp * d0 + {w[2]!r} * {ym1} + {w[3]!r} * hp * d1\n")
 _RK4 = """\
 half, sixth = 0.5 * h, h / 6.0
-{x0}, {ym0}, {y} = xs[0], yms[0], {y0}
+{x0}, {ym0}, {y} = nodes[0], {ym}[0], {y0}
 values, derivs = [{y}], []
 {0}s1 = {o0}
-for {xh}, {ymh}, {x1}, {ym1} in zip(xs[1::2], yms[1::2], xs[2::2], yms[2::2]):
-    {y2} = {y} + half * s1
+{head}    {y2} = {y} + half * s1
 {1}    {y3} = {y} + half * {o1}
 {2}    {y4} = {y} + h * {o2}
 {3}    {y} = {y} + sixth * (s1 + 2.0 * {o1} + 2.0 * {o2} + {o3})
@@ -471,41 +460,39 @@ except OverflowError:
 _EXACT_LINEAR = """\
 (w00, w01, w02), (w10, w11, w12), (w20, w21, w22), (b0, b1, b2) = _weights
 exp = _exp
-{x0}, {ym0}, {y} = xs[0], yms[0], {y0}
+{x0}, {ym0}, {y} = nodes[0], {ym}[0], {y0}
 values = [{y}]
 {0}derivs, overflows = [{o0}], False
-{once}for {xa}, {yma}, {xb}, {ymb}, {xc}, {ymc}, {x1}, {ym1} in zip(
-        xs[1::4], yms[1::4], xs[2::4], yms[2::4], xs[3::4], yms[3::4], xs[4::4], yms[4::4]):
-{1}{2}{3}{4}{5}{6}{each}    if overflows:
+{once}{head}{1}{2}{3}{4}{5}{6}{each}    if overflows:
         raise DomainError("the integrating factor overflows on the interval "
-                          f"[{{xs[0]!r}}, {{xs[-1]!r}}]")
+                          f"[{{nodes[0]!r}}, {{nodes[-1]!r}}]")
     s = ((0.0 + b0 * e0 * {o4}) + b1 * e1 * {o5}) + b2 * e2 * {o6}
     {y} = e3 * {y} + h * s
     values.append({y})
 {7}    derivs.append({o7})
 return tuple(values), tuple(derivs)"""
-# per scheme its parameters, its stages as (tree, names for x, y, ym) and its
-# template: RK4's k1 = f(x0, y0, ym0), k2, k3, k4 and the next k1; exact-linear's
-# slope alpha*y + (beta*ym + gamma), alpha and forcing at s_0, s_1, s_2, next slope
+# per scheme its stages as (tree, names for x, y, ym), its points as (c, s of
+# x<s>, ym<s>) and its template: RK4's k1 = f(x0, y0, ym0), k2, k3, k4, next
+# k1; exact-linear's slope alpha*y + (beta*ym + gamma), alpha, forcing at s_i, next slope
 _SCHEMES = {
-    Scheme.RK4: ("xs, yms, {y0}, h", ((0, "x0", "y0", "ym0"), (0, "xh", "y2", "ymh"),
-                 (0, "xh", "y3", "ymh"), (0, "x1", "y4", "ym1"), (0, "x1", "y", "ym1")), _RK4),
-    Scheme.EXACT_LINEAR: ("xs, yms, {y0}, h", ((1, "x0", "y0", "ym0"), (2, "xa", "y", "yma"),
-                          (2, "xb", "y", "ymb"), (2, "xc", "y", "ymc"), (0, "xa", "y", "yma"),
-                          (0, "xb", "y", "ymb"), (0, "xc", "y", "ymc"), (1, "x1", "y", "ym1")),
-                          _EXACT_LINEAR),
+    Scheme.RK4: (((0, "x0", "y0", "ym0"), (0, "xh", "y2", "ymh"), (0, "xh", "y3", "ymh"),
+                  (0, "x1", "y4", "ym1"), (0, "x1", "y", "ym1")), ((0.5, "h"),), _RK4),
+    Scheme.EXACT_LINEAR: (((1, "x0", "y0", "ym0"), (2, "xa", "y", "yma"), (2, "xb", "y", "ymb"),
+                           (2, "xc", "y", "ymc"), (0, "xa", "y", "yma"), (0, "xb", "y", "ymb"),
+                           (0, "xc", "y", "ymc"), (1, "x1", "y", "ym1")),
+                          tuple(zip(_GL_C, "abc")), _EXACT_LINEAR),
 }
 _STEP_GLOBALS = {**ex._COMPILE_GLOBALS, "_weights": (*_GL_TAIL, _GL_B), "DomainError": DomainError}
 
 
 @functools.lru_cache(maxsize=256)
-def _loop(scheme: Scheme, trees: tuple[ex.Expr, ...]
+def _loop(scheme: Scheme, trees: tuple[ex.Expr, ...], affine: bool
           ) -> Callable[..., tuple[tuple[float, ...], tuple[float, ...]]]:
     """The scheme's steps over its trees (RK4's f, exact-linear's forcing,
-    slope and alpha) as a function of its parameters; cached by the interned
-    trees.  Where exact-linear's alpha has no x, its factors go before the
-    loop (_FACTORS)."""
-    params, stages, template = _SCHEMES[scheme]
+    slope and alpha) as a function of the nodes, the reads (see _stepped), y0
+    and h; cached by the interned trees and whether g is affine.  Where
+    exact-linear's alpha has no x, its factors go before the loop (_FACTORS)."""
+    stages, points, template = _SCHEMES[scheme]
     arg = {name: f"a{i}" for i, name in enumerate(
         dict.fromkeys(name for _, *names in stages for name in names))}
     lines, outputs, consts, ends = ex._emit(
@@ -516,20 +503,42 @@ def _loop(scheme: Scheme, trees: tuple[ex.Expr, ...]
                       for line in lines[a:b] if line not in coerced)
               for i, (a, b) in enumerate(zip([0, *ends], ends)))
     fields = {**arg, **{f"o{i}": o for i, o in enumerate(outputs)}}
+    if affine:
+        reads, head = ("pn", "pv", "pd"), _AFFINE.format(**arg) + "".join(
+            _AFFINE_READ.format(x=arg["x" + s], ym=arg["ym" + s], c=c, w=_hermite(c), **arg)
+            for c, s in points)
+    else:
+        k, suffixes = len(points) + 1, [*(s for _, s in points), "1"]
+        names = ", ".join(arg[v + s] for s in suffixes for v in ("x", "ym"))
+        slices = ", ".join(f"{v}[{i}::{k}]" for i in range(1, k + 1) for v in ("xs", "yms"))
+        reads, head = ("xs", "yms"), f"for {names} in zip({slices}):\n"
     if scheme is Scheme.EXACT_LINEAR:
         once = "x" not in ex.variables_of(trees[2])
         pad = "" if once else "    "
         factors = "".join(f"{pad}{line}\n" for line in _FACTORS.format(**fields).split("\n"))
         fields |= {"once": factors if once else "", "each": "" if once else factors}
-    source = template.format(*blocks, **fields)
-    return ex._define(params.format(**arg), source.split("\n"), consts, _STEP_GLOBALS)
+    source = template.format(*blocks, head=head, ym=reads[1], **fields).split("\n")
+    return ex._define(", ".join(["nodes", *reads, arg["y0"], "h"]), source, consts, _STEP_GLOBALS)
+
+
+def _stepped(scheme: Scheme, trees: tuple[ex.Expr, ...], d: Dods, prev: Segment,
+             nodes: tuple[float, ...], h: float) -> Segment:
+    """The interval stepped by _loop, which reads an affine g itself."""
+    affine = d.delay.affine_parameters() is not None
+    reads = ((prev.nodes, prev.values, prev.derivs) if affine
+             else _delayed_abscissae(d, prev, nodes, h, [c for c, _ in _SCHEMES[scheme][1]]))
+    try:
+        return Segment(nodes, *_loop(scheme, trees, affine)(nodes, *reads, prev.values[-1], h))
+    except DomainError:  # alpha's first failure over every Gauss point, column by column, wins
+        if scheme is Scheme.EXACT_LINEAR:
+            ex.compile_columns(trees[2:], ("x",))([x + h * c for c in _GL_C for x in nodes[:-1]])
+        raise
 
 
 def _rk4_interval(d: Dods, prev: Segment, nodes: tuple[float, ...], h: float) -> Segment:
     """Classical RK4 with step h (see _loop).  k2 and k3 share the midpoint
     read, k4's abscissa is the next k1's, and k1 is the node slope."""
-    xs, yms = _delayed_abscissae(d, prev, nodes, h, (0.5,))
-    return Segment(nodes, *_loop(Scheme.RK4, (d.rhs._tree(),))(xs, yms, prev.values[-1], h))
+    return _stepped(Scheme.RK4, (d.rhs._tree(),), d, prev, nodes, h)
 
 
 def _exact_linear_interval(d: Dods, prev: Segment, nodes: tuple[float, ...],
@@ -538,13 +547,7 @@ def _exact_linear_interval(d: Dods, prev: Segment, nodes: tuple[float, ...],
     r = d.rhs
     forcing = ex.Binary("+", ex.Binary("*", r.beta, _YM), r.gamma)
     slope = ex.Binary("+", ex.Binary("*", r.alpha, _Y), forcing)
-    xs, yms = _delayed_abscissae(d, prev, nodes, h, _GL_C)
-    try:
-        return Segment(nodes, *_loop(Scheme.EXACT_LINEAR, (forcing, slope, r.alpha))(
-            xs, yms, prev.values[-1], h))
-    except DomainError:  # alpha's first failure over every Gauss point, column by column, wins
-        ex.compile_columns((r.alpha,), ("x",))(xs[1::4] + xs[2::4] + xs[3::4])
-        raise
+    return _stepped(Scheme.EXACT_LINEAR, (forcing, slope, r.alpha), d, prev, nodes, h)
 
 
 def residual_scan(s: PiecewiseSolution, d: Dods) -> float:

@@ -337,6 +337,20 @@ class TestMesh:
             build_mesh(relation, x0, intervals)
         assert str(caught.value) == message
 
+    @pytest.mark.parametrize("relation, x0, intervals, message", [
+        # 2**53 + 1 rounds back to 2**53
+        (ConstantDelay(1.0), 2.0**53, 1,
+         "mesh truncated after 0 of 1 forward points: "
+         "the forward point of 9007199254740992.0 is 9007199254740992.0"),
+        # the points accumulate at tau/(q - 1) = 1 and reach it in floating point
+        (AffineDelay(2.0, 1.0), 0.0, 100,
+         "mesh truncated after 54 of 100 forward points: the forward point of 1.0 is 1.0"),
+    ])
+    def test_stalled_chain_has_no_forward_point(self, relation, x0, intervals, message):
+        with pytest.raises(NoForwardPoint) as caught:
+            build_mesh(relation, x0, intervals)
+        assert str(caught.value) == message
+
 
 class TestClosedFormPoint:
     def test_history_point(self):

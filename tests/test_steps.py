@@ -214,7 +214,7 @@ class TestSegment:
         rows = (steps._hermite(t), steps._hermite(0.5))
         xs = [u + t * (v - u) for u, v in zip(nodes, nodes[1:])]
         xs += [u + 0.5 * (v - u) for u, v in zip(nodes, nodes[1:])]
-        assert ([v.hex() for v in steps._span_reads(seg, rows)]
+        assert ([v.hex() for v in _span_reads(seg, rows)]
                 == [v.hex() for v in seg.values_at(xs)])
 
 
@@ -678,16 +678,6 @@ class TestExactLinearQuadrature:
             assert s.value(x) == pytest.approx(A * math.exp(x), rel=1e-9)
 
 
-def _abscissae_read_at_g(d, prev, nodes, h, fractions):
-    """RK4's abscissae (fractions are (0.5,)) with every delayed value read
-    at g(x) through Segment.values_at, as for a delay that is not affine."""
-    assert fractions == (0.5,)
-    xs = [0.0] * (2 * len(nodes) - 1)
-    xs[::2] = nodes
-    xs[1::2] = [x + 0.5 * h for x in nodes[:-1]]
-    return xs, prev.values_at(map(d.delay.delayed_point, xs))
-
-
 _GENERAL_RHS = pathlib.Path(__file__).with_name("data") / "general_rhs.txt"
 
 
@@ -710,10 +700,16 @@ def _affine_system(kind, general, seed):
 
 
 def _rk4_read_at_g(d, init, n, config):
-    """solve, with RK4 reading every delayed value at g(x)."""
+    """solve, with RK4 reading every delayed value at g(x) through
+    Segment.values_at, as for a delay that is not affine: the relation
+    claims no affine parameters, and every interval takes that path."""
+    calls, inner = [], steps._delayed_abscissae
     with pytest.MonkeyPatch.context() as mp:
-        mp.setattr(steps, "_delayed_abscissae", _abscissae_read_at_g)
-        return solve(d, init, n, config)
+        mp.setattr(type(d.delay), "affine_parameters", lambda self: None)
+        mp.setattr(steps, "_delayed_abscissae", lambda *a: (calls.append(a), inner(*a))[1])
+        sol = solve(d, init, n, config)
+    assert len(calls) == n
+    return sol
 
 
 class TestAffineReads:
@@ -804,12 +800,42 @@ class TestAffineReads:
 # The steppers as they were before the generated loops: RK4 as four rhs_fn
 # calls per step, and for a linear right hand side alpha, beta and gamma
 # compiled one by one and called point by point, the integrating factors
-# summed in list passes.  They are the bit-for-bit reference.
+# summed in list passes.  They are the bit-for-bit reference, and read an
+# affine delay with span code of their own.
+
+
+def _span_reads(prev, rows):
+    """prev read at the same fraction t of every step, for each row of
+    weights steps._hermite(t), one row after another; bit for bit
+    Segment._read at x = node + t*h wherever that x is exact."""
+    pn, pv, pd = prev.nodes, prev.values, prev.derivs
+    spans = list(zip(pv, pv[1:], pd, pd[1:], [t1 - t0 for t0, t1 in zip(pn, pn[1:])]))
+    return [w0 * v0 + w1 * hp * d0 + w2 * v1 + w3 * hp * d1
+            for w0, w1, w2, w3 in rows for v0, v1, d0, d1, hp in spans]
+
+
+def _abscissae_and_reads(d, prev, nodes, h, fractions):
+    """The nodes with each step's points node + h*c, c in fractions, between
+    them, in marching order, and y(g(x)) at each: under an affine g the
+    previous segment's node values and its steps read at the same fractions
+    (_span_reads), under any other g as steps._delayed_abscissae reads them."""
+    if d.delay.affine_parameters() is None:
+        return steps._delayed_abscissae(d, prev, nodes, h, fractions)
+    k, n = len(fractions) + 1, len(nodes) - 1
+    xs = [0.0] * (k * n + 1)
+    xs[::k] = nodes
+    for i, c in enumerate(fractions, 1):
+        xs[i::k] = [x + h * c for x in nodes[:-1]]
+    yms, reads = xs[:], _span_reads(prev, map(steps._hermite, fractions))
+    yms[::k] = prev.values
+    for i in range(1, k):
+        yms[i::k] = reads[(i - 1) * n:i * n]
+    return xs, yms
 
 
 def _rk4_per_point(d, prev, nodes, h):
     rhs_fn = d.rhs_fn
-    xs, yms = steps._delayed_abscissae(d, prev, nodes, h, (0.5,))
+    xs, yms = _abscissae_and_reads(d, prev, nodes, h, (0.5,))
     y = prev.values[-1]
     values = [y]
     derivs = []
@@ -833,7 +859,7 @@ def _coefficient_fns(d):
 
 def _rk4_linear_per_point(d, prev, nodes, h):
     alpha_f, beta_f, gamma_f = _coefficient_fns(d)
-    xs, yms = steps._delayed_abscissae(d, prev, nodes, h, (0.5,))
+    xs, yms = _abscissae_and_reads(d, prev, nodes, h, (0.5,))
     terms = [(alpha_f(x), beta_f(x) * ym, gamma_f(x)) for x, ym in zip(xs, yms)]
     half, sixth = 0.5 * h, h / 6.0
     y = prev.values[-1]
@@ -1149,8 +1175,8 @@ class TestColumnKernels:
         config = SolverConfig(Scheme.EXACT_LINEAR, step_count=16)
         raised, loop = [], steps._loop
 
-        def recording(scheme, trees):
-            stepper = loop(scheme, trees)
+        def recording(scheme, trees, affine):
+            stepper = loop(scheme, trees, affine)
 
             def run(*args):
                 try:
@@ -1270,9 +1296,11 @@ class TestLoopInvariants:
         r = LinearRhs(ex.parse(alpha), ex.Num(0.5), ex.parse("cos(x)"))
         forcing = ex.Binary("+", ex.Binary("*", r.beta, steps._YM), r.gamma)
         slope = ex.Binary("+", ex.Binary("*", r.alpha, steps._Y), forcing)
-        (source,) = _sources(lambda: steps._loop(Scheme.EXACT_LINEAR, (forcing, slope, r.alpha)))
-        assert (source.index("e0 = exp") < source.index(" for ")) is once
-        assert source.count("e0 = exp") == 1
+        for affine in (False, True):
+            (source,) = _sources(
+                lambda: steps._loop(Scheme.EXACT_LINEAR, (forcing, slope, r.alpha), affine))
+            assert (source.index("e0 = exp") < source.index(" for ")) is once
+            assert source.count("e0 = exp") == 1
 
     @pytest.mark.parametrize("gamma, message", [
         # the factors of h*alpha = 1e5/64 overflow, and the first step's
@@ -1359,6 +1387,74 @@ class TestLoopInvariants:
         b = a + w
         want = tuple(a + (b - a) * j / m for j in range(m + 1))
         assert list(map(float.hex, steps._nodes(a, b, m))) == list(map(float.hex, want))
+
+    @settings(max_examples=200, deadline=None)
+    @given(st.lists(st.one_of(st.sampled_from([-0.0, 0.0]), st.builds(
+        lambda sign, f, e: sign * f * 10.0 ** e, st.sampled_from([-1.0, 1.0]),
+        st.floats(1.0, 9.999), st.integers(-300, 299))), min_size=2, max_size=2, unique=True),
+        st.integers(1, 4096))
+    def test_nodes_are_the_step_fractions_at_any_magnitude(self, ends, m):
+        # from 1e-300 to 1e300 in size, -0.0 among them: j and m as floats
+        # are exact, so the nodes are those of integer j and m
+        a, b = sorted(ends)
+        want = [a + (b - a) * j / m for j in range(m + 1)]
+        assert list(map(float.hex, steps._nodes(a, b, m))) == list(map(float.hex, want))
+
+
+class TestAffineLoop:
+    """Under an affine delay each step reads the previous segment's matching
+    step inside the generated loop; every bit, alpha's first error and the
+    overflow message are those of the reference steppers, which read the
+    whole interval before they step."""
+
+    _DELAYS = {"constant": (ConstantDelay(1.0), 0.0),
+               "affine q < 1": (AffineDelay(0.7, 0.5), 0.3),
+               "affine q > 1": (AffineDelay(1.3, 1.0), 0.3), "qscale": (QScaleDelay(0.5), 0.6)}
+
+    @pytest.mark.parametrize("kind", list(_DELAYS))
+    @pytest.mark.parametrize("scheme, general", [(Scheme.EXACT_LINEAR, False),
+                                                 (Scheme.RK4, False), (Scheme.RK4, True)])
+    @pytest.mark.parametrize("seed", range(4))
+    def test_solves_equal_the_reference_steppers(self, kind, scheme, general, seed):
+        d, x0, m = _affine_system(kind, general, seed)
+        init = initial_condition("sin(2*x) + 1", d.delay, x0)
+        config = SolverConfig(scheme, step_count=m)
+        want = _per_point_outcome(d, init, 3, config, _solve_bits)
+        assert want[0] == "value"
+        assert _solve_bits(d, init, 3, config) == want
+
+    @pytest.mark.parametrize("kind", list(_DELAYS))
+    def test_alpha_failing_late_beats_an_earlier_forcing_failure(self, kind):
+        # beta leaves its domain 30 % into the first interval, alpha only at
+        # 80 %: alpha's first failure in column order is raised
+        delay, x0 = self._DELAYS[kind]
+        a, b = build_mesh(delay, x0, 1).points[1:]
+        alpha, beta = (ex.parse(f"sqrt(({a!r} + {f}*({b!r} - {a!r})) - x)") for f in (0.8, 0.3))
+        d = Dods(LinearRhs(alpha, beta, ex.parse("cos(x)")), delay)
+        init = initial_condition("sin(2*x) + 1", delay, x0)
+        m, h = 16, (b - a) / 16
+        gauss = [t0 + h * c for c in steps._GL_C for t0 in steps._nodes(a, b, m)[:-1]]
+        first = next(x for x in gauss if (a + 0.8 * (b - a)) - x < 0.0)
+        with pytest.raises(DomainError) as expected:
+            ex.compile(alpha, ("x",))(first)
+        config = SolverConfig(Scheme.EXACT_LINEAR, step_count=m)
+        want = (DomainError, str(expected.value))
+        assert _per_point_outcome(d, init, 1, config) == want
+        assert _solve_outcome(d, init, 1, config) == want
+
+    @pytest.mark.parametrize("kind", list(_DELAYS))
+    @pytest.mark.parametrize("alpha", ["1e5", "1e5 + x"])
+    def test_integrating_factor_overflow_names_the_interval(self, kind, alpha):
+        # factors taken once (alpha without x) or per step; the reference
+        # meets a bare OverflowError where solve names the interval
+        delay, x0 = self._DELAYS[kind]
+        a, b = build_mesh(delay, x0, 1).points[1:]
+        d = Dods(LinearRhs(ex.parse(alpha), ex.Num(0.5), ex.Num(1.0)), delay)
+        init = initial_condition("1", delay, x0)
+        config = SolverConfig(Scheme.EXACT_LINEAR, step_count=64)
+        assert _per_point_outcome(d, init, 1, config) == (OverflowError, "math range error")
+        assert _solve_outcome(d, init, 1, config) == (
+            DomainError, f"the integrating factor overflows on the interval [{a!r}, {b!r}]")
 
 
 def _residual_scan_per_sample(s, d):
